@@ -99,13 +99,18 @@ def _check_weight_pair(lam, mu, w1, w2, n):
 
 
 def _t_quadrature(mu, masses, s1, s2, pointwise):
-    """Integrate t -> sum_i mu_i sum_x mass(x) * pointwise((1-t)s1 + t*s2) over [0, 1]."""
+    """Integrate t -> sum_i mu_i sum_x mass(x) * pointwise((1-t)s1 + t*s2) over [0, 1].
 
-    def h(t):
-        m = (1.0 - t) * s1 + t * s2
-        return float(mu.weights @ (pointwise(m) @ masses))
+    The nodes of a depth are evaluated together; each node's grid is
+    reduced by the same matrix-vector and dot products as one node alone
+    would be, so the value does not depend on the batching.
+    """
 
-    return adaptive_simpson(h, 0.0, 1.0, atol=1e-12, rtol=1e-12)
+    def h(ts):
+        m = (1.0 - ts)[:, None, None] * s1 + ts[:, None, None] * s2
+        return np.matmul(mu.weights, (pointwise(m) @ masses)[:, :, None])[:, 0]
+
+    return adaptive_simpson(h, 0.0, 1.0, atol=1e-12, rtol=1e-12, width=s1.size)
 
 
 def agm_chain(

@@ -8,6 +8,7 @@ input/validation/numeric error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -263,7 +264,8 @@ def _parse_space(doc, width):
 
 def _parse_p(doc):
     p = _field(doc, "p", required=True)
-    if not isinstance(p, (int, float)):
+    # bool is a subclass of int, so true would otherwise pass as 1
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise ValidationError(f"p: expected a number, got {p!r}")
     return float(p)
 
@@ -562,7 +564,9 @@ def _parse_grid_flag(text):
     return values
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jensenchain",
         description="Verify refinement chains of the discrete Jensen inequality.",

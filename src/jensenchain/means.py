@@ -99,7 +99,8 @@ def pow_integral_mean(a, b, p):
     far = ~equal & ~near & ~mid
 
     m = 0.5 * (lo + hi)
-    u = np.where(near, d / (lo + hi), 0.0)
+    # the divisor is 0 where both ends are 0, which lies outside the band
+    u = np.where(near, d / np.where(near, lo + hi, 1.0), 0.0)
     u2 = u * u
     c2 = p * (p - 1.0) / 6.0
     c4 = c2 * (p - 2.0) * (p - 3.0) / 20.0

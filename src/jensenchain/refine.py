@@ -206,23 +206,27 @@ def _check_t(ts: np.ndarray):
         raise ValidationError(f"t must lie in [0, 1], got {float(ts[np.argmax(bad)])}")
 
 
+def _phi_rows(inst: JensenInstance, ts: np.ndarray) -> np.ndarray:
+    """f at the inner combinations, one row of m values per t (scalar points only)."""
+    # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
+    inner = (1.0 - ts)[:, None] * inst.s1[None, :] + ts[:, None] * inst.s2[None, :]
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(inner))))
+    inside = inst.f.domain.contains_array(inner, slack=slack)
+    if not np.all(inside):
+        k, i = np.unravel_index(int(np.argmin(inside)), inner.shape)
+        raise DomainError(
+            f"inner combination for row i={i} at t={ts[k]} is {inner[k, i]}, "
+            f"outside the domain of {inst.f.name} ({inst.f.domain})"
+        )
+    return inst.f.evaluate_many(inner)
+
+
 def phi_values(inst: JensenInstance, ts) -> np.ndarray:
     """Vectorized phi over a grid of t values."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_t(ts)
     if inst.dim == 1:
-        # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
-        inner = (1.0 - ts)[:, None] * inst.s1[None, :] + ts[:, None] * inst.s2[None, :]
-        slack = 1e-12 * max(1.0, float(np.max(np.abs(inner))))
-        inside = inst.f.domain.contains_array(inner, slack=slack)
-        if not np.all(inside):
-            k, i = np.unravel_index(int(np.argmin(inside)), inner.shape)
-            raise DomainError(
-                f"inner combination for row i={i} at t={ts[k]} is {inner[k, i]}, "
-                f"outside the domain of {inst.f.name} ({inst.f.domain})"
-            )
-        vals = inst.f.evaluate_many(inner)
-        return vals @ inst.mu.weights
+        return _phi_rows(inst, ts) @ inst.mu.weights
     out = np.empty(ts.size)
     for k, t in enumerate(ts):
         inner = (1.0 - t) * inst.s1 + t * inst.s2
@@ -261,8 +265,19 @@ def phi_integral_closed(inst: JensenInstance) -> float:
 
 
 def phi_integral_quad(inst: JensenInstance, atol=1e-10, rtol=1e-10) -> float:
-    """t-average of phi by adaptive quadrature on [0, 1]."""
-    return adaptive_simpson(lambda t: phi(inst, t), 0.0, 1.0, atol=atol, rtol=rtol)
+    """t-average of phi by adaptive quadrature on [0, 1].
+
+    Each depth's nodes are evaluated together.  Every row is reduced by
+    the same dot product phi(inst, t) uses, so the result equals
+    quadrature over scalar phi bit for bit.
+    """
+
+    def fv(ts):
+        if inst.dim != 1:
+            return phi_values(inst, ts)
+        return np.matmul(_phi_rows(inst, ts)[:, None, :], inst.mu.weights)[:, 0]
+
+    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=inst.s1.size)
 
 
 def chain_integral(inst: JensenInstance, method: str = "auto") -> RefinementChain:

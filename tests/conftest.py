@@ -10,6 +10,7 @@ import pytest
 
 from jensenchain import (
     JensenInstance,
+    NumericError,
     ProbabilityVector,
     get_function,
     interpolate_weight,
@@ -64,6 +65,51 @@ def direct_phi(inst, t):
             inner += wij * inst.lam.weights[j] * inst.points[j]
         total += inst.mu.weights[i] * float(inst.f.evaluate(inner))
     return total
+
+
+def _simpson_panel(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    h = 0.5 * (b - a)
+    left = h / 6.0 * (fa + 4.0 * flm + fm)
+    right = h / 6.0 * (fm + 4.0 * frm + fb)
+    s2 = left + right
+    err = s2 - whole
+    if abs(err) <= 15.0 * max(tol, 1e-16 * abs(s2)):
+        return s2 + err / 15.0
+    if depth >= max_depth:
+        raise NumericError(
+            f"adaptive Simpson did not converge on [{a}, {b}] "
+            f"(residual {abs(err):.3e} at depth {depth})"
+        )
+    half = 0.5 * tol
+    return _simpson_panel(f, a, m, fa, flm, fm, left, half, depth + 1, max_depth) + _simpson_panel(
+        f, m, b, fm, frm, fb, right, half, depth + 1, max_depth
+    )
+
+
+def recursive_simpson(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
+    """Depth-first adaptive Simpson: one scalar f call per node, panels refined recursively.
+
+    Same acceptance rule, tolerance halving and depth cap as the library's
+    level-batched engine, written as the plain recursion it must reproduce.
+    """
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b = b, a
+        sign = -1.0
+    fa = f(a)
+    fb = f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = max(atol, rtol * abs(whole))
+    return sign * _simpson_panel(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
 
 
 def composite_midpoint(g, n_panels=64):

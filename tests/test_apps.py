@@ -26,7 +26,8 @@ from jensenchain import (
     validate_weight,
 )
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
-from conftest import rand_prob, rand_weight
+from jensenchain.apps import _t_quadrature
+from conftest import rand_prob, rand_weight, recursive_simpson
 
 E = math.e
 UNI2 = ProbabilityVector.uniform(2)
@@ -491,3 +492,34 @@ def test_harmonic_matrix_specialization(rng):
     s2 = c.values @ samples
     want = float(k - np.mean(np.sum(1.0 / log_mean(1.0 + s1, 1.0 + s2), axis=1)))
     assert ch.middle == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched t-quadrature against the recursion over its scalar integrand
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (16, 5), (40, 2), (120, 150)])
+@pytest.mark.parametrize("power", [1.0, 1.5, 2.0, 3.7, None])
+def test_t_quadrature_equals_recursion_over_scalar_integrand(rng, shape, power):
+    """Zero entries make t**p singular at an end of [0, 1]; None is the harmonic m/(1+m)."""
+    s1 = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.7)
+    s2 = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.7)
+    mu = rand_prob(rng, shape[0])
+    masses = rng.uniform(0.5, 2.0, shape[1])
+    if power is None:
+        pointwise = lambda m: m / (1.0 + m)
+    else:
+        pointwise = lambda m: m ** power
+
+    def scalar(t):
+        return float(mu.weights @ (pointwise((1.0 - t) * s1 + t * s2) @ masses))
+
+    ref = recursive_simpson(scalar, 0.0, 1.0, atol=1e-12, rtol=1e-12)
+    batches = []
+
+    def recording(m):
+        batches.append(m.shape[0])
+        return pointwise(m)
+
+    assert _t_quadrature(mu, masses, s1, s2, recording) == ref
+    assert max(batches) <= max(1, 2 ** 14 // s1.size)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jensenchain import ProbabilityVector, validate_weight
+from jensenchain import cli, numerics
 from jensenchain.cli import main, render_json
 
 UNI2 = ProbabilityVector.uniform(2)
@@ -169,6 +170,51 @@ def test_verify_kyfan_lp_powersum_harmonic_matrixpower(tmp_path, capsys):
     assert report["lower"] == 1.0 and report["middle"] == 2.0 and report["upper"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"application": "lp", "points": [[1.0, 0.0], [0.0, 1.0]]},
+        {"application": "powersum", "points": [0.5, 1.5]},
+        {"application": "matrixpower"},
+    ],
+    ids=lambda doc: doc["application"],
+)
+def test_verify_rejects_boolean_exponent(tmp_path, capsys, doc):
+    doc = dict(doc, p=True, weights=AGM_ANCHOR["weights"])
+    assert main(["verify", write(tmp_path, "p.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p: expected a number")
+
+
+def test_quadrature_budget_exhaustion_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(numerics, "QUAD_MAX_EVALS", 10)
+    assert main(["verify", write(tmp_path, "agm.json", AGM_ANCHOR)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget of 10 integrand evaluations on [0.0, 1.0]" in captured.err
+
+
+def test_overflowing_integrand_exits_2_at_the_first_infinite_value(tmp_path, capsys):
+    # 300**200 overflows, so the t-quadrature integrand is inf from the first node
+    doc = {
+        "application": "powersum",
+        "p": 200,
+        "points": [100.0, 300.0],
+        "lambda": [0.5, 0.5],
+        "mu": [0.5, 0.5],
+        "weights": {
+            "omega1": {"kind": "ones"},
+            "omega2": {"kind": "rank_one", "u": [1.0, -1.0], "v": [0.5, -0.5]},
+        },
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", write(tmp_path, "ps.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: adaptive Simpson: integrand is inf at t=0.0")
+
+
 def test_verify_matrix_form_requires_uniform_measures(tmp_path, capsys):
     doc = dict(AGM_ANCHOR)
     doc["lambda"] = [0.3, 0.7]
@@ -312,3 +358,30 @@ def test_tighten_rejects_app_instances(tmp_path, capsys):
     code = main(["tighten", write(tmp_path, "a.json", AGM_ANCHOR)])
     assert code == 2
     capsys.readouterr()
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
+    sq = write(tmp_path, "sq.json", SQUARE_JENSEN)
+    agm = write(tmp_path, "agm.json", AGM_ANCHOR)
+    runs = [
+        ["verify", sq, "--grid", "0,0.5"],
+        ["generate", "ds", "--n", "3", "--seed", "4"],
+        ["verify", agm, "--tol", "1e-3"],
+        ["tighten", sq],
+        ["verify", sq],
+        ["tighten", sq, "--tol", "1e-4"],
+        ["generate", "weight", "--n", "2", "--m", "3"],
+        ["verify", agm],
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for argv in runs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    assert outcomes(fresh=False) == outcomes(fresh=True)
+    assert cli._build_parser() is cli._build_parser()

@@ -1,6 +1,7 @@
 """Unit and property tests for the special means and the integral mean."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,3 +316,14 @@ def test_mean_branches_against_high_precision_oracle():
             assert identric(a, b) == pytest.approx(ref_identric(a, b), rel=1e-13)
             assert logarithmic(a, b) == pytest.approx(ref_logarithmic(a, b), rel=1e-13)
             assert p_logarithmic(a, b, 2.5) == pytest.approx(ref_plog(a, b, 2.5), rel=1e-13)
+
+
+def test_pow_integral_mean_zero_pairs_raise_no_warning():
+    a = np.array([0.0, 0.0, 1.0, 0.0, 2.0])
+    b = np.array([0.0, 3.0, 1.0, 0.0, 2.0 + 1e-12])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 1.5, 2.0, 3.7):
+            out = pow_integral_mean(a, b, p)
+            assert out[0] == 0.0 and out[3] == 0.0
+            assert out[1] == pytest.approx(3.0 ** p / (p + 1.0), rel=1e-14)

@@ -23,6 +23,7 @@ from jensenchain import (
     chain_matrix,
     get_function,
     interpolate_weight,
+    matrix_instance,
     phi,
     phi_convexity_check,
     phi_integral_closed,
@@ -30,12 +31,14 @@ from jensenchain import (
     tighten,
     validate_weight,
 )
+from jensenchain import refine
 from conftest import (
     FUN_RANGES,
     composite_midpoint,
     composite_trapezoid,
     direct_phi,
     make_instance,
+    recursive_simpson,
 )
 
 UNI2 = ProbabilityVector.uniform(2)
@@ -190,6 +193,50 @@ def test_integral_closed_matches_quadrature(rng):
             closed = phi_integral_closed(inst)
             quad = phi_integral_quad(inst)
             assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed), abs(quad))
+
+
+def _hard_instance(rng, name, n):
+    """Identity against a random permutation: every inner combination crosses the range."""
+    lo, hi = FUN_RANGES[name]
+    params = {"p": 2.5} if name == "powp" else None
+    return matrix_instance(
+        np.linspace(lo, hi, n + 2)[1:-1],
+        get_function(name, params),
+        DoublyStochasticMatrix(np.eye(n)),
+        DoublyStochasticMatrix(np.eye(n)[rng.permutation(n)]),
+    )
+
+
+@pytest.mark.parametrize("family", ["hard", "flat"])
+@pytest.mark.parametrize("name", sorted(FUN_RANGES))
+def test_quadrature_equals_recursion_over_scalar_phi(rng, name, family):
+    for n in (1, 3, 12):
+        if family == "hard":
+            inst = _hard_instance(rng, name, n)
+        else:
+            inst = make_instance(rng, name, n_max=n, m_max=n)
+        for tol in (1e-10, 1e-12):
+            ref = recursive_simpson(lambda t: phi(inst, t), 0.0, 1.0, atol=tol, rtol=tol)
+            assert phi_integral_quad(inst, atol=tol, rtol=tol) == ref
+
+
+def test_quadrature_calls_stay_under_the_value_cap(monkeypatch):
+    m = 2000  # 2**14 // m = 8 nodes per call at most
+    mu = ProbabilityVector.uniform(m)
+    w1 = WeightFunction.ones(mu, UNI2)
+    w2 = validate_weight(np.tile([[2.0, 0.0], [0.0, 2.0]], (m // 2, 1)), mu, UNI2)
+    inst = JensenInstance(f=get_function("exp"), points=[-3.0, 2.0], lam=UNI2, mu=mu, w1=w1, w2=w2)
+    ref = recursive_simpson(lambda t: phi(inst, t), 0.0, 1.0)
+    sizes = []
+    rows = refine._phi_rows
+
+    def recording(inst, ts):
+        sizes.append(ts.size)
+        return rows(inst, ts)
+
+    monkeypatch.setattr(refine, "_phi_rows", recording)
+    assert phi_integral_quad(inst) == ref
+    assert max(sizes) == 8 and len(sizes) > 3
 
 
 def test_integral_bracketing_by_midpoint_and_trapezoid(rng):
@@ -448,5 +495,6 @@ def test_multidimensional_points_sandwich_and_quadrature():
     assert ch.passed
     ci = chain_integral(inst)  # falls back to quadrature over t
     assert ci.passed
+    assert ci.middle == recursive_simpson(lambda t: phi(inst, t), 0.0, 1.0)
     with pytest.raises(ValidationError):
         phi_integral_closed(inst)
