@@ -10,6 +10,7 @@ input/validation/numeric error.
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,6 +51,14 @@ _KNOWN_FIELDS = {
 # deterministic JSON rendering (17 significant digits)
 
 
+def _finite(text: str) -> str:
+    """text, numbers printed by %.17g, unless one of them is inf or nan."""
+    if "n" in text:  # %.17g prints an n only in inf, -inf and nan
+        bad = next(tok for tok in text.replace(",", " ").split() if "n" in tok)
+        raise NumericError(f"report holds the non-finite number {bad}, which JSON cannot carry")
+    return text
+
+
 def _render(obj, out, indent):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -64,22 +73,26 @@ def _render(obj, out, indent):
             out.append(",\n" if k + 1 < len(items) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             out.append("[]")
             return
+        if all(type(v) is float for v in obj):
+            # a row of plain floats: one join gives the bytes of the per-item branch below
+            row = f",\n{pad}  ".join([f"{v:.17g}" for v in obj])
+            out.append(f"[\n{pad}  {_finite(row)}\n{pad}]")
+            return
         out.append("[\n")
-        for k, val in enumerate(seq):
+        for k, val in enumerate(obj):
             out.append(pad + "  ")
             _render(val, out, indent + 1)
-            out.append(",\n" if k + 1 < len(seq) else "\n")
+            out.append(",\n" if k + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(f"{float(obj):.17g}")
+        out.append(_finite(f"{float(obj):.17g}"))
     elif obj is None:
         out.append("null")
     else:
@@ -87,17 +100,22 @@ def _render(obj, out, indent):
 
 
 def render_json(obj) -> str:
+    """obj as JSON, numbers at 17 significant digits; NumericError on inf or nan."""
     out = []
     _render(obj, out, 0)
     return "".join(out)
 
 
-def _matrix_to_lists(values) -> list:
-    return [[float(v) for v in row] for row in values]
-
-
 # ---------------------------------------------------------------------------
 # instance-file parsing
+
+
+def _refuse_constant(name):
+    raise ValidationError(f"non-finite number {name} (values must be finite)")
+
+
+# json.loads with the default scanner, except that NaN, Infinity and -Infinity are refused
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _load_document(path: str) -> dict:
@@ -106,12 +124,18 @@ def _load_document(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: instance file must be a JSON object")
     unknown = set(doc) - _KNOWN_FIELDS
@@ -130,9 +154,16 @@ def _field(doc, name, required=False):
 
 def _as_float_array(raw, field):
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{field}: not a numeric array ({exc})") from exc
+    finite = np.isfinite(arr)
+    if not finite.all():
+        # JSON has no inf or nan, but a literal such as 1e400 overflows to inf
+        k = np.unravel_index(int(np.argmin(finite)), arr.shape)
+        at = f" at index {list(map(int, k))}" if k else ""
+        raise ValidationError(f"{field}: non-finite value {arr[k]}{at}")
+    return arr
 
 
 def _prob(doc, name) -> ProbabilityVector:
@@ -150,7 +181,12 @@ def _parse_function(doc):
     extra = set(spec) - {"name", "params", "direction"}
     if extra:
         raise ValidationError(f"function: unknown field(s) {sorted(extra)}")
-    f = get_function(spec["name"], spec.get("params"))
+    name, params = spec["name"], spec.get("params")
+    if not isinstance(name, str):
+        raise ValidationError(f"function: name must be a string, got {name!r}")
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"function: params must be an object, got {params!r}")
+    f = get_function(name, params)
     if "direction" in spec:
         f = f.with_direction(spec["direction"])
     return f
@@ -267,7 +303,13 @@ def _parse_p(doc):
     # bool is a subclass of int, so true would otherwise pass as 1
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise ValidationError(f"p: expected a number, got {p!r}")
-    return float(p)
+    try:
+        p = float(p)
+    except OverflowError as exc:
+        raise ValidationError(f"p: {exc}") from exc
+    if not math.isfinite(p):
+        raise ValidationError(f"p: expected a finite number, got {p}")
+    return p
 
 
 def _parse_hadamard(doc):
@@ -517,11 +559,11 @@ def cmd_verify(path: str, tol=None, grid=None) -> int:
 def cmd_generate(kind: str, n: int, m=None, seed: int = 0, out=None) -> int:
     if kind == "ds":
         matrix = random_doubly_stochastic(n, seed)
-        payload = _matrix_to_lists(matrix.values)
+        payload = matrix.values.tolist()
     elif kind == "weight":
         rows = m if m is not None else n
         w = random_weight(ProbabilityVector.uniform(rows), ProbabilityVector.uniform(n), seed)
-        payload = {"kind": "matrix", "values": _matrix_to_lists(w.values)}
+        payload = {"kind": "matrix", "values": w.values.tolist()}
     else:
         raise ValidationError(f"unknown generator kind {kind!r}; expected ds or weight")
     text = render_json(payload) + "\n"
@@ -596,6 +638,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not math.isfinite(tol):
+            raise ValidationError(f"--tol: expected a finite number, got {tol}")
         if args.command == "verify":
             grid = _parse_grid_flag(args.grid) if args.grid is not None else None
             return cmd_verify(args.path, tol=args.tol, grid=grid)

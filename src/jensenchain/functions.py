@@ -166,9 +166,14 @@ def _make_powp(params):
         raise ValidationError(f"function 'powp' takes only parameter 'p', got {sorted(extra)}")
     if "p" not in params:
         raise ValidationError("function 'powp' requires parameter 'p'")
-    p = float(params["p"])
+    try:
+        p = float(params["p"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"function 'powp': parameter 'p' is not a number ({exc})") from exc
     if not p >= 1.0:
         raise ValidationError(f"function 'powp' requires p >= 1, got {p}")
+    if p == _INF:
+        raise ValidationError("function 'powp' requires a finite p")
     return ConvexFunctionSpec(
         "powp",
         Interval(0.0, _INF),

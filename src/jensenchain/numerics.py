@@ -146,7 +146,8 @@ def golden_section_minimize(f, a, b, tol, max_iter=1000):
     """Minimize a unimodal-or-flat f on [a, b]; returns (x_star, f(x_star)).
 
     Ties shrink the bracket from the right, so a flat plateau resolves to
-    its leftmost point.  The final bracket width is at most tol.
+    its leftmost point.  The final bracket width is at most tol; a search
+    that cannot get there in max_iter steps raises NumericError.
     """
     if not tol > 0.0:
         raise ValidationError(f"search tolerance must be positive, got {tol}")
@@ -168,5 +169,10 @@ def golden_section_minimize(f, a, b, tol, max_iter=1000):
             d = a + _INVPHI * (b - a)
             fd = f(d)
         it += 1
+    if (b - a) > tol:
+        raise NumericError(
+            f"golden-section search hit its cap of {max_iter} iterations with the bracket "
+            f"at width {b - a:.3e}, wider than the requested tolerance {tol:.3e}"
+        )
     x = 0.5 * (a + b)
     return x, f(x)

@@ -12,11 +12,12 @@ This module evaluates phi, checks the resulting chains, and tightens the
 middle bound over t.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .functions import ConvexFunctionSpec
 from .means import integral_mean
 from .measures import (
@@ -78,6 +79,12 @@ class RefinementChain:
 
 
 def _assemble(lower, middle, upper, mid_lo, mid_hi, inner=(), checks=()):
+    members = (("lower bound", lower), ("upper bound", upper),
+               ("smallest middle member", mid_lo), ("largest middle member", mid_hi))
+    for name, value in members:
+        if not math.isfinite(value):
+            # an infinite bound would make the tolerance infinite and the chain pass vacuously
+            raise NumericError(f"the chain's {name} is {float(value)}, not a finite number")
     tol = chain_tolerance(lower, upper)
     slack_lower = mid_lo - lower
     slack_upper = upper - mid_hi

@@ -5,6 +5,8 @@ caching, no vectorization) so library results are always checked against
 an independent evaluation path.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,49 @@ def recursive_simpson(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     tol = max(atol, rtol * abs(whole))
     return sign * _simpson_panel(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+
+
+def _render_item(obj, out, indent):
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for k, (key, val) in enumerate(items):
+            out.append(f'{pad}  {json.dumps(str(key))}: ')
+            _render_item(val, out, indent + 1)
+            out.append(",\n" if k + 1 < len(items) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for k, val in enumerate(seq):
+            out.append(pad + "  ")
+            _render_item(val, out, indent + 1)
+            out.append(",\n" if k + 1 < len(seq) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(f"{float(obj):.17g}")
+    elif obj is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(str(obj)))
+
+
+def recursive_render(obj):
+    """Report JSON built one item at a time: the layout cli.render_json must reproduce."""
+    out = []
+    _render_item(obj, out, 0)
+    return "".join(out)
 
 
 def composite_midpoint(g, n_panels=64):

@@ -1,0 +1,275 @@
+"""The CLI contract on hostile input: exit 0, 1 or 2, no traceback, strict JSON on stdout."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from jensenchain import NumericError
+from jensenchain.cli import main
+from jensenchain.numerics import golden_section_minimize
+from jensenchain.refine import _assemble
+
+SQUARE = {
+    "application": "jensen",
+    "function": {"name": "square"},
+    "lambda": [0.5, 0.5],
+    "mu": [0.5, 0.5],
+    "points": [0.0, 1.0],
+    "weights": {
+        "omega1": {"kind": "ones"},
+        "omega2": {"kind": "matrix", "values": [[1.5, 0.5], [0.5, 1.5]]},
+    },
+}
+
+POWERSUM = {
+    "application": "powersum",
+    "p": 2.5,
+    "points": [1.0, 2.0],
+    "weights": {"B": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 1.0], [1.0, 0.0]]},
+}
+
+
+def _refuse(name):
+    raise ValueError(f"{name} in output")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_refuse)
+
+
+def run_raw(tmp_path, data: bytes, command="verify", *flags):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with np.errstate(all="ignore"):
+            code = main([command, str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_doc(tmp_path, doc, command="verify", *flags):
+    return run_raw(tmp_path, json.dumps(doc).encode(), command, *flags)
+
+
+def assert_refused(result, *fragments):
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+# ---------------------------------------------------------------------------
+# non-finite output
+
+
+def test_overflowing_upper_bound_exits_2_with_empty_stdout(tmp_path):
+    # exp(710) overflows: the upper bound, and with it the tolerance, used to be inf
+    doc = dict(SQUARE, function={"name": "exp"}, points=[710, 0])
+    assert_refused(run_doc(tmp_path, doc), "upper bound is inf")
+
+
+@pytest.mark.parametrize("member", range(4))
+def test_assemble_refuses_each_non_finite_member(member):
+    args = [0.0, 1.0, 1.0, 1.0]
+    args[member] = math.nan if member % 2 else math.inf
+    lower, upper, mid_lo, mid_hi = args
+    with pytest.raises(NumericError, match="not a finite number"):
+        _assemble(lower, mid_lo, upper, mid_lo, mid_hi)
+
+
+# ---------------------------------------------------------------------------
+# ingest errors that used to escape as tracebacks
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    assert_refused(run_raw(tmp_path, b"[" * 100_000 + b"]" * 100_000), "doc.json", "nested")
+
+
+def test_invalid_utf8_exits_2(tmp_path):
+    data = json.dumps(SQUARE).encode().replace(b'"square"', b'"squ\xffare"')
+    assert_refused(run_raw(tmp_path, data), "doc.json", "not UTF-8")
+
+
+def test_huge_integer_exponent_exits_2(tmp_path):
+    data = json.dumps(dict(POWERSUM, p=0)).replace('"p": 0', '"p": ' + "9" * 401)
+    assert_refused(run_raw(tmp_path, data.encode()), "error: p: ")
+
+
+def test_huge_integer_in_an_array_exits_2(tmp_path):
+    assert_refused(run_doc(tmp_path, dict(SQUARE, points=[0.0, 10 ** 400])), "error: points: ")
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constants_are_refused_at_parse_time(tmp_path, token):
+    data = json.dumps(SQUARE).replace("[0.0, 1.0]", f"[0.0, {token}]")
+    assert_refused(run_raw(tmp_path, data.encode()), "doc.json", f"non-finite number {token}")
+
+
+def test_overflowing_point_names_the_field(tmp_path):
+    data = json.dumps(SQUARE).replace("[0.0, 1.0]", "[0.0, 1e400]")
+    assert_refused(run_raw(tmp_path, data.encode()), "points: non-finite value inf at index [1]")
+
+
+def test_overflowing_weight_grid_value_names_the_field(tmp_path):
+    data = json.dumps(SQUARE).replace("[[1.5, 0.5]", "[[-1e400, 0.5]")
+    assert_refused(
+        run_raw(tmp_path, data.encode()), "weights.omega2", "values: non-finite value -inf"
+    )
+
+
+def test_overflowing_exponent_names_the_field(tmp_path):
+    data = json.dumps(POWERSUM).replace('"p": 2.5', '"p": 1e400')
+    assert_refused(run_raw(tmp_path, data.encode()), "error: p: expected a finite number")
+
+
+def test_overflowing_function_parameter_is_refused(tmp_path):
+    data = json.dumps(dict(SQUARE, function={"name": "powp", "params": {"p": 2.0}}))
+    data = data.replace('"p": 2.0', '"p": 1e400')
+    assert_refused(run_raw(tmp_path, data.encode()), "finite p")
+
+
+@pytest.mark.parametrize("command", ["verify", "tighten"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_flag_is_refused(tmp_path, command, tol):
+    assert_refused(run_doc(tmp_path, SQUARE, command, "--tol", tol), "--tol: expected a finite")
+
+
+# ---------------------------------------------------------------------------
+# tighten iteration cap
+
+
+def test_tighten_cap_exits_2_naming_cap_bracket_and_tolerance(tmp_path):
+    result = run_doc(tmp_path, SQUARE, "tighten", "--tol", "1e-300")
+    assert_refused(result, "cap of 1000 iterations", "1.000e-300")
+
+
+def test_tighten_reports_the_requested_bracket_when_reached(tmp_path):
+    code, out, _ = run_doc(tmp_path, SQUARE, "tighten", "--tol", "1e-9")
+    assert code == 0
+    assert strict_json(out)["bracket_width"] == 1e-9
+
+
+def test_golden_section_cap_is_an_error():
+    with pytest.raises(NumericError, match="cap of 5 iterations"):
+        golden_section_minimize(lambda t: t, 0.0, 1.0, 1e-10, max_iter=5)
+    x, _ = golden_section_minimize(lambda t: t, 0.0, 1.0, 0.1, max_iter=5)
+    assert 0.0 <= x <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+
+
+BASES = [
+    SQUARE,
+    {
+        "function": {"name": "powp", "params": {"p": 1.5}},
+        "lambda": [0.2, 0.3, 0.5],
+        "mu": [0.5, 0.5],
+        "points": [0.5, 2.0, 1.0],
+        "weights": {
+            "omega1": {"kind": "ones"},
+            "omega2": {"kind": "rank_one", "u": [1.0, -1.0], "v": [0.1, 0.0, -0.1]},
+        },
+    },
+    POWERSUM,
+    dict(POWERSUM, application="agm"),
+    dict(POWERSUM, application="kyfan", points=[0.1, 0.3]),
+    {"application": "matrixpower", "p": 3, "weights": POWERSUM["weights"]},
+    {"application": "lp", "p": 2.0, "points": [[1.0, 2.0], [0.5, 3.0]],
+     "space": {"masses": [0.5, 1.5]}, "weights": POWERSUM["weights"]},
+    {"application": "harmonic", "points": [[1.0, 2.0], [0.5, 3.0]],
+     "weights": POWERSUM["weights"]},
+]
+
+OVERFLOW = 1.2345e300  # rendered as 1.2345e+300, then replaced by a literal that overflows
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf, OVERFLOW]),
+    st.floats(-1e6, 1e6),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=5), kids, max_size=3),
+    max_leaves=12,
+)
+FIELDS = ["application", "function", "points", "lambda", "mu", "weights", "p", "space",
+          "t_grid", "hadamard", "seed", "extra"]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(obj, list):
+        for k, v in enumerate(obj):
+            yield from _paths(v, prefix + (k,))
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@st.composite
+def documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["replace", "replace", "add", "drop"]))
+        if action == "replace":
+            _set(doc, draw(st.sampled_from(list(_paths(doc))[1:])), draw(json_values))
+        elif action == "add":
+            doc[draw(st.sampled_from(FIELDS))] = draw(json_values)
+        elif doc:
+            doc.pop(draw(st.sampled_from(sorted(doc))))
+    text = json.dumps(doc, allow_nan=True).replace("1.2345e+300", "1e400")
+    return text.encode()
+
+
+@st.composite
+def raw_bytes(draw):
+    kind = draw(st.sampled_from(["bytes", "mutated", "nested"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "nested":
+        depth = draw(st.sampled_from([1, 50, 1000, 100_000]))
+        opener, closer = draw(st.sampled_from([(b"[", b"]"), (b'{"a":', b"}")]))
+        return opener * depth + b"1" + closer * depth
+    data = bytearray(json.dumps(draw(st.sampled_from(BASES))).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(data) - 1))
+        data[k:k + 1] = draw(st.binary(min_size=0, max_size=3))
+    return bytes(data)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=documents() | raw_bytes(), command=st.sampled_from(["verify", "verify", "tighten"]))
+def test_cli_contract_holds_on_hostile_input(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_raw(Path(tmp), data, command)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        strict_json(out)
+    else:
+        assert out == ""
