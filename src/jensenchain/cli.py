@@ -641,14 +641,17 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not math.isfinite(tol):
             raise ValidationError(f"--tol: expected a finite number, got {tol}")
-        if args.command == "verify":
-            grid = _parse_grid_flag(args.grid) if args.grid is not None else None
-            return cmd_verify(args.path, tol=args.tol, grid=grid)
-        if args.command == "generate":
-            if args.n < 1 or (args.m is not None and args.m < 1):
-                raise ValidationError("dimensions must be positive")
-            return cmd_generate(args.kind, args.n, m=args.m, seed=args.seed, out=args.out)
-        return cmd_tighten(args.path, tol_t=args.tol)
+        # overflow and NaN surface through the finite checks of the chain and the
+        # renderer (exit 2, naming the value), not as numpy warnings ahead of them
+        with np.errstate(all="ignore"):
+            if args.command == "verify":
+                grid = _parse_grid_flag(args.grid) if args.grid is not None else None
+                return cmd_verify(args.path, tol=args.tol, grid=grid)
+            if args.command == "generate":
+                if args.n < 1 or (args.m is not None and args.m < 1):
+                    raise ValidationError("dimensions must be positive")
+                return cmd_generate(args.kind, args.n, m=args.m, seed=args.seed, out=args.out)
+            return cmd_tighten(args.path, tol_t=args.tol)
     except (ValidationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,8 +41,11 @@ class Interval:
         hi_ok = x < self.hi if self.hi_open else x <= self.hi + slack
         return lo_ok & hi_ok
 
-    def contains_segment(self, lo: float, hi: float, slack: float = 0.0) -> bool:
-        return self.contains(lo, slack) and self.contains(hi, slack)
+    def contains_segment(self, lo, hi, slack=0.0):
+        """Whether the segment [lo, hi] (lo <= hi) lies inside; elementwise on arrays."""
+        lo_ok = lo > self.lo if self.lo_open else lo >= self.lo - slack
+        hi_ok = hi < self.hi if self.hi_open else hi <= self.hi + slack
+        return lo_ok & hi_ok
 
     def __str__(self):
         left = "(" if self.lo_open else "["
@@ -55,7 +58,9 @@ class ConvexFunctionSpec:
     """A named scalar function with curvature metadata.
 
     evaluate accepts floats and numpy arrays.  integral_mean, when
-    present, returns A(f; a, b) in closed form and must handle a == b.
+    present, maps arrays of segment ends a and b (floats are taken as
+    0-d arrays) to the array of A(f; a, b) in closed form, elementwise,
+    and must handle a == b.
     The direction is declared metadata: it is trusted by the chain
     checkers and only spot-checked by check_direction.
     """
@@ -89,10 +94,22 @@ class ConvexFunctionSpec:
         return replace(self, direction=direction)
 
 
+def _elementwise(closed_form):
+    """Array form of a scalar closed form written with math, applied to each pair of floats."""
+
+    def array_form(a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        values = [closed_form(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        return np.array(values, dtype=float).reshape(a.shape)
+
+    return array_form
+
+
 def _im_square(a, b):
     return (a * a + a * b + b * b) / 3.0
 
 
+@_elementwise
 def _im_exp(a, b):
     d = b - a
     if d == 0.0:
@@ -101,13 +118,14 @@ def _im_exp(a, b):
 
 
 def _im_neglog(a, b):
-    return -float(ln_identric(a, b))
+    return -ln_identric(a, b)
 
 
 def _im_kyfan(a, b):
-    return float(ln_identric(1.0 - a, 1.0 - b)) - float(ln_identric(a, b))
+    return ln_identric(1.0 - a, 1.0 - b) - ln_identric(a, b)
 
 
+@_elementwise
 def _im_xlogx(a, b):
     lo, hi = (a, b) if a <= b else (b, a)
     if lo == hi:
@@ -120,6 +138,7 @@ def _im_xlogx(a, b):
     )
 
 
+@_elementwise
 def _im_harmonic_frac(a, b):
     d = b - a
     if d == 0.0:
@@ -179,7 +198,7 @@ def _make_powp(params):
         Interval(0.0, _INF),
         CONVEX,
         lambda x: x ** p,
-        lambda a, b: float(pow_integral_mean(a, b, p)),
+        lambda a, b: pow_integral_mean(a, b, p),
         parameters={"p": p},
     )
 

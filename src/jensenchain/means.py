@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import adaptive_simpson
+from .numerics import QUAD_BATCH_VALUES, adaptive_simpson
 
 # Half-band (relative) where a series in u = (b-a)/(a+b) replaces the closed form.
 EPS_DEG = 1e-8
@@ -29,7 +29,44 @@ EPS_DEG = 1e-8
 def _as_pair(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.shape == b.shape:
+        return a, b
     return np.broadcast_arrays(a, b)
+
+
+def _blockwise(kernel, a, b, *args):
+    """Run kernel(lo, hi, out, *args) over the broadcast pair in blocks.
+
+    Each block holds at most QUAD_BATCH_VALUES elements of the flattened
+    pair, so the kernel's temporaries stay block-sized and the extra
+    memory of a call is the output array (plus a flattened copy of an
+    argument that had to be broadcast).  Returns an array of the
+    broadcast shape (0-d for scalar arguments).
+    """
+    a, b = _as_pair(a, b)
+    out = np.empty(a.shape)
+    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    for k in range(0, flat_out.size, QUAD_BATCH_VALUES):
+        block = slice(k, k + QUAD_BATCH_VALUES)
+        lo = np.minimum(flat_a[block], flat_b[block])
+        hi = np.maximum(flat_a[block], flat_b[block])
+        kernel(lo, hi, flat_out[block], *args)
+    return out
+
+
+def _ln_identric_block(lo, hi, out):
+    d = hi - lo
+    near = d <= EPS_DEG * hi
+    far = ~near
+
+    lo_n, hi_n = lo[near], hi[near]
+    m = 0.5 * (lo_n + hi_n)
+    u = d[near] / (lo_n + hi_n)
+    u2 = u * u
+    out[near] = np.log(m) - u2 * (1.0 / 6.0 + u2 * (1.0 / 20.0 + u2 / 42.0))
+
+    r = d[far] / lo[far]
+    out[far] = np.log(hi[far]) + np.log1p(r) / r - 1.0
 
 
 def ln_identric(a, b):
@@ -39,84 +76,66 @@ def ln_identric(a, b):
     uniformly accurate, plus the series ln(m) - u^2/6 - u^4/20 - u^6/42
     inside the degenerate band.
     """
-    a, b = _as_pair(a, b)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    return _blockwise(_ln_identric_block, a, b)
+
+
+def _log_mean_block(lo, hi, out):
     d = hi - lo
     near = d <= EPS_DEG * hi
+    far = ~near
 
-    m = 0.5 * (lo + hi)
-    u = np.where(near, d / (lo + hi), 0.0)
+    lo_n, hi_n = lo[near], hi[near]
+    m = 0.5 * (lo_n + hi_n)
+    u = d[near] / (lo_n + hi_n)
     u2 = u * u
-    series = np.log(m) - u2 * (1.0 / 6.0 + u2 * (1.0 / 20.0 + u2 / 42.0))
+    # m * u / artanh(u), denominator written as the artanh series
+    out[near] = m / (1.0 + u2 * (1.0 / 3.0 + u2 * (1.0 / 5.0 + u2 / 7.0)))
 
-    lo_safe = np.where(near, 1.0, lo)
-    hi_safe = np.where(near, 1.0, hi)
-    r = np.where(near, 1.0, d / lo_safe)
-    closed = np.log(hi_safe) + np.log1p(r) / r - 1.0
-
-    return np.where(near, series, closed)
+    d_far = d[far]
+    out[far] = d_far / np.log1p(d_far / lo[far])
 
 
 def log_mean(a, b):
     """Logarithmic mean, elementwise; arguments must be positive."""
-    a, b = _as_pair(a, b)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    return _blockwise(_log_mean_block, a, b)
+
+
+def _pow_integral_mean_block(lo, hi, out, p):
     d = hi - lo
-    near = d <= EPS_DEG * hi
+    equal = d == 0.0
+    near = (d <= EPS_DEG * hi) & ~equal
+    # r = d / lo is infinite where lo is 0, which sends those pairs to the direct form
+    r = np.divide(d, lo, out=np.full(d.shape, np.inf), where=lo > 0.0)
+    mid = ~equal & ~near & (r <= 0.25)
+    far = ~(equal | near | mid)
 
-    m = 0.5 * (lo + hi)
-    u = np.where(near, d / (lo + hi), 0.0)
+    out[equal] = lo[equal] ** p
+
+    lo_n, hi_n = lo[near], hi[near]
+    m = 0.5 * (lo_n + hi_n)
+    u = d[near] / (lo_n + hi_n)
     u2 = u * u
-    # m * u / artanh(u), denominator written as the artanh series
-    series = m / (1.0 + u2 * (1.0 / 3.0 + u2 * (1.0 / 5.0 + u2 / 7.0)))
+    c2 = p * (p - 1.0) / 6.0
+    c4 = c2 * (p - 2.0) * (p - 3.0) / 20.0
+    c6 = c4 * (p - 4.0) * (p - 5.0) / 42.0
+    out[near] = m ** p * (1.0 + u2 * (c2 + u2 * (c4 + u2 * c6)))
 
-    lo_safe = np.where(near, 1.0, lo)
-    d_safe = np.where(near, 1.0, d)
-    closed = d_safe / np.log1p(d_safe / lo_safe)
+    r_mid = r[mid]
+    out[mid] = lo[mid] ** p * np.expm1((p + 1.0) * np.log1p(r_mid)) / ((p + 1.0) * r_mid)
 
-    return np.where(near, series, closed)
+    out[far] = (hi[far] ** (p + 1.0) - lo[far] ** (p + 1.0)) / ((p + 1.0) * d[far])
 
 
 def pow_integral_mean(a, b, p):
     """A(t^p; a, b) = L_p(a, b)^p, elementwise, for a, b >= 0 and p >= 1.
 
     Three evaluation regimes keep full precision: the midpoint series in
-    the degenerate band, an expm1/log1p form for small separations, and
-    the direct power difference otherwise (also covers a == 0).
+    the degenerate band, an expm1/log1p form for small separations
+    (r = (hi-lo)/lo <= 1/4), and the direct power difference otherwise
+    (also covers a == 0).  Each element is evaluated in its own regime
+    only, a block at a time.
     """
-    a, b = _as_pair(a, b)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    d = hi - lo
-
-    equal = d == 0.0
-    near = (d <= EPS_DEG * hi) & ~equal
-    lo_safe = np.where(lo > 0.0, lo, 1.0)
-    r = np.where(lo > 0.0, d / lo_safe, np.inf)
-    mid = ~equal & ~near & (r <= 0.25)
-    far = ~equal & ~near & ~mid
-
-    m = 0.5 * (lo + hi)
-    # the divisor is 0 where both ends are 0, which lies outside the band
-    u = np.where(near, d / np.where(near, lo + hi, 1.0), 0.0)
-    u2 = u * u
-    c2 = p * (p - 1.0) / 6.0
-    c4 = c2 * (p - 2.0) * (p - 3.0) / 20.0
-    c6 = c4 * (p - 4.0) * (p - 5.0) / 42.0
-    series = m ** p * (1.0 + u2 * (c2 + u2 * (c4 + u2 * c6)))
-
-    r_mid = np.where(mid, r, 1.0)
-    expm1_form = lo_safe ** p * np.expm1((p + 1.0) * np.log1p(r_mid)) / ((p + 1.0) * r_mid)
-
-    d_safe = np.where(far, d, 1.0)
-    hi_far = np.where(far, hi, 1.0)
-    lo_far = np.where(far, lo, 0.0)
-    direct = (hi_far ** (p + 1.0) - lo_far ** (p + 1.0)) / ((p + 1.0) * d_safe)
-
-    out = np.where(equal, lo ** p, np.where(near, series, np.where(mid, expm1_form, direct)))
-    return out
+    return _blockwise(_pow_integral_mean_block, a, b, p)
 
 
 def _check_positive(name, *values):
@@ -159,25 +178,43 @@ def p_logarithmic(a: float, b: float, p: float) -> float:
     return float(pow_integral_mean(a, b, p)) ** (1.0 / p)
 
 
-def integral_mean(f, a: float, b: float) -> float:
-    """Average value of f over the segment between a and b.
+def integral_mean(f, a, b):
+    """Average value of f over the segments between a and b, elementwise.
 
+    a and b are floats or arrays of segment ends, broadcast together:
+    floats give a float, arrays an array of their broadcast shape.
     Inside the band |b - a| <= EPS_DEG * max(1, |a|, |b|) the midpoint
-    value f((a+b)/2) is returned; otherwise the catalog closed form is
-    used when the function carries one, and adaptive Simpson quadrature
-    when it does not.
+    value f((a+b)/2) is returned, evaluated on Python floats; the other
+    segments go to the catalog closed form in one array call when the
+    function carries one, and to adaptive Simpson quadrature one by one
+    when it does not.  A segment outside the domain of f raises
+    ValidationError naming the first such segment.
     """
-    a = float(a)
-    b = float(b)
-    lo, hi = (a, b) if a <= b else (b, a)
-    slack = 1e-12 * max(1.0, abs(a), abs(b))
-    if not f.domain.contains_segment(lo, hi, slack):
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = _as_pair(a, b)
+    shape = a.shape
+    a, b = a.reshape(-1), b.reshape(-1)
+    ordered = a <= b
+    lo = np.where(ordered, a, b)
+    hi = np.where(ordered, b, a)
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    inside = f.domain.contains_segment(lo, hi, 1e-12 * scale)
+    if not inside.all():
+        k = int(np.argmin(inside))
         raise ValidationError(
-            f"segment [{lo}, {hi}] is not inside the domain of {f.name} ({f.domain})"
+            f"segment [{float(lo[k])}, {float(hi[k])}] is not inside the domain of "
+            f"{f.name} ({f.domain})"
         )
-    if hi - lo <= EPS_DEG * max(1.0, abs(a), abs(b)):
-        return float(f.evaluate(0.5 * (a + b)))
+    out = np.empty(a.shape)
+    near = hi - lo <= EPS_DEG * scale
+    for k in near.nonzero()[0].tolist():
+        out[k] = f.evaluate(0.5 * (float(a[k]) + float(b[k])))
+    rest = ~near
     if f.integral_mean is not None:
-        return float(f.integral_mean(a, b))
-    total = adaptive_simpson(f.evaluate, lo, hi)
-    return total / (hi - lo)
+        if rest.any():
+            out[rest] = f.integral_mean(a[rest], b[rest])
+    else:
+        for k in rest.nonzero()[0].tolist():
+            seg_lo, seg_hi = float(lo[k]), float(hi[k])
+            out[k] = adaptive_simpson(f.evaluate, seg_lo, seg_hi) / (seg_hi - seg_lo)
+    return float(out[0]) if scalar else out.reshape(shape)

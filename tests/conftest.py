@@ -14,10 +14,13 @@ from jensenchain import (
     JensenInstance,
     NumericError,
     ProbabilityVector,
+    ValidationError,
     get_function,
     interpolate_weight,
     rank_one_weight,
 )
+from jensenchain.means import EPS_DEG
+from jensenchain.numerics import adaptive_simpson
 
 # sampling ranges keeping every point strictly inside each catalog domain
 FUN_RANGES = {
@@ -155,6 +158,120 @@ def recursive_render(obj):
     out = []
     _render_item(obj, out, 0)
     return "".join(out)
+
+
+def _where_pair(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.broadcast_arrays(a, b)
+
+
+def where_ln_identric(a, b):
+    """ln of the identric mean with both forms computed everywhere, picked by np.where."""
+    a, b = _where_pair(a, b)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    d = hi - lo
+    near = d <= EPS_DEG * hi
+
+    m = 0.5 * (lo + hi)
+    u = np.where(near, d / (lo + hi), 0.0)
+    u2 = u * u
+    series = np.log(m) - u2 * (1.0 / 6.0 + u2 * (1.0 / 20.0 + u2 / 42.0))
+
+    lo_safe = np.where(near, 1.0, lo)
+    hi_safe = np.where(near, 1.0, hi)
+    r = np.where(near, 1.0, d / lo_safe)
+    closed = np.log(hi_safe) + np.log1p(r) / r - 1.0
+
+    return np.where(near, series, closed)
+
+
+def where_log_mean(a, b):
+    """Logarithmic mean with both forms computed everywhere, picked by np.where."""
+    a, b = _where_pair(a, b)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    d = hi - lo
+    near = d <= EPS_DEG * hi
+
+    m = 0.5 * (lo + hi)
+    u = np.where(near, d / (lo + hi), 0.0)
+    u2 = u * u
+    series = m / (1.0 + u2 * (1.0 / 3.0 + u2 * (1.0 / 5.0 + u2 / 7.0)))
+
+    lo_safe = np.where(near, 1.0, lo)
+    d_safe = np.where(near, 1.0, d)
+    closed = d_safe / np.log1p(d_safe / lo_safe)
+
+    return np.where(near, series, closed)
+
+
+def where_pow_integral_mean(a, b, p):
+    """A(t^p; a, b) with all four regimes computed everywhere, picked by nested np.where.
+
+    The formulas the library's block kernel must reproduce element by
+    element; this version holds about 18 full-size temporaries at once.
+    """
+    a, b = _where_pair(a, b)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    d = hi - lo
+
+    equal = d == 0.0
+    near = (d <= EPS_DEG * hi) & ~equal
+    lo_safe = np.where(lo > 0.0, lo, 1.0)
+    r = np.where(lo > 0.0, d / lo_safe, np.inf)
+    mid = ~equal & ~near & (r <= 0.25)
+    far = ~equal & ~near & ~mid
+
+    m = 0.5 * (lo + hi)
+    # the divisor is 0 where both ends are 0, which lies outside the band
+    u = np.where(near, d / np.where(near, lo + hi, 1.0), 0.0)
+    u2 = u * u
+    c2 = p * (p - 1.0) / 6.0
+    c4 = c2 * (p - 2.0) * (p - 3.0) / 20.0
+    c6 = c4 * (p - 4.0) * (p - 5.0) / 42.0
+    series = m ** p * (1.0 + u2 * (c2 + u2 * (c4 + u2 * c6)))
+
+    r_mid = np.where(mid, r, 1.0)
+    expm1_form = lo_safe ** p * np.expm1((p + 1.0) * np.log1p(r_mid)) / ((p + 1.0) * r_mid)
+
+    d_safe = np.where(far, d, 1.0)
+    hi_far = np.where(far, hi, 1.0)
+    lo_far = np.where(far, lo, 0.0)
+    direct = (hi_far ** (p + 1.0) - lo_far ** (p + 1.0)) / ((p + 1.0) * d_safe)
+
+    out = np.where(equal, lo ** p, np.where(near, series, np.where(mid, expm1_form, direct)))
+    return out
+
+
+def scalar_integral_mean(f, a, b):
+    """A(f; a, b) for one segment, with Python-float band and domain checks."""
+    a = float(a)
+    b = float(b)
+    lo, hi = (a, b) if a <= b else (b, a)
+    slack = 1e-12 * max(1.0, abs(a), abs(b))
+    if not f.domain.contains_segment(lo, hi, slack):
+        raise ValidationError(
+            f"segment [{lo}, {hi}] is not inside the domain of {f.name} ({f.domain})"
+        )
+    if hi - lo <= EPS_DEG * max(1.0, abs(a), abs(b)):
+        return float(f.evaluate(0.5 * (a + b)))
+    if f.integral_mean is not None:
+        return float(f.integral_mean(a, b))
+    total = adaptive_simpson(f.evaluate, lo, hi)
+    return total / (hi - lo)
+
+
+def loop_phi_integral_closed(inst):
+    """mu-weighted sum of per-row integral means, one scalar call per row, added in order."""
+    return float(
+        sum(
+            mi * scalar_integral_mean(inst.f, a, b)
+            for mi, a, b in zip(inst.mu.weights, inst.s1, inst.s2)
+        )
+    )
 
 
 def composite_midpoint(g, n_panels=64):

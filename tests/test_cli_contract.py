@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jensenchain
 from jensenchain import NumericError
 from jensenchain.cli import main
 from jensenchain.numerics import golden_section_minimize
@@ -75,6 +79,21 @@ def test_overflowing_upper_bound_exits_2_with_empty_stdout(tmp_path):
     # exp(710) overflows: the upper bound, and with it the tolerance, used to be inf
     doc = dict(SQUARE, function={"name": "exp"}, points=[710, 0])
     assert_refused(run_doc(tmp_path, doc), "upper bound is inf")
+
+
+def test_overflow_warning_does_not_precede_the_diagnosis(tmp_path):
+    # a fresh interpreter, where Python's warning filters would print numpy's RuntimeWarning
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(SQUARE, function={"name": "exp"}, points=[710, 0])))
+    src = str(Path(jensenchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="always")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jensenchain.cli", "verify", str(path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[0].startswith("error:")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("member", range(4))

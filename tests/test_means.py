@@ -1,6 +1,7 @@
 """Unit and property tests for the special means and the integral mean."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from jensenchain import (
     EPS_DEG,
+    ConvexFunctionSpec,
     ValidationError,
     get_function,
     identric,
@@ -18,7 +20,14 @@ from jensenchain import (
     p_logarithmic,
 )
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
-from jensenchain.numerics import adaptive_simpson
+from jensenchain.numerics import QUAD_BATCH_VALUES, adaptive_simpson
+from conftest import (
+    FUN_RANGES,
+    scalar_integral_mean,
+    where_ln_identric,
+    where_log_mean,
+    where_pow_integral_mean,
+)
 
 E = math.e
 
@@ -327,3 +336,135 @@ def test_pow_integral_mean_zero_pairs_raise_no_warning():
             out = pow_integral_mean(a, b, p)
             assert out[0] == 0.0 and out[3] == 0.0
             assert out[1] == pytest.approx(3.0 ** p / (p + 1.0), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# block kernels against the np.where oracles
+
+
+BLOCK = QUAD_BATCH_VALUES
+KERNEL_SHAPES = [(), (1,), (7,), (3, 5), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2, BLOCK // 2 + 3)]
+
+
+def _kernel_pairs(rng, shape, with_zeros):
+    """Segment ends in every relation the kernels branch on, in random order.
+
+    Kinds: equal, near band (relative gap 1e-10), r = (hi-lo)/lo exactly 1/4,
+    small separation, far apart, and (with_zeros) pairs with one or both ends 0.
+    """
+    kinds = rng.integers(0, 6 if with_zeros else 5, shape)
+    scale = np.ldexp(1.0, rng.integers(-20, 21, shape))
+    a = scale * rng.uniform(1.0, 2.0, shape)
+    b = np.select(
+        [kinds == 0, kinds == 1, kinds == 2, kinds == 3, kinds == 4],
+        [a, a * (1.0 + 1e-10), 5.0 * scale, a * rng.uniform(1.0, 1.3, shape),
+         scale * rng.uniform(0.0, 50.0, shape)],
+        rng.choice([0.0, 1.0], shape) * a,
+    )
+    a = np.where(kinds == 2, 4.0 * scale, np.where(kinds == 5, 0.0, a))
+    swap = rng.random(shape) < 0.5
+    return np.where(swap, b, a), np.where(swap, a, b)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    shape=st.sampled_from(KERNEL_SHAPES),
+    p=st.sampled_from([1.0, 2.0, 3.6875, 20.0]) | st.floats(min_value=1.0, max_value=30.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_block_kernels_equal_the_where_oracles_bit_for_bit(seed, shape, p):
+    """The oracles run on arrays of at least one dimension.
+
+    On 0-d arguments the np.where kernel used numpy's scalar ** (C pow) in
+    its equal and near-band regimes, which differs from array ** in the last
+    bit on about 5% of arguments; the block kernel gives a pair the array
+    result whatever the shape of the call.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = _kernel_pairs(rng, shape, with_zeros=True)
+    a1, b1 = np.atleast_1d(a), np.atleast_1d(b)
+    got = pow_integral_mean(a, b, p)
+    assert got.shape == np.shape(a)
+    assert np.array_equal(_bits(got), _bits(where_pow_integral_mean(a1, b1, p).reshape(shape)))
+
+    a, b = _kernel_pairs(rng, shape, with_zeros=False)
+    a1, b1 = np.atleast_1d(a), np.atleast_1d(b)
+    for kernel, oracle in ((ln_identric, where_ln_identric), (log_mean, where_log_mean)):
+        got = kernel(a, b)
+        assert got.shape == np.shape(a)
+        assert np.array_equal(_bits(got), _bits(oracle(a1, b1).reshape(shape)))
+        assert np.array_equal(_bits(got), _bits(oracle(a, b)))
+
+
+def test_pow_integral_mean_gives_one_result_per_pair_whatever_the_shape(rng):
+    a, b = _kernel_pairs(rng, (500,), with_zeros=True)
+    for p in (1.0, 2.5, 3.6875, 20.0):
+        whole = pow_integral_mean(a, b, p)
+        one_by_one = np.array([pow_integral_mean(x, y, p) for x, y in zip(a, b)])
+        assert np.array_equal(_bits(whole), _bits(one_by_one))
+        assert np.array_equal(_bits(whole), _bits(pow_integral_mean(a[:, None], b[:, None], p)[:, 0]))
+
+
+def test_pow_integral_mean_memory_peak_stays_near_one_input():
+    rng = np.random.default_rng(3)
+    a, b = _kernel_pairs(rng, (600, 600), with_zeros=True)
+    pow_integral_mean(a, b, 3.6875)
+    tracemalloc.start()
+    try:
+        pow_integral_mean(a, b, 3.6875)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * a.nbytes
+
+
+# ---------------------------------------------------------------------------
+# array integral_mean
+
+
+def _segments(rng, name, size):
+    lo, hi = FUN_RANGES[name]
+    lo = max(lo, 1e-3)
+    a = rng.uniform(lo, hi, size)
+    kinds = rng.integers(0, 3, size)
+    near = np.clip(a * (1.0 + rng.choice([-1.0, 1.0], size) * 1e-10), lo, hi)
+    b = np.select([kinds == 0, kinds == 1], [a, near], rng.uniform(lo, hi, size))
+    return a, b
+
+
+@pytest.mark.parametrize("name", sorted(FUN_RANGES))
+def test_array_integral_mean_equals_scalar_calls(rng, name):
+    f = get_function(name, {"p": 3.6875} if name == "powp" else None)
+    a, b = _segments(rng, name, 60)
+    got = integral_mean(f, a, b)
+    assert got.shape == (60,)
+    for k in range(60):
+        assert got[k] == integral_mean(f, a[k], b[k]) == scalar_integral_mean(f, a[k], b[k])
+    grid = integral_mean(f, a.reshape(6, 10), b.reshape(6, 10))
+    assert np.array_equal(_bits(grid), _bits(got.reshape(6, 10)))
+    assert type(integral_mean(f, float(a[0]), float(b[0]))) is float
+
+
+def test_array_integral_mean_without_closed_form_uses_quadrature_per_segment(rng):
+    f = get_function("exp")
+    bare = ConvexFunctionSpec("bare_exp", f.domain, f.direction, f.evaluate)
+    a, b = _segments(rng, "exp", 12)
+    got = integral_mean(bare, a, b)
+    for k in range(12):
+        assert got[k] == integral_mean(bare, a[k], b[k]) == scalar_integral_mean(bare, a[k], b[k])
+
+
+def test_array_integral_mean_names_the_first_segment_outside_the_domain():
+    f = get_function("neglog")
+    a = np.array([1.0, 2.0, -1.0, -3.0])
+    b = np.array([2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(ValidationError) as exc:
+        integral_mean(f, a, b)
+    with pytest.raises(ValidationError) as want:
+        scalar_integral_mean(f, a[2], b[2])
+    assert str(exc.value) == str(want.value)
+    assert "segment [-1.0, 4.0]" in str(exc.value)

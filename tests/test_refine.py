@@ -37,6 +37,7 @@ from conftest import (
     composite_midpoint,
     composite_trapezoid,
     direct_phi,
+    loop_phi_integral_closed,
     make_instance,
     recursive_simpson,
 )
@@ -218,6 +219,38 @@ def test_quadrature_equals_recursion_over_scalar_phi(rng, name, family):
         for tol in (1e-10, 1e-12):
             ref = recursive_simpson(lambda t: phi(inst, t), 0.0, 1.0, atol=tol, rtol=tol)
             assert phi_integral_quad(inst, atol=tol, rtol=tol) == ref
+
+
+def _fixed_point_instance(rng, name, n, p):
+    """Identity against a permutation fixing about a third of the points.
+
+    A fixed point gives a row with s1 == s2, which falls in the near band.
+    """
+    lo, hi = FUN_RANGES[name]
+    perm = np.arange(n)
+    movers = rng.choice(n, n - n // 3, replace=False)
+    perm[movers] = rng.permutation(movers)
+    return matrix_instance(
+        rng.uniform(lo, hi, n) if lo > 0 else rng.uniform(lo + 1e-3, hi, n),
+        get_function(name, {"p": p} if name == "powp" else None),
+        DoublyStochasticMatrix(np.eye(n)),
+        DoublyStochasticMatrix(np.eye(n)[perm]),
+    )
+
+
+@pytest.mark.parametrize("family", ["hard", "flat"])
+@pytest.mark.parametrize("name", sorted(FUN_RANGES))
+def test_closed_form_equals_per_row_loop(rng, name, family):
+    near_rows = 0
+    for n in (1, 3, 12, 40, 300):
+        for p in (1.0, 2.0, 3.6875, 20.0):
+            if family == "hard":
+                inst = _fixed_point_instance(rng, name, n, p)
+                near_rows += int(np.sum(inst.s1 == inst.s2))
+            else:
+                inst = make_instance(rng, name, n_max=n, m_max=n)
+            assert phi_integral_closed(inst) == loop_phi_integral_closed(inst)
+    assert family == "flat" or near_rows > 0
 
 
 def test_quadrature_calls_stay_under_the_value_cap(monkeypatch):
