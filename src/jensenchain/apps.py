@@ -2,10 +2,13 @@
 
 Each operation evaluates a three-member inequality chain whose middle is
 built from identric, logarithmic, or p-logarithmic means of weighted row
-sums, and cross-checks that middle against direct quadrature of the
-underlying t-average (the route the chain's derivation interchanges
-integrals over).  The measure spaces are finite and discrete, so every
-norm is an exact weighted sum.
+sums, and returns it as a RefinementChain, judged by the same verdict
+(RefinementChain.holds) as every other chain.  Most also cross-check the
+middle against direct quadrature of the underlying t-average (the route
+the chain's derivation interchanges integrals over); the matrix power
+chain instead checks its identity-matrix reduction and raises on a
+mismatch.  The measure spaces are finite and discrete, so every norm is
+an exact weighted sum.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from .refine import (
     JensenInstance,
     RefinementChain,
     _assemble,
+    check_weight_pair,
     make_identity_check,
     phi_integral_quad,
 )
@@ -83,19 +87,6 @@ class FunctionVector:
     @property
     def n(self) -> int:
         return self.samples.shape[0]
-
-
-def _check_weight_pair(lam, mu, w1, w2, n):
-    if n != len(lam):
-        raise ValidationError(f"{n} functions/points but |lambda| = {len(lam)}")
-    m = len(mu)
-    for label, w in (("w1", w1), ("w2", w2)):
-        if w.shape != (m, n):
-            raise ValidationError(f"{label} has shape {w.shape}, expected ({m}, {n})")
-        if not np.array_equal(w.mu.weights, mu.weights):
-            raise ValidationError(f"{label} is normalized against a different mu")
-        if not np.array_equal(w.lam.weights, lam.weights):
-            raise ValidationError(f"{label} is normalized against a different lambda")
 
 
 def _t_quadrature(mu, masses, s1, s2, pointwise):
@@ -194,7 +185,7 @@ def lp_chain(
         raise ValidationError(
             f"samples have {fv.samples.shape[1]} columns but the space has {len(space)} points"
         )
-    _check_weight_pair(lam, mu, w1, w2, fv.n)
+    check_weight_pair(lam, mu, w1, w2, fv.n)
     g = np.abs(fv.samples)
     masses = space.masses
     signed = lam.weights @ fv.samples
@@ -229,7 +220,7 @@ def power_sum_chain(
     if np.any(x < 0.0):
         j = int(np.argmin(x))
         raise ValidationError(f"x[{j}] must be nonnegative, got {x[j]}")
-    _check_weight_pair(lam, mu, w1, w2, x.size)
+    check_weight_pair(lam, mu, w1, w2, x.size)
     lx = lam.weights * x
     lower = float(np.sum(lx ** p))
     upper = float(lam.weights @ x ** p)
@@ -244,12 +235,13 @@ def power_sum_chain(
 
 
 def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
-    """n^(2-p) <= (1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k) <= n, for integer p >= 1.
+    """n^(2-p) <= sum_ij L_p^p(b_ij, c_ij) <= n, for integer p >= 1.
 
-    The k-sum is the polynomial expansion of (p+1) L_p^p(b_ij, c_ij), so
-    integer p is required.  When c is the identity the middle is also
-    recomputed in its reduced diagonal form and the two must coincide.
-    Returns (lower, middle, upper).
+    The middle is the L_p^p kernel of lp_chain and power_sum_chain over
+    the matrix entries; it equals (1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k).
+    When c is the identity the middle is also recomputed in its reduced
+    diagonal form and the two must coincide (NumericError otherwise).
+    Returns (lower, middle, upper); matrix_power_chain judges them.
     """
     if isinstance(p, float) and not p.is_integer():
         raise ValidationError(f"matrix power bounds need an integer exponent, got {p}")
@@ -261,17 +253,9 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
     n = b.n
     bv = b.values
     cv = c.values
-    total = 0.0
-    for k in range(p + 1):
-        total += float(np.sum(bv ** k * cv ** (p - k)))
-    middle = total / (p + 1)
+    middle = float(pow_integral_mean(bv, cv, p).sum())
     lower = float(n) ** (2 - p)
     upper = float(n)
-    tol = 1e-12 * max(1.0, upper)
-    if not (lower - tol <= middle <= upper + tol):
-        raise NumericError(
-            f"power bound chain violated: {lower} <= {middle} <= {upper} failed"
-        )
     if np.array_equal(cv, np.eye(n)):
         diag = np.diag(bv)
         reduced = float(np.sum(bv ** p))
@@ -283,6 +267,14 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
                 f"identity-matrix reduction mismatch: {middle} vs {reduced}"
             )
     return lower, middle, upper
+
+
+def matrix_power_chain(
+    b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p
+) -> RefinementChain:
+    """matrix_power_bounds as a chain, with the verdict every application gets."""
+    lower, middle, upper = matrix_power_bounds(b, c, p)
+    return _assemble(lower, middle, upper, middle, middle)
 
 
 def harmonic_chain(
@@ -306,7 +298,7 @@ def harmonic_chain(
         raise ValidationError(
             f"samples have {fv.samples.shape[1]} columns but the space has {len(space)} points"
         )
-    _check_weight_pair(lam, mu, w1, w2, fv.n)
+    check_weight_pair(lam, mu, w1, w2, fv.n)
     g = fv.samples
     masses = space.masses
 

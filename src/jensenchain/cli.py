@@ -29,6 +29,7 @@ from .measures import (
 from .refine import HadamardWeights, JensenInstance
 
 DEFAULT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+JENSEN_IDENTITY_TOL = 1e-8  # closed-form t-average against its quadrature
 
 _APPLICATIONS = ("jensen", "agm", "kyfan", "lp", "powersum", "matrixpower", "harmonic")
 
@@ -166,12 +167,19 @@ def _as_float_array(raw, field):
     return arr
 
 
+def _in_field(label, build, *args):
+    """build(*args); a ValidationError is prefixed with the field label unless it names it."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        if str(exc).startswith((f"{label}:", f"{label}.")):
+            raise
+        raise ValidationError(f"{label}: {exc}") from exc
+
+
 def _prob(doc, name) -> ProbabilityVector:
     raw = _field(doc, name, required=True)
-    try:
-        return ProbabilityVector(_as_float_array(raw, name))
-    except ValidationError as exc:
-        raise (exc if str(exc).startswith(f"{name}:") else ValidationError(f"{name}: {exc}")) from exc
+    return _in_field(name, ProbabilityVector, _as_float_array(raw, name))
 
 
 def _parse_function(doc):
@@ -230,13 +238,8 @@ def _parse_weights(doc, n_points):
         if "B" not in weights or "C" not in weights:
             raise ValidationError("weights: B and C must both be present")
         def _matrix(key):
-            try:
-                return DoublyStochasticMatrix(_as_float_array(weights[key], f"weights.{key}"))
-            except ValidationError as exc:
-                msg = str(exc)
-                if msg.startswith(f"weights.{key}:"):
-                    raise
-                raise ValidationError(f"weights.{key}: {msg}") from exc
+            label = f"weights.{key}"
+            return _in_field(label, DoublyStochasticMatrix, _as_float_array(weights[key], label))
 
         b = _matrix("B")
         c = _matrix("C")
@@ -261,14 +264,8 @@ def _parse_weights(doc, n_points):
         raise ValidationError("weights: omega1 and omega2 must both be present")
     lam = _prob(doc, "lambda")
     mu = _prob(doc, "mu")
-    try:
-        w1 = _parse_weight_entry(weights["omega1"], mu, lam)
-    except ValidationError as exc:
-        raise ValidationError(f"weights.omega1: {exc}") from exc
-    try:
-        w2 = _parse_weight_entry(weights["omega2"], mu, lam)
-    except ValidationError as exc:
-        raise ValidationError(f"weights.omega2: {exc}") from exc
+    w1 = _in_field("weights.omega1", _parse_weight_entry, weights["omega1"], mu, lam)
+    w2 = _in_field("weights.omega2", _parse_weight_entry, weights["omega2"], mu, lam)
     return lam, mu, w1, w2, None
 
 
@@ -289,13 +286,8 @@ def _parse_space(doc, width):
     extra = set(raw) - {"masses"}
     if extra:
         raise ValidationError(f"space: unknown field(s) {sorted(extra)}")
-    try:
-        return apps.FiniteMeasureSpace(_as_float_array(raw["masses"], "space.masses"))
-    except ValidationError as exc:
-        msg = str(exc)
-        if msg.startswith("space.masses:"):
-            raise
-        raise ValidationError(f"space.masses: {msg}") from exc
+    masses = _as_float_array(raw["masses"], "space.masses")
+    return _in_field("space.masses", apps.FiniteMeasureSpace, masses)
 
 
 def _parse_p(doc):
@@ -321,15 +313,8 @@ def _parse_hadamard(doc):
     extra = set(raw) - {"p", "t"}
     if extra:
         raise ValidationError(f"hadamard: unknown field(s) {sorted(extra)}")
-    try:
-        return HadamardWeights(
-            _as_float_array(raw["p"], "hadamard.p"), _as_float_array(raw["t"], "hadamard.t")
-        )
-    except ValidationError as exc:
-        msg = str(exc)
-        if msg.startswith("hadamard."):
-            raise
-        raise ValidationError(f"hadamard: {msg}") from exc
+    p, t = _as_float_array(raw["p"], "hadamard.p"), _as_float_array(raw["t"], "hadamard.t")
+    return _in_field("hadamard", HadamardWeights, p, t)
 
 
 def _reject_fields(doc, application, *names):
@@ -344,28 +329,6 @@ def _reject_fields(doc, application, *names):
 # report assembly
 
 
-def _chain_pass(chain, tol):
-    return (
-        chain.slack_lower >= -tol
-        and chain.slack_upper >= -tol
-        and all(s >= -tol for s in chain.inner_slacks)
-    )
-
-
-def _identity_entries(chain):
-    return [
-        {
-            "name": chk.name,
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
-            "rel_err": chk.rel_err,
-            "tol": chk.tol,
-            "ok": chk.ok,
-        }
-        for chk in chain.identity_checks
-    ]
-
-
 def _grid_witnesses(chain, tol):
     lo = chain.lower - tol
     hi = chain.upper + tol
@@ -376,26 +339,11 @@ def _grid_witnesses(chain, tol):
     ]
 
 
-def _scalar_witnesses(chain, tol, label):
-    if _chain_pass(chain, tol):
-        return []
-    return [
-        {
-            "member": label,
-            "value": chain.middle,
-            "lower": chain.lower,
-            "upper": chain.upper,
-        }
-    ]
+def _member_witness(member, value, chain):
+    return {"member": member, "value": value, "lower": chain.lower, "upper": chain.upper}
 
 
-def _tol_for(chain, tol_flag):
-    if tol_flag is None:
-        return chain.tol
-    return tol_flag * max(1.0, abs(chain.lower), abs(chain.upper))
-
-
-def _verify_jensen(doc, tol_flag, grid_flag):
+def _verify_jensen(doc, scale, grid_flag):
     f = _parse_function(doc)
     pts = _parse_points(doc, 1)
     lam, mu, w1, w2, _ = _parse_weights(doc, pts.size)
@@ -408,20 +356,12 @@ def _verify_jensen(doc, tol_flag, grid_flag):
     grid_chain = refine.chain_at_t(inst, grid)
     int_closed = refine.chain_integral(inst, method="closed")
     int_quad = refine.phi_integral_quad(inst)
-    tol = _tol_for(grid_chain, tol_flag)
-    ok = _chain_pass(grid_chain, tol) and _chain_pass(int_closed, tol)
+    tol = refine.chain_tolerance(grid_chain.lower, grid_chain.upper, scale)
+    identity = refine.make_identity_check(
+        "integral-closed-vs-quadrature", int_closed.middle, int_quad, JENSEN_IDENTITY_TOL
+    )
+    ok = grid_chain.holds(tol) and int_closed.holds(tol) and identity.ok
     witnesses = _grid_witnesses(grid_chain, tol)
-    identity = [
-        {
-            "name": "integral-closed-vs-quadrature",
-            "lhs": int_closed.middle,
-            "rhs": int_quad,
-            "rel_err": refine.rel_err(int_closed.middle, int_quad),
-            "tol": 1e-8,
-            "ok": refine.rel_err(int_closed.middle, int_quad) <= 1e-8,
-        }
-    ]
-    ok = ok and identity[0]["ok"]
     slacks = {
         "lower": grid_chain.slack_lower,
         "upper": grid_chain.slack_upper,
@@ -431,19 +371,12 @@ def _verify_jensen(doc, tol_flag, grid_flag):
     hw = _parse_hadamard(doc)
     if hw is not None:
         had = refine.chain_hadamard(inst, hw)
-        ok = ok and _chain_pass(had, tol)
         slacks["hadamard_lower"] = had.slack_lower
         slacks["hadamard_inner"] = had.inner_slacks[0]
         slacks["hadamard_upper"] = had.slack_upper
-        if not _chain_pass(had, tol):
-            witnesses.append(
-                {
-                    "member": "hadamard",
-                    "value": list(had.middle),
-                    "lower": had.lower,
-                    "upper": had.upper,
-                }
-            )
+        if not had.holds(tol):
+            ok = False
+            witnesses.append(_member_witness("hadamard", list(had.middle), had))
     report = {
         "application": "jensen",
         "tolerance": tol,
@@ -453,15 +386,16 @@ def _verify_jensen(doc, tol_flag, grid_flag):
         "integral": int_closed.middle,
         "slacks": slacks,
         "pass": ok,
-        "identity_checks": identity,
+        "identity_checks": [dict(vars(identity))],
         "witnesses": witnesses,
     }
     return report, ok
 
 
-def _verify_scalar_app(application, chain, tol_flag, extra=None):
-    tol = _tol_for(chain, tol_flag)
-    ok = _chain_pass(chain, tol) and all(chk.ok for chk in chain.identity_checks)
+def _verify_scalar_app(application, chain, scale):
+    tol = refine.chain_tolerance(chain.lower, chain.upper, scale)
+    held = chain.holds(tol)
+    ok = held and all(chk.ok for chk in chain.identity_checks)
     report = {
         "application": application,
         "tolerance": tol,
@@ -470,56 +404,37 @@ def _verify_scalar_app(application, chain, tol_flag, extra=None):
         "middle": chain.middle,
         "slacks": {"lower": chain.slack_lower, "upper": chain.slack_upper},
         "pass": ok,
-        "identity_checks": _identity_entries(chain),
-        "witnesses": _scalar_witnesses(chain, tol, "middle"),
+        "identity_checks": [dict(vars(chk)) for chk in chain.identity_checks],
+        "witnesses": [] if held else [_member_witness("middle", chain.middle, chain)],
     }
-    if extra:
-        report.update(extra)
     return report, ok
 
 
-def _verify_matrixpower(doc, tol_flag):
+def _verify_matrixpower(doc, scale):
     _reject_fields(doc, "matrixpower", "function", "points", "space", "t_grid", "hadamard")
     weights = _field(doc, "weights", required=True)
     if not isinstance(weights, dict) or "B" not in weights or "C" not in weights:
         raise ValidationError("matrixpower needs weights given as B and C matrices")
-    _, _, _, _, pair = _parse_weights(doc, None)
-    b, c = pair
-    p = _parse_p(doc)
-    lower, middle, upper = apps.matrix_power_bounds(b, c, p)
-    tol = (tol_flag if tol_flag is not None else refine.TOL_FLOOR) * max(
-        1.0, abs(lower), abs(upper)
-    )
-    slack_lower = middle - lower
-    slack_upper = upper - middle
-    ok = slack_lower >= -tol and slack_upper >= -tol
-    report = {
-        "application": "matrixpower",
-        "tolerance": tol,
-        "lower": lower,
-        "upper": upper,
-        "middle": middle,
-        "slacks": {"lower": slack_lower, "upper": slack_upper},
-        "pass": ok,
-        "identity_checks": [],
-        "witnesses": []
-        if ok
-        else [{"member": "middle", "value": middle, "lower": lower, "upper": upper}],
-    }
-    return report, ok
+    _, _, _, _, (b, c) = _parse_weights(doc, None)
+    chain = apps.matrix_power_chain(b, c, _parse_p(doc))
+    return _verify_scalar_app("matrixpower", chain, scale)
 
 
-def run_verify(doc: dict, tol_flag=None, grid_flag=None):
-    """Dispatch a parsed instance document; returns (report dict, all-pass bool)."""
+def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
+    """Dispatch a parsed instance document; returns (report dict, all-pass bool).
+
+    scale is the chain tolerance scale (--tol), turned into each chain's
+    tolerance by refine.chain_tolerance.
+    """
     application = doc.get("application", "jensen")
     if application not in _APPLICATIONS:
         raise ValidationError(
             f"application: unknown {application!r}; expected one of {', '.join(_APPLICATIONS)}"
         )
     if application == "jensen":
-        return _verify_jensen(doc, tol_flag, grid_flag)
+        return _verify_jensen(doc, scale, grid_flag)
     if application == "matrixpower":
-        return _verify_matrixpower(doc, tol_flag)
+        return _verify_matrixpower(doc, scale)
     _reject_fields(doc, application, "function", "t_grid", "hadamard")
     if application in ("agm", "kyfan", "powersum"):
         _reject_fields(doc, application, "space")
@@ -531,7 +446,7 @@ def run_verify(doc: dict, tol_flag=None, grid_flag=None):
             chain = apps.kyfan_chain(pts, lam, mu, w1, w2)
         else:
             chain = apps.power_sum_chain(pts, _parse_p(doc), lam, mu, w1, w2)
-        return _verify_scalar_app(application, chain, tol_flag)
+        return _verify_scalar_app(application, chain, scale)
     # lp and harmonic take an n x |X| sample grid
     pts = _parse_points(doc, 2)
     fv = apps.FunctionVector(pts)
@@ -542,16 +457,16 @@ def run_verify(doc: dict, tol_flag=None, grid_flag=None):
     else:
         _reject_fields(doc, application, "p")
         chain = apps.harmonic_chain(fv, space, lam, mu, w1, w2)
-    return _verify_scalar_app(application, chain, tol_flag)
+    return _verify_scalar_app(application, chain, scale)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_verify(path: str, tol=None, grid=None) -> int:
+def cmd_verify(path: str, tol=refine.TOL_FLOOR, grid=None) -> int:
     doc = _load_document(path)
-    report, ok = run_verify(doc, tol_flag=tol, grid_flag=grid)
+    report, ok = run_verify(doc, scale=tol, grid_flag=grid)
     sys.stdout.write(render_json(report) + "\n")
     return 0 if ok else 1
 
@@ -617,7 +532,8 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="verify the chains of a JSON instance file")
     p_verify.add_argument("path")
-    p_verify.add_argument("--tol", type=float, default=None, help="chain tolerance scale")
+    p_verify.add_argument("--tol", type=float, default=refine.TOL_FLOOR,
+                          help="chain tolerance scale (default %(default)g)")
     p_verify.add_argument("--grid", type=str, default=None, help="comma list of t values")
 
     p_gen = sub.add_parser("generate", help="generate a doubly stochastic matrix or weight")
@@ -652,11 +568,12 @@ def main(argv=None) -> int:
                     raise ValidationError("dimensions must be positive")
                 return cmd_generate(args.kind, args.n, m=args.m, seed=args.seed, out=args.out)
             return cmd_tighten(args.path, tol_t=args.tol)
-    except (ValidationError, NumericError) as exc:
+    except (ValidationError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # e.g. an OverflowError from a math-module closed form: a failed computation, so exit 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

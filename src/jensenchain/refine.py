@@ -33,9 +33,13 @@ from .numerics import adaptive_simpson, golden_section_minimize
 TOL_FLOOR = 1e-9
 
 
-def chain_tolerance(lower: float, upper: float) -> float:
-    """Slack tolerance for a chain: relative with an absolute floor of TOL_FLOOR."""
-    return TOL_FLOOR * max(1.0, abs(lower), abs(upper))
+def chain_tolerance(lower: float, upper: float, scale: float = TOL_FLOOR) -> float:
+    """Slack tolerance for a chain: relative at scale, with an absolute floor of scale.
+
+    The one place a tolerance scale (TOL_FLOOR, or the CLI's --tol) becomes
+    a tolerance.
+    """
+    return scale * max(1.0, abs(lower), abs(upper))
 
 
 def rel_err(lhs: float, rhs: float) -> float:
@@ -65,8 +69,8 @@ class RefinementChain:
     """A verified inequality chain: lower <= middle member(s) <= upper.
 
     middle is a float, a pair of floats (four-member chains), or a list
-    of (t, value) pairs.  passed reflects the slack signs only; attached
-    identity checks are reported separately.
+    of (t, value) pairs.  holds and passed judge the slack signs only;
+    attached identity checks are reported separately.
     """
 
     lower: float
@@ -74,10 +78,22 @@ class RefinementChain:
     upper: float
     slack_lower: float
     slack_upper: float
-    passed: bool
     tol: float
     inner_slacks: tuple = ()
     identity_checks: tuple = ()
+
+    def holds(self, tol: float) -> bool:
+        """The verdict: every slack, inner ones included, is at least -tol."""
+        return (
+            self.slack_lower >= -tol
+            and self.slack_upper >= -tol
+            and all(s >= -tol for s in self.inner_slacks)
+        )
+
+    @property
+    def passed(self) -> bool:
+        """The verdict at the chain's own tolerance (TOL_FLOOR scale)."""
+        return self.holds(self.tol)
 
 
 def _assemble(lower, middle, upper, mid_lo, mid_hi, inner=(), checks=()):
@@ -87,25 +103,31 @@ def _assemble(lower, middle, upper, mid_lo, mid_hi, inner=(), checks=()):
         if not math.isfinite(value):
             # an infinite bound would make the tolerance infinite and the chain pass vacuously
             raise NumericError(f"the chain's {name} is {float(value)}, not a finite number")
-    tol = chain_tolerance(lower, upper)
-    slack_lower = mid_lo - lower
-    slack_upper = upper - mid_hi
-    passed = (
-        slack_lower >= -tol
-        and slack_upper >= -tol
-        and all(s >= -tol for s in inner)
-    )
     return RefinementChain(
         lower=float(lower),
         middle=middle,
         upper=float(upper),
-        slack_lower=float(slack_lower),
-        slack_upper=float(slack_upper),
-        passed=bool(passed),
-        tol=tol,
+        slack_lower=float(mid_lo - lower),
+        slack_upper=float(upper - mid_hi),
+        tol=chain_tolerance(lower, upper),
         inner_slacks=tuple(float(s) for s in inner),
         identity_checks=tuple(checks),
     )
+
+
+def check_weight_pair(lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightFunction,
+                      w2: WeightFunction, n: int):
+    """ValidationError unless w1 and w2 are |mu| x n grids normalized against mu and lambda."""
+    if n != len(lam):
+        raise ValidationError(f"{n} points but |lambda| = {len(lam)}")
+    m = len(mu)
+    for label, w in (("w1", w1), ("w2", w2)):
+        if w.shape != (m, n):
+            raise ValidationError(f"{label} has shape {w.shape}, expected ({m}, {n})")
+        if not np.array_equal(w.mu.weights, mu.weights):
+            raise ValidationError(f"{label} is normalized against a different mu")
+        if not np.array_equal(w.lam.weights, lam.weights):
+            raise ValidationError(f"{label} is normalized against a different lambda")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +180,7 @@ class JensenInstance:
         pts = np.array(self.points, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty 1-D or 2-D array")
-        n = pts.shape[0]
-        if n != len(self.lam):
-            raise ValidationError(f"{n} points but |lambda| = {len(self.lam)}")
-        m = len(self.mu)
-        for label, w in (("w1", self.w1), ("w2", self.w2)):
-            if w.shape != (m, n):
-                raise ValidationError(f"{label} has shape {w.shape}, expected ({m}, {n})")
-            if not np.array_equal(w.mu.weights, self.mu.weights):
-                raise ValidationError(f"{label} is normalized against a different mu")
-            if not np.array_equal(w.lam.weights, self.lam.weights):
-                raise ValidationError(f"{label} is normalized against a different lambda")
+        check_weight_pair(self.lam, self.mu, self.w1, self.w2, pts.shape[0])
         if pts.ndim == 1:
             inside = self.f.domain.contains_array(pts)
             if not np.all(inside):

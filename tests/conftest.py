@@ -274,6 +274,17 @@ def loop_phi_integral_closed(inst):
     )
 
 
+def ksum_matrix_power_middle(b, c, p):
+    """(1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k): the polynomial expansion of sum_ij L_p^p,
+    one full-matrix power pair per k, for integer p >= 1."""
+    bv = b.values
+    cv = c.values
+    total = 0.0
+    for k in range(p + 1):
+        total += float(np.sum(bv ** k * cv ** (p - k)))
+    return total / (p + 1)
+
+
 def composite_midpoint(g, n_panels=64):
     h = 1.0 / n_panels
     return h * sum(g((k + 0.5) * h) for k in range(n_panels))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jensenchain import (
     DoublyStochasticMatrix,
@@ -20,6 +22,7 @@ from jensenchain import (
     kyfan_chain,
     lp_chain,
     matrix_power_bounds,
+    matrix_power_chain,
     phi_integral_quad,
     power_sum_chain,
     random_doubly_stochastic,
@@ -27,7 +30,8 @@ from jensenchain import (
 )
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
 from jensenchain.apps import _t_quadrature
-from conftest import rand_prob, rand_weight, recursive_simpson
+from jensenchain.refine import TOL_FLOOR
+from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_simpson
 
 E = math.e
 UNI2 = ProbabilityVector.uniform(2)
@@ -339,6 +343,61 @@ def test_matrix_power_holds_for_generated_matrices(rng):
             c = random_doubly_stochastic(n, seed=n * 100 + p + 50)
             lower, middle, upper = matrix_power_bounds(b, c, p)
             assert lower - 1e-12 <= middle <= upper + 1e-12
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(B, C, p): a random pair, the identity against a permutation, or C = I; n <= 40, p <= 30."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2 ** 30))
+    family = draw(st.sampled_from(["random", "identity-permutation", "c-identity"]))
+    eye = DoublyStochasticMatrix.identity(n)
+    if family == "identity-permutation":
+        perm = np.random.default_rng(seed).permutation(n)
+        return eye, DoublyStochasticMatrix(np.eye(n)[perm]), p
+    b = random_doubly_stochastic(n, seed=seed)
+    if family == "c-identity":
+        return b, eye, p
+    return b, random_doubly_stochastic(n, seed=seed + 1), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=matrix_pairs())
+def test_matrix_power_middle_matches_ksum_oracle(pair):
+    b, c, p = pair
+    _, middle, _ = matrix_power_bounds(b, c, p)
+    want = ksum_matrix_power_middle(b, c, p)
+    assert abs(middle - want) <= 1e-14 * abs(want)
+
+
+def test_matrix_power_chain_is_judged_by_the_chain_verdict():
+    """Doubly stochastic within 1e-10, so the middle exceeds n by 1.6e-10: a slack, not an error."""
+    e = 0.5 + 4e-11
+    edge = DoublyStochasticMatrix([[e, e], [e, e]])
+    ch = matrix_power_chain(edge, edge, 1)
+    assert (ch.lower, ch.upper) == (2.0, 2.0)
+    assert ch.middle == ksum_matrix_power_middle(edge, edge, 1)
+    assert ch.slack_upper < 0.0 and ch.passed
+    assert not ch.holds(1e-12 * 2.0)
+    assert ch.tol == TOL_FLOOR * 2.0
+
+
+def test_lambda_length_message_matches_the_instance():
+    """lp, powersum and harmonic share JensenInstance's weight-pair checks and messages."""
+    w = WeightFunction.ones(UNI2, UNI2)
+    fv = FunctionVector(np.ones((3, 1)))
+    one = FiniteMeasureSpace.counting(1)
+    calls = [
+        lambda: JensenInstance(f=get_function("square"), points=np.ones(3), lam=UNI2, mu=UNI2,
+                               w1=w, w2=w),
+        lambda: lp_chain(fv, one, 2.0, UNI2, UNI2, w, w),
+        lambda: power_sum_chain(np.ones(3), 2.0, UNI2, UNI2, w, w),
+        lambda: harmonic_chain(fv, one, UNI2, UNI2, w, w),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^3 points but \|lambda\| = 2$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

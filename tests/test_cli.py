@@ -234,6 +234,62 @@ def test_verify_tol_flag_loosens_pass(tmp_path, capsys):
     capsys.readouterr()
 
 
+# doubly stochastic within 1e-10, so the p = 1 middle exceeds its upper bound n = 2 by 1.6e-10
+EDGE = 0.5 + 4e-11
+MATRIX_EDGE = {
+    "application": "matrixpower",
+    "p": 1,
+    "weights": {"B": [[EDGE, EDGE], [EDGE, EDGE]], "C": [[EDGE, EDGE], [EDGE, EDGE]]},
+}
+
+
+def test_matrixpower_edge_document_follows_the_tolerance(tmp_path, capsys):
+    path = write(tmp_path, "edge.json", MATRIX_EDGE)
+    assert main(["verify", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and report["witnesses"] == []
+    assert report["slacks"]["upper"] < 0.0
+    assert main(["verify", path, "--tol", "1e-12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    assert report["witnesses"] == [
+        {"member": "middle", "value": report["middle"], "lower": 2.0, "upper": 2.0}
+    ]
+
+
+VERDICT_DOCS = {
+    "jensen": dict(SQUARE_JENSEN, hadamard={"p": [1.0, 2.0], "t": [0.2, 0.9]}),
+    "agm": AGM_ANCHOR,
+    "kyfan": dict(AGM_ANCHOR, application="kyfan", points=[0.2, 0.4]),
+    "lp": {"application": "lp", "p": 2.5, "points": [[1.0, 0.5], [0.25, 2.0]],
+           "space": {"masses": [0.5, 1.5]}, "weights": AGM_ANCHOR["weights"]},
+    "powersum": dict(AGM_ANCHOR, application="powersum", p=3, points=[0.5, 1.5]),
+    "harmonic": {"application": "harmonic", "points": [[0.0, 3.0], [1.0, 0.5]],
+                 "weights": AGM_ANCHOR["weights"]},
+    "matrixpower": MATRIX_EDGE,
+}
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-9, 1e-3])
+@pytest.mark.parametrize("application", sorted(VERDICT_DOCS))
+def test_verdict_parity_across_applications(tmp_path, capsys, application, scale):
+    """One rule for every application: the tolerance is scale * max(1, |lower|, |upper|), and
+    pass holds exactly when every reported slack is >= -tolerance and every identity check is ok."""
+    path = write(tmp_path, "doc.json", VERDICT_DOCS[application])
+    code = main(["verify", path, "--tol", repr(scale)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["application"] == application
+    tol = report["tolerance"]
+    assert tol == scale * max(1.0, abs(report["lower"]), abs(report["upper"]))
+    slacks_hold = all(s >= -tol for s in report["slacks"].values())
+    checks_ok = all(chk["ok"] for chk in report["identity_checks"])
+    assert report["identity_checks"] or application == "matrixpower"
+    assert report["pass"] is (slacks_hold and checks_ok)
+    assert code == (0 if report["pass"] else 1)
+
+
 def test_verify_grid_flag(tmp_path, capsys):
     code = main(["verify", write(tmp_path, "g.json", SQUARE_JENSEN), "--grid", "0,0.5"])
     out = capsys.readouterr().out

@@ -96,6 +96,23 @@ def test_overflow_warning_does_not_precede_the_diagnosis(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_overflow_in_a_closed_form_exits_2_without_traceback(tmp_path):
+    # every chain member is finite (the upper bound is about 4.1e307), but math.expm1(719)
+    # in the exp integral mean raises OverflowError; a failed computation is exit 2, not 1
+    doc = {"function": {"name": "exp"}, "points": [-10, 709], "weights": POWERSUM["weights"]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(jensenchain.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "jensenchain.cli", "verify", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert_refused(run_doc(tmp_path, doc), "OverflowError")
+
+
 @pytest.mark.parametrize("member", range(4))
 def test_assemble_refuses_each_non_finite_member(member):
     args = [0.0, 1.0, 1.0, 1.0]
@@ -281,6 +298,22 @@ def raw_bytes(draw):
     return bytes(data)
 
 
+@st.composite
+def exp_near_overflow(draw):
+    """exp instances with points near log(DBL_MAX) ~ 709.78, where exp and its means overflow."""
+    n = draw(st.integers(1, 3))
+    near = st.floats(705.0, 712.0) | st.sampled_from([709.0, 709.78, 709.79, 710.0])
+    points = draw(st.lists(near | st.floats(-20.0, 20.0) | st.floats(-20.0, 720.0),
+                           min_size=n, max_size=n))
+    eye = np.eye(n)
+    pick = st.sampled_from([eye, np.roll(eye, 1, axis=0), np.full((n, n), 1.0 / n)])
+    doc = {"function": {"name": "exp"}, "points": points,
+           "weights": {"B": draw(pick).tolist(), "C": draw(pick).tolist()}}
+    if draw(st.booleans()):
+        doc["hadamard"] = {"p": [1.0, 2.0], "t": [0.25, 0.75]}
+    return json.dumps(doc).encode()
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=documents() | raw_bytes(), command=st.sampled_from(["verify", "verify", "tighten"]))
 def test_cli_contract_holds_on_hostile_input(data, command):
@@ -292,3 +325,16 @@ def test_cli_contract_holds_on_hostile_input(data, command):
         strict_json(out)
     else:
         assert out == ""
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=exp_near_overflow(), command=st.sampled_from(["verify", "verify", "tighten"]))
+def test_cli_contract_holds_near_exp_overflow(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_raw(Path(tmp), data, command)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        strict_json(out)
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -334,6 +334,19 @@ def test_hadamard_weight_validation():
         HadamardWeights([1.0], [1.5])
 
 
+def test_holds_is_the_one_verdict_and_passed_uses_the_floor():
+    """Every slack, the inner one included, is judged against -tol; passed is holds(tol)."""
+    ch = refine._assemble(1.0, (1.5, 1.4), 2.0, 1.5, 1.4, inner=(-0.1,))
+    assert ch.tol == refine.chain_tolerance(1.0, 2.0) == refine.TOL_FLOOR * 2.0
+    assert refine.chain_tolerance(1.0, -3.0, 1e-3) == 3e-3
+    assert refine.chain_tolerance(0.5, 0.25, 1e-3) == 1e-3
+    assert not ch.passed and not ch.holds(0.05)
+    assert ch.holds(0.1) and ch.holds(1.0)
+    tight = refine._assemble(1.0, 1.0 - 1e-10, 1.0, 1.0 - 1e-10, 1.0 - 1e-10)
+    assert tight.passed == tight.holds(tight.tol) is True
+    assert not tight.holds(1e-11)
+
+
 # ---------------------------------------------------------------------------
 # convexity check and tighten
 
