@@ -104,13 +104,28 @@ def _t_quadrature(mu, masses, s1, s2, pointwise):
     return adaptive_simpson(h, 0.0, 1.0, atol=1e-12, rtol=1e-12, width=s1.size)
 
 
+def _quadrature_checked(lower, middle, upper, rhs, tol) -> RefinementChain:
+    """The chain lower <= middle <= upper, its middle checked against the quadrature rhs."""
+    check = make_identity_check("t-quadrature", middle, rhs, tol)
+    return _assemble(lower, middle, upper, middle, middle, checks=(check,))
+
+
+def _sample_row_sums(g, space, lam, mu, w1, w2):
+    """(s1, s2), the rows of the n x |X| grid g combined by w1 and w2 against lambda."""
+    if g.shape[1] != len(space):
+        raise ValidationError(
+            f"samples have {g.shape[1]} columns but the space has {len(space)} points"
+        )
+    check_weight_pair(lam, mu, w1, w2, g.shape[0])
+    return (w1.values * lam.weights) @ g, (w2.values * lam.weights) @ g
+
+
 def agm_chain(
     x,
     lam: ProbabilityVector,
     mu: ProbabilityVector,
     w1: WeightFunction,
     w2: WeightFunction,
-    check_identity: bool = True,
 ) -> RefinementChain:
     """Geometric mean <= mu-weighted product of identric means <= arithmetic mean.
 
@@ -124,13 +139,8 @@ def agm_chain(
     lower = float(np.exp(inst.lam.weights @ np.log(pts)))
     upper = float(inst.lam.weights @ pts)
     middle = float(np.exp(inst.mu.weights @ ln_identric(inst.s1, inst.s2)))
-    checks = ()
-    if check_identity:
-        quad = phi_integral_quad(inst, atol=1e-12, rtol=1e-12)
-        checks = (
-            make_identity_check("t-quadrature", middle, float(np.exp(-quad)), AGM_IDENTITY_TOL),
-        )
-    return _assemble(lower, middle, upper, middle, middle, checks=checks)
+    quad = phi_integral_quad(inst, atol=1e-12, rtol=1e-12)
+    return _quadrature_checked(lower, middle, upper, float(np.exp(-quad)), AGM_IDENTITY_TOL)
 
 
 def kyfan_chain(
@@ -139,7 +149,6 @@ def kyfan_chain(
     mu: ProbabilityVector,
     w1: WeightFunction,
     w2: WeightFunction,
-    check_identity: bool = True,
 ) -> RefinementChain:
     """Complementary-mean ratio chain A'/A <= identric-ratio product <= G'/G for x in (0, 1/2]."""
     inst = JensenInstance(f=get_function("kyfan"), points=x, lam=lam, mu=mu, w1=w1, w2=w2)
@@ -152,13 +161,8 @@ def kyfan_chain(
         @ (ln_identric(1.0 - inst.s1, 1.0 - inst.s2) - ln_identric(inst.s1, inst.s2))
     )
     middle = float(np.exp(ln_mid))
-    checks = ()
-    if check_identity:
-        quad = phi_integral_quad(inst, atol=1e-12, rtol=1e-12)
-        checks = (
-            make_identity_check("t-quadrature", middle, float(np.exp(quad)), KYFAN_IDENTITY_TOL),
-        )
-    return _assemble(lower, middle, upper, middle, middle, checks=checks)
+    quad = phi_integral_quad(inst, atol=1e-12, rtol=1e-12)
+    return _quadrature_checked(lower, middle, upper, float(np.exp(quad)), KYFAN_IDENTITY_TOL)
 
 
 def lp_chain(
@@ -169,7 +173,6 @@ def lp_chain(
     mu: ProbabilityVector,
     w1: WeightFunction,
     w2: WeightFunction,
-    check_identity: bool = True,
 ) -> RefinementChain:
     """p-th power norm chain over a finite discrete measure space, p >= 1.
 
@@ -181,24 +184,15 @@ def lp_chain(
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"lp_chain requires p >= 1, got {p}")
-    if fv.samples.shape[1] != len(space):
-        raise ValidationError(
-            f"samples have {fv.samples.shape[1]} columns but the space has {len(space)} points"
-        )
-    check_weight_pair(lam, mu, w1, w2, fv.n)
     g = np.abs(fv.samples)
+    s1, s2 = _sample_row_sums(g, space, lam, mu, w1, w2)
     masses = space.masses
     signed = lam.weights @ fv.samples
     lower = float(masses @ np.abs(signed) ** p)
     upper = float(lam.weights @ (g ** p @ masses))
-    s1 = (w1.values * lam.weights) @ g
-    s2 = (w2.values * lam.weights) @ g
     middle = float(mu.weights @ (pow_integral_mean(s1, s2, p) @ masses))
-    checks = ()
-    if check_identity:
-        quad = _t_quadrature(mu, masses, s1, s2, lambda m: m ** p)
-        checks = (make_identity_check("t-quadrature", middle, quad, LP_IDENTITY_TOL),)
-    return _assemble(lower, middle, upper, middle, middle, checks=checks)
+    quad = _t_quadrature(mu, masses, s1, s2, lambda m: m ** p)
+    return _quadrature_checked(lower, middle, upper, quad, LP_IDENTITY_TOL)
 
 
 def power_sum_chain(
@@ -208,7 +202,6 @@ def power_sum_chain(
     mu: ProbabilityVector,
     w1: WeightFunction,
     w2: WeightFunction,
-    check_identity: bool = True,
 ) -> RefinementChain:
     """sum lambda_j^p x_j^p <= double sum of L_p^p(w1*lambda*x, w2*lambda*x) <= sum lambda_j x_j^p."""
     p = float(p)
@@ -227,11 +220,8 @@ def power_sum_chain(
     a1 = w1.values * lx
     a2 = w2.values * lx
     middle = float(mu.weights @ pow_integral_mean(a1, a2, p).sum(axis=1))
-    checks = ()
-    if check_identity:
-        quad = _t_quadrature(mu, np.ones(x.size), a1, a2, lambda m: m ** p)
-        checks = (make_identity_check("t-quadrature", middle, quad, POWER_SUM_IDENTITY_TOL),)
-    return _assemble(lower, middle, upper, middle, middle, checks=checks)
+    quad = _t_quadrature(mu, np.ones(x.size), a1, a2, lambda m: m ** p)
+    return _quadrature_checked(lower, middle, upper, quad, POWER_SUM_IDENTITY_TOL)
 
 
 def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
@@ -284,7 +274,6 @@ def harmonic_chain(
     mu: ProbabilityVector,
     w1: WeightFunction,
     w2: WeightFunction,
-    check_identity: bool = True,
 ) -> RefinementChain:
     """Concave chain for phi(f) = integral of f/(1+f): the middle is mu(X)
     minus the mu-mean of ||1/L(1 + s1, 1 + s2)||_1, and the chain runs
@@ -294,12 +283,8 @@ def harmonic_chain(
         raise ValidationError(
             f"sample ({j}, {k}) must be nonnegative, got {fv.samples[j, k]}"
         )
-    if fv.samples.shape[1] != len(space):
-        raise ValidationError(
-            f"samples have {fv.samples.shape[1]} columns but the space has {len(space)} points"
-        )
-    check_weight_pair(lam, mu, w1, w2, fv.n)
     g = fv.samples
+    s1, s2 = _sample_row_sums(g, space, lam, mu, w1, w2)
     masses = space.masses
 
     def phi_of(rows):
@@ -307,12 +292,7 @@ def harmonic_chain(
 
     lower = float(lam.weights @ phi_of(g))
     upper = float(phi_of(lam.weights @ g))
-    s1 = (w1.values * lam.weights) @ g
-    s2 = (w2.values * lam.weights) @ g
     inv_l = 1.0 / log_mean(1.0 + s1, 1.0 + s2)
     middle = space.total - float(mu.weights @ (inv_l @ masses))
-    checks = ()
-    if check_identity:
-        quad = _t_quadrature(mu, masses, s1, s2, lambda m: m / (1.0 + m))
-        checks = (make_identity_check("t-quadrature", middle, quad, HARMONIC_IDENTITY_TOL),)
-    return _assemble(lower, middle, upper, middle, middle, checks=checks)
+    quad = _t_quadrature(mu, masses, s1, s2, lambda m: m / (1.0 + m))
+    return _quadrature_checked(lower, middle, upper, quad, HARMONIC_IDENTITY_TOL)

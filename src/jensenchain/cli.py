@@ -31,20 +31,16 @@ from .refine import HadamardWeights, JensenInstance
 DEFAULT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 JENSEN_IDENTITY_TOL = 1e-8  # closed-form t-average against its quadrature
 
-_APPLICATIONS = ("jensen", "agm", "kyfan", "lp", "powersum", "matrixpower", "harmonic")
-
-_KNOWN_FIELDS = {
-    "lambda",
-    "mu",
-    "points",
-    "function",
-    "weights",
-    "t_grid",
-    "application",
-    "space",
-    "p",
-    "hadamard",
-    "seed",
+# application -> the fields its instance document may hold; seed is accepted and ignored
+_COMMON = ("application", "seed", "weights", "lambda", "mu")
+_FIELDS = {
+    "jensen": {*_COMMON, "function", "points", "t_grid", "hadamard"},
+    "agm": {*_COMMON, "points"},
+    "kyfan": {*_COMMON, "points"},
+    "lp": {*_COMMON, "points", "space", "p"},
+    "powersum": {*_COMMON, "points", "p"},
+    "matrixpower": {*_COMMON, "p"},
+    "harmonic": {*_COMMON, "points", "space"},
 }
 
 
@@ -139,7 +135,7 @@ def _load_document(path: str) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: instance file must be a JSON object")
-    unknown = set(doc) - _KNOWN_FIELDS
+    unknown = set(doc).difference(*_FIELDS.values())
     if unknown:
         raise ValidationError(f"{path}: unknown field(s) {sorted(unknown)}")
     return doc
@@ -226,37 +222,42 @@ def _is_uniform(pv: ProbabilityVector) -> bool:
     return bool(np.allclose(pv.weights, 1.0 / n, rtol=0.0, atol=1e-12))
 
 
+def _parse_matrices(doc, weights, n_points):
+    """(B, C) of the B/C weights form, which fixes lambda and mu to uniform."""
+    extra = set(weights) - {"B", "C"}
+    if extra:
+        raise ValidationError(f"weights: unexpected field(s) {sorted(extra)} beside B/C")
+    if "B" not in weights or "C" not in weights:
+        raise ValidationError("weights: B and C must both be present")
+
+    def _matrix(key):
+        label = f"weights.{key}"
+        return _in_field(label, DoublyStochasticMatrix, _as_float_array(weights[key], label))
+
+    b = _matrix("B")
+    c = _matrix("C")
+    if b.n != c.n:
+        raise ValidationError(f"weights: B is {b.n}x{b.n} but C is {c.n}x{c.n}")
+    n = b.n
+    if n_points is not None and n_points != n:
+        raise ValidationError(f"weights: matrices are {n}x{n} but there are {n_points} points")
+    for name in ("lambda", "mu"):
+        if name in doc:
+            pv = _prob(doc, name)
+            if len(pv) != n or not _is_uniform(pv):
+                raise ValidationError(f"{name}: the B/C matrix form fixes {name} to uniform({n})")
+    return b, c
+
+
 def _parse_weights(doc, n_points):
-    """Returns (lam, mu, w1, w2, ds_pair or None)."""
+    """Returns (lam, mu, w1, w2)."""
     weights = _field(doc, "weights", required=True)
     if not isinstance(weights, dict):
         raise ValidationError("weights: expected an object")
     if "B" in weights or "C" in weights:
-        extra = set(weights) - {"B", "C"}
-        if extra:
-            raise ValidationError(f"weights: unexpected field(s) {sorted(extra)} beside B/C")
-        if "B" not in weights or "C" not in weights:
-            raise ValidationError("weights: B and C must both be present")
-        def _matrix(key):
-            label = f"weights.{key}"
-            return _in_field(label, DoublyStochasticMatrix, _as_float_array(weights[key], label))
-
-        b = _matrix("B")
-        c = _matrix("C")
-        if b.n != c.n:
-            raise ValidationError(f"weights: B is {b.n}x{b.n} but C is {c.n}x{c.n}")
-        n = b.n
-        if n_points is not None and n_points != n:
-            raise ValidationError(f"weights: matrices are {n}x{n} but there are {n_points} points")
-        uni = ProbabilityVector.uniform(n)
-        for name in ("lambda", "mu"):
-            if name in doc:
-                pv = _prob(doc, name)
-                if len(pv) != n or not _is_uniform(pv):
-                    raise ValidationError(
-                        f"{name}: the B/C matrix form fixes {name} to uniform({n})"
-                    )
-        return uni, uni, embed_doubly_stochastic(b), embed_doubly_stochastic(c), (b, c)
+        b, c = _parse_matrices(doc, weights, n_points)
+        uni = ProbabilityVector.uniform(b.n)
+        return uni, uni, embed_doubly_stochastic(b), embed_doubly_stochastic(c)
     extra = set(weights) - {"omega1", "omega2"}
     if extra:
         raise ValidationError(f"weights: unknown field(s) {sorted(extra)}")
@@ -266,7 +267,7 @@ def _parse_weights(doc, n_points):
     mu = _prob(doc, "mu")
     w1 = _in_field("weights.omega1", _parse_weight_entry, weights["omega1"], mu, lam)
     w2 = _in_field("weights.omega2", _parse_weight_entry, weights["omega2"], mu, lam)
-    return lam, mu, w1, w2, None
+    return lam, mu, w1, w2
 
 
 def _parse_points(doc, ndim):
@@ -317,14 +318,6 @@ def _parse_hadamard(doc):
     return _in_field("hadamard", HadamardWeights, p, t)
 
 
-def _reject_fields(doc, application, *names):
-    for name in names:
-        if name in doc:
-            raise ValidationError(
-                f"{name}: not a valid field for application {application!r}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -346,15 +339,14 @@ def _member_witness(member, value, chain):
 def _verify_jensen(doc, scale, grid_flag):
     f = _parse_function(doc)
     pts = _parse_points(doc, 1)
-    lam, mu, w1, w2, _ = _parse_weights(doc, pts.size)
-    _reject_fields(doc, "jensen", "space", "p")
+    lam, mu, w1, w2 = _parse_weights(doc, pts.size)
     inst = JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
     if grid_flag is not None:
         grid = _as_float_array(grid_flag, "--grid")
     else:
         grid = _as_float_array(doc.get("t_grid", list(DEFAULT_GRID)), "t_grid")
     grid_chain = refine.chain_at_t(inst, grid)
-    int_closed = refine.chain_integral(inst, method="closed")
+    int_closed = refine.chain_integral(inst)
     int_quad = refine.phi_integral_quad(inst)
     tol = refine.chain_tolerance(grid_chain.lower, grid_chain.upper, scale)
     identity = refine.make_identity_check(
@@ -411,11 +403,10 @@ def _verify_scalar_app(application, chain, scale):
 
 
 def _verify_matrixpower(doc, scale):
-    _reject_fields(doc, "matrixpower", "function", "points", "space", "t_grid", "hadamard")
     weights = _field(doc, "weights", required=True)
     if not isinstance(weights, dict) or "B" not in weights or "C" not in weights:
         raise ValidationError("matrixpower needs weights given as B and C matrices")
-    _, _, _, _, (b, c) = _parse_weights(doc, None)
+    b, c = _parse_matrices(doc, weights, None)
     chain = apps.matrix_power_chain(b, c, _parse_p(doc))
     return _verify_scalar_app("matrixpower", chain, scale)
 
@@ -427,19 +418,22 @@ def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
     tolerance by refine.chain_tolerance.
     """
     application = doc.get("application", "jensen")
-    if application not in _APPLICATIONS:
+    # a list or an object is unhashable, so test the type before the lookup
+    fields = _FIELDS.get(application) if isinstance(application, str) else None
+    if fields is None:
         raise ValidationError(
-            f"application: unknown {application!r}; expected one of {', '.join(_APPLICATIONS)}"
+            f"application: unknown {application!r}; expected one of {', '.join(_FIELDS)}"
         )
+    for name in doc:
+        if name not in fields:
+            raise ValidationError(f"{name}: not a valid field for application {application!r}")
     if application == "jensen":
         return _verify_jensen(doc, scale, grid_flag)
     if application == "matrixpower":
         return _verify_matrixpower(doc, scale)
-    _reject_fields(doc, application, "function", "t_grid", "hadamard")
     if application in ("agm", "kyfan", "powersum"):
-        _reject_fields(doc, application, "space")
         pts = _parse_points(doc, 1)
-        lam, mu, w1, w2, _ = _parse_weights(doc, pts.size)
+        lam, mu, w1, w2 = _parse_weights(doc, pts.size)
         if application == "agm":
             chain = apps.agm_chain(pts, lam, mu, w1, w2)
         elif application == "kyfan":
@@ -451,11 +445,10 @@ def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
     pts = _parse_points(doc, 2)
     fv = apps.FunctionVector(pts)
     space = _parse_space(doc, pts.shape[1])
-    lam, mu, w1, w2, _ = _parse_weights(doc, pts.shape[0])
+    lam, mu, w1, w2 = _parse_weights(doc, pts.shape[0])
     if application == "lp":
         chain = apps.lp_chain(fv, space, _parse_p(doc), lam, mu, w1, w2)
     else:
-        _reject_fields(doc, application, "p")
         chain = apps.harmonic_chain(fv, space, lam, mu, w1, w2)
     return _verify_scalar_app(application, chain, scale)
 
@@ -497,7 +490,7 @@ def cmd_tighten(path: str, tol_t: float = 1e-8) -> int:
         raise ValidationError("tighten needs a jensen-style instance (function + points)")
     f = _parse_function(doc)
     pts = _parse_points(doc, 1)
-    lam, mu, w1, w2, _ = _parse_weights(doc, pts.size)
+    lam, mu, w1, w2 = _parse_weights(doc, pts.size)
     inst = JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
     t_star, value = refine.tighten(inst, tol_t)
     report = {
@@ -557,6 +550,9 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not math.isfinite(tol):
             raise ValidationError(f"--tol: expected a finite number, got {tol}")
+        if args.command == "verify" and tol < 0.0:
+            # a negative scale would fail every chain, so it is an input error, not a verdict
+            raise ValidationError(f"--tol: expected a nonnegative scale, got {tol}")
         # overflow and NaN surface through the finite checks of the chain and the
         # renderer (exit 2, naming the value), not as numpy warnings ahead of them
         with np.errstate(all="ignore"):

@@ -30,19 +30,15 @@ class Interval:
     hi_open: bool = False
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
-        # slack widens closed endpoints only; open endpoints guard singularities
-        lo_ok = x > self.lo if self.lo_open else x >= self.lo - slack
-        hi_ok = x < self.hi if self.hi_open else x <= self.hi + slack
-        return bool(lo_ok and hi_ok)
+        return bool(self.contains_segment(x, x, slack))
 
     def contains_array(self, x, slack: float = 0.0):
         x = np.asarray(x, dtype=float)
-        lo_ok = x > self.lo if self.lo_open else x >= self.lo - slack
-        hi_ok = x < self.hi if self.hi_open else x <= self.hi + slack
-        return lo_ok & hi_ok
+        return self.contains_segment(x, x, slack)
 
     def contains_segment(self, lo, hi, slack=0.0):
         """Whether the segment [lo, hi] (lo <= hi) lies inside; elementwise on arrays."""
+        # slack widens closed endpoints only; open endpoints guard singularities
         lo_ok = lo > self.lo if self.lo_open else lo >= self.lo - slack
         hi_ok = hi < self.hi if self.hi_open else hi <= self.hi + slack
         return lo_ok & hi_ok
@@ -146,40 +142,20 @@ def _im_harmonic_frac(a, b):
     return 1.0 - math.log1p(d / (1.0 + a)) / d
 
 
-def _no_params(name, params):
-    if params:
-        raise ValidationError(f"function {name!r} takes no parameters, got {sorted(params)}")
+# name -> (domain, direction, evaluate, integral_mean) for the entries without parameters
+_CATALOG = {
+    "square": (Interval(), CONVEX, lambda x: x * x, _im_square),
+    "exp": (Interval(), CONVEX, np.exp, _im_exp),
+    "neglog": (Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: -np.log(x), _im_neglog),
+    "kyfan": (
+        Interval(0.0, 0.5, lo_open=True), CONVEX, lambda x: np.log1p(-x) - np.log(x), _im_kyfan
+    ),
+    "xlogx": (Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: x * np.log(x), _im_xlogx),
+    "harmonic_frac": (Interval(0.0, _INF), CONCAVE, lambda x: x / (1.0 + x), _im_harmonic_frac),
+}
 
 
-def _make_square(params):
-    _no_params("square", params)
-    return ConvexFunctionSpec("square", Interval(), CONVEX, lambda x: x * x, _im_square)
-
-
-def _make_exp(params):
-    _no_params("exp", params)
-    return ConvexFunctionSpec("exp", Interval(), CONVEX, np.exp, _im_exp)
-
-
-def _make_neglog(params):
-    _no_params("neglog", params)
-    return ConvexFunctionSpec(
-        "neglog", Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: -np.log(x), _im_neglog
-    )
-
-
-def _make_kyfan(params):
-    _no_params("kyfan", params)
-    return ConvexFunctionSpec(
-        "kyfan",
-        Interval(0.0, 0.5, lo_open=True),
-        CONVEX,
-        lambda x: np.log1p(-x) - np.log(x),
-        _im_kyfan,
-    )
-
-
-def _make_powp(params):
+def _powp(params):
     extra = set(params) - {"p"}
     if extra:
         raise ValidationError(f"function 'powp' takes only parameter 'p', got {sorted(extra)}")
@@ -203,42 +179,19 @@ def _make_powp(params):
     )
 
 
-def _make_xlogx(params):
-    _no_params("xlogx", params)
-    return ConvexFunctionSpec(
-        "xlogx", Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: x * np.log(x), _im_xlogx
-    )
-
-
-def _make_harmonic_frac(params):
-    _no_params("harmonic_frac", params)
-    return ConvexFunctionSpec(
-        "harmonic_frac",
-        Interval(0.0, _INF),
-        CONCAVE,
-        lambda x: x / (1.0 + x),
-        _im_harmonic_frac,
-    )
-
-
-_FACTORIES = {
-    "square": _make_square,
-    "exp": _make_exp,
-    "neglog": _make_neglog,
-    "kyfan": _make_kyfan,
-    "powp": _make_powp,
-    "xlogx": _make_xlogx,
-    "harmonic_frac": _make_harmonic_frac,
-}
-
-CATALOG_NAMES = tuple(sorted(_FACTORIES))
+CATALOG_NAMES = tuple(sorted([*_CATALOG, "powp"]))
 
 
 def get_function(name: str, params: dict | None = None) -> ConvexFunctionSpec:
     """Look up a catalog function by name, with an optional parameter mapping."""
-    if name not in _FACTORIES:
+    if name not in CATALOG_NAMES:
         raise ValidationError(f"unknown function {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    return _FACTORIES[name](dict(params or {}))
+    params = dict(params or {})
+    if name == "powp":
+        return _powp(params)
+    if params:
+        raise ValidationError(f"function {name!r} takes no parameters, got {sorted(params)}")
+    return ConvexFunctionSpec(name, *_CATALOG[name])
 
 
 def check_direction(f: ConvexFunctionSpec, trials: int = 200, seed: int = 0, span=(-8.0, 8.0)):

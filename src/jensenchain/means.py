@@ -123,7 +123,15 @@ def _pow_integral_mean_block(lo, hi, out, p):
     r_mid = r[mid]
     out[mid] = lo[mid] ** p * np.expm1((p + 1.0) * np.log1p(r_mid)) / ((p + 1.0) * r_mid)
 
-    out[far] = (hi[far] ** (p + 1.0) - lo[far] ** (p + 1.0)) / ((p + 1.0) * d[far])
+    lo_f, hi_f = lo[far], hi[far]
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = (hi_f ** (p + 1.0) - lo_f ** (p + 1.0)) / ((p + 1.0) * d[far])
+        # hi ** (p + 1) overflows before the mean does: there, factor hi ** p out
+        big = ~np.isfinite(direct)
+        if big.any():
+            rho = lo_f[big] / hi_f[big]
+            direct[big] = hi_f[big] ** p * (1.0 - rho ** (p + 1.0)) / ((p + 1.0) * (1.0 - rho))
+    out[far] = direct
 
 
 def pow_integral_mean(a, b, p):
@@ -132,8 +140,10 @@ def pow_integral_mean(a, b, p):
     Three evaluation regimes keep full precision: the midpoint series in
     the degenerate band, an expm1/log1p form for small separations
     (r = (hi-lo)/lo <= 1/4), and the direct power difference otherwise
-    (also covers a == 0).  Each element is evaluated in its own regime
-    only, a block at a time.
+    (also covers a == 0).  Where the direct form overflows, the
+    scale-free hi^p (1 - rho^(p+1)) / ((p+1)(1 - rho)), rho = lo/hi,
+    replaces it.  Each element is evaluated in its own regime only, a
+    block at a time.
     """
     return _blockwise(_pow_integral_mean_block, a, b, p)
 

@@ -298,18 +298,9 @@ def phi_integral_quad(inst: JensenInstance, atol=1e-10, rtol=1e-10) -> float:
     return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=inst.s1.size)
 
 
-def chain_integral(inst: JensenInstance, method: str = "auto") -> RefinementChain:
-    """Check the sandwich for the t-average of phi.
-
-    method: "auto" (closed form when points are scalar), "closed", or
-    "quadrature".
-    """
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "closed" or (method == "auto" and inst.dim == 1):
-        mid = phi_integral_closed(inst)
-    else:
-        mid = phi_integral_quad(inst)
+def chain_integral(inst: JensenInstance) -> RefinementChain:
+    """Check the sandwich for the t-average of phi: closed form for scalar points, else quadrature."""
+    mid = phi_integral_closed(inst) if inst.dim == 1 else phi_integral_quad(inst)
     lower, upper = inst.oriented_bounds()
     return _assemble(lower, float(mid), upper, mid, mid)
 

@@ -441,3 +441,94 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
 
     assert outcomes(fresh=False) == outcomes(fresh=True)
     assert cli._build_parser() is cli._build_parser()
+
+
+# ---------------------------------------------------------------------------
+# which fields each application takes
+
+COMMON_FIELDS = {"application", "seed", "weights", "lambda", "mu"}
+FIELD_ROWS = {
+    "jensen": COMMON_FIELDS | {"function", "points", "t_grid", "hadamard"},
+    "agm": COMMON_FIELDS | {"points"},
+    "kyfan": COMMON_FIELDS | {"points"},
+    "lp": COMMON_FIELDS | {"points", "space", "p"},
+    "powersum": COMMON_FIELDS | {"points", "p"},
+    "matrixpower": COMMON_FIELDS | {"p"},
+    "harmonic": COMMON_FIELDS | {"points", "space"},
+}
+KNOWN_FIELDS = set().union(*FIELD_ROWS.values())
+FIELD_VALUES = {
+    "function": {"name": "square"},
+    "points": [1.0, 2.0],
+    "t_grid": [0.5],
+    "hadamard": {"p": [1.0], "t": [0.5]},
+    "space": {"masses": [1.0, 1.0]},
+    "p": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "application, field",
+    [(app, name) for app in FIELD_ROWS for name in sorted(KNOWN_FIELDS - FIELD_ROWS[app])],
+)
+def test_verify_refuses_a_field_outside_the_application_row(tmp_path, capsys, application, field):
+    doc = dict(VERDICT_DOCS[application], **{field: FIELD_VALUES[field]})
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field}: not a valid field for application '{application}'\n"
+
+
+@pytest.mark.parametrize("application", sorted(FIELD_ROWS))
+def test_verify_accepts_and_ignores_seed(tmp_path, capsys, application):
+    path = write(tmp_path, "doc.json", VERDICT_DOCS[application])
+    code = main(["verify", path])
+    plain = capsys.readouterr().out
+    seeded = write(tmp_path, "seeded.json", dict(VERDICT_DOCS[application], seed=7))
+    assert main(["verify", seeded]) == code
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("application", [["agm"], {"name": "agm"}, 3, None])
+def test_verify_refuses_an_application_that_is_not_a_name(tmp_path, capsys, application):
+    doc = dict(AGM_ANCHOR, application=application)
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: application: unknown {application!r}; expected one of")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_refuses_a_negative_tolerance_scale(tmp_path, capsys):
+    path = write(tmp_path, "agm.json", AGM_ANCHOR)
+    for flag in (["--tol=-1e-300"], ["--tol", "-1.5"]):
+        assert main(["verify", path, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol:")
+    assert main(["verify", path, "--tol", "0"]) == 0  # a strict check
+    report = json.loads(capsys.readouterr().out)
+    assert report["tolerance"] == 0.0 and report["pass"] is True
+
+
+# the far regime of the power mean, where hi ** (p + 1) overflows but every member is finite
+SWAP_WEIGHTS = {"B": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+def test_powp_chain_past_the_power_overflow(tmp_path, capsys):
+    doc = {"function": {"name": "powp", "params": {"p": 2}}, "points": [1e102, 1e103],
+           "weights": SWAP_WEIGHTS}
+    assert main(["verify", write(tmp_path, "powp.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["integral"] == 3.6999999999999994e205
+    (check,) = report["identity_checks"]
+    assert check["ok"] is True and check["rel_err"] < 1e-15
+
+
+def test_powersum_chain_past_the_power_overflow(tmp_path, capsys):
+    doc = {"application": "powersum", "p": 2, "points": [1e102, 1e103], "weights": SWAP_WEIGHTS}
+    assert main(["verify", write(tmp_path, "powersum.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["middle"] == 3.3666666666666667e205
+    (check,) = report["identity_checks"]
+    assert check["ok"] is True and check["rel_err"] < 1e-15

@@ -222,8 +222,8 @@ BASES = [
         },
     },
     POWERSUM,
-    dict(POWERSUM, application="agm"),
-    dict(POWERSUM, application="kyfan", points=[0.1, 0.3]),
+    {"application": "agm", "points": POWERSUM["points"], "weights": POWERSUM["weights"]},
+    {"application": "kyfan", "points": [0.1, 0.3], "weights": POWERSUM["weights"]},
     {"application": "matrixpower", "p": 3, "weights": POWERSUM["weights"]},
     {"application": "lp", "p": 2.0, "points": [[1.0, 2.0], [0.5, 3.0]],
      "space": {"masses": [0.5, 1.5]}, "weights": POWERSUM["weights"]},
@@ -314,6 +314,30 @@ def exp_near_overflow(draw):
     return json.dumps(doc).encode()
 
 
+@st.composite
+def pow_near_overflow(draw):
+    """powp, powersum and lp instances with values near DBL_MAX ** (1/(p+1)), where x ** (p+1)
+    overflows; every chain member stays below about 1e3**p * DBL_MAX ** (p/(p+1))."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1.0, 2.0, 2.5, 3.0]) | st.floats(1.0, 4.0))
+    threshold = sys.float_info.max ** (1.0 / (p + 1.0))
+    near = st.floats(0.05, 1e3).map(lambda k: k * threshold) | st.sampled_from([0.0, threshold])
+    eye = np.eye(n)
+    pick = st.sampled_from([eye, np.roll(eye, 1, axis=0), np.full((n, n), 1.0 / n)])
+    weights = {"B": draw(pick).tolist(), "C": draw(pick).tolist()}
+    kind = draw(st.sampled_from(["powp", "powersum", "lp"]))
+    if kind == "lp":
+        points = draw(st.lists(st.lists(near, min_size=2, max_size=2), min_size=n, max_size=n))
+        doc = {"application": "lp", "p": p, "points": points, "weights": weights}
+    else:
+        points = draw(st.lists(near, min_size=n, max_size=n))
+        doc = {"application": "powersum", "p": p, "points": points, "weights": weights}
+        if kind == "powp":
+            doc = {"function": {"name": "powp", "params": {"p": p}}, "points": points,
+                   "weights": weights}
+    return json.dumps(doc).encode()
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=documents() | raw_bytes(), command=st.sampled_from(["verify", "verify", "tighten"]))
 def test_cli_contract_holds_on_hostile_input(data, command):
@@ -338,3 +362,13 @@ def test_cli_contract_holds_near_exp_overflow(data, command):
         strict_json(out)
     else:
         assert out == "" and err.startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=pow_near_overflow())
+def test_cli_verifies_powers_near_overflow(data):
+    """Every chain member is finite, so the instance is verified (exit 0 or 1), never refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_raw(Path(tmp), data, "verify")
+    assert code in (0, 1), err
+    strict_json(out)
