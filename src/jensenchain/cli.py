@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .measures import (
     random_doubly_stochastic,
     random_weight,
 )
+from .numerics import QUAD_BATCH_VALUES
 from .refine import HadamardWeights, JensenInstance
 
 DEFAULT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -65,7 +67,7 @@ def _render(obj, out, indent):
         out.append("{\n")
         items = list(obj.items())
         for k, (key, val) in enumerate(items):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
+            out.append(f"{pad}  {encode_basestring_ascii(str(key))}: ")
             _render(val, out, indent + 1)
             out.append(",\n" if k + 1 < len(items) else "\n")
         out.append(pad + "}")
@@ -93,7 +95,7 @@ def _render(obj, out, indent):
     elif obj is None:
         out.append("null")
     else:
-        out.append(json.dumps(str(obj)))
+        out.append(encode_basestring_ascii(str(obj)))
 
 
 def render_json(obj) -> str:
@@ -111,8 +113,97 @@ def _refuse_constant(name):
     raise ValidationError(f"non-finite number {name} (values must be finite)")
 
 
-# json.loads with the default scanner, except that NaN, Infinity and -Infinity are refused
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+class _GridDecoder(json.JSONDecoder):
+    """json.loads, except that NaN, Infinity and -Infinity are refused and that
+    every array of equal-length rows of numbers becomes one 2-D float64 array.
+
+    Objects and strings go through the Python scanner, so that every array
+    reaches _parse_array.  An array whose text is shorter than QUAD_BATCH_VALUES
+    characters holds less than one block of values, so the C scanner reads it
+    whole and a grid is converted at once.  A longer grid is read one row at a
+    time by the C scanner, and its rows are converted in blocks of
+    QUAD_BATCH_VALUES values, so it never exists as Python floats.  Any other
+    long array, and any error inside one, is read again by the C scanner from
+    its opening bracket: that gives the same list, or raises the same error,
+    as json.loads.
+    """
+
+    def __init__(self):
+        super().__init__(parse_constant=_refuse_constant)
+        self._c_scan = json.scanner.c_make_scanner(self)
+        self.parse_array = self._parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+    def raw_decode(self, s, idx=0):
+        try:
+            return super().raw_decode(s, idx)
+        except RecursionError:
+            # the Python scanner spends more stack per nested object than the C scanner
+            try:
+                return self._c_scan(s, idx)
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", s, err.value) from None
+
+    def _parse_array(self, s_and_end, scan_once):
+        s, end = s_and_end
+        start = end - 1  # the opening bracket
+        head = s[start : start + QUAD_BATCH_VALUES]
+        try:
+            value, stop = self._c_scan(head, 0)
+        except (json.JSONDecodeError, StopIteration):
+            pass  # longer than the head, or malformed: read below
+        else:
+            grid = _number_block(value, head[:stop]) if value and type(value[0]) is list else None
+            return (value if grid is None else grid), start + stop
+        try:
+            grid = self._scan_grid(s, end)
+        except (json.JSONDecodeError, StopIteration):
+            grid = None
+        return grid if grid is not None else self._c_scan(s, start)
+
+    def _scan_grid(self, s, end):
+        """(2-D float64 array, end) of the array whose body starts at s[end]; None if not a grid."""
+        ws = json.decoder.WHITESPACE.match
+        end = ws(s, end).end()
+        blocks, rows, start, width = [], [], end, None
+        while s.startswith("[", end):
+            row, end = self._c_scan(s, end)
+            width = len(row) if width is None else width
+            if len(row) != width:
+                return None
+            rows.append(row)
+            end = ws(s, end).end()
+            closed = s.startswith("]", end)
+            if closed or len(rows) * len(row) >= QUAD_BATCH_VALUES:
+                block = _number_block(rows, s[start:end])
+                if block is None:
+                    return None
+                blocks.append(block)
+                rows, start = [], end
+            if closed:
+                return np.concatenate(blocks), end + 1
+            if not s.startswith(",", end):
+                return None
+            end = ws(s, end + 1).end()
+        return None
+
+
+def _number_block(rows, text):
+    """rows, read from text, as a 2-D float64 array; None unless they are non-empty rows of numbers.
+
+    np.array would also take true, false, null and numeric strings, so text
+    is searched for their letters: no JSON number holds a quote, t, f or n.
+    """
+    if not rows[0] or '"' in text or "t" in text or "f" in text or "n" in text:
+        return None
+    try:
+        block = np.array(rows, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged, a nested object, or beyond a double
+        return None
+    return block if block.ndim == 2 else None  # rows of equal-length rows are 3-D
+
+
+_DECODER = _GridDecoder()
 
 
 def _load_document(path: str) -> dict:
@@ -200,9 +291,10 @@ def _parse_weight_entry(entry, mu, lam) -> WeightFunction:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ValidationError("weight entry: expected an object with a 'kind' field")
     kind = entry["kind"]
-    if kind == "ones":
+    name = kind if isinstance(kind, str) else None  # a decoded grid compares elementwise
+    if name == "ones":
         return WeightFunction.ones(mu, lam)
-    if kind == "rank_one":
+    if name == "rank_one":
         if "u" not in entry or "v" not in entry:
             raise ValidationError("rank_one weight needs 'u' and 'v' arrays")
         from .measures import rank_one_weight
@@ -210,7 +302,7 @@ def _parse_weight_entry(entry, mu, lam) -> WeightFunction:
         return rank_one_weight(
             _as_float_array(entry["u"], "u"), _as_float_array(entry["v"], "v"), mu, lam
         )
-    if kind == "matrix":
+    if name == "matrix":
         if "values" not in entry:
             raise ValidationError("matrix weight needs a 'values' grid")
         return WeightFunction(_as_float_array(entry["values"], "values"), mu, lam)
@@ -411,6 +503,13 @@ def _verify_matrixpower(doc, scale):
     return _verify_scalar_app("matrixpower", chain, scale)
 
 
+def _check_fields(doc, application):
+    """ValidationError naming the first field of doc outside the application's row."""
+    for name in doc:
+        if name not in _FIELDS[application]:
+            raise ValidationError(f"{name}: not a valid field for application {application!r}")
+
+
 def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
     """Dispatch a parsed instance document; returns (report dict, all-pass bool).
 
@@ -419,14 +518,11 @@ def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
     """
     application = doc.get("application", "jensen")
     # a list or an object is unhashable, so test the type before the lookup
-    fields = _FIELDS.get(application) if isinstance(application, str) else None
-    if fields is None:
+    if not (isinstance(application, str) and application in _FIELDS):
         raise ValidationError(
             f"application: unknown {application!r}; expected one of {', '.join(_FIELDS)}"
         )
-    for name in doc:
-        if name not in fields:
-            raise ValidationError(f"{name}: not a valid field for application {application!r}")
+    _check_fields(doc, application)
     if application == "jensen":
         return _verify_jensen(doc, scale, grid_flag)
     if application == "matrixpower":
@@ -486,8 +582,9 @@ def cmd_generate(kind: str, n: int, m=None, seed: int = 0, out=None) -> int:
 def cmd_tighten(path: str, tol_t: float = 1e-8) -> int:
     doc = _load_document(path)
     application = doc.get("application", "jensen")
-    if application != "jensen":
+    if not (isinstance(application, str) and application == "jensen"):
         raise ValidationError("tighten needs a jensen-style instance (function + points)")
+    _check_fields(doc, "jensen")
     f = _parse_function(doc)
     pts = _parse_points(doc, 1)
     lam, mu, w1, w2 = _parse_weights(doc, pts.size)

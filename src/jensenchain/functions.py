@@ -85,7 +85,8 @@ class ConvexFunctionSpec:
         return flat.reshape(x.shape)
 
     def with_direction(self, direction: str) -> "ConvexFunctionSpec":
-        if direction not in (CONVEX, CONCAVE):
+        # a list or an array is not a direction; an array would compare elementwise
+        if not (isinstance(direction, str) and direction in (CONVEX, CONCAVE)):
             raise ValidationError(f"unknown direction {direction!r}")
         return replace(self, direction=direction)
 
@@ -161,8 +162,11 @@ def _powp(params):
         raise ValidationError(f"function 'powp' takes only parameter 'p', got {sorted(extra)}")
     if "p" not in params:
         raise ValidationError("function 'powp' requires parameter 'p'")
+    p = params["p"]
     try:
-        p = float(params["p"])
+        if isinstance(p, np.ndarray) and p.ndim:  # older numpy's float() takes a 1 x 1 array
+            raise TypeError(f"got a {p.ndim}-D array")
+        p = float(p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"function 'powp': parameter 'p' is not a number ({exc})") from exc
     if not p >= 1.0:

@@ -532,3 +532,40 @@ def test_powersum_chain_past_the_power_overflow(tmp_path, capsys):
     assert report["middle"] == 3.3666666666666667e205
     (check,) = report["identity_checks"]
     assert check["ok"] is True and check["rel_err"] < 1e-15
+
+
+@pytest.mark.parametrize("field", sorted(KNOWN_FIELDS - FIELD_ROWS["jensen"]))
+def test_tighten_refuses_a_field_outside_the_jensen_row(tmp_path, capsys, field):
+    doc = dict(SQUARE_JENSEN, **{field: FIELD_VALUES[field]})
+    assert main(["tighten", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field}: not a valid field for application 'jensen'\n"
+
+
+# a grid decodes to a float64 array, which compares elementwise: it must still be refused
+GRID = [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize(
+    "command, doc, fragment",
+    [
+        ("verify", dict(SQUARE_JENSEN, function={"name": "square", "direction": GRID}),
+         "unknown direction array("),
+        ("verify", dict(SQUARE_JENSEN, function={"name": "powp", "params": {"p": [[2.0]]}}),
+         "parameter 'p' is not a number"),
+        ("verify", dict(SQUARE_JENSEN, weights={"omega1": {"kind": "ones"},
+                                                "omega2": {"kind": GRID}}),
+         "unknown weight kind array("),
+        ("verify", dict(AGM_ANCHOR, application="powersum", p=[[1]]),
+         "p: expected a number, got array([[1.]])"),
+        ("verify", dict(AGM_ANCHOR, application=GRID), "application: unknown array("),
+        ("tighten", dict(SQUARE_JENSEN, application=GRID), "tighten needs a jensen-style"),
+    ],
+    ids=["direction", "powp-p", "kind", "p", "verify-application", "tighten-application"],
+)
+def test_a_grid_where_a_scalar_belongs_is_refused(tmp_path, capsys, command, doc, fragment):
+    assert main([command, write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fragment in captured.err
