@@ -26,6 +26,7 @@ from .measures import (
     embed_doubly_stochastic,
     random_doubly_stochastic,
     random_weight,
+    rank_one_weight,
 )
 from .numerics import QUAD_BATCH_VALUES
 from .refine import HadamardWeights, JensenInstance
@@ -33,16 +34,22 @@ from .refine import HadamardWeights, JensenInstance
 DEFAULT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 JENSEN_IDENTITY_TOL = 1e-8  # closed-form t-average against its quadrature
 
-# application -> the fields its instance document may hold; seed is accepted and ignored
-_COMMON = ("application", "seed", "weights", "lambda", "mu")
+# application -> (fields its document must hold, fields it may hold); seed is accepted and ignored
+_OPTIONAL = ("application", "seed", "lambda", "mu")
 _FIELDS = {
-    "jensen": {*_COMMON, "function", "points", "t_grid", "hadamard"},
-    "agm": {*_COMMON, "points"},
-    "kyfan": {*_COMMON, "points"},
-    "lp": {*_COMMON, "points", "space", "p"},
-    "powersum": {*_COMMON, "points", "p"},
-    "matrixpower": {*_COMMON, "p"},
-    "harmonic": {*_COMMON, "points", "space"},
+    "jensen": (("function", "points", "weights"), (*_OPTIONAL, "t_grid", "hadamard")),
+    "agm": (("points", "weights"), _OPTIONAL),
+    "kyfan": (("points", "weights"), _OPTIONAL),
+    "lp": (("points", "weights", "p"), (*_OPTIONAL, "space")),
+    "powersum": (("points", "weights", "p"), _OPTIONAL),
+    "matrixpower": (("weights", "p"), _OPTIONAL),
+    "harmonic": (("points", "weights"), (*_OPTIONAL, "space")),
+}
+# weight kind -> (the array fields its entry holds beside kind, builder taking them, mu and lam)
+_WEIGHT_KINDS = {
+    "ones": ((), WeightFunction.ones),
+    "rank_one": (("u", "v"), rank_one_weight),
+    "matrix": (("values",), WeightFunction),
 }
 
 
@@ -222,22 +229,27 @@ def _load_document(path: str) -> dict:
         ) from exc
     except RecursionError as exc:
         raise ValidationError(f"{path}: JSON nested too deeply") from exc
-    except ValidationError as exc:
+    except ValueError as exc:  # a refused constant, or an integer past the int digit limit
         raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: instance file must be a JSON object")
-    unknown = set(doc).difference(*_FIELDS.values())
+    unknown = set(doc).difference(*(fields for row in _FIELDS.values() for fields in row))
     if unknown:
         raise ValidationError(f"{path}: unknown field(s) {sorted(unknown)}")
     return doc
 
 
-def _field(doc, name, required=False):
-    if name not in doc:
-        if required:
-            raise ValidationError(f"missing required field {name!r}")
-        return None
-    return doc[name]
+def _object(raw, label, required, optional=()):
+    """raw, if it is a JSON object holding every required field and no field outside both lists."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{label}: expected an object, got {type(raw).__name__}")
+    for name in required:
+        if name not in raw:
+            raise ValidationError(f"{label}: missing required field {name!r}")
+    unknown = set(raw).difference(required, optional)
+    if unknown:
+        raise ValidationError(f"{label}: unknown field(s) {sorted(unknown)}")
+    return raw
 
 
 def _as_float_array(raw, field):
@@ -245,6 +257,11 @@ def _as_float_array(raw, field):
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{field}: not a numeric array ({exc})") from exc
+    if not isinstance(raw, np.ndarray):
+        # np.asarray also takes true, false, numeric strings and null (as nan)
+        for value in np.asarray(raw, dtype=object).flat:
+            if type(value) not in (int, float):
+                raise ValidationError(f"{field}: {json.dumps(value)} is not a number")
     finite = np.isfinite(arr)
     if not finite.all():
         # JSON has no inf or nan, but a literal such as 1e400 overflows to inf
@@ -265,17 +282,13 @@ def _in_field(label, build, *args):
 
 
 def _prob(doc, name) -> ProbabilityVector:
-    raw = _field(doc, name, required=True)
-    return _in_field(name, ProbabilityVector, _as_float_array(raw, name))
+    if name not in doc:  # optional in _FIELDS, but the omega1/omega2 form needs it
+        raise ValidationError(f"missing required field {name!r}")
+    return _in_field(name, ProbabilityVector, _as_float_array(doc[name], name))
 
 
 def _parse_function(doc):
-    spec = _field(doc, "function", required=True)
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ValidationError("function: expected an object with a 'name' field")
-    extra = set(spec) - {"name", "params", "direction"}
-    if extra:
-        raise ValidationError(f"function: unknown field(s) {sorted(extra)}")
+    spec = _object(doc["function"], "function", ("name",), ("params", "direction"))
     name, params = spec["name"], spec.get("params")
     if not isinstance(name, str):
         raise ValidationError(f"function: name must be a string, got {name!r}")
@@ -287,26 +300,15 @@ def _parse_function(doc):
     return f
 
 
-def _parse_weight_entry(entry, mu, lam) -> WeightFunction:
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ValidationError("weight entry: expected an object with a 'kind' field")
-    kind = entry["kind"]
+def _parse_weight_entry(entry, label, mu, lam) -> WeightFunction:
+    kind = _object(entry, label, ("kind",), entry)["kind"]  # any field, until the kind is known
     name = kind if isinstance(kind, str) else None  # a decoded grid compares elementwise
-    if name == "ones":
-        return WeightFunction.ones(mu, lam)
-    if name == "rank_one":
-        if "u" not in entry or "v" not in entry:
-            raise ValidationError("rank_one weight needs 'u' and 'v' arrays")
-        from .measures import rank_one_weight
-
-        return rank_one_weight(
-            _as_float_array(entry["u"], "u"), _as_float_array(entry["v"], "v"), mu, lam
-        )
-    if name == "matrix":
-        if "values" not in entry:
-            raise ValidationError("matrix weight needs a 'values' grid")
-        return WeightFunction(_as_float_array(entry["values"], "values"), mu, lam)
-    raise ValidationError(f"unknown weight kind {kind!r}; expected ones, rank_one or matrix")
+    if name not in _WEIGHT_KINDS:
+        kinds = ", ".join(_WEIGHT_KINDS)
+        raise ValidationError(f"unknown weight kind {kind!r}; expected one of {kinds}")
+    fields, build = _WEIGHT_KINDS[name]
+    _object(entry, label, ("kind", *fields))
+    return build(*[_as_float_array(entry[key], key) for key in fields], mu, lam)
 
 
 def _is_uniform(pv: ProbabilityVector) -> bool:
@@ -314,13 +316,9 @@ def _is_uniform(pv: ProbabilityVector) -> bool:
     return bool(np.allclose(pv.weights, 1.0 / n, rtol=0.0, atol=1e-12))
 
 
-def _parse_matrices(doc, weights, n_points):
+def _parse_matrices(doc, n_points):
     """(B, C) of the B/C weights form, which fixes lambda and mu to uniform."""
-    extra = set(weights) - {"B", "C"}
-    if extra:
-        raise ValidationError(f"weights: unexpected field(s) {sorted(extra)} beside B/C")
-    if "B" not in weights or "C" not in weights:
-        raise ValidationError("weights: B and C must both be present")
+    weights = _object(doc["weights"], "weights", ("B", "C"))
 
     def _matrix(key):
         label = f"weights.{key}"
@@ -343,48 +341,37 @@ def _parse_matrices(doc, weights, n_points):
 
 def _parse_weights(doc, n_points):
     """Returns (lam, mu, w1, w2)."""
-    weights = _field(doc, "weights", required=True)
-    if not isinstance(weights, dict):
-        raise ValidationError("weights: expected an object")
-    if "B" in weights or "C" in weights:
-        b, c = _parse_matrices(doc, weights, n_points)
+    weights = doc["weights"]
+    if isinstance(weights, dict) and ("B" in weights or "C" in weights):
+        b, c = _parse_matrices(doc, n_points)
         uni = ProbabilityVector.uniform(b.n)
         return uni, uni, embed_doubly_stochastic(b), embed_doubly_stochastic(c)
-    extra = set(weights) - {"omega1", "omega2"}
-    if extra:
-        raise ValidationError(f"weights: unknown field(s) {sorted(extra)}")
-    if "omega1" not in weights or "omega2" not in weights:
-        raise ValidationError("weights: omega1 and omega2 must both be present")
+    _object(weights, "weights", ("omega1", "omega2"))
     lam = _prob(doc, "lambda")
     mu = _prob(doc, "mu")
-    w1 = _in_field("weights.omega1", _parse_weight_entry, weights["omega1"], mu, lam)
-    w2 = _in_field("weights.omega2", _parse_weight_entry, weights["omega2"], mu, lam)
+    w1, w2 = [
+        _in_field(f"weights.{key}", _parse_weight_entry, weights[key], f"weights.{key}", mu, lam)
+        for key in ("omega1", "omega2")
+    ]
     return lam, mu, w1, w2
 
 
 def _parse_points(doc, ndim):
-    raw = _field(doc, "points", required=True)
-    pts = _as_float_array(raw, "points")
+    pts = _as_float_array(doc["points"], "points")
     if pts.ndim != ndim:
         raise ValidationError(f"points: expected a {ndim}-D array, got {pts.ndim}-D")
     return pts
 
 
 def _parse_space(doc, width):
-    raw = _field(doc, "space")
-    if raw is None:
+    if "space" not in doc:
         return apps.FiniteMeasureSpace.counting(width)
-    if not isinstance(raw, dict) or "masses" not in raw:
-        raise ValidationError("space: expected an object with a 'masses' array")
-    extra = set(raw) - {"masses"}
-    if extra:
-        raise ValidationError(f"space: unknown field(s) {sorted(extra)}")
-    masses = _as_float_array(raw["masses"], "space.masses")
+    masses = _as_float_array(_object(doc["space"], "space", ("masses",))["masses"], "space.masses")
     return _in_field("space.masses", apps.FiniteMeasureSpace, masses)
 
 
 def _parse_p(doc):
-    p = _field(doc, "p", required=True)
+    p = doc["p"]
     # bool is a subclass of int, so true would otherwise pass as 1
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise ValidationError(f"p: expected a number, got {p!r}")
@@ -398,14 +385,9 @@ def _parse_p(doc):
 
 
 def _parse_hadamard(doc):
-    raw = _field(doc, "hadamard")
-    if raw is None:
+    if "hadamard" not in doc:
         return None
-    if not isinstance(raw, dict) or "p" not in raw or "t" not in raw:
-        raise ValidationError("hadamard: expected an object with 'p' and 't' arrays")
-    extra = set(raw) - {"p", "t"}
-    if extra:
-        raise ValidationError(f"hadamard: unknown field(s) {sorted(extra)}")
+    raw = _object(doc["hadamard"], "hadamard", ("p", "t"))
     p, t = _as_float_array(raw["p"], "hadamard.p"), _as_float_array(raw["t"], "hadamard.t")
     return _in_field("hadamard", HadamardWeights, p, t)
 
@@ -428,11 +410,15 @@ def _member_witness(member, value, chain):
     return {"member": member, "value": value, "lower": chain.lower, "upper": chain.upper}
 
 
-def _verify_jensen(doc, scale, grid_flag):
+def _jensen_instance(doc) -> JensenInstance:
     f = _parse_function(doc)
     pts = _parse_points(doc, 1)
     lam, mu, w1, w2 = _parse_weights(doc, pts.size)
-    inst = JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
+    return JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
+
+
+def _verify_jensen(doc, scale, grid_flag):
+    inst = _jensen_instance(doc)
     if grid_flag is not None:
         grid = _as_float_array(grid_flag, "--grid")
     else:
@@ -495,19 +481,21 @@ def _verify_scalar_app(application, chain, scale):
 
 
 def _verify_matrixpower(doc, scale):
-    weights = _field(doc, "weights", required=True)
-    if not isinstance(weights, dict) or "B" not in weights or "C" not in weights:
-        raise ValidationError("matrixpower needs weights given as B and C matrices")
-    b, c = _parse_matrices(doc, weights, None)
+    b, c = _parse_matrices(doc, None)
     chain = apps.matrix_power_chain(b, c, _parse_p(doc))
     return _verify_scalar_app("matrixpower", chain, scale)
 
 
 def _check_fields(doc, application):
-    """ValidationError naming the first field of doc outside the application's row."""
+    """ValidationError naming the first field of doc outside the application's row, else the
+    first required field doc lacks."""
+    required, optional = _FIELDS[application]
     for name in doc:
-        if name not in _FIELDS[application]:
+        if name not in required and name not in optional:
             raise ValidationError(f"{name}: not a valid field for application {application!r}")
+    for name in required:
+        if name not in doc:
+            raise ValidationError(f"missing required field {name!r}")
 
 
 def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
@@ -585,10 +573,7 @@ def cmd_tighten(path: str, tol_t: float = 1e-8) -> int:
     if not (isinstance(application, str) and application == "jensen"):
         raise ValidationError("tighten needs a jensen-style instance (function + points)")
     _check_fields(doc, "jensen")
-    f = _parse_function(doc)
-    pts = _parse_points(doc, 1)
-    lam, mu, w1, w2 = _parse_weights(doc, pts.size)
-    inst = JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
+    inst = _jensen_instance(doc)
     t_star, value = refine.tighten(inst, tol_t)
     report = {
         "t_star": t_star,

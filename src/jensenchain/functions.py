@@ -7,6 +7,7 @@ log1p/expm1 so they remain accurate for nearly equal endpoints.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -163,11 +164,12 @@ def _powp(params):
     if "p" not in params:
         raise ValidationError("function 'powp' requires parameter 'p'")
     p = params["p"]
+    # bool is a numbers.Real; a string or an array is not
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValidationError(f"function 'powp': parameter 'p' is not a number, got {p!r}")
     try:
-        if isinstance(p, np.ndarray) and p.ndim:  # older numpy's float() takes a 1 x 1 array
-            raise TypeError(f"got a {p.ndim}-D array")
         p = float(p)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValidationError(f"function 'powp': parameter 'p' is not a number ({exc})") from exc
     if not p >= 1.0:
         raise ValidationError(f"function 'powp' requires p >= 1, got {p}")

@@ -569,3 +569,147 @@ def test_a_grid_where_a_scalar_belongs_is_refused(tmp_path, capsys, command, doc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+# ---------------------------------------------------------------------------
+# required and allowed fields of every object in an instance document
+
+JENSEN_EVERY_OBJECT = {
+    "function": {"name": "powp", "params": {"p": 2.0}, "direction": "convex"},
+    "lambda": [0.2, 0.3, 0.5],
+    "mu": [0.5, 0.5],
+    "points": [0.5, 2.0, 1.0],
+    "hadamard": {"p": [1.0, 2.0], "t": [0.2, 0.9]},
+    "weights": {
+        "omega1": {"kind": "rank_one", "u": [1.0, -1.0], "v": [0.1, 0.0, -0.1]},
+        "omega2": {"kind": "matrix", "values": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]},
+    },
+}
+
+OBJECT_BASES = {
+    "jensen": JENSEN_EVERY_OBJECT,
+    "ones": SQUARE_JENSEN,
+    "agm": AGM_ANCHOR,
+    "lp": VERDICT_DOCS["lp"],
+}
+# (base document, path to the object, its required fields, the name its errors give it)
+OBJECTS = [
+    ("jensen", ("function",), ("name",), "function"),
+    ("jensen", ("function", "params"), ("p",), "function"),
+    ("jensen", ("hadamard",), ("p", "t"), "hadamard"),
+    ("jensen", ("weights",), ("omega1", "omega2"), "weights"),
+    ("jensen", ("weights", "omega1"), ("kind", "u", "v"), "weights.omega1"),
+    ("jensen", ("weights", "omega2"), ("kind", "values"), "weights.omega2"),
+    ("ones", ("weights", "omega1"), ("kind",), "weights.omega1"),
+    ("agm", ("weights",), ("B", "C"), "weights"),
+    ("lp", ("space",), ("masses",), "space"),
+]
+
+
+def _with_object(base, path, change):
+    """A deep copy of the base document whose object at path is change(that object)."""
+    doc = json.loads(json.dumps(OBJECT_BASES[base]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = change(parent[path[-1]])
+    return doc
+
+
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _object_mutations():
+    """(document, object name, fragment of the error) for each malformed object."""
+    for base, path, required, label in OBJECTS:
+        where = f"{base}-{'.'.join(path)}"
+        unknown = _with_object(base, path, lambda obj: dict(obj, bogus=1))
+        yield pytest.param(unknown, label, "bogus", id=f"{where}-unknown")
+        for key in required:
+            dropped = _with_object(base, path, _without(key))
+            yield pytest.param(dropped, label, repr(key), id=f"{where}-without-{key}")
+        listed = _with_object(base, path, lambda obj: [obj])
+        yield pytest.param(listed, label, "object", id=f"{where}-list")
+
+
+@pytest.mark.parametrize("base", sorted(OBJECT_BASES))
+def test_the_object_base_documents_are_valid(tmp_path, capsys, base):
+    assert main(["verify", write(tmp_path, "doc.json", OBJECT_BASES[base])]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("doc, label, fragment", _object_mutations())
+def test_a_malformed_object_exits_2_naming_it(tmp_path, capsys, doc, label, fragment):
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert label in captured.err and fragment in captured.err
+
+
+REQUIRED_FIELDS = {
+    "jensen": ("function", "points", "weights"),
+    "agm": ("points", "weights"),
+    "kyfan": ("points", "weights"),
+    "lp": ("points", "weights", "p"),
+    "powersum": ("points", "weights", "p"),
+    "matrixpower": ("weights", "p"),
+    "harmonic": ("points", "weights"),
+}
+
+
+@pytest.mark.parametrize(
+    "application, field", [(app, name) for app in REQUIRED_FIELDS for name in REQUIRED_FIELDS[app]]
+)
+def test_a_missing_required_field_exits_2_naming_it(tmp_path, capsys, application, field):
+    doc = {k: v for k, v in VERDICT_DOCS[application].items() if k != field}
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: missing required field {field!r}\n"
+
+
+def test_a_missing_field_is_reported_before_a_bad_one(tmp_path, capsys):
+    doc = dict(AGM_ANCHOR, application="powersum", points="not points")
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: missing required field 'p'\n"
+
+
+# ---------------------------------------------------------------------------
+# numbers are JSON numbers: no booleans, strings or nulls
+
+ONE_BY_TWO = dict(
+    SQUARE_JENSEN,
+    mu=[1.0],
+    weights={"omega1": {"kind": "ones"}, "omega2": {"kind": "matrix", "values": [[1, 1]]}},
+)
+BOOL_IN_GRID = dict(
+    ONE_BY_TWO,
+    weights={"omega1": {"kind": "ones"}, "omega2": {"kind": "matrix", "values": [[1, True]]}},
+)
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        (dict(AGM_ANCHOR, points=["1", True]), 'points: "1" is not a number'),
+        (dict(AGM_ANCHOR, points=[1.0, True]), "points: true is not a number"),
+        (dict(AGM_ANCHOR, points=[1.0, None]), "points: null is not a number"),
+        (BOOL_IN_GRID, "weights.omega2: values: true is not a number"),
+        (dict(SQUARE_JENSEN, function={"name": "powp", "params": {"p": True}}),
+         "parameter 'p' is not a number, got True"),
+        (dict(SQUARE_JENSEN, function={"name": "powp", "params": {"p": "2"}}),
+         "parameter 'p' is not a number, got '2'"),
+    ],
+    ids=["string-point", "bool-point", "null-point", "bool-grid-entry", "bool-p", "string-p"],
+)
+def test_a_value_that_is_not_a_json_number_is_refused(tmp_path, capsys, doc, fragment):
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+def test_the_one_by_two_grid_document_is_valid(tmp_path, capsys):
+    assert main(["verify", write(tmp_path, "doc.json", ONE_BY_TWO)]) == 0

@@ -144,6 +144,24 @@ def test_huge_integer_in_an_array_exits_2(tmp_path):
     assert_refused(run_doc(tmp_path, dict(SQUARE, points=[0.0, 10 ** 400])), "error: points: ")
 
 
+# more digits than json may turn into an int where the interpreter limits them (4300 by default)
+DIGITS = "9" * 5000
+NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param('"p": 2.5', f'"p": {DIGITS}', id="p"),
+        pytest.param("[[1.0, 0.0]", f"[[{DIGITS}, 0.0]", id="grid"),
+        pytest.param('"p": 2.5', f'"p": 2.5, "seed": {DIGITS}', id="seed", marks=NO_DIGIT_LIMIT),
+    ],
+)
+def test_integer_past_the_digit_limit_exits_2(tmp_path, old, new):
+    data = json.dumps(POWERSUM).replace(old, new)
+    assert_refused(run_raw(tmp_path, data.encode()), "error: ")
+
+
 # ---------------------------------------------------------------------------
 # non-finite input
 

@@ -484,3 +484,48 @@ def test_pow_integral_mean_past_the_power_overflow(a, b):
         both = pow_integral_mean(np.array([a, 1.0]), np.array([b, 3.0]), 2.0)
     assert abs(got - ref) <= 4 * math.ulp(ref)
     assert both[0] == got and both[1] == 13.0 / 3.0
+
+
+
+# ---------------------------------------------------------------------------
+# kernel accuracy against 50 digits: each bound is about twice the worst error seen on
+# these pairs (1.9, 3.8 and 19.5 ulp; 4.9e-16 absolute, since ln I can be near 0)
+
+
+def _gap_pairs():
+    """300 pairs (a, a + gap), a in [0.1, 10], for each of 11 gaps from 1e-12 to 3, as mpf too."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    gaps = np.logspace(-12.0, math.log10(3.0), 11)
+    a = np.random.default_rng(0).uniform(0.1, 10.0, (gaps.size, 300))
+    a, b = a.ravel(), (a + gaps[:, None]).ravel()
+    return a, b, [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def _errors(got, ref):
+    import mpmath
+
+    return [float(abs(mpmath.mpf(g) - r)) for g, r in zip(got.tolist(), ref)]
+
+
+@pytest.mark.parametrize("p, bound", [(None, 4.0), (3.6875, 8.0), (20.0, 40.0)])
+def test_log_and_power_mean_ulp_error_against_mpmath(p, bound):
+    import mpmath
+
+    a, b, pairs = _gap_pairs()
+    if p is None:
+        got = log_mean(a, b)
+        ref = [(y - x) / (mpmath.log(y) - mpmath.log(x)) for x, y in pairs]
+    else:
+        got = pow_integral_mean(a, b, p)
+        ref = [(y ** (p + 1) - x ** (p + 1)) / ((p + 1) * (y - x)) for x, y in pairs]
+    assert max(e / math.ulp(float(r)) for e, r in zip(_errors(got, ref), ref)) <= bound
+
+
+def test_ln_identric_absolute_error_against_mpmath():
+    import mpmath
+
+    a, b, pairs = _gap_pairs()
+    ref = [(y * mpmath.log(y) - x * mpmath.log(x)) / (y - x) - 1 for x, y in pairs]
+    assert max(_errors(ln_identric(a, b), ref)) <= 1e-15
