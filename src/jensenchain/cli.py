@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import apps, refine
+from . import apps, gridtext, refine
 from .errors import NumericError, ValidationError
 from .functions import get_function
 from .measures import (
@@ -51,6 +51,12 @@ _WEIGHT_KINDS = {
     "rank_one": (("u", "v"), rank_one_weight),
     "matrix": (("values",), WeightFunction),
 }
+# array field, as messages name it -> its dimension; points is 2-D for _GRID_POINTS
+_NDIM = {
+    "points": 1, "t_grid": 1, "--grid": 1, "lambda": 1, "mu": 1, "u": 1, "v": 1, "values": 2,
+    "weights.B": 2, "weights.C": 2, "space.masses": 1, "hadamard.p": 1, "hadamard.t": 1,
+}
+_GRID_POINTS = ("lp", "harmonic")  # applications taking an n x |X| grid of sampled values
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +128,19 @@ def _refuse_constant(name):
 
 class _GridDecoder(json.JSONDecoder):
     """json.loads, except that NaN, Infinity and -Infinity are refused and that
-    every array of equal-length rows of numbers becomes one 2-D float64 array.
+    every array of equal-length rows of numbers becomes one 2-D float64 array,
+    bit for bit equal to np.array(json.loads(text), dtype=float).
 
     Objects and strings go through the Python scanner, so that every array
     reaches _parse_array.  An array whose text is shorter than QUAD_BATCH_VALUES
     characters holds less than one block of values, so the C scanner reads it
-    whole and a grid is converted at once.  A longer grid is read one row at a
-    time by the C scanner, and its rows are converted in blocks of
-    QUAD_BATCH_VALUES values, so it never exists as Python floats.  Any other
-    long array, and any error inside one, is read again by the C scanner from
-    its opening bracket: that gives the same list, or raises the same error,
-    as json.loads.
+    whole and a grid is converted at once.  A longer grid is cut into blocks of
+    rows holding QUAD_BATCH_VALUES values (by the width of its first row; a
+    wider row into pieces), and gridtext.decode_rows turns the text of each
+    block into float64 directly, so the grid never exists as Python floats.
+    Any other long array, and any block decode_rows declines, is read again
+    by the C scanner from the array's opening bracket: that gives the same
+    list, or raises the same error, as json.loads.
     """
 
     def __init__(self):
@@ -162,37 +170,60 @@ class _GridDecoder(json.JSONDecoder):
         else:
             grid = _number_block(value, head[:stop]) if value and type(value[0]) is list else None
             return (value if grid is None else grid), start + stop
-        try:
-            grid = self._scan_grid(s, end)
-        except (json.JSONDecodeError, StopIteration):
-            grid = None
+        grid = _read_grid(s, end)
         return grid if grid is not None else self._c_scan(s, start)
 
-    def _scan_grid(self, s, end):
-        """(2-D float64 array, end) of the array whose body starts at s[end]; None if not a grid."""
-        ws = json.decoder.WHITESPACE.match
-        end = ws(s, end).end()
-        blocks, rows, start, width = [], [], end, None
-        while s.startswith("[", end):
-            row, end = self._c_scan(s, end)
-            width = len(row) if width is None else width
-            if len(row) != width:
-                return None
-            rows.append(row)
-            end = ws(s, end).end()
-            closed = s.startswith("]", end)
-            if closed or len(rows) * len(row) >= QUAD_BATCH_VALUES:
-                block = _number_block(rows, s[start:end])
-                if block is None:
-                    return None
-                blocks.append(block)
-                rows, start = [], end
-            if closed:
-                return np.concatenate(blocks), end + 1
-            if not s.startswith(",", end):
-                return None
-            end = ws(s, end + 1).end()
+
+def _read_grid(s, end):
+    """(2-D float64 array, end) of the array whose body starts at s[end]; None if it is not a
+    grid of numbers."""
+    ws = json.decoder.WHITESPACE.match
+    pos = ws(s, end).end()
+    first_close = s.find("]", pos)
+    if not s.startswith("[", pos) or first_close < 0:
         return None
+    width = s.count(",", pos, first_close) + 1
+    rows_per_block = -(-QUAD_BATCH_VALUES // width)
+    # a row wider than a block is decoded in pieces of about a block of characters
+    piece = (first_close - pos) * QUAD_BATCH_VALUES // width if width > QUAD_BATCH_VALUES else 0
+    blocks = []
+    while True:
+        stop = pos
+        for _ in range(rows_per_block):
+            stop = s.find("]", stop) + 1
+            if not stop:
+                return None
+            after = ws(s, stop).end()
+            closed = s.startswith("]", after)
+            if closed:
+                break
+            if not s.startswith(",", after):
+                return None
+        block = _wide_row(s, pos, stop, piece) if piece else gridtext.decode_rows(s, pos, stop)
+        if block is None or (blocks and block.shape[1] != blocks[0].shape[1]):
+            return None
+        blocks.append(block)
+        if closed:
+            return np.concatenate(blocks), after + 1
+        pos = ws(s, after + 1).end()
+
+
+def _wide_row(s, start, stop, chars):
+    """The row s[start:stop] as a 1 x width float64 array, decoded a piece of at most about
+    chars characters at a time, each cut at a comma; None if it is not a row of numbers."""
+    if not s.startswith("[", start):
+        return None
+    pieces, first = [], start + 1
+    while True:
+        cut = s.rfind(",", first, first + chars) if first + chars < stop - 1 else -1
+        text = "[" + s[first : cut if cut >= 0 else stop - 1] + "]"
+        piece = gridtext.decode_rows(text, 0, len(text))
+        if piece is None:
+            return None
+        pieces.append(piece)
+        if cut < 0:
+            return np.concatenate(pieces, axis=1)
+        first = cut + 1
 
 
 def _number_block(rows, text):
@@ -252,7 +283,8 @@ def _object(raw, label, required, optional=()):
     return raw
 
 
-def _as_float_array(raw, field):
+def _as_float_array(raw, field, ndim=None):
+    """raw as a float64 array of the dimension _NDIM declares for field (or ndim)."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -262,6 +294,9 @@ def _as_float_array(raw, field):
         for value in np.asarray(raw, dtype=object).flat:
             if type(value) not in (int, float):
                 raise ValidationError(f"{field}: {json.dumps(value)} is not a number")
+    ndim = _NDIM[field] if ndim is None else ndim
+    if arr.ndim != ndim:
+        raise ValidationError(f"{field}: expected a {ndim}-D array, got {arr.ndim}-D")
     finite = np.isfinite(arr)
     if not finite.all():
         # JSON has no inf or nan, but a literal such as 1e400 overflows to inf
@@ -356,11 +391,8 @@ def _parse_weights(doc, n_points):
     return lam, mu, w1, w2
 
 
-def _parse_points(doc, ndim):
-    pts = _as_float_array(doc["points"], "points")
-    if pts.ndim != ndim:
-        raise ValidationError(f"points: expected a {ndim}-D array, got {pts.ndim}-D")
-    return pts
+def _parse_points(doc, application):
+    return _as_float_array(doc["points"], "points", 2 if application in _GRID_POINTS else 1)
 
 
 def _parse_space(doc, width):
@@ -412,7 +444,7 @@ def _member_witness(member, value, chain):
 
 def _jensen_instance(doc) -> JensenInstance:
     f = _parse_function(doc)
-    pts = _parse_points(doc, 1)
+    pts = _parse_points(doc, "jensen")
     lam, mu, w1, w2 = _parse_weights(doc, pts.size)
     return JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
 
@@ -516,7 +548,7 @@ def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
     if application == "matrixpower":
         return _verify_matrixpower(doc, scale)
     if application in ("agm", "kyfan", "powersum"):
-        pts = _parse_points(doc, 1)
+        pts = _parse_points(doc, application)
         lam, mu, w1, w2 = _parse_weights(doc, pts.size)
         if application == "agm":
             chain = apps.agm_chain(pts, lam, mu, w1, w2)
@@ -526,7 +558,7 @@ def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
             chain = apps.power_sum_chain(pts, _parse_p(doc), lam, mu, w1, w2)
         return _verify_scalar_app(application, chain, scale)
     # lp and harmonic take an n x |X| sample grid
-    pts = _parse_points(doc, 2)
+    pts = _parse_points(doc, application)
     fv = apps.FunctionVector(pts)
     space = _parse_space(doc, pts.shape[1])
     lam, mu, w1, w2 = _parse_weights(doc, pts.shape[0])
@@ -652,6 +684,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # e.g. an OverflowError from a math-module closed form: a failed computation, so exit 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a bug: exit 1 is kept for a verdict, so it is refused with exit 2 all the same
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

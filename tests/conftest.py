@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jensenchain import (
     JensenInstance,
@@ -21,6 +22,10 @@ from jensenchain import (
 )
 from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
+
+# a larger example budget, for CI runs of the decoder's differential tests
+# (--hypothesis-profile=ci); tests/test_decoder.py reads it
+settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain
 FUN_RANGES = {

@@ -713,3 +713,62 @@ def test_a_value_that_is_not_a_json_number_is_refused(tmp_path, capsys, doc, fra
 
 def test_the_one_by_two_grid_document_is_valid(tmp_path, capsys):
     assert main(["verify", write(tmp_path, "doc.json", ONE_BY_TWO)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# every array field has one declared dimension
+
+
+def _reshaped(doc, path, change):
+    """A deep copy of doc whose value at path is change(that value)."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = change(parent[path[-1]])
+    return doc
+
+
+# (document, path to an array field, the name its errors give it, its dimension)
+ARRAY_FIELDS = [
+    (dict(SQUARE_JENSEN, t_grid=[0.0, 0.5]), ("t_grid",), "t_grid", 1),
+    (JENSEN_EVERY_OBJECT, ("points",), "points", 1),
+    (JENSEN_EVERY_OBJECT, ("lambda",), "lambda", 1),
+    (JENSEN_EVERY_OBJECT, ("mu",), "mu", 1),
+    (JENSEN_EVERY_OBJECT, ("hadamard", "p"), "hadamard.p", 1),
+    (JENSEN_EVERY_OBJECT, ("hadamard", "t"), "hadamard.t", 1),
+    (JENSEN_EVERY_OBJECT, ("weights", "omega1", "u"), "weights.omega1: u", 1),
+    (JENSEN_EVERY_OBJECT, ("weights", "omega1", "v"), "weights.omega1: v", 1),
+    (JENSEN_EVERY_OBJECT, ("weights", "omega2", "values"), "weights.omega2: values", 2),
+    (AGM_ANCHOR, ("weights", "B"), "weights.B", 2),
+    (AGM_ANCHOR, ("weights", "C"), "weights.C", 2),
+    (VERDICT_DOCS["lp"], ("points",), "points", 2),
+    (VERDICT_DOCS["lp"], ("space", "masses"), "space.masses", 1),
+]
+
+
+@pytest.mark.parametrize("doc, path, label, ndim", ARRAY_FIELDS,
+                         ids=[".".join(row[1]) + f"-{row[3]}d" for row in ARRAY_FIELDS])
+@pytest.mark.parametrize("nesting", [1, -1], ids=["wrapped", "unwrapped"])
+def test_an_array_of_the_wrong_dimension_exits_2_naming_it(
+    tmp_path, capsys, doc, path, label, ndim, nesting
+):
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) in (0, 1)
+    capsys.readouterr()
+    bad = _reshaped(doc, path, (lambda a: [a]) if nesting == 1 else (lambda a: a[0]))
+    assert main(["verify", write(tmp_path, "bad.json", bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {label}: expected a {ndim}-D array, got {ndim + nesting}-D\n"
+
+
+def test_an_unexpected_exception_exits_2_as_an_internal_error(tmp_path, capsys, monkeypatch):
+    # exit 1 means a violated chain, so a bug must not reach it
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.apps, "agm_chain", broken)
+    assert main(["verify", write(tmp_path, "agm.json", AGM_ANCHOR)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: boom\n"

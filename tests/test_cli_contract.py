@@ -289,9 +289,19 @@ def _set(doc, path, value):
 def documents(draw):
     doc = json.loads(json.dumps(draw(st.sampled_from(BASES))))
     for _ in range(draw(st.integers(1, 3))):
-        action = draw(st.sampled_from(["replace", "replace", "add", "drop"]))
+        action = draw(st.sampled_from(["replace", "replace", "add", "drop", "nest"]))
         if action == "replace":
             _set(doc, draw(st.sampled_from(list(_paths(doc))[1:])), draw(json_values))
+        elif action == "nest":
+            # an array one level deeper or shallower than its field declares
+            path = draw(st.sampled_from(list(_paths(doc))[1:]))
+            node = doc
+            for key in path:
+                node = node[key]
+            if isinstance(node, list) and node and draw(st.booleans()):
+                _set(doc, path, node[0])
+            else:
+                _set(doc, path, [node])
         elif action == "add":
             doc[draw(st.sampled_from(FIELDS))] = draw(json_values)
         elif doc:
@@ -362,7 +372,7 @@ def test_cli_contract_holds_on_hostile_input(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = run_raw(Path(tmp), data, command)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "internal error" not in err
     if code in (0, 1):
         strict_json(out)
     else:
@@ -375,7 +385,7 @@ def test_cli_contract_holds_near_exp_overflow(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = run_raw(Path(tmp), data, command)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "internal error" not in err
     if code in (0, 1):
         strict_json(out)
     else:

@@ -2,14 +2,15 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jensenchain import cli
+from jensenchain import cli, gridtext
 
 # json.loads as the CLI used it before grids were decoded to arrays: the reference
 PLAIN = json.JSONDecoder(parse_constant=cli._refuse_constant)
@@ -155,8 +156,11 @@ def mutated(draw):
     return text
 
 
+# 400 examples, or the budget of the loaded profile if it is larger (see tests/conftest.py)
 DIFFERENTIAL = settings(
-    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=max(400, settings.default.max_examples),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -248,3 +252,176 @@ def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
     grid_peak, decoded = peak(lambda: cli._load_document(str(path)))
     assert grid_peak < plain_peak / 2, (grid_peak, plain_peak)
     assert_same(plain, decoded)
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel: gridtext.decode_rows on the text of a block of rows
+
+
+def reference(text):
+    """np.array(json.loads("[" + text + "]"), dtype=float) if that is a grid, else None."""
+    try:
+        value = PLAIN.decode("[" + text + "]")
+    except ValueError:  # malformed, a refused constant, or past the int digit limit
+        return None
+    return np.asarray(value, dtype=float) if is_grid(value) else None
+
+
+def kernel(text):
+    """decode_rows(text), checked bit for bit against the reference."""
+    decoded, expected = gridtext.decode_rows(text, 0, len(text)), reference(text)
+    if expected is None:
+        assert decoded is None, text
+    else:
+        assert decoded is not None and decoded.shape == expected.shape, text
+        assert decoded.tobytes() == expected.tobytes(), text
+    return decoded
+
+
+def one(token):
+    return kernel(f"[{token}]")[0, 0]
+
+
+def test_signed_zeros_follow_json_ints_and_floats():
+    # json reads "-0" as the int 0, so it is +0.0; "-0.0" and "-0e0" are floats
+    for token in ["0", "-0", "0e5", "0.000", "0.0000000000000000000000000"]:
+        assert one(token) == 0.0 and not np.signbit(one(token)), token
+    for token in ["-0.0", "-0e0", "-0.0e-400", "-0.00000000000000000000000000"]:
+        assert one(token) == 0.0 and np.signbit(one(token)), token
+
+
+@pytest.mark.parametrize("token, value", [
+    ("9007199254740993", 9007199254740992.0),  # 2**53 + 1 ties to even
+    ("9007199254740995", 9007199254740996.0),
+    ("1e23", 1e23),
+    ("2.2250738585072011e-308", 2.2250738585072011e-308),  # the largest subnormal, almost
+    ("2.2250738585072014e-308", 2.2250738585072014e-308),  # the smallest normal
+    ("4.9e-324", 5e-324),
+    ("2.4703282292062328e-324", 5e-324),  # just above half the smallest subnormal
+    ("2.4703282292062327e-324", 0.0),
+    ("1.7976931348623157e308", 1.7976931348623157e308),
+    ("1.7976931348623158e308", 1.7976931348623157e308),
+    ("1e400", np.inf),
+    ("1e-400", 0.0),
+    ("0.1", 0.1),
+    ("123456789012345678901234567890", 1.2345678901234568e29),
+])
+def test_hard_tokens_round_like_float(token, value):
+    assert one(token) == value
+    assert one("-" + token) == -value
+
+
+def test_mantissas_of_15_to_20_digits_at_the_exact_path_limits():
+    rng = np.random.default_rng(11)
+    tokens = []
+    for digits in range(15, 21):
+        for _ in range(20):
+            mantissa = str(int(rng.integers(1, 10))) + "".join(map(str, rng.integers(0, 10, digits - 1)))
+            for q in (-23, -22, 22, 23):
+                tokens.append(f"{mantissa}e{q}")
+                point = int(rng.integers(1, digits))
+                tokens.append(f"{mantissa[:point]}.{mantissa[point:]}e{q + digits - point}")
+    width = 4
+    rows = [tokens[k : k + width] for k in range(0, len(tokens) - width + 1, width)]
+    kernel(", ".join("[" + ", ".join(row) + "]" for row in rows))
+
+
+def test_values_beyond_a_double_or_the_digit_limit_are_declined():
+    assert np.isinf(kernel("[1, 1e400], [-1e999, 2]")).tolist() == [[False, True], [True, False]]
+    assert kernel("[1, 1" + "0" * 309 + "]") is None  # an int beyond a double stays a list
+    assert kernel("[1, 1" + "0" * 300 + "]")[0, 1] == 1e300
+    past = "[[1, 1" + "0" * 4300 + "]]"
+    with mock.patch.object(cli, "QUAD_BATCH_VALUES", 4):
+        kind, (exc_type, message) = outcome(cli._DECODER, past)
+    assert kind == "raised" and exc_type is ValueError and "4300" in message
+    assert outcome(PLAIN, past) == (kind, (exc_type, message))
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2], [3]", "[1, 2] [3, 4]", "[1, 2],, [3, 4]", "[1 2]", "[1, 2], [3, 4],",
+    "[[1]]", "[1], 2", "[01]", "[1.]", "[.5]", "[-]", "[+1]", "[1e]", "[1e+]", "[1.5.5]",
+    "[1e5e5]", "[1e5.5]", "[1-2]", "[--1]", "[1x]", '["1"]', "[true]", "[NaN]", "[]",
+    "[1, \u00e9]", "[1]\x0b", "[1\x00]",
+])
+def test_anything_but_rows_of_json_numbers_is_declined(text):
+    assert kernel(text) is None
+
+
+def test_every_eisel_lemire_table_entry_is_the_leading_64_bits_of_its_power_of_five():
+    table = gridtext._pow5_high()
+    assert table.size == 308 + 342 + 1
+    for k, q in enumerate(range(-342, 309)):
+        x = Fraction(5) ** q
+        shift = 63 - (x.numerator.bit_length() - x.denominator.bit_length())
+        while x * Fraction(2) ** shift >= 2**64:
+            shift -= 1
+        while x * Fraction(2) ** shift < 2**63:
+            shift += 1
+        assert int(table[k]) == int(x * Fraction(2) ** shift), q  # int() truncates
+        # and the high word of the 128-bit entry of fast_float's table, built its way
+        if q < 0:
+            p5 = 5**-q
+            z = (p5 - 1).bit_length()
+            wide = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p5 + 1
+            wide >>= max(wide.bit_length() - 128, 0)
+        else:
+            wide = 5**q << max(128 - (5**q).bit_length(), 0)
+            wide >>= max(wide.bit_length() - 128, 0)
+        assert int(table[k]) == wide >> 64, q
+
+
+@DIFFERENTIAL
+@given(st.integers(1, 10**19 - 1), st.integers(-342, 308))
+@example(9007199254740993, 0)  # a tie, to even
+@example(1, -342)
+@example(17976931348623157, 292)
+@example(10**19 - 1, 308)  # infinity
+@example(22250738585072011, -324)  # subnormal
+def test_eisel_lemire_rounds_like_float(w, q):
+    bits, undecided = gridtext._eisel_lemire(np.array([w], dtype=np.uint64), np.array([q]))
+    if not undecided[0]:
+        assert int(bits[0]) == int(np.float64(float(f"{w}e{q}")).view(np.uint64)), (w, q)
+
+
+WHITESPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@st.composite
+def spaced_grids(draw):
+    """Equal-length rows of numbers, with any JSON whitespace around every token and bracket."""
+    width = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        tokens = [draw(WHITESPACE) + draw(NUMBER_TOKENS) + draw(WHITESPACE) for _ in range(width)]
+        rows.append(draw(WHITESPACE) + "[" + ",".join(tokens) + "]" + draw(WHITESPACE))
+    return "[" + ",".join(rows) + "]"
+
+
+@DIFFERENTIAL
+@given(spaced_grids())
+def test_grids_with_any_whitespace_decode_like_json_across_blocks(text):
+    # with blocks of 4 values, a grid of more than one row crosses block boundaries,
+    # and a row of more than 4 values is decoded in pieces
+    assert_decodes_like_json(text)
+    kernel(text[1:-1].strip(" \t\n\r"))
+
+
+def test_a_row_wider_than_a_block_peaks_like_a_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    wide = rng.random((2, 40 * 1024))
+    text = json.dumps({"values": wide.tolist()})
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            result = load()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "QUAD_BATCH_VALUES", 1024)
+    block_peak, _ = peak(lambda: cli._DECODER.decode(json.dumps({"values": wide[:, :1024].tolist()})))
+    grid_peak, decoded = peak(lambda: cli._DECODER.decode(text))
+    assert decoded["values"].tobytes() == wide.tobytes()
+    # the text, the blocks and the grid, plus the work of one block: not of one whole row
+    assert grid_peak < len(text) + 3 * wide.nbytes + 2 * block_peak, (grid_peak, block_peak)
