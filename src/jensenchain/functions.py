@@ -54,7 +54,8 @@ class Interval:
 class ConvexFunctionSpec:
     """A named scalar function with curvature metadata.
 
-    evaluate accepts floats and numpy arrays.  integral_mean, when
+    evaluate accepts floats and numpy arrays, and maps an array to the
+    array of its values, of the same shape.  integral_mean, when
     present, maps arrays of segment ends a and b (floats are taken as
     0-d arrays) to the array of A(f; a, b) in closed form, elementwise,
     and must handle a == b.
@@ -74,16 +75,13 @@ class ConvexFunctionSpec:
         return self.direction == CONVEX
 
     def evaluate_many(self, x):
-        """Vectorized evaluation with an elementwise fallback."""
+        """evaluate on an array, as a float array of its shape."""
         x = np.asarray(x, dtype=float)
-        try:
-            y = np.asarray(self.evaluate(x), dtype=float)
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        flat = np.array([float(self.evaluate(v)) for v in x.ravel()])
-        return flat.reshape(x.shape)
+        y = np.asarray(self.evaluate(x), dtype=float)
+        if y.shape != x.shape:
+            raise ValidationError(f"function {self.name!r}: evaluate is not vectorized: "
+                                  f"an array of shape {x.shape} gave shape {y.shape}")
+        return y
 
     def with_direction(self, direction: str) -> "ConvexFunctionSpec":
         # a list or an array is not a direction; an array would compare elementwise
@@ -104,7 +102,14 @@ def _elementwise(closed_form):
 
 
 def _im_square(a, b):
-    return (a * a + a * b + b * b) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (a * a + a * b + b * b) / 3.0
+        if np.all(np.isfinite(mean)):
+            return mean
+        # a * a overflows before the mean does: there, factor the larger square out
+        s = np.maximum(np.abs(a), np.abs(b))
+        x, y = a / s, b / s
+        return np.where(np.isfinite(mean), mean, (x * x + x * y + y * y) / 3.0 * s * s)
 
 
 @_elementwise
@@ -112,7 +117,15 @@ def _im_exp(a, b):
     d = b - a
     if d == 0.0:
         return math.exp(a)
-    return math.exp(a) * math.expm1(d) / d
+    try:
+        mean = math.exp(a) * math.expm1(d) / d
+    except OverflowError:
+        mean = _INF
+    if math.isfinite(mean):
+        return mean
+    # exp(a) * expm1(d) overflows before the mean does: there, factor exp(hi) out
+    hi, span = max(a, b), abs(d)
+    return math.exp(hi) * -math.expm1(-span) / span
 
 
 def _im_neglog(a, b):
@@ -129,11 +142,16 @@ def _im_xlogx(a, b):
     if lo == hi:
         return a * math.log(a)
     r = (hi - lo) / lo
-    return (
-        0.5 * (lo + hi) * math.log(hi)
-        + 0.5 * lo * math.log1p(r) / r
-        - 0.25 * (lo + hi)
-    )
+    mean = 0.5 * (lo + hi) * math.log(hi) + 0.5 * lo * math.log1p(r) / r - 0.25 * (lo + hi)
+    if math.isfinite(mean):
+        return mean
+    # r overflows for a tiny lo and a huge hi, where log1p(r) / r = log(hi / lo) * lo / (hi - lo);
+    # near x log x = DBL_MAX the first two terms overflow before the last is taken off
+    if math.isfinite(r):
+        tail = math.log1p(r) / r
+    else:
+        tail = (math.log(hi) - math.log(lo)) * (lo / (hi - lo))
+    return 0.5 * (lo + hi) * math.log(hi) + (0.5 * lo * tail - 0.25 * (lo + hi))
 
 
 @_elementwise
@@ -141,7 +159,11 @@ def _im_harmonic_frac(a, b):
     d = b - a
     if d == 0.0:
         return a / (1.0 + a)
-    return 1.0 - math.log1p(d / (1.0 + a)) / d
+    q = d / (1.0 + a)
+    if q > -1.0:
+        return 1.0 - math.log1p(q) / d
+    # q rounds to -1 where a is near DBL_MAX and b is small: take the logarithms apart
+    return 1.0 - (math.log1p(b) - math.log1p(a)) / d
 
 
 # name -> (domain, direction, evaluate, integral_mean) for the entries without parameters

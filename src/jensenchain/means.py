@@ -104,8 +104,10 @@ def _pow_integral_mean_block(lo, hi, out, p):
     d = hi - lo
     equal = d == 0.0
     near = (d <= EPS_DEG * hi) & ~equal
-    # r = d / lo is infinite where lo is 0, which sends those pairs to the direct form
-    r = np.divide(d, lo, out=np.full(d.shape, np.inf), where=lo > 0.0)
+    # r = d / lo is infinite where lo is 0 (or where d / lo overflows), which sends those
+    # pairs to the direct form
+    with np.errstate(over="ignore"):
+        r = np.divide(d, lo, out=np.full(d.shape, np.inf), where=lo > 0.0)
     mid = ~equal & ~near & (r <= 0.25)
     far = ~(equal | near | mid)
 
@@ -120,8 +122,15 @@ def _pow_integral_mean_block(lo, hi, out, p):
     c6 = c4 * (p - 4.0) * (p - 5.0) / 42.0
     out[near] = m ** p * (1.0 + u2 * (c2 + u2 * (c4 + u2 * c6)))
 
-    r_mid = r[mid]
-    out[mid] = lo[mid] ** p * np.expm1((p + 1.0) * np.log1p(r_mid)) / ((p + 1.0) * r_mid)
+    r_mid, lo_m = r[mid], lo[mid]
+    growth = np.expm1((p + 1.0) * np.log1p(r_mid))
+    with np.errstate(over="ignore"):
+        value = lo_m ** p * growth / ((p + 1.0) * r_mid)
+        # for p above about 6, lo ** p * growth can overflow before the division
+        big = ~np.isfinite(value)
+        if big.any():
+            value[big] = lo_m[big] ** p * (growth[big] / ((p + 1.0) * r_mid[big]))
+    out[mid] = value
 
     lo_f, hi_f = lo[far], hi[far]
     with np.errstate(over="ignore", invalid="ignore"):

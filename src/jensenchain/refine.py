@@ -4,17 +4,18 @@ For an instance (f, points x_j, lambda, mu, w1, w2) the one-parameter family
 
     phi(t) = sum_i mu_i * f( sum_j [(1-t) w1(i,j) + t w2(i,j)] lambda_j x_j )
 
-is sandwiched between the two Jensen sides f(sum lambda_j x_j) and
-sum lambda_j f(x_j) for every t in [0, 1], is convex in t (concave when f
-is concave, with every inequality reversed), and so is its t-average,
-which for scalar points collapses to a sum of endpoint integral means.
-This module evaluates phi, checks the resulting chains, and tightens the
-middle bound over t.
+over scalar points x_j is sandwiched between the two Jensen sides
+f(sum lambda_j x_j) and sum lambda_j f(x_j) for every t in [0, 1], is
+convex in t (concave when f is concave, with every inequality reversed),
+and so is its t-average, which collapses to a sum of endpoint integral
+means.  This module evaluates phi, checks the resulting chains, and
+tightens the middle bound over t.
 """
 
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ from .measures import (
 from .numerics import adaptive_simpson, golden_section_minimize
 
 TOL_FLOOR = 1e-9
+# below this bound on |phi|, a Simpson panel sum fa + 4 fm + fb cannot overflow
+_SIMPSON_SAFE = sys.float_info.max / 16.0
 
 
 def chain_tolerance(lower: float, upper: float, scale: float = TOL_FLOOR) -> float:
@@ -160,11 +163,10 @@ class HadamardWeights:
 
 @dataclass(frozen=True, eq=False)
 class JensenInstance:
-    """An immutable problem instance; inner row sums are cached at construction.
+    """An immutable problem instance over n scalar points, each in the domain of f.
 
-    points is a length-n sequence of scalars (d = 1) or of d-tuples; for
-    d > 1 the function must supply an evaluator accepting a length-d
-    vector and domain checking is the caller's responsibility.
+    The inner row sums s1 and s2 are cached at construction, the Jensen
+    sides at their first use.
     """
 
     f: ConvexFunctionSpec
@@ -178,42 +180,30 @@ class JensenInstance:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[0] == 0:
-            raise ValidationError("points must be a nonempty 1-D or 2-D array")
-        check_weight_pair(self.lam, self.mu, self.w1, self.w2, pts.shape[0])
-        if pts.ndim == 1:
-            inside = self.f.domain.contains_array(pts)
-            if not np.all(inside):
-                j = int(np.argmin(inside))
-                raise ValidationError(
-                    f"point {j} = {pts[j]} is outside the domain of "
-                    f"{self.f.name} ({self.f.domain})"
-                )
+        if pts.ndim != 1 or pts.size == 0:
+            raise ValidationError("points must be a nonempty 1-D array")
+        check_weight_pair(self.lam, self.mu, self.w1, self.w2, pts.size)
+        inside = self.f.domain.contains_array(pts)
+        if not np.all(inside):
+            j = int(np.argmin(inside))
+            raise ValidationError(
+                f"point {j} = {pts[j]} is outside the domain of {self.f.name} ({self.f.domain})"
+            )
         object.__setattr__(self, "points", pts)
-        lamx = self.lam.weights[:, None] * pts if pts.ndim == 2 else self.lam.weights * pts
+        lamx = self.lam.weights * pts
         object.__setattr__(self, "s1", self.w1.values @ lamx)
         object.__setattr__(self, "s2", self.w2.values @ lamx)
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.points.ndim == 1 else self.points.shape[1]
+    @functools.cached_property
+    def _sides(self):
+        mean = float(self.lam.weights @ self.points)
+        left = float(self.f.evaluate_many(np.array([mean]))[0])
+        right = float(self.lam.weights @ self.f.evaluate_many(self.points))
+        return left, right
 
     def jensen_sides(self):
         """(f(lambda-mean of points), lambda-mean of f(points))."""
-        if self.dim == 1:
-            mean = float(self.lam.weights @ self.points)
-            left = float(self.f.evaluate_many(np.array([mean]))[0])
-            right = float(self.lam.weights @ self.f.evaluate_many(self.points))
-        else:
-            mean = self.lam.weights @ self.points
-            left = float(self.f.evaluate(mean))
-            right = float(
-                sum(
-                    lj * float(self.f.evaluate(xj))
-                    for lj, xj in zip(self.lam.weights, self.points)
-                )
-            )
-        return left, right
+        return self._sides
 
     def oriented_bounds(self):
         """(lower, upper) in chain order: Jensen sides swap when f is concave."""
@@ -228,7 +218,7 @@ def _check_t(ts: np.ndarray):
 
 
 def _phi_rows(inst: JensenInstance, ts: np.ndarray) -> np.ndarray:
-    """f at the inner combinations, one row of m values per t (scalar points only)."""
+    """f at the inner combinations, one row of m values per t."""
     # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
     inner = (1.0 - ts)[:, None] * inst.s1[None, :] + ts[:, None] * inst.s2[None, :]
     slack = 1e-12 * max(1.0, float(np.max(np.abs(inner))))
@@ -246,15 +236,7 @@ def phi_values(inst: JensenInstance, ts) -> np.ndarray:
     """Vectorized phi over a grid of t values."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_t(ts)
-    if inst.dim == 1:
-        return _phi_rows(inst, ts) @ inst.mu.weights
-    out = np.empty(ts.size)
-    for k, t in enumerate(ts):
-        inner = (1.0 - t) * inst.s1 + t * inst.s2
-        out[k] = sum(
-            mi * float(inst.f.evaluate(row)) for mi, row in zip(inst.mu.weights, inner)
-        )
-    return out
+    return _phi_rows(inst, ts) @ inst.mu.weights
 
 
 def phi(inst: JensenInstance, t: float) -> float:
@@ -274,9 +256,7 @@ def chain_at_t(inst: JensenInstance, t_grid) -> RefinementChain:
 
 
 def phi_integral_closed(inst: JensenInstance) -> float:
-    """t-average of phi as the mu-mean of endpoint integral means (scalar points only)."""
-    if inst.dim != 1:
-        raise ValidationError("the closed integral form needs scalar points")
+    """t-average of phi as the mu-mean of endpoint integral means."""
     terms = inst.mu.weights * integral_mean(inst.f, inst.s1, inst.s2)
     # left to right from 0.0 on every Python version (sum of floats compensates from 3.12)
     return functools.reduce(operator.add, terms.tolist(), 0.0)
@@ -287,20 +267,24 @@ def phi_integral_quad(inst: JensenInstance, atol=1e-10, rtol=1e-10) -> float:
 
     Each depth's nodes are evaluated together.  Every row is reduced by
     the same dot product phi(inst, t) uses, so the result equals
-    quadrature over scalar phi bit for bit.
+    quadrature over scalar phi bit for bit, except where the larger
+    magnitude s of the Jensen sides (which bound phi) exceeds
+    _SIMPSON_SAFE: there Simpson's fa + 4 fm + fb could overflow, so
+    phi / s is integrated and the result multiplied by s.
     """
+    scale = max(abs(side) for side in inst.jensen_sides())
+    if not _SIMPSON_SAFE < scale < math.inf:
+        scale = 1.0
 
     def fv(ts):
-        if inst.dim != 1:
-            return phi_values(inst, ts)
-        return np.matmul(_phi_rows(inst, ts)[:, None, :], inst.mu.weights)[:, 0]
+        return np.matmul(_phi_rows(inst, ts)[:, None, :], inst.mu.weights)[:, 0] / scale
 
-    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=inst.s1.size)
+    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=inst.s1.size) * scale
 
 
 def chain_integral(inst: JensenInstance) -> RefinementChain:
-    """Check the sandwich for the t-average of phi: closed form for scalar points, else quadrature."""
-    mid = phi_integral_closed(inst) if inst.dim == 1 else phi_integral_quad(inst)
+    """Check the sandwich for the t-average of phi, taken in closed form."""
+    mid = phi_integral_closed(inst)
     lower, upper = inst.oriented_bounds()
     return _assemble(lower, float(mid), upper, mid, mid)
 
@@ -312,6 +296,9 @@ def chain_hadamard(inst: JensenInstance, hw: HadamardWeights) -> RefinementChain
     vals = phi_values(inst, hw.t)
     m_point = phi(inst, t_bar)
     m_avg = float(hw.p @ vals) / hw.total
+    if not math.isfinite(m_avg):
+        # the weighted sum overflows before the division: normalize the weights first
+        m_avg = float((hw.p / hw.total) @ vals)
     lower, upper = inst.oriented_bounds()
     if inst.f.is_convex:
         seq = (lower, m_point, m_avg, upper)

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import jensenchain
-from jensenchain import NumericError
+from jensenchain import NumericError, functions, get_function
 from jensenchain.cli import main
 from jensenchain.numerics import golden_section_minimize
 from jensenchain.refine import _assemble
@@ -96,21 +96,32 @@ def test_overflow_warning_does_not_precede_the_diagnosis(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_overflow_in_a_closed_form_exits_2_without_traceback(tmp_path):
-    # every chain member is finite (the upper bound is about 4.1e307), but math.expm1(719)
-    # in the exp integral mean raises OverflowError; a failed computation is exit 2, not 1
-    doc = {"function": {"name": "exp"}, "points": [-10, 709], "weights": POWERSUM["weights"]}
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    src = str(Path(jensenchain.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "jensenchain.cli", "verify", str(path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=False,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.splitlines()[0].startswith("error:")
-    assert "Traceback" not in proc.stderr
-    assert_refused(run_doc(tmp_path, doc), "OverflowError")
+def test_overflow_in_a_closed_form_exits_2_without_traceback(tmp_path, monkeypatch):
+    # an OverflowError from a math-module closed form is a failed computation: exit 2, not 1
+    def overflowing(a, b):
+        raise OverflowError("math range error")
+
+    domain, direction, evaluate, _ = functions._CATALOG["exp"]
+    monkeypatch.setitem(functions._CATALOG, "exp", (domain, direction, evaluate, overflowing))
+    result = run_doc(tmp_path, dict(SQUARE, function={"name": "exp"}))
+    assert "Traceback" not in result[2]
+    assert_refused(result, "OverflowError: math range error")
+
+
+@pytest.mark.parametrize("name, points", [
+    # math.expm1(719) overflows; the mean is about 1.14e305 and the upper bound about 4.1e307
+    ("exp", [-10, 709]),
+    # a * a overflows; the mean and both Jensen sides are about 1.2e308
+    ("square", [1e154, 1.2e154]),
+])
+def test_a_closed_form_past_its_naive_overflow_is_verified(tmp_path, name, points):
+    doc = {"function": {"name": name}, "points": points, "weights": POWERSUM["weights"]}
+    code, out, err = run_doc(tmp_path, doc)
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["pass"] is True and math.isfinite(report["integral"])
+    (check,) = report["identity_checks"]
+    assert check["ok"] and check["rel_err"] <= 1e-8
 
 
 @pytest.mark.parametrize("member", range(4))
@@ -364,6 +375,93 @@ def pow_near_overflow(draw):
             doc = {"function": {"name": "powp", "params": {"p": p}}, "points": points,
                    "weights": weights}
     return json.dumps(doc).encode()
+
+
+DBL_MAX = sys.float_info.max
+# name -> (params, the largest point where f is finite); the drawn points stay a relative 1e-12
+# (exp: 1e-9) inside it, for a row sum can round an ulp past the largest point
+# (test_points_at_the_overflow_threshold_are_verified)
+NEAR_OVERFLOW = {
+    "exp": ({}, math.log(DBL_MAX) - 1e-9),
+    "square": ({}, math.sqrt(DBL_MAX) * (1.0 - 1e-12)),
+    "xlogx": ({}, 2.5563481638716906e305 * (1.0 - 1e-12)),
+    "powp2": ({"p": 2.0}, DBL_MAX ** 0.5 * (1.0 - 1e-12)),
+    "powp3": ({"p": 3.0}, DBL_MAX ** (1.0 / 3.0) * (1.0 - 1e-12)),
+    "powp10": ({"p": 10.0}, DBL_MAX ** 0.1 * (1.0 - 1e-12)),
+}
+
+
+@st.composite
+def catalog_near_overflow(draw):
+    """exp, square, xlogx and powp documents with points up to where f overflows."""
+    key = draw(st.sampled_from(sorted(NEAR_OVERFLOW)))
+    params, top = NEAR_OVERFLOW[key]
+    n = draw(st.integers(1, 3))
+    if key == "exp":
+        near = st.floats(top - 20.0, top) | st.floats(-750.0, 20.0) | st.just(top)
+    else:
+        low = 0.0 if key == "square" else 1e-3
+        near = (st.floats(low, 1.0).map(lambda k: k * top) | st.floats(1e-20, 1e3)
+                | st.just(top))
+        if key == "square":
+            near = near | near.map(lambda x: -x)
+    points = draw(st.lists(near, min_size=n, max_size=n))
+    eye = np.eye(n)
+    pick = st.sampled_from([eye, np.roll(eye, 1, axis=0), np.full((n, n), 1.0 / n)])
+    function = {"name": key[:4] if key.startswith("powp") else key}
+    if params:
+        function["params"] = params
+    doc = {"function": function, "points": points,
+           "weights": {"B": draw(pick).tolist(), "C": draw(pick).tolist()}}
+    if draw(st.booleans()):
+        doc["hadamard"] = {"p": [1.0, 2.0], "t": [0.25, 0.75]}
+    return doc
+
+
+def _jensen_sides(doc):
+    """f at the mean of the points and the mean of f, as the engine forms them (uniform lambda)."""
+    f = get_function(doc["function"]["name"], doc["function"].get("params"))
+    pts = np.array(doc["points"], dtype=float)
+    lam = np.full(pts.size, 1.0 / pts.size)
+    with np.errstate(all="ignore"):
+        return float(f.evaluate(float(lam @ pts))), float(lam @ f.evaluate(pts))
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=catalog_near_overflow())
+def test_cli_verifies_catalog_functions_near_overflow(doc):
+    """Finite Jensen sides bound every chain member, so the instance is verified, never refused."""
+    assume(all(math.isfinite(side) for side in _jensen_sides(doc)))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_doc(Path(tmp), doc)
+    assert code in (0, 1), err
+    strict_json(out)
+
+
+@pytest.mark.xfail(strict=True, reason="(1-t) s1 + t s2 of two equal row sums at the exp "
+                   "overflow threshold rounds an ulp past it, where exp is inf")
+def test_points_at_the_overflow_threshold_are_verified(tmp_path):
+    eye = np.eye(3)
+    doc = {"function": {"name": "exp"}, "points": [690.0, math.log(DBL_MAX), math.log(DBL_MAX)],
+           "weights": {"B": eye.tolist(), "C": np.roll(eye, 1, axis=0).tolist()}}
+    assert all(math.isfinite(side) for side in _jensen_sides(doc))
+    code, out, err = run_doc(tmp_path, doc)
+    assert code in (0, 1), err
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(points=st.lists(st.floats(0.0, DBL_MAX) | st.floats(0.0, 1e3)
+                       | st.floats(0.5, 1.0).map(lambda k: k * DBL_MAX), min_size=1, max_size=3))
+def test_harmonic_frac_near_the_largest_double_is_never_an_internal_error(points):
+    n = len(points)
+    eye = np.eye(n)
+    doc = {"function": {"name": "harmonic_frac"}, "points": points,
+           "weights": {"B": eye.tolist(), "C": np.roll(eye, 1, axis=0).tolist()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_doc(Path(tmp), doc)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "internal error" not in err
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,6 +1,7 @@
 """Catalog contract tests: domains, directions, closed forms vs scipy quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,12 +93,102 @@ def test_evaluate_many_matches_scalar_evaluation(rng):
             assert v == pytest.approx(float(f.evaluate(float(x))), rel=1e-14)
 
 
-def test_evaluate_many_falls_back_for_scalar_only_evaluators():
+def test_evaluate_many_refuses_an_evaluator_that_is_not_vectorized():
     from jensenchain import ConvexFunctionSpec
 
-    f = ConvexFunctionSpec("scalar_only", Interval(), "convex", lambda x: float(x) ** 2)
-    xs = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(f.evaluate_many(xs), xs ** 2)
+    f = ConvexFunctionSpec("scalar_only", Interval(), "convex", lambda x: 1.0)
+    with pytest.raises(ValidationError, match="'scalar_only'.*not vectorized.*shape \\(3,\\) gave shape \\(\\)"):
+        f.evaluate_many(np.array([1.0, 2.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# closed forms near overflow against 50 digits: within 4 ulp, about twice the worst error
+# seen on these pairs (2.1 ulp, xlogx on [1e305, 2.556e305])
+
+DBL_MAX = sys.float_info.max
+LN_MAX, SQRT_MAX, CBRT_MAX = math.log(DBL_MAX), math.sqrt(DBL_MAX), DBL_MAX ** (1.0 / 3.0)
+TENTH_MAX = DBL_MAX ** 0.1 * (1.0 - 1e-12)  # DBL_MAX ** 0.1 itself rounds up
+XLOGX_MAX = 2.5563481638716906e305  # x log x = DBL_MAX
+ANTIDERIVATIVE = {
+    "square": lambda x, mp: x ** 3 / 3,
+    "exp": lambda x, mp: mp.exp(x),
+    "neglog": lambda x, mp: x - x * mp.log(x),
+    "kyfan": lambda x, mp: -(1 - x) * mp.log1p(-x) - x * mp.log(x),
+    "xlogx": lambda x, mp: x * x * (2 * mp.log(x) - 1) / 4,
+    "harmonic_frac": lambda x, mp: x - mp.log1p(x),
+    "powp2": lambda x, mp: x ** 3 / 3,
+    "powp3": lambda x, mp: x ** 4 / 4,
+    "powp10": lambda x, mp: x ** 11 / 11,
+}
+LN_IDENTRIC_RATIO = pytest.mark.xfail(
+    strict=True, reason="ln_identric gives nan where hi / lo overflows: log1p(r) / r is inf / inf"
+)
+NEAR_OVERFLOW_PAIRS = [
+    ("exp", -10.0, 709.0),  # math.expm1(719) overflows
+    ("exp", 709.0, -10.0),
+    ("exp", 0.0, 709.5),
+    ("exp", 700.0, LN_MAX),
+    ("exp", 709.7, LN_MAX),
+    ("exp", LN_MAX - 1e-6, LN_MAX),
+    ("exp", -745.0, LN_MAX),
+    ("exp", -1e308, 1.0),  # math.expm1(1e308) overflows
+    ("square", 1e154, 1.2e154),  # a * a overflows
+    ("square", 1.2e154, 1e154),
+    ("square", -SQRT_MAX, SQRT_MAX),
+    ("square", 0.0, SQRT_MAX),
+    ("square", -1.3e154, 1e150),
+    ("square", 1.34e154, SQRT_MAX),
+    ("xlogx", 1e-18, 1e305),  # (hi - lo) / lo overflows
+    ("xlogx", 5e-324, XLOGX_MAX),
+    ("xlogx", XLOGX_MAX, 1e-300),
+    ("xlogx", 1.0, XLOGX_MAX),
+    ("xlogx", 1e305, XLOGX_MAX),
+    ("xlogx", 2.5e305, XLOGX_MAX),
+    ("xlogx", 0.99999 * XLOGX_MAX, XLOGX_MAX),  # the partial sum overflows
+    ("powp2", 0.0, SQRT_MAX),
+    ("powp2", 1e-300, SQRT_MAX),
+    ("powp2", 0.5 * SQRT_MAX, SQRT_MAX),
+    ("powp2", SQRT_MAX, 1e150),
+    ("powp3", 0.0, CBRT_MAX),
+    ("powp3", 1e-300, CBRT_MAX),
+    ("powp3", 0.5 * CBRT_MAX, CBRT_MAX),
+    ("powp3", CBRT_MAX, 1e100),
+    ("powp10", TENTH_MAX / 1.2, TENTH_MAX),  # lo ** p * expm1(...) overflows
+    ("powp10", 0.0, TENTH_MAX),
+    ("harmonic_frac", DBL_MAX, 0.0),  # d / (1 + a) rounds to -1
+    ("harmonic_frac", DBL_MAX, 1.0),
+    ("harmonic_frac", DBL_MAX, 5e-324),
+    ("harmonic_frac", 1e308, 1e-300),
+    ("harmonic_frac", 0.0, DBL_MAX),
+    ("harmonic_frac", 1.7e308, DBL_MAX),
+    ("harmonic_frac", 1e3, 1e300),
+    ("neglog", 1e308, DBL_MAX),
+    ("neglog", 1.0, DBL_MAX),
+    ("neglog", 1e-300, 1e7),
+    ("kyfan", 1e-300, 0.5),
+    ("kyfan", 1e-300, 1e-200),
+    ("kyfan", 0.25, 0.5),
+    pytest.param("neglog", 0.5, DBL_MAX, marks=LN_IDENTRIC_RATIO),
+    pytest.param("neglog", 1e-300, 1e300, marks=LN_IDENTRIC_RATIO),
+    pytest.param("neglog", 5e-324, 1.0, marks=LN_IDENTRIC_RATIO),
+    pytest.param("kyfan", 5e-324, 0.5, marks=LN_IDENTRIC_RATIO),
+]
+
+
+@pytest.mark.parametrize("name, a, b", NEAR_OVERFLOW_PAIRS)
+def test_closed_forms_near_overflow_against_mpmath(name, a, b):
+    """Where f(a) and f(b) are finite, so is the closed-form mean, within 4 ulp of 50 digits."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    f = get_function("powp", {"p": float(name[4:])}) if name.startswith("powp") else _fetch(name)
+    assert math.isfinite(f.evaluate(a)) and math.isfinite(f.evaluate(b))
+    got = float(f.integral_mean(np.array([a]), np.array([b]))[0])
+    antiderivative = ANTIDERIVATIVE[name]
+    lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+    ref = (antiderivative(hi, mpmath) - antiderivative(lo, mpmath)) / (hi - lo)
+    assert math.isfinite(got)
+    assert float(abs(mpmath.mpf(got) - ref)) <= 4 * math.ulp(float(ref))
 
 
 def test_direction_spot_check_passes_for_catalog():

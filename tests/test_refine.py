@@ -17,12 +17,14 @@ from jensenchain import (
     ProbabilityVector,
     ValidationError,
     WeightFunction,
+    agm_chain,
     chain_at_t,
     chain_hadamard,
     chain_integral,
     chain_matrix,
     get_function,
     interpolate_weight,
+    kyfan_chain,
     matrix_instance,
     phi,
     phi_convexity_check,
@@ -510,7 +512,7 @@ def test_interpolated_single_weight_matches_two_weight_family(rng):
 
 
 # ---------------------------------------------------------------------------
-# sandwich property (hypothesis) and multidimensional points
+# sandwich property (hypothesis) and scalar points only
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 9))
@@ -523,24 +525,15 @@ def test_sandwich_property(seed):
     assert ch.passed
 
 
-def test_multidimensional_points_sandwich_and_quadrature():
-    f = ConvexFunctionSpec(
-        "sqnorm", Interval(), "convex", lambda v: float(np.dot(v, v))
-    )
+@pytest.mark.parametrize("build", ["instance", "agm", "kyfan"])
+def test_points_of_two_dimensions_are_refused(build):
     lam = ProbabilityVector([0.25, 0.25, 0.5])
-    mu = ProbabilityVector.uniform(2)
-    rng = np.random.default_rng(5)
-    from conftest import rand_weight
-
-    w1 = rand_weight(rng, mu, lam)
-    w2 = rand_weight(rng, mu, lam)
-    pts = rng.uniform(-1.0, 1.0, (3, 2))
-    inst = JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
-    assert inst.dim == 2
-    ch = chain_at_t(inst, [0.0, 0.5, 1.0])
-    assert ch.passed
-    ci = chain_integral(inst)  # falls back to quadrature over t
-    assert ci.passed
-    assert ci.middle == recursive_simpson(lambda t: phi(inst, t), 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        phi_integral_closed(inst)
+    w = WeightFunction.ones(UNI2, lam)
+    pts = np.full((3, 2), 0.25)
+    with pytest.raises(ValidationError, match="^points must be a nonempty 1-D array$"):
+        if build == "agm":
+            agm_chain(pts, lam, UNI2, w, w)
+        elif build == "kyfan":
+            kyfan_chain(pts, lam, UNI2, w, w)
+        else:
+            JensenInstance(f=get_function("square"), points=pts, lam=lam, mu=UNI2, w1=w, w2=w)
