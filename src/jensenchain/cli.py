@@ -8,6 +8,7 @@ input/validation/numeric error.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -34,16 +35,23 @@ from .refine import HadamardWeights, JensenInstance
 DEFAULT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 JENSEN_IDENTITY_TOL = 1e-8  # closed-form t-average against its quadrature
 
-# application -> (fields its document must hold, fields it may hold); seed is accepted and ignored
+# application -> (fields its document must hold, fields it may hold, builder); seed is ignored.
+# A builder takes the document and the --grid values (None unless its row takes t_grid) and
+# returns its chains by name, the main one first under "".  It looks functions up when called,
+# so a module attribute patched later (by the bench tracer or a test) is the one called.
 _OPTIONAL = ("application", "seed", "lambda", "mu")
-_FIELDS = {
-    "jensen": (("function", "points", "weights"), (*_OPTIONAL, "t_grid", "hadamard")),
-    "agm": (("points", "weights"), _OPTIONAL),
-    "kyfan": (("points", "weights"), _OPTIONAL),
-    "lp": (("points", "weights", "p"), (*_OPTIONAL, "space")),
-    "powersum": (("points", "weights", "p"), _OPTIONAL),
-    "matrixpower": (("weights", "p"), _OPTIONAL),
-    "harmonic": (("points", "weights"), (*_OPTIONAL, "space")),
+_APPLICATIONS = {
+    "jensen": (("function", "points", "weights"), (*_OPTIONAL, "t_grid", "hadamard"),
+               lambda doc, grid: _verify_jensen(doc, grid)),
+    "agm": (("points", "weights"), _OPTIONAL,
+            lambda doc, _: {"": apps.agm_chain(*_points_and_weights(doc))}),
+    "kyfan": (("points", "weights"), _OPTIONAL,
+              lambda doc, _: {"": apps.kyfan_chain(*_points_and_weights(doc))}),
+    "lp": (("points", "weights", "p"), (*_OPTIONAL, "space"), lambda doc, _: {"": _lp(doc)}),
+    "powersum": (("points", "weights", "p"), _OPTIONAL, lambda doc, _: {"": _power_sum(doc)}),
+    "matrixpower": (("weights", "p"), _OPTIONAL, lambda doc, _: _verify_matrixpower(doc)),
+    "harmonic": (("points", "weights"), (*_OPTIONAL, "space"),
+                 lambda doc, _: {"": apps.harmonic_chain(*_samples_and_weights(doc))}),
 }
 # weight kind -> (the array fields its entry holds beside kind, builder taking them, mu and lam)
 _WEIGHT_KINDS = {
@@ -51,12 +59,11 @@ _WEIGHT_KINDS = {
     "rank_one": (("u", "v"), rank_one_weight),
     "matrix": (("values",), WeightFunction),
 }
-# array field, as messages name it -> its dimension; points is 2-D for _GRID_POINTS
+# array field, as messages name it -> its dimension (_parse_points is given that of points)
 _NDIM = {
-    "points": 1, "t_grid": 1, "--grid": 1, "lambda": 1, "mu": 1, "u": 1, "v": 1, "values": 2,
+    "t_grid": 1, "--grid": 1, "lambda": 1, "mu": 1, "u": 1, "v": 1, "values": 2,
     "weights.B": 2, "weights.C": 2, "space.masses": 1, "hadamard.p": 1, "hadamard.t": 1,
 }
-_GRID_POINTS = ("lp", "harmonic")  # applications taking an n x |X| grid of sampled values
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,7 @@ def _load_document(path: str) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: instance file must be a JSON object")
-    unknown = set(doc).difference(*(fields for row in _FIELDS.values() for fields in row))
+    unknown = set(doc).difference(*(row[0] + row[1] for row in _APPLICATIONS.values()))
     if unknown:
         raise ValidationError(f"{path}: unknown field(s) {sorted(unknown)}")
     return doc
@@ -317,7 +324,7 @@ def _in_field(label, build, *args):
 
 
 def _prob(doc, name) -> ProbabilityVector:
-    if name not in doc:  # optional in _FIELDS, but the omega1/omega2 form needs it
+    if name not in doc:  # optional in _APPLICATIONS, but the omega1/omega2 form needs it
         raise ValidationError(f"missing required field {name!r}")
     return _in_field(name, ProbabilityVector, _as_float_array(doc[name], name))
 
@@ -391,8 +398,22 @@ def _parse_weights(doc, n_points):
     return lam, mu, w1, w2
 
 
-def _parse_points(doc, application):
-    return _as_float_array(doc["points"], "points", 2 if application in _GRID_POINTS else 1)
+def _parse_points(doc, ndim):
+    """points: scalar points (ndim 1), or an n x |X| grid of sampled functions (ndim 2)."""
+    return _as_float_array(doc["points"], "points", ndim)
+
+
+def _points_and_weights(doc):
+    """(points, lam, mu, w1, w2) of a document over scalar points."""
+    pts = _parse_points(doc, 1)
+    return (pts, *_parse_weights(doc, pts.size))
+
+
+def _samples_and_weights(doc):
+    """(function vector, space, lam, mu, w1, w2) of a document over an n x |X| sample grid."""
+    pts = _parse_points(doc, 2)
+    fv, space = apps.FunctionVector(pts), _parse_space(doc, pts.shape[1])
+    return (fv, space, *_parse_weights(doc, pts.shape[0]))
 
 
 def _parse_space(doc, width):
@@ -428,100 +449,92 @@ def _parse_hadamard(doc):
 # report assembly
 
 
-def _grid_witnesses(chain, tol):
-    lo = chain.lower - tol
-    hi = chain.upper + tol
-    return [
-        {"t": t, "value": v, "lower": chain.lower, "upper": chain.upper}
-        for t, v in chain.middle
-        if v < lo or v > hi
-    ]
-
-
-def _member_witness(member, value, chain):
-    return {"member": member, "value": value, "lower": chain.lower, "upper": chain.upper}
-
-
 def _jensen_instance(doc) -> JensenInstance:
-    f = _parse_function(doc)
-    pts = _parse_points(doc, "jensen")
-    lam, mu, w1, w2 = _parse_weights(doc, pts.size)
-    return JensenInstance(f=f, points=pts, lam=lam, mu=mu, w1=w1, w2=w2)
+    return JensenInstance(_parse_function(doc), *_points_and_weights(doc))
 
 
-def _verify_jensen(doc, scale, grid_flag):
+def _verify_jensen(doc, grid_flag):
+    """The jensen row's builder: the sandwich on the t grid, its t-average in closed form
+    (checked against quadrature) and, if the document asks for it, the Hadamard chain."""
     inst = _jensen_instance(doc)
     if grid_flag is not None:
         grid = _as_float_array(grid_flag, "--grid")
     else:
         grid = _as_float_array(doc.get("t_grid", list(DEFAULT_GRID)), "t_grid")
-    grid_chain = refine.chain_at_t(inst, grid)
-    int_closed = refine.chain_integral(inst)
-    int_quad = refine.phi_integral_quad(inst)
-    tol = refine.chain_tolerance(grid_chain.lower, grid_chain.upper, scale)
+    chains = {"": refine.chain_at_t(inst, grid)}
+    integral = refine.chain_integral(inst)
     identity = refine.make_identity_check(
-        "integral-closed-vs-quadrature", int_closed.middle, int_quad, JENSEN_IDENTITY_TOL
+        "integral-closed-vs-quadrature", integral.middle, refine.phi_integral_quad(inst),
+        JENSEN_IDENTITY_TOL,
     )
-    ok = grid_chain.holds(tol) and int_closed.holds(tol) and identity.ok
-    witnesses = _grid_witnesses(grid_chain, tol)
-    slacks = {
-        "lower": grid_chain.slack_lower,
-        "upper": grid_chain.slack_upper,
-        "integral_lower": int_closed.slack_lower,
-        "integral_upper": int_closed.slack_upper,
-    }
+    chains["integral"] = dataclasses.replace(integral, identity_checks=(identity,))
     hw = _parse_hadamard(doc)
     if hw is not None:
-        had = refine.chain_hadamard(inst, hw)
-        slacks["hadamard_lower"] = had.slack_lower
-        slacks["hadamard_inner"] = had.inner_slacks[0]
-        slacks["hadamard_upper"] = had.slack_upper
-        if not had.holds(tol):
-            ok = False
-            witnesses.append(_member_witness("hadamard", list(had.middle), had))
-    report = {
-        "application": "jensen",
-        "tolerance": tol,
-        "lower": grid_chain.lower,
-        "upper": grid_chain.upper,
-        "middle": [{"t": t, "value": v} for t, v in grid_chain.middle],
-        "integral": int_closed.middle,
-        "slacks": slacks,
-        "pass": ok,
-        "identity_checks": [dict(vars(identity))],
-        "witnesses": witnesses,
-    }
-    return report, ok
+        chains["hadamard"] = refine.chain_hadamard(inst, hw)
+    return chains
 
 
-def _verify_scalar_app(application, chain, scale):
-    tol = refine.chain_tolerance(chain.lower, chain.upper, scale)
-    held = chain.holds(tol)
-    ok = held and all(chk.ok for chk in chain.identity_checks)
-    report = {
-        "application": application,
-        "tolerance": tol,
-        "lower": chain.lower,
-        "upper": chain.upper,
-        "middle": chain.middle,
-        "slacks": {"lower": chain.slack_lower, "upper": chain.slack_upper},
-        "pass": ok,
-        "identity_checks": [dict(vars(chk)) for chk in chain.identity_checks],
-        "witnesses": [] if held else [_member_witness("middle", chain.middle, chain)],
-    }
-    return report, ok
-
-
-def _verify_matrixpower(doc, scale):
+def _verify_matrixpower(doc):
     b, c = _parse_matrices(doc, None)
-    chain = apps.matrix_power_chain(b, c, _parse_p(doc))
-    return _verify_scalar_app("matrixpower", chain, scale)
+    return {"": apps.matrix_power_chain(b, c, _parse_p(doc))}
+
+
+def _power_sum(doc):
+    x, *weights = _points_and_weights(doc)
+    return apps.power_sum_chain(x, _parse_p(doc), *weights)
+
+
+def _lp(doc):
+    fv, space, *weights = _samples_and_weights(doc)
+    return apps.lp_chain(fv, space, _parse_p(doc), *weights)
+
+
+def _verify_scalar_app(application, chains, scale):
+    """(report, all-pass bool) of any application's chains by name, the main one under "".
+
+    The main chain sets the tolerance and has slacks lower/upper; another has <name>_lower,
+    <name>_inner, <name>_upper, and a single middle member reported under its name.  Each t
+    of a (t, value) middle outside the tolerance is a witness, any other violated chain one
+    member witness (named middle for the main one).  This and the row builders keep the
+    names perfbench/spans.py traces them by.
+    """
+    main = chains[""]
+    tol = refine.chain_tolerance(main.lower, main.upper, scale)
+    middle = main.middle
+    if isinstance(middle, list):
+        middle = [{"t": t, "value": v} for t, v in middle]
+    report = {"application": application, "tolerance": tol, "lower": main.lower,
+              "upper": main.upper, "middle": middle}
+    slacks, checks, witnesses = {}, [], []
+    ok = True
+    for name, chain in chains.items():
+        prefix = f"{name}_" if name else ""
+        if name and not isinstance(chain.middle, (list, tuple)):
+            report[name] = chain.middle
+        slacks[prefix + "lower"] = chain.slack_lower
+        if chain.inner_slacks:
+            (slacks[prefix + "inner"],) = chain.inner_slacks  # a four-member chain has one
+        slacks[prefix + "upper"] = chain.slack_upper
+        held = chain.holds(tol)
+        ok = ok and held
+        bounds = {"lower": chain.lower, "upper": chain.upper}
+        if isinstance(chain.middle, list):
+            lo, hi = chain.lower - tol, chain.upper + tol
+            witnesses += [{"t": t, "value": v, **bounds} for t, v in chain.middle
+                          if v < lo or v > hi]
+        elif not held:
+            witnesses.append({"member": name or "middle", "value": chain.middle, **bounds})
+        checks += chain.identity_checks
+    ok = ok and all(chk.ok for chk in checks)
+    checks = [dict(vars(chk)) for chk in checks]
+    report.update({"slacks": slacks, "pass": ok, "identity_checks": checks, "witnesses": witnesses})
+    return report, ok
 
 
 def _check_fields(doc, application):
     """ValidationError naming the first field of doc outside the application's row, else the
     first required field doc lacks."""
-    required, optional = _FIELDS[application]
+    required, optional, _ = _APPLICATIONS[application]
     for name in doc:
         if name not in required and name not in optional:
             raise ValidationError(f"{name}: not a valid field for application {application!r}")
@@ -531,42 +544,23 @@ def _check_fields(doc, application):
 
 
 def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
-    """Dispatch a parsed instance document; returns (report dict, all-pass bool).
+    """Verify a parsed instance document; returns (report dict, all-pass bool).
 
     scale is the chain tolerance scale (--tol), turned into each chain's
-    tolerance by refine.chain_tolerance.
+    tolerance by refine.chain_tolerance; grid_flag holds the --grid values,
+    which only an application taking t_grid accepts.
     """
     application = doc.get("application", "jensen")
     # a list or an object is unhashable, so test the type before the lookup
-    if not (isinstance(application, str) and application in _FIELDS):
+    if not (isinstance(application, str) and application in _APPLICATIONS):
         raise ValidationError(
-            f"application: unknown {application!r}; expected one of {', '.join(_FIELDS)}"
+            f"application: unknown {application!r}; expected one of {', '.join(_APPLICATIONS)}"
         )
+    _, optional, build = _APPLICATIONS[application]
+    if grid_flag is not None and "t_grid" not in optional:
+        raise ValidationError(f"--grid: not a valid option for application {application!r}")
     _check_fields(doc, application)
-    if application == "jensen":
-        return _verify_jensen(doc, scale, grid_flag)
-    if application == "matrixpower":
-        return _verify_matrixpower(doc, scale)
-    if application in ("agm", "kyfan", "powersum"):
-        pts = _parse_points(doc, application)
-        lam, mu, w1, w2 = _parse_weights(doc, pts.size)
-        if application == "agm":
-            chain = apps.agm_chain(pts, lam, mu, w1, w2)
-        elif application == "kyfan":
-            chain = apps.kyfan_chain(pts, lam, mu, w1, w2)
-        else:
-            chain = apps.power_sum_chain(pts, _parse_p(doc), lam, mu, w1, w2)
-        return _verify_scalar_app(application, chain, scale)
-    # lp and harmonic take an n x |X| sample grid
-    pts = _parse_points(doc, application)
-    fv = apps.FunctionVector(pts)
-    space = _parse_space(doc, pts.shape[1])
-    lam, mu, w1, w2 = _parse_weights(doc, pts.shape[0])
-    if application == "lp":
-        chain = apps.lp_chain(fv, space, _parse_p(doc), lam, mu, w1, w2)
-    else:
-        chain = apps.harmonic_chain(fv, space, lam, mu, w1, w2)
-    return _verify_scalar_app(application, chain, scale)
+    return _verify_scalar_app(application, build(doc, grid_flag), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +670,10 @@ def main(argv=None) -> int:
             if args.command == "generate":
                 if args.n < 1 or (args.m is not None and args.m < 1):
                     raise ValidationError("dimensions must be positive")
+                if args.seed < 0:
+                    raise ValidationError(
+                        f"--seed: expected a nonnegative integer, got {args.seed}"
+                    )
                 return cmd_generate(args.kind, args.n, m=args.m, seed=args.seed, out=args.out)
             return cmd_tighten(args.path, tol_t=args.tol)
     except (ValidationError, NumericError, OSError) as exc:

@@ -65,8 +65,16 @@ def _ln_identric_block(lo, hi, out):
     u2 = u * u
     out[near] = np.log(m) - u2 * (1.0 / 6.0 + u2 * (1.0 / 20.0 + u2 / 42.0))
 
-    r = d[far] / lo[far]
-    out[far] = np.log(hi[far]) + np.log1p(r) / r - 1.0
+    lo_f, hi_f = lo[far], hi[far]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = d[far] / lo_f
+        tail = np.log1p(r) / r
+    # r overflows where hi / lo does, and log1p(r) / r is inf / inf: take the logarithms apart
+    big = ~np.isfinite(tail)
+    if big.any():
+        lo_b, hi_b = lo_f[big], hi_f[big]
+        tail[big] = (np.log(hi_b) - np.log(lo_b)) * (lo_b / (hi_b - lo_b))
+    out[far] = np.log(hi_f) + tail - 1.0
 
 
 def ln_identric(a, b):
@@ -74,7 +82,8 @@ def ln_identric(a, b):
 
     Uses ln I = ln(hi) + log1p(r)/r - 1 with r = (hi-lo)/lo, which is
     uniformly accurate, plus the series ln(m) - u^2/6 - u^4/20 - u^6/42
-    inside the degenerate band.
+    inside the degenerate band.  Where r overflows, log1p(r)/r is taken
+    as (ln(hi) - ln(lo)) * lo / (hi - lo).
     """
     return _blockwise(_ln_identric_block, a, b)
 
@@ -227,7 +236,10 @@ def integral_mean(f, a, b):
     out = np.empty(a.shape)
     near = hi - lo <= EPS_DEG * scale
     for k in near.nonzero()[0].tolist():
-        out[k] = f.evaluate(0.5 * (float(a[k]) + float(b[k])))
+        mid = 0.5 * (float(a[k]) + float(b[k]))
+        if not math.isfinite(mid):  # a + b overflows near DBL_MAX
+            mid = 0.5 * float(a[k]) + 0.5 * float(b[k])
+        out[k] = f.evaluate(mid)
     rest = ~near
     if f.integral_mean is not None:
         if rest.any():

@@ -229,7 +229,13 @@ def _phi_rows(inst: JensenInstance, ts: np.ndarray) -> np.ndarray:
             f"inner combination for row i={i} at t={ts[k]} is {inner[k, i]}, "
             f"outside the domain of {inst.f.name} ({inst.f.domain})"
         )
-    return inst.f.evaluate_many(inner)
+    vals = inst.f.evaluate_many(inner)
+    if not np.isfinite(vals).all():
+        # a combination can round an ulp past the largest point, where f may overflow; every
+        # combination is a mean of the points, so it is clamped to their range there
+        big, pts = ~np.isfinite(vals), inst.points
+        vals[big] = inst.f.evaluate_many(np.clip(inner[big], pts.min(), pts.max()))
+    return vals
 
 
 def phi_values(inst: JensenInstance, ts) -> np.ndarray:

@@ -298,6 +298,48 @@ def test_verify_grid_flag(tmp_path, capsys):
     assert [e["t"] for e in report["middle"]] == [0.0, 0.5]
 
 
+@pytest.mark.parametrize("application", sorted(set(VERDICT_DOCS) - {"jensen"}))
+def test_verify_grid_flag_is_refused_by_an_application_without_a_t_grid(
+    tmp_path, capsys, application
+):
+    path = write(tmp_path, "doc.json", VERDICT_DOCS[application])
+    assert main(["verify", path, "--grid", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --grid: not a valid option for application '{application}'\n"
+
+
+REPORT_KEYS = ["application", "tolerance", "lower", "upper", "middle", "slacks", "pass",
+               "identity_checks", "witnesses"]
+
+
+@pytest.mark.parametrize("application", sorted(VERDICT_DOCS))
+def test_every_application_has_the_one_report_layout(tmp_path, capsys, application):
+    main(["verify", write(tmp_path, "doc.json", VERDICT_DOCS[application])])
+    report = json.loads(capsys.readouterr().out)
+    if application == "jensen":  # the document holds hadamard weights
+        assert list(report) == REPORT_KEYS[:5] + ["integral"] + REPORT_KEYS[5:]
+        assert list(report["slacks"]) == [
+            "lower", "upper", "integral_lower", "integral_upper",
+            "hadamard_lower", "hadamard_inner", "hadamard_upper",
+        ]
+    else:
+        assert list(report) == REPORT_KEYS
+        assert list(report["slacks"]) == ["lower", "upper"]
+
+
+def test_a_violated_integral_chain_has_its_own_witness(tmp_path, capsys):
+    assert main(["verify", write(tmp_path, "sq.json", SQUARE_JENSEN)]) == 0
+    assert json.loads(capsys.readouterr().out)["witnesses"] == []
+    doc = json.loads(json.dumps(SQUARE_JENSEN))
+    doc["function"]["direction"] = "concave"
+    assert main(["verify", write(tmp_path, "lie.json", doc)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["witnesses"][-1] == {"member": "integral", "value": report["integral"],
+                                       "lower": report["lower"], "upper": report["upper"]}
+    assert all("t" in w for w in report["witnesses"][:-1])
+
+
 def test_report_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "det.json", AGM_ANCHOR)
     main(["verify", path])
@@ -367,6 +409,14 @@ def test_generate_out_file_and_determinism(tmp_path, capsys):
     assert main(["generate", "ds", "--n", "4", "--seed", "9", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("kind", ["ds", "weight"])
+def test_generate_refuses_a_negative_seed(capsys, kind):
+    assert main(["generate", kind, "--n", "2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed: expected a nonnegative integer, got -1\n"
 
 
 def test_generate_rejects_bad_dims(capsys):
@@ -762,13 +812,29 @@ def test_an_array_of_the_wrong_dimension_exits_2_naming_it(
     assert captured.err == f"error: {label}: expected a {ndim}-D array, got {ndim + nesting}-D\n"
 
 
-def test_an_unexpected_exception_exits_2_as_an_internal_error(tmp_path, capsys, monkeypatch):
-    # exit 1 means a violated chain, so a bug must not reach it
+# application -> (module, name) of the chain function its builder calls
+CHAIN_FUNCTIONS = {
+    "jensen": (cli.refine, "chain_at_t"),
+    "agm": (cli.apps, "agm_chain"),
+    "kyfan": (cli.apps, "kyfan_chain"),
+    "lp": (cli.apps, "lp_chain"),
+    "powersum": (cli.apps, "power_sum_chain"),
+    "matrixpower": (cli.apps, "matrix_power_chain"),
+    "harmonic": (cli.apps, "harmonic_chain"),
+}
+
+
+@pytest.mark.parametrize("application", sorted(CHAIN_FUNCTIONS))
+def test_an_unexpected_exception_exits_2_as_an_internal_error(
+    tmp_path, capsys, monkeypatch, application
+):
+    # exit 1 means a violated chain, so a bug must not reach it; the chain function is
+    # looked up when the document is verified, so the patched one is called
     def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli.apps, "agm_chain", broken)
-    assert main(["verify", write(tmp_path, "agm.json", AGM_ANCHOR)]) == 2
+    monkeypatch.setattr(*CHAIN_FUNCTIONS[application], broken)
+    assert main(["verify", write(tmp_path, "doc.json", VERDICT_DOCS[application])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error: RuntimeError: boom\n"

@@ -439,8 +439,6 @@ def test_cli_verifies_catalog_functions_near_overflow(doc):
     strict_json(out)
 
 
-@pytest.mark.xfail(strict=True, reason="(1-t) s1 + t s2 of two equal row sums at the exp "
-                   "overflow threshold rounds an ulp past it, where exp is inf")
 def test_points_at_the_overflow_threshold_are_verified(tmp_path):
     eye = np.eye(3)
     doc = {"function": {"name": "exp"}, "points": [690.0, math.log(DBL_MAX), math.log(DBL_MAX)],

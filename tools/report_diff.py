@@ -11,10 +11,11 @@ interpreter.
 
 The summary lists, per application (the first word of the operation's
 label), how many operations differ in exit code, stdout, ``--out`` bytes or
-first stderr line, and the worst relative change of every numeric field of
-the JSON they print (list positions folded into ``[]``).  Then it names each
-differing operation.  Exit status: 0 when every operation agrees, 1 when
-some differ.
+first stderr line, the worst relative change of every numeric field of the
+JSON they print (list positions folded into ``[]``), and the numeric fields
+that only one tree prints, each with the number of leaves the change adds
+(``+``) or drops (``-``).  Then it names each differing operation.  Exit
+status: 0 when every operation agrees, 1 when some differ.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -122,16 +123,18 @@ def rel_change(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare(parent, change, worst):
-    """Aspects in which two results differ; records numeric changes in worst[field]."""
+def compare(parent, change, worst, layout):
+    """Aspects in which two results differ; records numeric changes in worst[field] and the
+    leaves only one side prints in layout[(sign, field)]."""
     differ = [k for k in ASPECTS if parent[k] != change[k]]
     if "stdout" in differ or "out" in differ:
         for key, prefix in (("stdout", ""), ("out", "out:")):
             a, b = numbers(parent[key], prefix), numbers(change[key], prefix)
             if a is None or b is None:
                 continue
-            if a.keys() != b.keys():
-                worst["<layout>"] = float("inf")
+            for sign, only in (("-", a.keys() - b.keys()), ("+", b.keys() - a.keys())):
+                for path in only:
+                    layout[sign, fold(path)] += 1
             for path in a.keys() & b.keys():
                 field = fold(path)
                 worst[field] = max(worst.get(field, 0.0), rel_change(a[path], b[path]))
@@ -149,6 +152,7 @@ def main(argv=None):
 
     counts = defaultdict(lambda: dict.fromkeys(("ops", "same", *ASPECTS), 0))
     worst = defaultdict(dict)
+    layout = defaultdict(Counter)
     listed = []
     with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
         for workload in args.workloads:
@@ -162,7 +166,7 @@ def main(argv=None):
                     app = a["label"].split("-")[0]
                     row = counts[app]
                     row["ops"] += 1
-                    differ = compare(a, b, worst[app])
+                    differ = compare(a, b, worst[app], layout[app])
                     row["same"] += not differ
                     for aspect in differ:
                         row[aspect] += 1
@@ -187,6 +191,11 @@ def main(argv=None):
         print("\nworst relative change per numeric field (fields that moved)")
         for app, field, v in changed:
             print(f"  {app:<12} {field:<32} {v:.3g}")
+    if any(layout.values()):
+        print("\nnumeric fields printed by one tree only (+ change, - parent): leaves")
+        for app in sorted(layout):
+            for (sign, field), count in sorted(layout[app].items()):
+                print(f"  {app:<12} {sign} {field:<30} {count}")
     if listed:
         print("\ndiffering ops")
         for line in listed:
