@@ -114,6 +114,9 @@ def _render(obj, out, indent):
         out.append(_finite(f"{float(obj):.17g}"))
     elif obj is None:
         out.append("null")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        # a generated grid: every row at once, the bytes of the list-of-rows branch above
+        out.append(_finite(gridtext.encode_rows(obj, indent)))
     else:
         out.append(encode_basestring_ascii(str(obj)))
 
@@ -577,11 +580,11 @@ def cmd_verify(path: str, tol=refine.TOL_FLOOR, grid=None) -> int:
 def cmd_generate(kind: str, n: int, m=None, seed: int = 0, out=None) -> int:
     if kind == "ds":
         matrix = random_doubly_stochastic(n, seed)
-        payload = matrix.values.tolist()
+        payload = matrix.values
     elif kind == "weight":
         rows = m if m is not None else n
         w = random_weight(ProbabilityVector.uniform(rows), ProbabilityVector.uniform(n), seed)
-        payload = {"kind": "matrix", "values": w.values.tolist()}
+        payload = {"kind": "matrix", "values": w.values}
     else:
         raise ValidationError(f"unknown generator kind {kind!r}; expected ds or weight")
     text = render_json(payload) + "\n"

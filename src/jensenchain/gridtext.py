@@ -1,4 +1,5 @@
-"""Decode the text of rows of JSON numbers into float64, bit for bit as json.loads would.
+"""The text of rows of JSON numbers, both ways: decode into float64 bit for bit as json.loads
+would, and encode at 17 significant digits byte for byte as %.17g would.
 
 decode_rows(s, start, stop) takes a text = s[start:stop] such as
 '[1.5, 0], [-2e-3, 7]': one or more rows of JSON numbers, each in
@@ -35,11 +36,37 @@ The work is array-at-a-time over the bytes of the text:
 
 A value that json gives as the int 0 is +0.0, also when written "-0";
 "-0.0" and "-0e0" are floats and stay -0.0.
+
+encode_rows(values, indent) takes a 2-D float64 array and returns the JSON
+text of its list of rows, one number a line, nested at indent as the
+report renderer nests lists, each number as f"{v:.17g}" prints it.  The
+work is array-at-a-time, a block of rows of at most QUAD_BATCH_VALUES
+numbers at a time (one row where a row is wider), as fixed-precision
+printing in U. Adams, "Ryu revisited: printf floating point conversion",
+OOPSLA 2019:
+
+- a normal double m * 2**e with X = floor(log10 |v|) and k = 16 - X in
+  [0, 27] has the 17 digits D = round-half-even(m * 5**k * 2**(e + k)),
+  exact from one 64 x 64 -> 128-bit product (5**27 < 2**64); the rounding
+  is decided from the bits shifted out, and X is corrected once where D
+  falls outside [10**16, 10**17);
+- D is expanded to ASCII digits eight at a time in 64-bit words (SWAR,
+  the inverse of the decoder's digit reader);
+- the %g layout is laid into fixed byte slots of one cell per number:
+  sign, "0." and leading zeros, the digits with the decimal point shifted
+  in, the exponent "e-XX", the separator; fixed notation for -4 <= X < 17
+  with trailing zeros dropped, exponent form otherwise;
+- a slot that a number does not fill holds a NUL byte, so one deletion of
+  every NUL from the block's cells compresses them into the text;
+- every other value (+-0, subnormals, |v| >= 1e17 or below 1e-11, inf and
+  nan, a shift of more than 64 bits) is printed by f"{v:.17g}" itself.
 """
 
 import functools
 
 import numpy as np
+
+from .numerics import QUAD_BATCH_VALUES
 
 _U64 = np.uint64
 _PAD = b" " * 8
@@ -393,3 +420,240 @@ def decode_rows(s, start, stop):
         except (OverflowError, ValueError):  # beyond a double, or past the int digit limit
             return None
     return values.reshape(rows, width)
+
+
+# ---------------------------------------------------------------------------
+# encoding
+
+_POW5 = np.array([5**k for k in range(28)], dtype=_U64)  # 5**27 < 2**64
+_K_MAX = _U64(27)
+_E8, _E16, _E17 = _U64(10**8), _U64(10**16), _U64(10**17)
+_NORMAL_MIN, _NORMAL_MAX = _U64(0x0010000000000000), _U64(0x7FEFFFFFFFFFFFFF)  # as bits
+_POINT_CHAR = _U64(ord("."))
+
+
+def _text_words(text, size=0):
+    """text as little-endian uint64 words, NUL-padded to at least size words."""
+    raw = text.encode("ascii")
+    raw = raw.ljust(max(size * 8, -(-len(raw) // 8) * 8), b"\0")
+    return np.frombuffer(raw, dtype="<u8")
+
+
+def _layout_tables():
+    """For X = -11 .. 16 (index X + 11): the word of the "0." and leading zeros, after the
+    sign's byte; the digits ahead of a decimal point among the 17 (all 17 where the lead
+    holds the point); the digits kept even when they are trailing zeros; and the exponent
+    word.  Fixed notation for X >= -4, exponent form below."""
+    lead, point, keep, exponent = [], [], [], []
+    for x in range(-11, 17):
+        fraction = -4 <= x < 0  # "0." and -X-1 zeros, then all 17 digits after the point
+        lead.append(_text_words("\0" + ("0." + "0" * (-x - 1) if fraction else ""), 1))
+        point.append(17 if fraction else max(x, 0) + 1)
+        keep.append(0 if fraction else max(x, 0) + 1)
+        exponent.append(_text_words(f"e-{-x:02d}" if x < -4 else "", 1))
+    return (np.concatenate(lead), np.array(point), np.array(keep), np.concatenate(exponent))
+
+
+_LEAD, _POINT, _KEEP, _EXPONENT = _layout_tables()
+
+
+def _digit_bytes(x):
+    """The eight decimal digits of each x < 10**8 as the bytes of a word, the first digit
+    lowest: the inverse of _eight, less the ASCII zeros.  x is overwritten."""
+    hi = x // _U64(10000)
+    x -= hi * _U64(10000)
+    x <<= _U64(32)
+    x |= hi  # four-digit halves in 32-bit lanes, the leading one low
+    np.multiply(x, _U64(5243), out=hi)  # / 100 in each lane
+    hi >>= _U64(19)
+    hi &= _U64(0x0000007F0000007F)
+    x -= hi * _U64(100)
+    x <<= _U64(16)
+    x |= hi  # two-digit quarters in 16-bit lanes
+    np.multiply(x, _U64(103), out=hi)  # / 10 in each lane
+    hi >>= _U64(10)
+    hi &= _U64(0x000F000F000F000F)
+    x -= hi * _U64(10)
+    x <<= _U64(8)
+    x |= hi
+    return x
+
+
+def _scaled(v, k):
+    """(round-half-even(|v| * 10**k), mask of k in [0, 27]) for float64 v.
+
+    For v = m * 2**e, one 128-bit product m * 2**(left + 1) * 5**k, shifted right by right
+    bits (left - right = e + k), gives twice the value with its half bit lowest; the bits
+    shifted out of it decide the ties.  It is exact where v is normal and right is at most
+    64, as it is where 10**16 <= the result < 10**17; a larger right gives 0.
+    """
+    bits = v.view(_U64)
+    ok = k.view(_U64) <= _K_MAX
+    k = np.minimum(k.view(_U64), _K_MAX).view(np.int64)
+    shift = ((bits >> _U64(52)) & _U64(0x7FF)).view(np.int64)
+    shift += k
+    shift -= 1075
+    left = np.maximum(shift, 0)
+    right = np.subtract(left, shift, out=shift).view(_U64)
+    left += 1
+    m = bits & _U64((1 << 52) - 1)
+    m |= _U64(1 << 52)
+    m <<= left.view(_U64)
+    del left
+    hi, lo = _mul128(m, _POW5[k])
+    del m, k
+    out = _U64(64) - right  # 64 or more shifts give 0
+    twice = lo >> right
+    del right
+    hi <<= out
+    twice |= hi
+    del hi
+    sticky = np.left_shift(lo, out, out=lo)  # the bits below the half bit
+    del out
+    sticky |= _U64(0) - sticky
+    sticky >>= _U64(63)
+    d = twice >> _U64(1)
+    sticky |= d
+    twice &= sticky
+    twice &= _U64(1)
+    d += twice
+    return d, ok
+
+
+def _first_bytes(count8):
+    """For 8 * count, count in [1, 17]: masks of the bytes of the digit words H and L
+    (digits 2-9 and 10-17) that lie among the first count digits."""
+    return ~(_ALL << (count8 - _U64(8))), _ALL >> (_U64(136) - count8)
+
+
+def _number_words(v):
+    """The four words of each number of v (1-D float64) as %.17g prints it, NUL bytes between
+    the characters: the sign and the "0.000" of fixed notation below 1 in bytes 0-5, the
+    digits with the decimal point shifted in from byte 6 to 23, and the exponent in the low
+    half of the fourth word.  Temporaries are freed or overwritten as soon as they are spent,
+    so the memory a block needs stays a few arrays of its size."""
+    bits = v.view(_U64)
+    # X or one less: log10 is off by far less than the margin, and an X one too high could
+    # let D round up to exactly 10**16 from 16 digits
+    x = np.log10(np.clip(bits & _U64((1 << 63) - 1), _NORMAL_MIN, _NORMAL_MAX).view(float))
+    x -= 1e-12
+    k = np.floor(x, out=x).astype(np.int64)
+    del x
+    np.subtract(16, k, out=k)
+    d, ok = _scaled(v, k)  # subnormals, zeros, inf and nan have k outside [0, 27]
+    up = np.flatnonzero(ok & (d >= _E17))
+    if up.size:  # X is one more: x was one low, or D rounded up to 10**17
+        k[up] -= 1
+        d[up], ok[up] = _scaled(v[up], k[up])
+    ok &= d >= _E16
+    ok &= d < _E17
+    at = np.minimum(k.view(_U64), _K_MAX, out=k.view(_U64)).view(np.int64)
+    np.subtract(27, at, out=at)  # X + 11
+
+    top = d // _E16
+    d -= top * _E16
+    high = d // _E8
+    d -= high * _E8
+    high = _digit_bytes(high)
+    low = _digit_bytes(d)
+    # significant digits, through the last nonzero one: the byte of the top bit of the 16 low
+    # digit bytes; a digit's top bit is bit 3 of its byte or lower, so the rounding of the
+    # float conversion cannot reach the next byte
+    f = low.astype(float)
+    f *= 2.0**64
+    f += high.astype(float)
+    sig8 = np.frexp(f)[1].astype(np.int64)
+    del f
+    sig8 += 15
+    sig8 &= -8
+    point8 = _POINT[at]
+    point8 <<= 3
+    keep8 = _KEEP[at]
+    keep8 <<= 3
+    np.maximum(keep8, sig8, out=keep8)
+    keep_h, keep_l = _first_bytes(keep8.view(_U64))
+    del keep8
+    high |= _ZEROS
+    high &= keep_h
+    low |= _ZEROS
+    low &= keep_l
+    del keep_h, keep_l
+    head_h, head_l = _first_bytes(point8.view(_U64))
+    head_h &= high
+    head_l &= low
+    high ^= head_h  # the tails, a byte further up to make room for the point
+    low ^= head_l
+    # the point's bit offset from byte 0 of the number, 256 more (past the three words)
+    # where no digit follows it
+    dot = point8 - sig8
+    del sig8
+    dot >>= 63
+    dot <<= 8
+    dot += point8
+    dot += 48 + 256
+    del point8
+    dot = dot.view(_U64)
+
+    first = _LEAD[at]
+    first |= (bits >> _U64(63)) * _U64(ord("-"))
+    top |= _U64(0x30)
+    top <<= _U64(48)
+    first |= top
+    del top
+    first |= head_h << _U64(56)
+    first |= _POINT_CHAR << dot
+    second = np.right_shift(head_h, _U64(8), out=head_h)
+    second |= high
+    del high
+    second |= head_l << _U64(56)
+    dot -= _U64(64)
+    second |= _POINT_CHAR << dot
+    third = np.right_shift(head_l, _U64(8), out=head_l)
+    third |= low
+    del low
+    dot -= _U64(64)
+    third |= _POINT_CHAR << dot
+    words = [first, second, third, _EXPONENT[at]]
+
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = b"".join(f"{t:.17g}".encode("ascii").ljust(24, b"\0") for t in v[slow].tolist())
+        fallback = np.frombuffer(text, dtype="<u8").reshape(-1, 3)
+        for w in range(3):
+            words[w][slow] = fallback[:, w]
+        words[3][slow] = 0
+    return words
+
+
+def encode_rows(values, indent):
+    """values, a 2-D float64 array, as the JSON text of its list of rows at indent (see the
+    module doc); inf and nan are printed as %.17g prints them."""
+    rows, cols = values.shape
+    outer, pad, inner = ("  " * (indent + j) for j in range(3))
+    if not rows:
+        return "[]"
+    if not cols:
+        return "[\n" + ",\n".join([pad + "[]"] * rows) + f"\n{outer}]"
+    sep = _text_words(f"\0\0\0\0,\n{inner}")  # after the exponent's half word
+    brk = _text_words(f"\n{pad}],\n{pad}[\n{inner}")
+    end = _text_words(f"\n{pad}]", brk.size)
+    width = 3 + sep.size
+    step = max(1, QUAD_BATCH_VALUES // cols)
+    out = [f"[\n{pad}[\n{inner}"]
+    for start in range(0, rows, step):
+        block = values[start : start + step]
+        n = block.shape[0]
+        text = bytearray(n * (cols * width + brk.size) * 8)
+        words = np.frombuffer(text, dtype="<u8").reshape(n, -1)
+        cells = words[:, : cols * width].reshape(n, cols, width)
+        cells[..., 3:] = sep
+        for w, word in enumerate(_number_words(np.ravel(block))):
+            cells[..., w] |= word.reshape(n, cols)
+        cells[:, -1, 3] &= _U64(0xFFFFFFFF)  # the last number of a row is followed by brk
+        cells[:, -1, 4:] = 0
+        words[:, cols * width :] = brk
+        if start + n == rows:
+            words[-1, cols * width :] = end
+        out.append(text.translate(None, b"\0").decode("ascii"))
+    out.append(f"\n{outer}]")
+    return "".join(out)

@@ -190,9 +190,25 @@ class JensenInstance:
                 f"point {j} = {pts[j]} is outside the domain of {self.f.name} ({self.f.domain})"
             )
         object.__setattr__(self, "points", pts)
-        lamx = self.lam.weights * pts
-        object.__setattr__(self, "s1", self.w1.values @ lamx)
-        object.__setattr__(self, "s2", self.w2.values @ lamx)
+        lam = self.lam.weights
+        lamx = lam * pts
+        sums = (self.w1.values @ lamx, self.w2.values @ lamx)
+        if not lamx.all():
+            # a term lambda_j x_j that underflowed to 0 is multiplied back in the other order
+            lost = (lamx == 0.0) & (lam != 0.0) & (pts != 0.0)
+            for s, w in zip(sums, (self.w1.values, self.w2.values)):
+                rows = np.flatnonzero((w[:, lost] != 0.0).any(axis=1))
+                s[rows] = (w[rows] * lam) @ pts
+        # a row sum is a mean of the points, but it can round an ulp past them, where f may
+        # overflow; there it is clamped to their range
+        lo, hi = pts.min(), pts.max()
+        for s in sums:
+            out = np.flatnonzero((s < lo) | (s > hi))
+            if out.size:
+                big = out[~np.isfinite(self.f.evaluate_many(s[out]))]
+                s[big] = np.clip(s[big], lo, hi)
+        object.__setattr__(self, "s1", sums[0])
+        object.__setattr__(self, "s2", sums[1])
 
     @functools.cached_property
     def _sides(self):

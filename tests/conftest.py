@@ -23,8 +23,8 @@ from jensenchain import (
 from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
-# a larger example budget, for CI runs of the decoder's differential tests
-# (--hypothesis-profile=ci); tests/test_decoder.py reads it
+# a larger example budget, for CI runs of the decoder's and the encoder's differential tests
+# (--hypothesis-profile=ci); tests/test_decoder.py and tests/test_render.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain

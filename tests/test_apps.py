@@ -16,6 +16,8 @@ from jensenchain import (
     ValidationError,
     WeightFunction,
     agm_chain,
+    chain_at_t,
+    chain_integral,
     embed_doubly_stochastic,
     get_function,
     harmonic_chain,
@@ -158,6 +160,18 @@ def test_kyfan_rejects_out_of_range_points():
         kyfan_chain([0.2, 0.6], UNI2, UNI2, w, w)
     with pytest.raises(ValidationError):
         kyfan_chain([0.0, 0.4], UNI2, UNI2, w, w)
+
+
+def test_kyfan_subnormal_point_keeps_its_row_sum():
+    """lambda_j * x_j underflows 0.5 * 5e-324 to 0; the row sum multiplies it back first."""
+    w1, w2 = _pair_from_matrices(2, DoublyStochasticMatrix.identity(2),
+                                 DoublyStochasticMatrix.antidiagonal(2))
+    inst = JensenInstance(f=get_function("kyfan"), points=[5e-324, 0.5], lam=UNI2, mu=UNI2,
+                          w1=w1, w2=w2)
+    assert inst.s1.tolist() == [5e-324, 0.5]
+    assert inst.s2.tolist() == [0.5, 5e-324]
+    assert chain_at_t(inst, [0.0, 0.5, 1.0]).passed
+    assert chain_integral(inst).passed
 
 
 def test_kyfan_random_instances_pass(rng):

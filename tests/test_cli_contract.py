@@ -448,6 +448,17 @@ def test_points_at_the_overflow_threshold_are_verified(tmp_path):
     assert code in (0, 1), err
 
 
+@pytest.mark.parametrize("n", [11, 13, 22])
+def test_row_sums_past_the_largest_point_are_verified(tmp_path, n):
+    """With B = I, s1 = n * (x / n) rounds an ulp past log(DBL_MAX) for these n."""
+    eye = np.eye(n)
+    doc = {"function": {"name": "exp"}, "points": [math.log(DBL_MAX)] * (n - 1) + [690.0],
+           "weights": {"B": eye.tolist(), "C": np.roll(eye, 1, axis=0).tolist()}}
+    code, out, err = run_doc(tmp_path, doc)
+    assert code == 0, err
+    strict_json(out)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(points=st.lists(st.floats(0.0, DBL_MAX) | st.floats(0.0, 1e3)
                        | st.floats(0.5, 1.0).map(lambda k: k * DBL_MAX), min_size=1, max_size=3))

@@ -1,6 +1,9 @@
-"""Report rendering: byte-identical to the item-by-item renderer, finite numbers only."""
+"""Report rendering: byte-identical to the item-by-item renderer, finite numbers only; generated
+grids through the array encoder, byte-identical to %.17g."""
 
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensenchain import NumericError, ProbabilityVector, random_doubly_stochastic, random_weight
+from jensenchain import gridtext
 from jensenchain.cli import main, render_json
+from jensenchain.numerics import QUAD_BATCH_VALUES
 
 from conftest import recursive_render
 
@@ -92,3 +97,78 @@ def test_generate_weight_equals_the_oracle(capsys, n, m):
     w = random_weight(ProbabilityVector.uniform(m), ProbabilityVector.uniform(n), 5)
     payload = {"kind": "matrix", "values": [[float(v) for v in row] for row in w.values]}
     assert capsys.readouterr().out == recursive_render(payload) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the grid encoder: gridtext.encode_rows against %.17g, and render_json of an array against
+# render_json of its list of rows
+
+DBL_MAX = sys.float_info.max
+
+
+def _encoder_edges():
+    """Values where the digits, the rounding or the %g layout change."""
+    values = [
+        # ties at the 18th significant digit, which round half to even
+        1234567890123456.75, 1234567890123456.25, 1125899906842624.75,
+        562949953421312.125, 999999999999999.875,
+        0.99999999999999994,
+        # the 1e-4 / 1e-5 and 1e16 / 1e17 layout boundaries, and the ends of the fast range
+        1e-4, 1e-5, 1e16, 1e17, 1e-11, 1e-12, 99999999999999984.0, 9.9999999999999991e-05,
+        # subnormals, zeros and the ends of the doubles
+        5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, -0.0, DBL_MAX,
+    ]
+    for j in range(-13, 19):  # powers of ten, and one ulp either side
+        p = float(f"1e{j}")
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    return values + [-v for v in values]
+
+
+ENCODER_EDGES = _encoder_edges()
+bit_patterns = st.integers(0, 2**64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+grid_values = bit_patterns | finite | st.sampled_from(ENCODER_EDGES)
+
+
+def tokens(text):
+    """The numbers of a rendered grid, as printed."""
+    return [t for t in text.replace(",", " ").split() if t not in ("[", "]")]
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(values=st.lists(grid_values, min_size=1, max_size=40), cols=st.integers(1, 5),
+       indent=st.integers(0, 3))
+def test_encoder_prints_every_double_as_17g(values, cols, indent):
+    cols = min(cols, len(values))
+    values = values[: len(values) // cols * cols]  # whole rows
+    grid = np.array(values, dtype=float).reshape(-1, cols)
+    assert tokens(gridtext.encode_rows(grid, indent)) == [f"{v:.17g}" for v in values]
+
+
+def test_encoder_edge_values():
+    grid = np.array(ENCODER_EDGES).reshape(1, -1)
+    assert tokens(gridtext.encode_rows(grid, 0)) == [f"{v:.17g}" for v in ENCODER_EDGES]
+
+
+WIDE = QUAD_BATCH_VALUES + 3  # a row wider than a block
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (7, 1), (1, 7), (2, WIDE),
+                                   (QUAD_BATCH_VALUES // 50 * 2 + 3, 50)], ids=str)
+def test_render_of_an_array_equals_render_of_its_rows(shape):
+    grid = np.random.default_rng(sum(shape)).random(shape) * 10.0 ** (np.arange(shape[1]) % 9 - 6)
+    for nest in (lambda g: g, lambda g: {"kind": "matrix", "values": g}, lambda g: [{"a": {"b": g}}]):
+        plain = nest(grid.tolist())
+        assert render_json(nest(grid)) == render_json(plain) == recursive_render(plain)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_render_of_an_array_refuses_non_finite_numbers_as_its_rows(bad):
+    grid = np.full((3, 4), 0.25)
+    grid[1, 2] = bad
+    grid[2, 0] = -bad  # only the first one in row order is named
+    with pytest.raises(NumericError) as plain:
+        render_json(grid.tolist())
+    with pytest.raises(NumericError, match="non-finite number -?(inf|nan)") as array:
+        render_json(grid)
+    assert str(array.value) == str(plain.value)
