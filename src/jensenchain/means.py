@@ -214,9 +214,10 @@ def integral_mean(f, a, b):
     Inside the band |b - a| <= EPS_DEG * max(1, |a|, |b|) the midpoint
     value f((a+b)/2) is returned, evaluated on Python floats; the other
     segments go to the catalog closed form in one array call when the
-    function carries one, and to adaptive Simpson quadrature one by one
-    when it does not.  A segment outside the domain of f raises
-    ValidationError naming the first such segment.
+    function carries one, and to adaptive Gauss-Kronrod quadrature
+    (numerics.adaptive_simpson, a name kept from its older Simpson
+    rule) one by one when it does not.  A segment outside the domain of
+    f raises ValidationError naming the first such segment.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = _as_pair(a, b)

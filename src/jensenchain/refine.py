@@ -32,8 +32,9 @@ from .measures import (
 from .numerics import adaptive_simpson, golden_section_minimize
 
 TOL_FLOOR = 1e-9
-# below this bound on |phi|, a Simpson panel sum fa + 4 fm + fb cannot overflow
-_SIMPSON_SAFE = sys.float_info.max / 16.0
+# below this bound on |phi|, no panel sum of the quadrature overflows: the Kronrod and the
+# Gauss weights each sum to 2, so a partial sum stays within 2 max|phi| and K - G within 4
+_QUAD_SAFE = sys.float_info.max / 16.0
 
 
 def chain_tolerance(lower: float, upper: float, scale: float = TOL_FLOOR) -> float:
@@ -291,11 +292,11 @@ def phi_integral_quad(inst: JensenInstance, atol=1e-10, rtol=1e-10) -> float:
     the same dot product phi(inst, t) uses, so the result equals
     quadrature over scalar phi bit for bit, except where the larger
     magnitude s of the Jensen sides (which bound phi) exceeds
-    _SIMPSON_SAFE: there Simpson's fa + 4 fm + fb could overflow, so
-    phi / s is integrated and the result multiplied by s.
+    _QUAD_SAFE: there a panel's weighted sum could overflow, so phi / s
+    is integrated and the result multiplied by s.
     """
     scale = max(abs(side) for side in inst.jensen_sides())
-    if not _SIMPSON_SAFE < scale < math.inf:
+    if not _QUAD_SAFE < scale < math.inf:
         scale = 1.0
 
     def fv(ts):

@@ -6,6 +6,7 @@ an independent evaluation path.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from jensenchain import (
 from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
-# a larger example budget, for CI runs of the decoder's and the encoder's differential tests
-# (--hypothesis-profile=ci); tests/test_decoder.py and tests/test_render.py read it
+# a larger example budget, for CI runs of the decoder's, the encoder's and the quadrature's
+# differential tests (--hypothesis-profile=ci); tests/test_decoder.py, tests/test_render.py
+# and tests/test_numerics.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain
@@ -77,35 +79,83 @@ def direct_phi(inst, t):
     return total
 
 
-def _simpson_panel(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    h = 0.5 * (b - a)
-    left = h / 6.0 * (fa + 4.0 * flm + fm)
-    right = h / 6.0 * (fm + 4.0 * frm + fb)
-    s2 = left + right
-    err = s2 - whole
-    if abs(err) <= 15.0 * max(tol, 1e-16 * abs(s2)):
-        return s2 + err / 15.0
+# QUADPACK's 7/15-point Gauss-Kronrod pair on [-1, 1], written out here from the published
+# tables: the 15 Kronrod nodes in ascending order, their weights, and the Gauss weights (0 on
+# the 8 nodes that only the Kronrod rule uses)
+_GK_POSITIVE = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+GK_NODES = tuple(-x for x in _GK_POSITIVE) + (0.0,) + _GK_POSITIVE[::-1]
+_GK_KRONROD = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+GK_KRONROD_W = _GK_KRONROD + (0.209482141084727828012999174891714,) + _GK_KRONROD[::-1]
+_GK_GAUSS = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+GK_GAUSS_W = (
+    0.0, _GK_GAUSS[0], 0.0, _GK_GAUSS[1], 0.0, _GK_GAUSS[2], 0.0,
+    0.417959183673469387755102040816327,
+    0.0, _GK_GAUSS[2], 0.0, _GK_GAUSS[1], 0.0, _GK_GAUSS[0], 0.0,
+)
+
+
+def _pairwise_sum(terms):
+    """Term i takes term i + 8, then i + 4, i + 2 and i + 1: 15 terms in a fixed order."""
+    terms = list(terms)
+    for step in (8, 4, 2, 1):
+        for i in range(len(terms) - step):
+            terms[i] += terms[i + step]
+        del terms[step:]
+    return terms[0]
+
+
+def _gk_panel(f, a, b):
+    """(Kronrod, Gauss) estimates on [a, b], one scalar f call per node."""
+    c = 0.5 * (a + b)
+    hl = 0.5 * (b - a)
+    values = []
+    for x in GK_NODES:
+        t = c + hl * x
+        v = float(f(t))
+        if not math.isfinite(v):
+            raise NumericError(f"adaptive quadrature: integrand is {v} at t={t}")
+        values.append(v)
+    kronrod = hl * _pairwise_sum(w * v for w, v in zip(GK_KRONROD_W, values))
+    gauss = hl * _pairwise_sum(w * v for w, v in zip(GK_GAUSS_W, values))
+    return kronrod, abs(kronrod - gauss)
+
+
+def _gk_refine(f, a, b, kronrod, err, tol, depth, max_depth):
+    if err <= max(tol, 4.0 * 2.0 ** -52 * abs(kronrod)):
+        return kronrod
     if depth >= max_depth:
         raise NumericError(
-            f"adaptive Simpson did not converge on [{a}, {b}] "
-            f"(residual {abs(err):.3e} at depth {depth})"
+            f"adaptive quadrature did not converge on [{a}, {b}] "
+            f"(residual {err:.3e} at depth {depth})"
         )
+    m = 0.5 * (a + b)
+    left = _gk_panel(f, a, m)
+    right = _gk_panel(f, m, b)
     half = 0.5 * tol
-    return _simpson_panel(f, a, m, fa, flm, fm, left, half, depth + 1, max_depth) + _simpson_panel(
-        f, m, b, fm, frm, fb, right, half, depth + 1, max_depth
+    return _gk_refine(f, a, m, *left, half, depth + 1, max_depth) + _gk_refine(
+        f, m, b, *right, half, depth + 1, max_depth
     )
 
 
-def recursive_simpson(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
-    """Depth-first adaptive Simpson: one scalar f call per node, panels refined recursively.
+def recursive_gauss_kronrod(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
+    """Depth-first adaptive G7/K15 quadrature: one scalar f call per node, panels split in two.
 
-    Same acceptance rule, tolerance halving and depth cap as the library's
-    level-batched engine, written as the plain recursion it must reproduce.
+    Same acceptance rule, tolerance halving, depth cap and messages as the
+    library's level-batched engine, written as the plain recursion it must
+    reproduce.
     """
     if a == b:
         return 0.0
@@ -113,13 +163,9 @@ def recursive_simpson(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
     if a > b:
         a, b = b, a
         sign = -1.0
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(atol, rtol * abs(whole))
-    return sign * _simpson_panel(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    kronrod, err = _gk_panel(f, a, b)
+    tol = max(atol, rtol * abs(kronrod))
+    return sign * _gk_refine(f, a, b, kronrod, err, tol, 0, max_depth)
 
 
 def _render_item(obj, out, indent):

@@ -33,7 +33,7 @@ from jensenchain import (
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
 from jensenchain.apps import _t_quadrature
 from jensenchain.refine import TOL_FLOOR
-from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_simpson
+from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_gauss_kronrod
 
 E = math.e
 UNI2 = ProbabilityVector.uniform(2)
@@ -587,7 +587,7 @@ def test_t_quadrature_equals_recursion_over_scalar_integrand(rng, shape, power):
     def scalar(t):
         return float(mu.weights @ (pointwise((1.0 - t) * s1 + t * s2) @ masses))
 
-    ref = recursive_simpson(scalar, 0.0, 1.0, atol=1e-12, rtol=1e-12)
+    ref = recursive_gauss_kronrod(scalar, 0.0, 1.0, atol=1e-12, rtol=1e-12)
     batches = []
 
     def recording(m):

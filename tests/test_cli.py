@@ -188,15 +188,17 @@ def test_verify_rejects_boolean_exponent(tmp_path, capsys, doc):
 
 
 def test_quadrature_budget_exhaustion_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(numerics, "QUAD_MAX_EVALS", 10)
+    # the first panel takes 15 nodes; its two halves would take 30 more
+    monkeypatch.setattr(numerics, "QUAD_MAX_EVALS", 20)
     assert main(["verify", write(tmp_path, "agm.json", AGM_ANCHOR)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "budget of 10 integrand evaluations on [0.0, 1.0]" in captured.err
+    assert "budget of 20 integrand evaluations on [0.0, 1.0] (at depth 1)" in captured.err
 
 
 def test_overflowing_integrand_exits_2_at_the_first_infinite_value(tmp_path, capsys):
-    # 300**200 overflows, so the t-quadrature integrand is inf from the first node
+    # 300**200 overflows, so the t-quadrature integrand is inf from the first node, the
+    # smallest Kronrod node 0.5 - 0.5 * 0.99145537112081264 on [0, 1] (no node is an end)
     doc = {
         "application": "powersum",
         "p": 200,
@@ -212,7 +214,8 @@ def test_overflowing_integrand_exits_2_at_the_first_infinite_value(tmp_path, cap
         assert main(["verify", write(tmp_path, "ps.json", doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: adaptive Simpson: integrand is inf at t=0.0")
+    first = "error: adaptive quadrature: integrand is inf at t=0.004272314439593694\n"
+    assert captured.err.startswith(first)
 
 
 def test_verify_matrix_form_requires_uniform_measures(tmp_path, capsys):
