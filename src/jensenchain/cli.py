@@ -159,6 +159,11 @@ class _GridDecoder(json.JSONDecoder):
         self.parse_array = self._parse_array
         self.scan_once = json.scanner.py_make_scanner(self)
 
+    def decode(self, s):
+        if s.startswith("\ufeff"):  # as json.loads, which JSONDecoder.decode leaves to it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+        return super().decode(s)
+
     def raw_decode(self, s, idx=0):
         try:
             return super().raw_decode(s, idx)
@@ -233,7 +238,8 @@ def _wide_row(s, start, stop, chars):
         pieces.append(piece)
         if cut < 0:
             return np.concatenate(pieces, axis=1)
-        first = cut + 1
+        # past the whitespace after the cut, so that a piece of a uniform row lays out as the row
+        first = json.decoder.WHITESPACE.match(s, cut + 1).end()
 
 
 def _number_block(rows, text):
@@ -579,6 +585,8 @@ def cmd_verify(path: str, tol=refine.TOL_FLOOR, grid=None) -> int:
 
 def cmd_generate(kind: str, n: int, m=None, seed: int = 0, out=None) -> int:
     if kind == "ds":
+        if m is not None:
+            raise ValidationError("--m: not a valid option for generate ds")
         matrix = random_doubly_stochastic(n, seed)
         payload = matrix.values
     elif kind == "weight":

@@ -11,7 +11,18 @@ convert (an integer beyond the largest double) or would raise (an integer
 past the int digit limit).  A caller that gets None reads the text again
 with json itself, which gives the list or the error.
 
-The work is array-at-a-time over the bytes of the text:
+A text whose rows are laid out byte for byte as its first row, and every
+token as the row's first token (the same length, the decimal point in the
+same column, digits everywhere else, no sign or exponent, at most 15
+digits), as json.dumps or %.17g prints an identity or a permutation matrix,
+is read first through a (rows, row length) view of its bytes: one
+comparison checks every byte against the first row's template, each
+significand w is built a digit column at a time, and the value is
+w / 10**frac_len, exact operands under one rounding as in Clinger's path
+below.  The first row alone decides that any other text takes the general
+path.
+
+The general path is array-at-a-time over the bytes of the text:
 
 - a byte-class table gives the token bounds (maximal runs of number
   characters), the commas and the brackets; every gap between two tokens
@@ -63,6 +74,7 @@ OOPSLA 2019:
 """
 
 import functools
+import re
 
 import numpy as np
 
@@ -85,6 +97,15 @@ _ZEROS = _U64(0x3030303030303030)
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
 _POW10_F = np.array([10.0**k for k in range(23)])  # exact doubles
 _LONGEST = 19  # significant digits that always fit a uint64
+# below 10**15 < 2**53 the digits w of a token and 10**frac_len are exact doubles, so
+# w / 10**frac_len rounds once, correctly (Clinger's fast path)
+_EXACT_DIGITS = 15
+_JSON_SPACE = b" \t\n\r"
+# "[", whitespace, the integer and fraction digits of the first token, its separator
+_FIRST_TOKEN = re.compile(rb"\[([ \t\n\r]*)([0-9]+)(\.[0-9]+)?(,[ \t\n\r]*)?")
+_ROW_GAP = re.compile(rb",[ \t\n\r]*\[")
+# the largest byte ^ template under each template byte: 9 under a "0" (a digit), 0 elsewhere
+_DIGIT_LIMIT = bytes(9 if c == _ZERO else 0 for c in range(256))
 _Q_MIN, _Q_MAX = -342, 308  # beyond these, w * 10**q rounds to 0 or to inf
 
 
@@ -385,6 +406,65 @@ def _values(words, buf, ends, int_end, int_len, mant_end, frac_len, exp_len, exp
     return bits, np.arange(bits.size)[live][slow]
 
 
+def _uniform(raw):
+    """The rows of raw as a 2-D float64 array if every row is laid out byte for byte as the
+    first one, with every token laid out as its first token: an unsigned integer or decimal
+    of at most _EXACT_DIGITS digits.  None otherwise, decided from the first row alone where
+    that row breaks the layout."""
+    first = _FIRST_TOKEN.match(raw)
+    if first is None:
+        return None
+    lead, whole, frac, sep = first.groups(b"")
+    int_len, frac_len = len(whole), max(len(frac) - 1, 0)
+    if int_len + frac_len > _EXACT_DIGITS:
+        return None
+    size = len(whole) + len(frac)
+    close = raw.find(b"]", first.end())
+    body_end = close
+    while raw[body_end - 1] in _JSON_SPACE:
+        body_end -= 1
+    cell = size + len(sep)
+    width, rest = divmod(body_end - 1 - len(lead) + len(sep), cell)
+    if rest or (width > 1) != bool(sep):
+        return None
+    if close + 1 == len(raw):
+        gap = b""
+    else:
+        gap = _ROW_GAP.match(raw, close + 1)
+        if gap is None:
+            return None
+        gap = gap[0][:-1]  # "," and the whitespace before the next row's "["
+    stride = close + 1 + len(gap)
+    rows, rest = divmod(len(raw) + len(gap), stride)
+    if rest:
+        return None
+    token = b"0" * int_len + (b"." + b"0" * frac_len if frac_len else b"")
+    template = b"[" + lead + sep.join([token] * width) + raw[body_end : close + 1] + gap
+    # byte ^ template is the digit's value, at most 9, in a digit column, and 0 in any other
+    limit = np.frombuffer(template.translate(_DIGIT_LIMIT), dtype=np.uint8)
+    template = np.frombuffer(template, dtype=np.uint8)
+    head = np.frombuffer(raw, dtype=np.uint8, count=close + 1)
+    if not (head ^ template[: close + 1] <= limit[: close + 1]).all():
+        return None
+    digits = np.frombuffer(raw + gap, dtype=np.uint8).reshape(rows, stride) ^ template
+    if not (digits <= limit).all():
+        return None
+    cells = np.lib.stride_tricks.as_strided(
+        digits[:, 1 + len(lead) :], shape=(rows, width, size), strides=(stride, cell, 1),
+        writeable=False,
+    )
+    if int_len > 1 and not cells[..., 0].all():  # a leading zero, as in "01.5"
+        return None
+    columns = [c for c in range(size) if c != int_len]
+    value = cells[..., columns[0]].astype(float)
+    for c in columns[1:]:
+        value *= 10.0
+        value += cells[..., c]
+    if frac_len:
+        value /= _POW10_F[frac_len]
+    return value
+
+
 def decode_rows(s, start, stop):
     """s[start:stop], rows of JSON numbers, as a 2-D float64 array; None if it is not (see
     the module doc)."""
@@ -395,6 +475,9 @@ def decode_rows(s, start, stop):
     # positions are int32
     if not 3 <= len(raw) < 2**31 or raw[0] != _OPEN or raw[-1] != _CLOSE:
         return None
+    uniform = _uniform(raw)
+    if uniform is not None:
+        return uniform
     cls = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
     if cls.max() >= _BAD:
         return None

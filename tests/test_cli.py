@@ -422,6 +422,14 @@ def test_generate_refuses_a_negative_seed(capsys, kind):
     assert captured.err == "error: --seed: expected a nonnegative integer, got -1\n"
 
 
+def test_generate_ds_refuses_m(capsys):
+    # a doubly stochastic matrix is square: --m would be ignored, so it is refused
+    assert main(["generate", "ds", "--n", "2", "--m", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --m: not a valid option for generate ds\n"
+
+
 def test_generate_rejects_bad_dims(capsys):
     assert main(["generate", "ds", "--n", "0"]) == 2
     capsys.readouterr()

@@ -146,6 +146,11 @@ def test_invalid_utf8_exits_2(tmp_path):
     assert_refused(run_raw(tmp_path, data), "doc.json", "not UTF-8")
 
 
+def test_a_byte_order_mark_exits_2_naming_it(tmp_path):
+    data = b"\xef\xbb\xbf" + json.dumps(SQUARE).encode()
+    assert_refused(run_raw(tmp_path, data), "doc.json", "line 1, column 1", "UTF-8 BOM")
+
+
 def test_huge_integer_exponent_exits_2(tmp_path):
     data = json.dumps(dict(POWERSUM, p=0)).replace('"p": 0', '"p": ' + "9" * 401)
     assert_refused(run_raw(tmp_path, data.encode()), "error: p: ")

@@ -228,14 +228,16 @@ def test_non_finite_constants_are_refused_inside_and_outside_grids():
 # memory
 
 
-def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
+@pytest.mark.parametrize("family", ["hard", "permutations"])
+def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path, family):
     n = 400
     rng = np.random.default_rng(5)
+    b = np.eye(n) if family == "hard" else np.eye(n)[rng.permutation(n)]
     doc = {
         "application": "lp",
         "p": 2,
         "points": rng.random((n, 3)).tolist(),
-        "weights": {"B": np.eye(n).tolist(), "C": np.eye(n)[rng.permutation(n)].tolist()},
+        "weights": {"B": b.tolist(), "C": np.eye(n)[rng.permutation(n)].tolist()},
     }
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(doc))
@@ -425,3 +427,126 @@ def test_a_row_wider_than_a_block_peaks_like_a_block(monkeypatch):
     assert decoded["values"].tobytes() == wide.tobytes()
     # the text, the blocks and the grid, plus the work of one block: not of one whole row
     assert grid_peak < len(text) + 3 * wide.nbytes + 2 * block_peak, (grid_peak, block_peak)
+
+
+# ---------------------------------------------------------------------------
+# uniform layout: every token and gap laid out as in the first row
+
+
+def digit_string(draw, count, lead):
+    """count random digits, the first of them nonzero when lead is set."""
+    digits = draw(st.lists(st.integers(0, 9), min_size=count, max_size=count))
+    if lead:
+        digits[0] = draw(st.integers(1, 9))
+    return "".join(map(str, digits))
+
+
+@st.composite
+def uniform_tokens(draw):
+    """(a function drawing tokens of one layout, whether that layout is exact in a double)."""
+    kind = draw(st.sampled_from(["ints01", "floats01", "fixed6", "digits15", "digits16"]))
+    if kind == "ints01":  # as %.17g prints an identity or a permutation matrix
+        return (lambda d: f"{d(st.sampled_from([0.0, 1.0])):.17g}"), True
+    if kind == "floats01":  # as repr and json.dumps print them
+        return (lambda d: repr(d(st.sampled_from([0.0, 1.0])))), True
+    count = 7 if kind == "fixed6" else int(kind[-2:])
+    point = 1 if kind == "fixed6" else draw(st.integers(0, count - 1))  # 0: an integer
+    head = point or count
+
+    def token(d):
+        text = digit_string(d, count, head > 1)
+        return text if not point else text[:point] + "." + text[point:]
+
+    return token, count <= gridtext._EXACT_DIGITS
+
+
+SEPARATORS = st.sampled_from([", ", ",", ",\n      ", ",\t", ",\r\n  "])
+PADDING = st.sampled_from(["", "", " ", "\n    ", "\n  "])  # inside a row's brackets
+
+
+@st.composite
+def uniform_grids(draw, min_side=1):
+    """(rows of tokens, then per row: separator, space after "[", space before "]"; the row
+    gap; whether the layout is exact in a double)."""
+    token, exact = draw(uniform_tokens())
+    width, rows = draw(st.integers(min_side, 6)), draw(st.integers(min_side, 6))
+    tokens = [[token(draw) for _ in range(width)] for _ in range(rows)]
+    layout = [draw(st.tuples(SEPARATORS, PADDING, PADDING))] * rows
+    return tokens, layout, draw(SEPARATORS), exact
+
+
+def grid_text(tokens, layout, gap):
+    return gap.join(f"[{lead}{sep.join(row)}{trail}]"
+                    for row, (sep, lead, trail) in zip(tokens, layout))
+
+
+@DIFFERENTIAL
+@given(uniform_grids())
+def test_uniform_layout_grids_decode_like_json(grid):
+    tokens, layout, gap, exact = grid
+    text = grid_text(tokens, layout, gap)
+    assert (gridtext._uniform(text.encode("ascii")) is not None) == exact, text
+    kernel(text)
+    assert_decodes_like_json("[" + text + "]")
+
+
+@st.composite
+def near_uniform_grids(draw):
+    """A uniform-layout grid of at least two rows and columns with one thing out of place, or
+    with a leading zero on every token."""
+    tokens, layout, gap, _ = draw(uniform_grids(min_side=2))
+    i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens[0]) - 1))
+    edit = draw(st.sampled_from(["width", "sign", "leading zeros", "exponent", "separator",
+                                 "whitespace", "short last row"]))
+    if edit == "width":
+        tokens[i][j] = "1" + tokens[i][j]
+    elif edit == "sign":
+        tokens[i][j] = "-" + tokens[i][j]
+    elif edit == "leading zeros":  # on every token, so the layout stays uniform
+        tokens = [["0" + token for token in row] for row in tokens]
+    elif edit == "exponent":
+        tokens[i][j] += draw(st.sampled_from(["e0", "E+1", "e-2"]))
+    elif edit in ("separator", "whitespace"):
+        k = 0 if edit == "separator" else draw(st.integers(1, 2))
+        row = list(layout[i])
+        row[k] = draw((SEPARATORS if k == 0 else PADDING).filter(lambda other: other != row[k]))
+        layout = layout[:i] + [tuple(row)] + layout[i + 1 :]
+    else:
+        tokens[-1].pop()
+    return grid_text(tokens, layout, gap)
+
+
+@DIFFERENTIAL
+@given(near_uniform_grids())
+def test_grids_just_off_a_uniform_layout_decode_like_json(text):
+    assert gridtext._uniform(text.encode("ascii")) is None, text
+    kernel(text)
+    assert_decodes_like_json("[" + text + "]")
+
+
+@pytest.mark.parametrize("print_grid", [
+    lambda p: json.dumps(p.tolist())[1:-1],  # 0.0 and 1.0
+    lambda p: gridtext.encode_rows(p, 0)[1:-1].strip(),  # 0 and 1, one number a line
+])
+def test_a_permutation_matrix_never_reaches_the_general_kernel(monkeypatch, print_grid):
+    def general_kernel(*args):
+        raise AssertionError("a uniform-layout block reached _values")
+
+    monkeypatch.setattr(gridtext, "_values", general_kernel)
+    p = np.eye(300)[np.random.default_rng(3).permutation(300)]
+    text = print_grid(p)
+    assert kernel(text).tobytes() == p.tobytes()
+    # through the document decoder: blocks of rows, and of 4 values each
+    for block_values in (cli.QUAD_BATCH_VALUES, 4):
+        with mock.patch.object(cli, "QUAD_BATCH_VALUES", block_values):
+            decoded = cli._DECODER.decode('{"C": [' + text + "]}")["C"]
+        assert decoded.tobytes() == p.tobytes(), block_values
+
+
+def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
+    text = '\ufeff{"B": [[1, 0], [0, 1]]}'
+    with pytest.raises(json.JSONDecodeError) as plain:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        cli._DECODER.decode(text)
+    assert (decoded.value.msg, decoded.value.pos) == (plain.value.msg, plain.value.pos)
