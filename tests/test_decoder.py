@@ -228,19 +228,10 @@ def test_non_finite_constants_are_refused_inside_and_outside_grids():
 # memory
 
 
-@pytest.mark.parametrize("family", ["hard", "permutations"])
-def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path, family):
+def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
     n = 400
     rng = np.random.default_rng(5)
-    b = np.eye(n) if family == "hard" else np.eye(n)[rng.permutation(n)]
-    doc = {
-        "application": "lp",
-        "p": 2,
-        "points": rng.random((n, 3)).tolist(),
-        "weights": {"B": b.tolist(), "C": np.eye(n)[rng.permutation(n)].tolist()},
-    }
-    path = tmp_path / "hard.json"
-    path.write_text(json.dumps(doc))
+    points = rng.random((n, 3)).tolist()
 
     def peak(load):
         tracemalloc.start()
@@ -250,10 +241,21 @@ def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path, family):
         finally:
             tracemalloc.stop()
 
-    plain_peak, plain = peak(lambda: PLAIN.decode(path.read_text(encoding="utf-8")))
-    grid_peak, decoded = peak(lambda: cli._load_document(str(path)))
-    assert grid_peak < plain_peak / 2, (grid_peak, plain_peak)
-    assert_same(plain, decoded)
+    # B = I, then B = a second permutation: the blocks of B and C take the uniform-layout path
+    for b_is_identity in (True, False):
+        b = np.eye(n) if b_is_identity else np.eye(n)[rng.permutation(n)]
+        doc = {
+            "application": "lp",
+            "p": 2,
+            "points": points,
+            "weights": {"B": b.tolist(), "C": np.eye(n)[rng.permutation(n)].tolist()},
+        }
+        path = tmp_path / "hard.json"
+        path.write_text(json.dumps(doc))
+        plain_peak, plain = peak(lambda: PLAIN.decode(path.read_text(encoding="utf-8")))
+        grid_peak, decoded = peak(lambda: cli._load_document(str(path)))
+        assert grid_peak < plain_peak / 2, (grid_peak, plain_peak)
+        assert_same(plain, decoded)
 
 
 # ---------------------------------------------------------------------------
