@@ -18,7 +18,12 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .functions import get_function
 from .means import ln_identric, log_mean, pow_integral_mean
-from .measures import DoublyStochasticMatrix, ProbabilityVector, WeightFunction
+from .measures import (
+    DoublyStochasticMatrix,
+    ProbabilityVector,
+    WeightFunction,
+    frozen_float64,
+)
 from .numerics import adaptive_simpson
 from .refine import (
     JensenInstance,
@@ -76,12 +81,11 @@ class FunctionVector:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.samples, dtype=float)
+        s = frozen_float64(self.samples)
         if s.ndim != 2 or s.shape[0] == 0 or s.shape[1] == 0:
             raise ValidationError("samples must be a nonempty n x |X| grid")
-        if not np.all(np.isfinite(s)):
+        if not (np.isfinite(s.min()) and np.isfinite(s.max())):  # NaN fails both
             raise ValidationError("samples must be finite")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     @property
@@ -246,7 +250,8 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
     middle = float(pow_integral_mean(bv, cv, p).sum())
     lower = float(n) ** (2 - p)
     upper = float(n)
-    if np.array_equal(cv, np.eye(n)):
+    # c is the identity: ones on the diagonal (checked first, in O(n)), no other nonzero
+    if (np.diagonal(cv) == 1.0).all() and np.count_nonzero(cv) == n:
         diag = np.diag(bv)
         reduced = float(np.sum(bv ** p))
         for k in range(p):

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -25,6 +26,7 @@ from .measures import (
     ProbabilityVector,
     WeightFunction,
     embed_doubly_stochastic,
+    freeze,
     random_doubly_stochastic,
     random_weight,
     rank_one_weight,
@@ -145,9 +147,10 @@ class _GridDecoder(json.JSONDecoder):
     reaches _parse_array.  An array whose text is shorter than QUAD_BATCH_VALUES
     characters holds less than one block of values, so the C scanner reads it
     whole and a grid is converted at once.  A longer grid is cut into blocks of
-    rows holding QUAD_BATCH_VALUES values (by the width of its first row; a
-    wider row into pieces), and gridtext.decode_rows turns the text of each
-    block into float64 directly, so the grid never exists as Python floats.
+    rows holding about QUAD_BATCH_VALUES values (cut by characters; a wider row
+    into pieces), and gridtext.decode_rows turns the text of each block into
+    float64 directly, so the grid never exists as Python floats.  Every grid
+    comes out read-only, so the validating constructors keep it as it is.
     Any other long array, and any block decode_rows declines, is read again
     by the C scanner from the array's opening bracket: that gives the same
     list, or raises the same error, as json.loads.
@@ -189,38 +192,62 @@ class _GridDecoder(json.JSONDecoder):
         return grid if grid is not None else self._c_scan(s, start)
 
 
+# the end of a grid: its last row's "]", whitespace, and the grid's own "]"
+_GRID_END = re.compile(r"\][ \t\n\r]*\]")
+
+
 def _read_grid(s, end):
     """(2-D float64 array, end) of the array whose body starts at s[end]; None if it is not a
-    grid of numbers."""
+    grid of numbers.
+
+    Blocks are cut at characters, so no row is visited from Python: a block runs to the
+    first "]" past the characters of QUAD_BATCH_VALUES values, at the first row's (then
+    the last block's) characters per value.  Inside the grid that "]" ends a row.  A
+    block that runs past the grid holds what follows it in an object, a quote or a
+    brace, which decode_rows refuses before any other work; it is cut again at the
+    grid's end, as is a block with no "]" after it.  A row wider than a block is a block
+    of its own, cut at its own "]".
+    """
     ws = json.decoder.WHITESPACE.match
     pos = ws(s, end).end()
     first_close = s.find("]", pos)
     if not s.startswith("[", pos) or first_close < 0:
         return None
     width = s.count(",", pos, first_close) + 1
-    rows_per_block = -(-QUAD_BATCH_VALUES // width)
-    # a row wider than a block is decoded in pieces of about a block of characters
-    piece = (first_close - pos) * QUAD_BATCH_VALUES // width if width > QUAD_BATCH_VALUES else 0
+    if width > QUAD_BATCH_VALUES:
+        # decoded in pieces of about a block of characters
+        piece, chars = (first_close - pos) * QUAD_BATCH_VALUES // width, 1
+    else:
+        piece, chars = 0, (first_close + 1 - pos) * -(-QUAD_BATCH_VALUES // width)
     blocks = []
     while True:
-        stop = pos
-        for _ in range(rows_per_block):
-            stop = s.find("]", stop) + 1
-            if not stop:
+        stop = s.find("]", pos + chars - 1) + 1
+        block = _decode_block(s, pos, stop, piece) if stop else None
+        if block is None:
+            grid_end = _GRID_END.search(s, pos, stop or len(s))
+            if grid_end is None:
                 return None
-            after = ws(s, stop).end()
-            closed = s.startswith("]", after)
-            if closed:
-                break
-            if not s.startswith(",", after):
+            stop = grid_end.start() + 1
+            block = _decode_block(s, pos, stop, piece)
+            if block is None:
                 return None
-        block = _wide_row(s, pos, stop, piece) if piece else gridtext.decode_rows(s, pos, stop)
-        if block is None or (blocks and block.shape[1] != blocks[0].shape[1]):
+        if blocks and block.shape[1] != blocks[0].shape[1]:
             return None
         blocks.append(block)
-        if closed:
-            return np.concatenate(blocks), after + 1
+        if not piece:
+            chars = (stop - pos) * QUAD_BATCH_VALUES // block.size + 1
+        after = ws(s, stop).end()
+        if s.startswith("]", after):
+            return freeze(np.concatenate(blocks)), after + 1
+        if not s.startswith(",", after):
+            return None
         pos = ws(s, after + 1).end()
+
+
+def _decode_block(s, start, stop, piece):
+    """The rows s[start:stop] as a 2-D float64 array, through _wide_row if piece is set; None
+    if they are not rows of numbers."""
+    return _wide_row(s, start, stop, piece) if piece else gridtext.decode_rows(s, start, stop)
 
 
 def _wide_row(s, start, stop, chars):
@@ -254,7 +281,7 @@ def _number_block(rows, text):
         block = np.array(rows, dtype=float)
     except (ValueError, TypeError, OverflowError):  # ragged, a nested object, or beyond a double
         return None
-    return block if block.ndim == 2 else None  # rows of equal-length rows are 3-D
+    return freeze(block) if block.ndim == 2 else None  # rows of equal-length rows are 3-D
 
 
 _DECODER = _GridDecoder()
@@ -300,7 +327,10 @@ def _object(raw, label, required, optional=()):
 
 
 def _as_float_array(raw, field, ndim=None):
-    """raw as a float64 array of the dimension _NDIM declares for field (or ndim)."""
+    """raw as a read-only float64 array of the dimension _NDIM declares for field (or ndim).
+
+    A decoded grid is returned as it is; a list becomes a new array, frozen here.
+    """
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -313,13 +343,14 @@ def _as_float_array(raw, field, ndim=None):
     ndim = _NDIM[field] if ndim is None else ndim
     if arr.ndim != ndim:
         raise ValidationError(f"{field}: expected a {ndim}-D array, got {arr.ndim}-D")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        # JSON has no inf or nan, but a literal such as 1e400 overflows to inf
+    # JSON has no inf or nan, but a literal such as 1e400 overflows to inf; the mask that
+    # names the first one is built only when min or max is not finite (NaN makes both NaN)
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        finite = np.isfinite(arr)
         k = np.unravel_index(int(np.argmin(finite)), arr.shape)
         at = f" at index {list(map(int, k))}" if k else ""
         raise ValidationError(f"{field}: non-finite value {arr[k]}{at}")
-    return arr
+    return arr if arr is raw else freeze(arr)
 
 
 def _in_field(label, build, *args):

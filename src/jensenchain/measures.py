@@ -6,6 +6,11 @@ interpolates between the two sides of the discrete Jensen inequality.
 Constructors here either validate strictly (user input is rejected, not
 repaired) or produce grids that satisfy the constraints by construction
 (rank-one, embedding, interpolation, seeded generators).
+
+Every grid a constructor holds is read-only.  A read-only float64 ndarray
+that owns its data is kept as it is handed in, so a decoded grid or a
+producer's fresh product reaches the chain without a copy; any other
+input is copied and the copy frozen.
 """
 
 from dataclasses import dataclass
@@ -21,9 +26,34 @@ SINKHORN_TOL = 1e-12
 SINKHORN_CAP = 10000
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only.  Only for an array no one else holds: a constructor keeps it."""
     arr.flags.writeable = False
     return arr
+
+
+def frozen_float64(values) -> np.ndarray:
+    """values itself if it is a read-only float64 ndarray that owns its data, else a frozen
+    float64 copy.  Such an array can change only if its owner turns writeable back on."""
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
+            and not values.flags.writeable):
+        return values
+    return freeze(np.array(values, dtype=float))
+
+
+def _check_entries(v: np.ndarray, what: str):
+    """ValidationError unless every entry of the nonempty v is finite and nonnegative.
+
+    One min and one max decide (NaN fails the first comparison); only when
+    they fail are the full-size masks built that name the offending entry.
+    """
+    if v.min() >= 0.0 and v.max() < np.inf:
+        return
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} entries must be finite")
+    k = np.unravel_index(int(np.argmin(v)), v.shape)
+    at = k[0] if v.ndim == 1 else f"({k[0]}, {k[1]})"
+    raise ValidationError(f"{what} entry {at} is negative: {v[k]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,20 +63,16 @@ class ProbabilityVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = frozen_float64(self.weights)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("probability vector must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("probability vector entries must be finite")
-        if np.any(w < 0.0):
-            j = int(np.argmin(w))
-            raise ValidationError(f"probability vector entry {j} is negative: {w[j]}")
+        _check_entries(w, "probability vector")
         s = float(w.sum())
         if abs(s - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"probability vector sums to {s!r}, off by {abs(s - 1.0):.3e} (> {PROB_SUM_TOL})"
             )
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", w)
 
     def __len__(self):
         return self.weights.size
@@ -55,7 +81,7 @@ class ProbabilityVector:
     def uniform(cls, n: int) -> "ProbabilityVector":
         if n < 1:
             raise ValidationError(f"dimension must be >= 1, got {n}")
-        return cls(np.full(n, 1.0 / n))
+        return cls(freeze(np.full(n, 1.0 / n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +93,14 @@ class WeightFunction:
     lam: ProbabilityVector
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = frozen_float64(self.values)
         m, n = len(self.mu), len(self.lam)
         if v.ndim != 2 or v.shape != (m, n):
             raise ValidationError(
                 f"weight grid shape {v.shape if v.ndim == 2 else v.ndim} "
                 f"does not match |mu| x |lambda| = {m} x {n}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("weight grid entries must be finite")
-        if np.any(v < 0.0):
-            i, j = np.unravel_index(int(np.argmin(v)), v.shape)
-            raise ValidationError(f"weight grid entry ({i}, {j}) is negative: {v[i, j]}")
+        _check_entries(v, "weight grid")
         col = self.mu.weights @ v
         worst_j = int(np.argmax(np.abs(col - 1.0)))
         if abs(col[worst_j] - 1.0) > WEIGHT_TOL:
@@ -93,7 +115,7 @@ class WeightFunction:
                 f"lambda-weighted sum over row {worst_i} is {row[worst_i]!r}, "
                 f"residual {abs(row[worst_i] - 1.0):.3e} (> {WEIGHT_TOL})"
             )
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def shape(self):
@@ -101,7 +123,7 @@ class WeightFunction:
 
     @classmethod
     def ones(cls, mu: ProbabilityVector, lam: ProbabilityVector) -> "WeightFunction":
-        return cls(np.ones((len(mu), len(lam))), mu, lam)
+        return cls(freeze(np.ones((len(mu), len(lam)))), mu, lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +133,10 @@ class DoublyStochasticMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = frozen_float64(self.values)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
             raise ValidationError("doubly stochastic matrix must be square and nonempty")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("matrix entries must be finite")
-        if np.any(v < 0.0):
-            i, j = np.unravel_index(int(np.argmin(v)), v.shape)
-            raise ValidationError(f"matrix entry ({i}, {j}) is negative: {v[i, j]}")
+        _check_entries(v, "matrix")
         rows = v.sum(axis=1)
         i = int(np.argmax(np.abs(rows - 1.0)))
         if abs(rows[i] - 1.0) > DS_TOL:
@@ -131,7 +149,7 @@ class DoublyStochasticMatrix:
             raise ValidationError(
                 f"column {j} sums to {cols[j]!r}, residual {abs(cols[j] - 1.0):.3e} (> {DS_TOL})"
             )
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -139,7 +157,7 @@ class DoublyStochasticMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "DoublyStochasticMatrix":
-        return cls(np.eye(n))
+        return cls(freeze(np.eye(n)))
 
     @classmethod
     def antidiagonal(cls, n: int) -> "DoublyStochasticMatrix":
@@ -150,12 +168,12 @@ class DoublyStochasticMatrix:
     def uniform(cls, n: int) -> "DoublyStochasticMatrix":
         if n < 1:
             raise ValidationError(f"dimension must be >= 1, got {n}")
-        return cls(np.full((n, n), 1.0 / n))
+        return cls(freeze(np.full((n, n), 1.0 / n)))
 
 
 def validate_weight(values, mu: ProbabilityVector, lam: ProbabilityVector) -> WeightFunction:
     """Validate a grid against (mu, lambda); raises ValidationError naming the violation."""
-    return WeightFunction(np.asarray(values, dtype=float), mu, lam)
+    return WeightFunction(values, mu, lam)
 
 
 def rank_one_weight(u, v, mu: ProbabilityVector, lam: ProbabilityVector) -> WeightFunction:
@@ -186,14 +204,14 @@ def rank_one_weight(u, v, mu: ProbabilityVector, lam: ProbabilityVector) -> Weig
     values = 1.0 + np.outer(u, v)
     # rounding can leave entries at -1ulp when both norms are exactly 1
     np.clip(values, 0.0, None, out=values)
-    return WeightFunction(values, mu, lam)
+    return WeightFunction(freeze(values), mu, lam)
 
 
 def embed_doubly_stochastic(a: DoublyStochasticMatrix) -> WeightFunction:
     """View an n x n doubly stochastic matrix as the weight n*a over uniform measures."""
     n = a.n
     uni = ProbabilityVector.uniform(n)
-    return WeightFunction(n * a.values, uni, uni)
+    return WeightFunction(freeze(n * a.values), uni, uni)
 
 
 def interpolate_weight(w1: WeightFunction, w2: WeightFunction, t: float) -> WeightFunction:
@@ -209,7 +227,7 @@ def interpolate_weight(w1: WeightFunction, w2: WeightFunction, t: float) -> Weig
     ):
         raise ValidationError("weights are defined over different (mu, lambda) measures")
     values = (1.0 - t) * w1.values + t * w2.values
-    return WeightFunction(values, w1.mu, w1.lam)
+    return WeightFunction(freeze(values), w1.mu, w1.lam)
 
 
 def sinkhorn_normalize(values, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_CAP):
@@ -227,7 +245,7 @@ def sinkhorn_normalize(values, tol: float = SINKHORN_TOL, max_iter: int = SINKHO
         res_r = float(np.max(np.abs(x.sum(axis=1) - 1.0)))
         res_c = float(np.max(np.abs(x.sum(axis=0) - 1.0)))
         if max(res_r, res_c) < tol:
-            return DoublyStochasticMatrix(x)
+            return DoublyStochasticMatrix(freeze(x))
     raise NumericError(
         f"Sinkhorn normalization did not reach residual {tol} in {max_iter} iterations"
     )

@@ -25,8 +25,9 @@ from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
 # a larger example budget, for CI runs of the decoder's, the encoder's and the quadrature's
-# differential tests (--hypothesis-profile=ci); tests/test_decoder.py, tests/test_render.py
-# and tests/test_numerics.py read it
+# differential tests and of the grid validation messages (--hypothesis-profile=ci);
+# tests/test_decoder.py, tests/test_render.py, tests/test_numerics.py and
+# tests/test_measures.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain

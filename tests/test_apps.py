@@ -12,6 +12,7 @@ from jensenchain import (
     FiniteMeasureSpace,
     FunctionVector,
     JensenInstance,
+    NumericError,
     ProbabilityVector,
     ValidationError,
     WeightFunction,
@@ -30,6 +31,7 @@ from jensenchain import (
     random_doubly_stochastic,
     validate_weight,
 )
+from jensenchain import apps
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
 from jensenchain.apps import _t_quadrature
 from jensenchain.refine import TOL_FLOOR
@@ -321,6 +323,21 @@ def test_matrix_power_p_one_attains_upper(rng):
         lower, middle, upper = matrix_power_bounds(b, c, 1)
         assert middle == pytest.approx(float(n), rel=1e-12)
         assert upper == float(n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_matrix_power_checks_its_reduction_exactly_when_c_is_the_identity(monkeypatch, n):
+    # a middle off by far more than the coincidence tolerance is caught only on the identity
+    # branch: C = I takes it, and so a near-identity C (or a permutation) must not
+    monkeypatch.setattr(apps, "pow_integral_mean", lambda b, c, p: 2.0 * (b + c))
+    b = DoublyStochasticMatrix.uniform(n)
+    with pytest.raises(NumericError, match="identity-matrix reduction mismatch"):
+        matrix_power_bounds(b, DoublyStochasticMatrix.identity(n), 2)
+    if n > 1:
+        near = np.eye(n)
+        near[:2, :2] += [[-1e-300, 1e-300], [1e-300, -1e-300]]
+        matrix_power_bounds(b, DoublyStochasticMatrix(near), 2)
+        matrix_power_bounds(b, DoublyStochasticMatrix.antidiagonal(n), 2)
 
 
 def test_matrix_power_one_by_one():

@@ -352,6 +352,29 @@ def test_report_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("n", [2, 200])  # 200 rows are read block by block, 2 at once
+def test_a_decoded_grid_is_the_array_the_chain_reads(tmp_path, capsys, n):
+    eye, uni = np.eye(n), [1.0 / n] * n
+    omega = dict(SQUARE_JENSEN, **{"points": list(range(n)), "lambda": uni, "mu": uni, "weights": {
+        "omega1": {"kind": "ones"}, "omega2": {"kind": "matrix", "values": (n * eye).tolist()},
+    }})
+    doc = cli._load_document(write(tmp_path, "omega.json", omega))
+    grid = doc["weights"]["omega2"]["values"]
+    assert np.shares_memory(cli._parse_weights(doc, n)[3].values, grid)
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.0
+    # a list is made an array once, by the parser, which freezes it for the constructors to keep
+    assert not cli._as_float_array(omega["lambda"], "lambda").flags.writeable
+    matrices = {"application": "matrixpower", "p": 2,
+                "weights": {"B": np.roll(eye, 1, axis=1).tolist(), "C": eye.tolist()}}
+    doc = cli._load_document(write(tmp_path, "bc.json", matrices))
+    b, c = cli._parse_matrices(doc, None)
+    assert np.shares_memory(b.values, doc["weights"]["B"])
+    assert np.shares_memory(c.values, doc["weights"]["C"])
+    assert main(["verify", write(tmp_path, "bc.json", matrices)]) == 0
+    assert main(["verify", write(tmp_path, "omega.json", omega)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # generate
 

@@ -200,6 +200,18 @@ def test_overflowing_weight_grid_value_names_the_field(tmp_path):
     )
 
 
+@pytest.mark.parametrize("n, i, j", [(2, 1, 0), (200, 150, 7)])
+def test_an_overflowing_matrix_entry_names_its_index(tmp_path, n, i, j):
+    rows = [["1.0" if col == row else "0.0" for col in range(n)] for row in range(n)]
+    rows[i][j] = "1e400"
+    b = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    doc = dict(POWERSUM, points=[1.0] * n, weights={"B": "B", "C": np.eye(n).tolist()})
+    data = json.dumps(doc).replace('"B": "B"', f'"B": {b}')
+    assert_refused(
+        run_raw(tmp_path, data.encode()), f"error: weights.B: non-finite value inf at index [{i}, {j}]"
+    )
+
+
 def test_overflowing_exponent_names_the_field(tmp_path):
     data = json.dumps(POWERSUM).replace('"p": 2.5', '"p": 1e400')
     assert_refused(run_raw(tmp_path, data.encode()), "error: p: expected a finite number")

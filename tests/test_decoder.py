@@ -410,6 +410,25 @@ def test_grids_with_any_whitespace_decode_like_json_across_blocks(text):
     kernel(text[1:-1].strip(" \t\n\r"))
 
 
+@pytest.mark.parametrize("indent", [None, 2])
+def test_a_tall_narrow_grid_is_cut_into_blocks_by_characters(indent):
+    rng = np.random.default_rng(9)
+    tall = rng.random((40000, 1))
+    tall[::7] = 0.5  # rows of several lengths
+    grid = json.dumps(tall.tolist(), indent=indent)
+    # Each grid is 4 blocks: one at the first row's 5 characters a value, two of about
+    # QUAD_BATCH_VALUES values, and the rest.  After the grid comes another key (its last
+    # block runs into the quote and is decoded again, cut at the grid's end), the end of
+    # the object (the last block ends at the grid's own "]") or the end of the text.
+    texts = {'{"values": ' + grid + ', "C": ' + grid + "}": 4 + 1 + 4,
+             '{"values": ' + grid + "}": 4, grid: 4}
+    for text, calls in texts.items():
+        with mock.patch.object(gridtext, "decode_rows", wraps=gridtext.decode_rows) as rows:
+            decoded = cli._DECODER.decode(text)
+        assert_same(PLAIN.decode(text), decoded)
+        assert rows.call_count == calls
+
+
 def test_a_row_wider_than_a_block_peaks_like_a_block(monkeypatch):
     rng = np.random.default_rng(8)
     wide = rng.random((2, 40 * 1024))

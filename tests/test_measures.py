@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from jensenchain import (
     DoublyStochasticMatrix,
+    FunctionVector,
     ProbabilityVector,
     ValidationError,
     WeightFunction,
@@ -21,6 +22,7 @@ from jensenchain import (
     sinkhorn_normalize,
     validate_weight,
 )
+from jensenchain import cli
 
 UNI2 = ProbabilityVector.uniform(2)
 
@@ -281,3 +283,143 @@ def test_random_weight_various_shapes(rng):
         mu = ProbabilityVector.uniform(m)
         lam = ProbabilityVector.uniform(n)
         random_weight(mu, lam, seed=int(rng.integers(1 << 30)))
+
+
+# ---------------------------------------------------------------------------
+# ownership: which arrays are kept as handed in, and which are copied
+
+
+def _holders(n):
+    """name -> (an array the constructor accepts, the constructor, the array it holds), for
+    every constructor that keeps a read-only float64 array; name is as messages give it."""
+    uni = ProbabilityVector.uniform(n)
+    eye = np.eye(n)
+    return {
+        "probability vector": (eye[0].copy(), ProbabilityVector, lambda obj: obj.weights),
+        "weight grid": (n * eye, lambda a: WeightFunction(a, uni, uni), lambda obj: obj.values),
+        "matrix": (eye, DoublyStochasticMatrix, lambda obj: obj.values),
+        "samples": (eye, FunctionVector, lambda obj: obj.samples),
+    }
+
+
+HOLDERS = list(_holders(1))
+
+
+def _freeze_as(values, dtype):
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("name", HOLDERS)
+def test_a_read_only_float64_array_that_owns_its_data_is_kept(name):
+    values, build, held = _holders(3)[name]
+    kept = _freeze_as(values, np.float64)
+    arr = held(build(kept))
+    assert np.shares_memory(arr, kept)
+    with pytest.raises(ValueError):
+        arr[0] = 0.5
+
+
+@pytest.mark.parametrize("name", HOLDERS)
+def test_any_other_array_is_copied_and_the_copy_is_frozen(name):
+    values, build, held = _holders(3)[name]
+    view = values.view()
+    view.flags.writeable = False  # read-only, but its base is writeable
+    others = {
+        "writeable": values,
+        "read-only view": view,
+        "float32": _freeze_as(values, np.float32),
+        "int64": _freeze_as(values, np.int64),
+        "list": values.tolist(),
+    }
+    for label, given_values in others.items():
+        arr = held(build(given_values))
+        assert arr.dtype == np.float64 and np.array_equal(arr, values), label
+        if isinstance(given_values, np.ndarray):
+            assert not np.shares_memory(arr, given_values), label
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert values.flags.writeable  # the caller's array is left as it was
+
+
+def test_producers_hand_their_grids_to_the_constructor_without_a_copy(monkeypatch):
+    kept = []
+    for cls in (WeightFunction, DoublyStochasticMatrix):
+        def recording(self, init=cls.__post_init__):
+            values = self.values
+            init(self)
+            kept.append((type(self).__name__, self.values is values))
+
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    uni3 = ProbabilityVector.uniform(3)
+    embed_doubly_stochastic(DoublyStochasticMatrix.identity(3))
+    DoublyStochasticMatrix.uniform(3)
+    sinkhorn_normalize(np.ones((3, 3)))
+    w = WeightFunction.ones(uni3, uni3)
+    interpolate_weight(w, w, 0.5)
+    random_weight(uni3, uni3, seed=4)  # three rank-one weights, two interpolations
+    assert len(kept) == 11 and all(same for _, same in kept), kept
+
+
+# ---------------------------------------------------------------------------
+# messages: the reductions that stand in for the masks name the same entry
+
+
+BAD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=-np.finfo(float).smallest_subnormal, allow_infinity=False,
+              allow_nan=False),
+)
+
+
+# the messages as the constructors worded them when every check built a full-size mask
+NON_FINITE = {
+    "probability vector": "probability vector entries must be finite",
+    "weight grid": "weight grid entries must be finite",
+    "matrix": "matrix entries must be finite",
+    "samples": "samples must be finite",
+}
+NEGATIVE = {
+    "probability vector": lambda j, x: f"probability vector entry {j} is negative: {x}",
+    "weight grid": lambda i, j, x: f"weight grid entry ({i}, {j}) is negative: {x}",
+    "matrix": lambda i, j, x: f"matrix entry ({i}, {j}) is negative: {x}",
+}
+
+
+@given(
+    st.sampled_from(HOLDERS),
+    st.integers(1, 6),
+    st.integers(0, 35),
+    BAD_VALUES,
+    st.sampled_from(["copied", "kept"]),
+)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_a_bad_entry_is_named_as_before(name, n, at, bad, form):
+    values, build, _ = _holders(n)[name]
+    k = np.unravel_index(at % values.size, values.shape)
+    values[k] = bad
+    if math.isfinite(bad):
+        if name == "samples":
+            return  # samples may be negative
+        expected = NEGATIVE[name](*k, np.float64(bad))
+    else:
+        expected = NON_FINITE[name]
+    with pytest.raises(ValidationError) as info:
+        build(_freeze_as(values, np.float64) if form == "kept" else values)
+    assert str(info.value) == expected
+
+
+@given(st.integers(1, 6), st.integers(0, 35), BAD_VALUES, st.sampled_from(["list", "kept"]))
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_the_parser_names_a_non_finite_entry_as_before(n, at, bad, form):
+    grid = np.ones((n, n))
+    i, j = divmod(at % (n * n), n)
+    grid[i, j] = bad
+    raw = grid.tolist() if form == "list" else _freeze_as(grid, np.float64)
+    if math.isfinite(bad):
+        assert np.array_equal(cli._as_float_array(raw, "weights.B"), grid)
+        return
+    with pytest.raises(ValidationError) as info:
+        cli._as_float_array(raw, "weights.B")
+    assert str(info.value) == f"weights.B: non-finite value {np.float64(bad)} at index [{i}, {j}]"
