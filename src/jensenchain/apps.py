@@ -49,7 +49,7 @@ class FiniteMeasureSpace:
     masses: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.masses, dtype=float)
+        m = frozen_float64(self.masses)
         if m.ndim != 1 or m.size == 0:
             raise ValidationError("masses must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(m)):
@@ -57,7 +57,6 @@ class FiniteMeasureSpace:
         if np.any(m <= 0.0):
             k = int(np.argmin(m))
             raise ValidationError(f"mass {k} must be positive, got {m[k]}")
-        m.flags.writeable = False
         object.__setattr__(self, "masses", m)
 
     @property

@@ -12,15 +12,14 @@ import dataclasses
 import functools
 import json
 import math
-import re
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import apps, gridtext, refine
 from .errors import NumericError, ValidationError
 from .functions import get_function
+from .gridtext import render_json
 from .measures import (
     DoublyStochasticMatrix,
     ProbabilityVector,
@@ -31,7 +30,6 @@ from .measures import (
     random_weight,
     rank_one_weight,
 )
-from .numerics import QUAD_BATCH_VALUES
 from .refine import HadamardWeights, JensenInstance
 
 DEFAULT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -69,222 +67,7 @@ _NDIM = {
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON rendering (17 significant digits)
-
-
-def _finite(text: str) -> str:
-    """text, numbers printed by %.17g, unless one of them is inf or nan."""
-    if "n" in text:  # %.17g prints an n only in inf, -inf and nan
-        bad = next(tok for tok in text.replace(",", " ").split() if "n" in tok)
-        raise NumericError(f"report holds the non-finite number {bad}, which JSON cannot carry")
-    return text
-
-
-def _render(obj, out, indent):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for k, (key, val) in enumerate(items):
-            out.append(f"{pad}  {encode_basestring_ascii(str(key))}: ")
-            _render(val, out, indent + 1)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        if all(type(v) is float for v in obj):
-            # a row of plain floats: one join gives the bytes of the per-item branch below
-            row = f",\n{pad}  ".join([f"{v:.17g}" for v in obj])
-            out.append(f"[\n{pad}  {_finite(row)}\n{pad}]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(pad + "  ")
-            _render(val, out, indent + 1)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_finite(f"{float(obj):.17g}"))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
-        # a generated grid: every row at once, the bytes of the list-of-rows branch above
-        out.append(_finite(gridtext.encode_rows(obj, indent)))
-    else:
-        out.append(encode_basestring_ascii(str(obj)))
-
-
-def render_json(obj) -> str:
-    """obj as JSON, numbers at 17 significant digits; NumericError on inf or nan."""
-    out = []
-    _render(obj, out, 0)
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
 # instance-file parsing
-
-
-def _refuse_constant(name):
-    raise ValidationError(f"non-finite number {name} (values must be finite)")
-
-
-class _GridDecoder(json.JSONDecoder):
-    """json.loads, except that NaN, Infinity and -Infinity are refused and that
-    every array of equal-length rows of numbers becomes one 2-D float64 array,
-    bit for bit equal to np.array(json.loads(text), dtype=float).
-
-    Objects and strings go through the Python scanner, so that every array
-    reaches _parse_array.  An array whose text is shorter than QUAD_BATCH_VALUES
-    characters holds less than one block of values, so the C scanner reads it
-    whole and a grid is converted at once.  A longer grid is cut into blocks of
-    rows holding about QUAD_BATCH_VALUES values (cut by characters; a wider row
-    into pieces), and gridtext.decode_rows turns the text of each block into
-    float64 directly, so the grid never exists as Python floats.  Every grid
-    comes out read-only, so the validating constructors keep it as it is.
-    Any other long array, and any block decode_rows declines, is read again
-    by the C scanner from the array's opening bracket: that gives the same
-    list, or raises the same error, as json.loads.
-    """
-
-    def __init__(self):
-        super().__init__(parse_constant=_refuse_constant)
-        self._c_scan = json.scanner.c_make_scanner(self)
-        self.parse_array = self._parse_array
-        self.scan_once = json.scanner.py_make_scanner(self)
-
-    def decode(self, s):
-        if s.startswith("\ufeff"):  # as json.loads, which JSONDecoder.decode leaves to it
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
-        return super().decode(s)
-
-    def raw_decode(self, s, idx=0):
-        try:
-            return super().raw_decode(s, idx)
-        except RecursionError:
-            # the Python scanner spends more stack per nested object than the C scanner
-            try:
-                return self._c_scan(s, idx)
-            except StopIteration as err:
-                raise json.JSONDecodeError("Expecting value", s, err.value) from None
-
-    def _parse_array(self, s_and_end, scan_once):
-        s, end = s_and_end
-        start = end - 1  # the opening bracket
-        head = s[start : start + QUAD_BATCH_VALUES]
-        try:
-            value, stop = self._c_scan(head, 0)
-        except (json.JSONDecodeError, StopIteration):
-            pass  # longer than the head, or malformed: read below
-        else:
-            grid = _number_block(value, head[:stop]) if value and type(value[0]) is list else None
-            return (value if grid is None else grid), start + stop
-        grid = _read_grid(s, end)
-        return grid if grid is not None else self._c_scan(s, start)
-
-
-# the end of a grid: its last row's "]", whitespace, and the grid's own "]"
-_GRID_END = re.compile(r"\][ \t\n\r]*\]")
-
-
-def _read_grid(s, end):
-    """(2-D float64 array, end) of the array whose body starts at s[end]; None if it is not a
-    grid of numbers.
-
-    Blocks are cut at characters, so no row is visited from Python: a block runs to the
-    first "]" past the characters of QUAD_BATCH_VALUES values, at the first row's (then
-    the last block's) characters per value.  Inside the grid that "]" ends a row.  A
-    block that runs past the grid holds what follows it in an object, a quote or a
-    brace, which decode_rows refuses before any other work; it is cut again at the
-    grid's end, as is a block with no "]" after it.  A row wider than a block is a block
-    of its own, cut at its own "]".
-    """
-    ws = json.decoder.WHITESPACE.match
-    pos = ws(s, end).end()
-    first_close = s.find("]", pos)
-    if not s.startswith("[", pos) or first_close < 0:
-        return None
-    width = s.count(",", pos, first_close) + 1
-    if width > QUAD_BATCH_VALUES:
-        # decoded in pieces of about a block of characters
-        piece, chars = (first_close - pos) * QUAD_BATCH_VALUES // width, 1
-    else:
-        piece, chars = 0, (first_close + 1 - pos) * -(-QUAD_BATCH_VALUES // width)
-    blocks = []
-    while True:
-        stop = s.find("]", pos + chars - 1) + 1
-        block = _decode_block(s, pos, stop, piece) if stop else None
-        if block is None:
-            grid_end = _GRID_END.search(s, pos, stop or len(s))
-            if grid_end is None:
-                return None
-            stop = grid_end.start() + 1
-            block = _decode_block(s, pos, stop, piece)
-            if block is None:
-                return None
-        if blocks and block.shape[1] != blocks[0].shape[1]:
-            return None
-        blocks.append(block)
-        if not piece:
-            chars = (stop - pos) * QUAD_BATCH_VALUES // block.size + 1
-        after = ws(s, stop).end()
-        if s.startswith("]", after):
-            return freeze(np.concatenate(blocks)), after + 1
-        if not s.startswith(",", after):
-            return None
-        pos = ws(s, after + 1).end()
-
-
-def _decode_block(s, start, stop, piece):
-    """The rows s[start:stop] as a 2-D float64 array, through _wide_row if piece is set; None
-    if they are not rows of numbers."""
-    return _wide_row(s, start, stop, piece) if piece else gridtext.decode_rows(s, start, stop)
-
-
-def _wide_row(s, start, stop, chars):
-    """The row s[start:stop] as a 1 x width float64 array, decoded a piece of at most about
-    chars characters at a time, each cut at a comma; None if it is not a row of numbers."""
-    if not s.startswith("[", start):
-        return None
-    pieces, first = [], start + 1
-    while True:
-        cut = s.rfind(",", first, first + chars) if first + chars < stop - 1 else -1
-        text = "[" + s[first : cut if cut >= 0 else stop - 1] + "]"
-        piece = gridtext.decode_rows(text, 0, len(text))
-        if piece is None:
-            return None
-        pieces.append(piece)
-        if cut < 0:
-            return np.concatenate(pieces, axis=1)
-        # past the whitespace after the cut, so that a piece of a uniform row lays out as the row
-        first = json.decoder.WHITESPACE.match(s, cut + 1).end()
-
-
-def _number_block(rows, text):
-    """rows, read from text, as a 2-D float64 array; None unless they are non-empty rows of numbers.
-
-    np.array would also take true, false, null and numeric strings, so text
-    is searched for their letters: no JSON number holds a quote, t, f or n.
-    """
-    if not rows[0] or '"' in text or "t" in text or "f" in text or "n" in text:
-        return None
-    try:
-        block = np.array(rows, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # ragged, a nested object, or beyond a double
-        return None
-    return freeze(block) if block.ndim == 2 else None  # rows of equal-length rows are 3-D
-
-
-_DECODER = _GridDecoder()
 
 
 def _load_document(path: str) -> dict:
@@ -296,7 +79,7 @@ def _load_document(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
-        doc = _DECODER.decode(text)
+        doc = gridtext.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -1,5 +1,30 @@
-"""The text of rows of JSON numbers, both ways: decode into float64 bit for bit as json.loads
-would, and encode at 17 significant digits byte for byte as %.17g would.
+"""JSON text, both ways: documents in, with grids decoded to float64 bit for bit as json.loads
+would, and reports out, each number at 17 significant digits as %.17g prints it.
+
+loads(text) is json.loads, except that NaN, Infinity and -Infinity are
+refused (ValidationError) and that every array of equal-length, non-empty
+rows of numbers not nested in another array becomes one read-only 2-D
+float64 array, bit for bit np.array(json.loads(text), dtype=float).
+Objects and strings go through json's Python scanner, so that every array
+reaches the grid reader (a document nested too deeply for it is read
+again, whole, by the C scanner):
+
+- an array whose text is shorter than QUAD_BATCH_VALUES characters holds
+  less than one block of values, so the C scanner reads it whole and a
+  grid is converted at once;
+- a longer grid is cut into blocks of rows by characters, so no row is
+  visited from Python, and decode_rows turns the text of each block into
+  float64 directly: the grid never exists as Python floats.  A block runs
+  to the first "]" past the characters of QUAD_BATCH_VALUES values, at
+  the first row's (then the last block's) characters per value; inside
+  the grid that "]" ends a row.  A block that runs past the grid holds
+  what follows it in an object, a quote or a brace, which decode_rows
+  refuses before any other work; it is cut again at the grid's end, as is
+  a block with no "]" after it.  A row wider than a block is its own
+  block, read in pieces of about a block's characters cut at commas;
+- any other long array, and any block decode_rows declines, is read again
+  by the C scanner from the array's opening bracket: that gives the same
+  list, or raises the same error, as json.loads.
 
 decode_rows(s, start, stop) takes a text = s[start:stop] such as
 '[1.5, 0], [-2e-3, 7]': one or more rows of JSON numbers, each in
@@ -48,9 +73,15 @@ The general path is array-at-a-time over the bytes of the text:
 A value that json gives as the int 0 is +0.0, also when written "-0";
 "-0.0" and "-0e0" are floats and stay -0.0.
 
+render_json(obj) is the JSON text of a report: one item a line, nested two
+spaces a level, keys and other strings escaped to ASCII as json escapes
+them, each number as f"{v:.17g}" prints it and a 2-D float64 array (a
+generated grid) through encode_rows.  A report holding inf or nan raises
+NumericError, since JSON cannot carry it.
+
 encode_rows(values, indent) takes a 2-D float64 array and returns the JSON
-text of its list of rows, one number a line, nested at indent as the
-report renderer nests lists, each number as f"{v:.17g}" prints it.  The
+text of its list of rows, one number a line, nested at indent as
+render_json nests lists, each number as f"{v:.17g}" prints it.  The
 work is array-at-a-time, a block of rows of at most QUAD_BATCH_VALUES
 numbers at a time (one row where a row is wider), as fixed-precision
 printing in U. Adams, "Ryu revisited: printf floating point conversion",
@@ -74,10 +105,14 @@ OOPSLA 2019:
 """
 
 import functools
+import json
 import re
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .errors import NumericError, ValidationError
+from .measures import freeze
 from .numerics import QUAD_BATCH_VALUES
 
 _U64 = np.uint64
@@ -506,6 +541,137 @@ def decode_rows(s, start, stop):
 
 
 # ---------------------------------------------------------------------------
+# documents
+
+
+def _refuse_constant(name):
+    raise ValidationError(f"non-finite number {name} (values must be finite)")
+
+
+class _GridDecoder(json.JSONDecoder):
+    """json.JSONDecoder whose arrays go through _parse_array (see the module doc)."""
+
+    def __init__(self):
+        super().__init__(parse_constant=_refuse_constant)
+        self._c_scan = json.scanner.c_make_scanner(self)
+        self.parse_array = self._parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+    def decode(self, s):
+        if s.startswith("\ufeff"):  # as json.loads, which JSONDecoder.decode leaves to it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+        return super().decode(s)
+
+    def raw_decode(self, s, idx=0):
+        try:
+            return super().raw_decode(s, idx)
+        except RecursionError:
+            # the Python scanner spends more stack per nested object than the C scanner
+            try:
+                return self._c_scan(s, idx)
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", s, err.value) from None
+
+    def _parse_array(self, s_and_end, scan_once):
+        s, end = s_and_end
+        start = end - 1  # the opening bracket
+        head = s[start : start + QUAD_BATCH_VALUES]
+        try:
+            value, stop = self._c_scan(head, 0)
+        except (json.JSONDecodeError, StopIteration):  # longer than the head, or malformed
+            found = _read_grid(s, end)
+            if found is None:
+                return self._c_scan(s, start)
+            value, stop = found
+        else:
+            value, stop = _number_block(value, head[:stop]), start + stop
+        if type(value) is np.ndarray:
+            freeze(value)  # the one place a decoded grid is made read-only
+        return value, stop
+
+
+# the end of a grid: its last row's "]", whitespace, and the grid's own "]"
+_GRID_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _read_grid(s, end):
+    """(2-D float64 array, end) of the array whose body starts at s[end], read a block at a
+    time; None if it is not a grid of numbers."""
+    ws = json.decoder.WHITESPACE.match
+    pos = ws(s, end).end()
+    first_close = s.find("]", pos)
+    if not s.startswith("[", pos) or first_close < 0:
+        return None
+    width = s.count(",", pos, first_close) + 1
+    if width > QUAD_BATCH_VALUES:
+        # decoded in pieces of about a block of characters
+        piece, chars = (first_close - pos) * QUAD_BATCH_VALUES // width, 1
+        decode = functools.partial(_wide_row, chars=piece)
+    else:
+        piece, chars = 0, (first_close + 1 - pos) * -(-QUAD_BATCH_VALUES // width)
+        decode = decode_rows
+    blocks = []
+    while True:
+        stop = s.find("]", pos + chars - 1) + 1
+        block = decode(s, pos, stop) if stop else None
+        if block is None:
+            grid_end = _GRID_END.search(s, pos, stop or len(s))
+            if grid_end is None:
+                return None
+            stop = grid_end.start() + 1
+            block = decode(s, pos, stop)
+            if block is None:
+                return None
+        if blocks and block.shape[1] != blocks[0].shape[1]:
+            return None
+        blocks.append(block)
+        if not piece:
+            chars = (stop - pos) * QUAD_BATCH_VALUES // block.size + 1
+        after = ws(s, stop).end()
+        if s.startswith("]", after):
+            return np.concatenate(blocks), after + 1
+        if not s.startswith(",", after):
+            return None
+        pos = ws(s, after + 1).end()
+
+
+def _wide_row(s, start, stop, chars):
+    """The row s[start:stop] as a 1 x width float64 array, decoded a piece of at most about
+    chars characters at a time, each cut at a comma; None if it is not a row of numbers."""
+    if not s.startswith("[", start):
+        return None
+    pieces, first = [], start + 1
+    while True:
+        cut = s.rfind(",", first, first + chars) if first + chars < stop - 1 else -1
+        text = "[" + s[first : cut if cut >= 0 else stop - 1] + "]"
+        piece = decode_rows(text, 0, len(text))
+        if piece is None:
+            return None
+        pieces.append(piece)
+        if cut < 0:
+            return np.concatenate(pieces, axis=1)
+        # past the whitespace after the cut, so that a piece of a uniform row lays out as the row
+        first = json.decoder.WHITESPACE.match(s, cut + 1).end()
+
+
+def _number_block(value, text):
+    """value, read from text, as a 2-D float64 array if it is non-empty rows of numbers, else
+    value itself.  np.array would also take true, false, null and numeric strings, so text is
+    searched for their letters: no JSON number holds a quote, t, f or n."""
+    if (not (value and type(value[0]) is list and value[0])
+            or '"' in text or "t" in text or "f" in text or "n" in text):
+        return value
+    try:
+        block = np.array(value, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged, a nested object, or beyond a double
+        return value
+    return block if block.ndim == 2 else value  # rows of equal-length rows are 3-D
+
+
+loads = _GridDecoder().decode
+
+
+# ---------------------------------------------------------------------------
 # encoding
 
 _POW5 = np.array([5**k for k in range(28)], dtype=_U64)  # 5**27 < 2**64
@@ -739,4 +905,54 @@ def encode_rows(values, indent):
             words[-1, cols * width :] = end
         out.append(text.translate(None, b"\0").decode("ascii"))
     out.append(f"\n{outer}]")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def _finite(text: str) -> str:
+    """text, numbers printed by %.17g, unless one of them is inf or nan."""
+    if "n" in text:  # %.17g prints an n only in inf, -inf and nan
+        bad = next(tok for tok in text.replace(",", " ").split() if "n" in tok)
+        raise NumericError(f"report holds the non-finite number {bad}, which JSON cannot carry")
+    return text
+
+
+def _render(obj, out, indent):
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        brackets = "{}" if is_dict else "[]"
+        if not obj:
+            out.append(brackets)
+            return
+        pad, sep = "  " * indent, brackets[0]
+        for item in obj.items() if is_dict else obj:
+            out.append(f"{sep}\n{pad}  ")
+            if is_dict:
+                out.append(encode_basestring_ascii(str(item[0])) + ": ")
+                item = item[1]
+            _render(item, out, indent + 1)
+            sep = ","
+        out.append(f"\n{pad}{brackets[1]}")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_finite(f"{float(obj):.17g}"))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        # a generated grid: every row at once, the bytes of the list-of-rows branch above
+        out.append(_finite(encode_rows(obj, indent)))
+    else:
+        out.append(encode_basestring_ascii(str(obj)))
+
+
+def render_json(obj) -> str:
+    """obj as JSON, numbers at 17 significant digits; NumericError on inf or nan."""
+    out = []
+    _render(obj, out, 0)
     return "".join(out)

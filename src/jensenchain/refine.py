@@ -28,6 +28,7 @@ from .measures import (
     ProbabilityVector,
     WeightFunction,
     embed_doubly_stochastic,
+    frozen_float64,
 )
 from .numerics import adaptive_simpson, golden_section_minimize
 
@@ -142,8 +143,7 @@ class HadamardWeights:
     t: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        t = np.array(self.t, dtype=float)
+        p, t = frozen_float64(self.p), frozen_float64(self.t)
         if p.ndim != 1 or t.ndim != 1 or p.size != t.size or p.size == 0:
             raise ValidationError("p and t must be nonempty 1-D sequences of equal length")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):

@@ -206,7 +206,7 @@ def _render_item(obj, out, indent):
 
 
 def recursive_render(obj):
-    """Report JSON built one item at a time: the layout cli.render_json must reproduce."""
+    """Report JSON built one item at a time: the layout gridtext.render_json must reproduce."""
     out = []
     _render_item(obj, out, 0)
     return "".join(out)

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jensenchain import cli, gridtext
+from jensenchain.errors import ValidationError
 
 # json.loads as the CLI used it before grids were decoded to arrays: the reference
-PLAIN = json.JSONDecoder(parse_constant=cli._refuse_constant)
+PLAIN = json.JSONDecoder(parse_constant=gridtext._refuse_constant)
 
 
 def is_grid(value):
@@ -57,9 +58,9 @@ def assert_same(plain, decoded, path="$", in_list=False):
         assert type(decoded) is type(plain) and repr(decoded) == repr(plain), path
 
 
-def outcome(decoder, text):
+def outcome(decode, text):
     try:
-        return "value", decoder.decode(text)
+        return "value", decode(text)
     except Exception as exc:  # the exception is the result to compare
         return "raised", (type(exc), str(exc))
 
@@ -71,10 +72,10 @@ def assert_decodes_like_json(text):
     the row-by-row scan, and every grid of more than 4 values into several
     blocks.
     """
-    plain = outcome(PLAIN, text)
-    for block_values in (cli.QUAD_BATCH_VALUES, 4):
-        with mock.patch.object(cli, "QUAD_BATCH_VALUES", block_values):
-            decoded = outcome(cli._DECODER, text)
+    plain = outcome(PLAIN.decode, text)
+    for block_values in (gridtext.QUAD_BATCH_VALUES, 4):
+        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values):
+            decoded = outcome(gridtext.loads, text)
         assert plain[0] == decoded[0], (block_values, plain, decoded)
         if plain[0] == "raised":
             assert plain == decoded, block_values
@@ -176,10 +177,10 @@ def test_mutated_documents_decode_or_fail_like_json(text):
     assert_decodes_like_json(text)
 
 
-@pytest.mark.parametrize("block_values", [cli.QUAD_BATCH_VALUES, 4])
+@pytest.mark.parametrize("block_values", [gridtext.QUAD_BATCH_VALUES, 4])
 def test_grids_become_float64_arrays_and_other_arrays_stay_lists(monkeypatch, block_values):
-    monkeypatch.setattr(cli, "QUAD_BATCH_VALUES", block_values)
-    doc = cli._DECODER.decode(
+    monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", block_values)
+    doc = gridtext.loads(
         '{"B": [[1, 0], [-0.0, 1e-300]], "v": [1, 2], "e": [], "ee": [[]], '
         '"s": [["1"]], "b": [[true]], "z": [[null]], "r": [[1], [1, 2]], "d": [[[1]]], '
         '"rr": [[1, 2], [3, 4], [5]], '
@@ -197,31 +198,48 @@ def test_grids_become_float64_arrays_and_other_arrays_stay_lists(monkeypatch, bl
 
 
 def test_a_grid_longer_than_one_block_is_one_array():
-    rows = np.arange(3 * cli.QUAD_BATCH_VALUES, dtype=float).reshape(-1, 8) / 3.0
+    rows = np.arange(3 * gridtext.QUAD_BATCH_VALUES, dtype=float).reshape(-1, 8) / 3.0
     text = json.dumps({"values": rows.tolist()})
-    grid = cli._DECODER.decode(text)["values"]
+    grid = gridtext.loads(text)["values"]
     assert grid.shape == rows.shape and grid.tobytes() == rows.tobytes()
     ragged = text[:-3] + ", 1]]}"  # the last row is one longer: the whole grid stays a list
-    assert cli._DECODER.decode(ragged) == json.loads(ragged)
+    assert gridtext.loads(ragged) == json.loads(ragged)
+
+
+def test_the_cli_loads_documents_through_the_gridtext_decoder(tmp_path, monkeypatch):
+    # blocks of 4 values cut the 10 x 3 grid into at least three blocks
+    monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", 4)
+    points = (np.arange(30.0) / 7).reshape(10, 3)
+    text = json.dumps({"application": "harmonic", "points": points.tolist()})
+    path = tmp_path / "grid.json"
+    path.write_text(text)
+    with mock.patch.object(gridtext, "decode_rows", wraps=gridtext.decode_rows) as rows:
+        doc = cli._load_document(str(path))
+    assert rows.call_count >= 3
+    plain = json.loads(text)
+    assert list(doc) == list(plain) and doc["application"] == plain["application"]
+    assert doc["points"].tobytes() == np.array(plain["points"]).tobytes()
+    assert not doc["points"].flags.writeable
 
 
 def test_objects_nested_past_the_python_scanner_fall_back_to_the_c_scanner():
     # the Python scanner takes about twice the stack per object level of the C scanner,
     # so a document it cannot nest that deep is read again, whole, by the C scanner
     depth = 700
-    decoded = cli._DECODER.decode('{"a": ' * depth + "[[1, 2]]" + "}" * depth)
+    decoded = gridtext.loads('{"a": ' * depth + "[[1, 2]]" + "}" * depth)
     for _ in range(depth):
         decoded = decoded["a"]
     assert decoded == [[1, 2]] and type(decoded) is list
     too_deep = "[" * 100_000 + "]" * 100_000
-    assert outcome(cli._DECODER, too_deep) == outcome(PLAIN, too_deep)
+    assert outcome(gridtext.loads, too_deep) == outcome(PLAIN.decode, too_deep)
 
 
 def test_non_finite_constants_are_refused_inside_and_outside_grids():
     for text in ('{"p": NaN}', '[[1, Infinity]]', '[[1], [2, -Infinity]]', '{"a": [[0], [NaN]]}'):
-        kind, (exc_type, message) = outcome(cli._DECODER, text)
-        assert kind == "raised" and exc_type is cli.ValidationError
-        assert message.startswith("non-finite number") and outcome(PLAIN, text)[1][1] == message
+        kind, (exc_type, message) = outcome(gridtext.loads, text)
+        assert kind == "raised" and exc_type is ValidationError
+        assert message.startswith("non-finite number")
+        assert outcome(PLAIN.decode, text)[1][1] == message
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +353,10 @@ def test_values_beyond_a_double_or_the_digit_limit_are_declined():
     assert kernel("[1, 1" + "0" * 309 + "]") is None  # an int beyond a double stays a list
     assert kernel("[1, 1" + "0" * 300 + "]")[0, 1] == 1e300
     past = "[[1, 1" + "0" * 4300 + "]]"
-    with mock.patch.object(cli, "QUAD_BATCH_VALUES", 4):
-        kind, (exc_type, message) = outcome(cli._DECODER, past)
+    with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", 4):
+        kind, (exc_type, message) = outcome(gridtext.loads, past)
     assert kind == "raised" and exc_type is ValueError and "4300" in message
-    assert outcome(PLAIN, past) == (kind, (exc_type, message))
+    assert outcome(PLAIN.decode, past) == (kind, (exc_type, message))
 
 
 @pytest.mark.parametrize("text", [
@@ -424,7 +442,7 @@ def test_a_tall_narrow_grid_is_cut_into_blocks_by_characters(indent):
              '{"values": ' + grid + "}": 4, grid: 4}
     for text, calls in texts.items():
         with mock.patch.object(gridtext, "decode_rows", wraps=gridtext.decode_rows) as rows:
-            decoded = cli._DECODER.decode(text)
+            decoded = gridtext.loads(text)
         assert_same(PLAIN.decode(text), decoded)
         assert rows.call_count == calls
 
@@ -442,9 +460,9 @@ def test_a_row_wider_than_a_block_peaks_like_a_block(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "QUAD_BATCH_VALUES", 1024)
-    block_peak, _ = peak(lambda: cli._DECODER.decode(json.dumps({"values": wide[:, :1024].tolist()})))
-    grid_peak, decoded = peak(lambda: cli._DECODER.decode(text))
+    monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", 1024)
+    block_peak, _ = peak(lambda: gridtext.loads(json.dumps({"values": wide[:, :1024].tolist()})))
+    grid_peak, decoded = peak(lambda: gridtext.loads(text))
     assert decoded["values"].tobytes() == wide.tobytes()
     # the text, the blocks and the grid, plus the work of one block: not of one whole row
     assert grid_peak < len(text) + 3 * wide.nbytes + 2 * block_peak, (grid_peak, block_peak)
@@ -558,9 +576,9 @@ def test_a_permutation_matrix_never_reaches_the_general_kernel(monkeypatch, prin
     text = print_grid(p)
     assert kernel(text).tobytes() == p.tobytes()
     # through the document decoder: blocks of rows, and of 4 values each
-    for block_values in (cli.QUAD_BATCH_VALUES, 4):
-        with mock.patch.object(cli, "QUAD_BATCH_VALUES", block_values):
-            decoded = cli._DECODER.decode('{"C": [' + text + "]}")["C"]
+    for block_values in (gridtext.QUAD_BATCH_VALUES, 4):
+        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values):
+            decoded = gridtext.loads('{"C": [' + text + "]}")["C"]
         assert decoded.tobytes() == p.tobytes(), block_values
 
 
@@ -569,5 +587,5 @@ def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
     with pytest.raises(json.JSONDecodeError) as plain:
         json.loads(text)
     with pytest.raises(json.JSONDecodeError) as decoded:
-        cli._DECODER.decode(text)
+        gridtext.loads(text)
     assert (decoded.value.msg, decoded.value.pos) == (plain.value.msg, plain.value.pos)

@@ -10,7 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from jensenchain import (
     DoublyStochasticMatrix,
+    FiniteMeasureSpace,
     FunctionVector,
+    HadamardWeights,
     ProbabilityVector,
     ValidationError,
     WeightFunction,
@@ -340,6 +342,28 @@ def test_any_other_array_is_copied_and_the_copy_is_frozen(name):
             assert not np.shares_memory(arr, given_values), label
         with pytest.raises(ValueError):
             arr[0] = 0.5
+    assert values.flags.writeable  # the caller's array is left as it was
+
+
+# the 1-D arrays that refine and apps hold follow the same rule
+VECTOR_HOLDERS = {
+    "hadamard p": (lambda a: HadamardWeights(a, np.full(len(a), 0.5)), lambda hw: hw.p),
+    "hadamard t": (lambda a: HadamardWeights(np.ones(len(a)), a), lambda hw: hw.t),
+    "space masses": (FiniteMeasureSpace, lambda space: space.masses),
+}
+
+
+@pytest.mark.parametrize("name", VECTOR_HOLDERS)
+def test_hadamard_weights_and_measure_spaces_hold_frozen_arrays(name):
+    build, held = VECTOR_HOLDERS[name]
+    values = np.array([0.25, 0.5, 1.0])
+    kept = _freeze_as(values, np.float64)
+    assert held(build(kept)) is kept
+    for given_values in (values, values.tolist()):
+        arr = held(build(given_values))
+        assert np.array_equal(arr, values) and not np.shares_memory(arr, values)
+        with pytest.raises(ValueError):
+            arr[0] = -5.0
     assert values.flags.writeable  # the caller's array is left as it was
 
 
