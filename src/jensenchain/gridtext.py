@@ -53,6 +53,15 @@ The general path is array-at-a-time over the bytes of the text:
   characters), the commas and the brackets; every gap between two tokens
   must hold exactly one comma, and the brackets must pair up around rows
   of equal width w, with "]" "," "[" at each row break;
+- a token of at most 8 bytes that matches -?(0|[1-9][0-9]*)([.][0-9]+)?
+  (the "0.0" of a sparse grid, "-7", "12345678", "-1234.56") is checked
+  and read from the one word that ends at its last byte: its at most 8
+  digits w and 10**frac_len are exact doubles, so w / 10**frac_len rounds
+  once, correctly, as in Clinger's path below.  Only the other tokens go
+  on, compacted, through the steps below, so every refusal and every
+  float() fallback is theirs.  Each step counts the tokens it covers
+  first: one that covers every token runs on the arrays themselves, with
+  no index, gather or scatter, and one that covers none is skipped;
 - the '.', 'e'/'E' and sign bytes of each token fix its parts, which are
   checked against the JSON number grammar;
 - the integer, fraction and exponent digits are read eight at a time from
@@ -68,7 +77,9 @@ The general path is array-at-a-time over the bytes of the text:
   left to the next tier);
 - the few tokens left, such as those of more than 19 significant digits,
   go to float() (or float(int()) for an integer token, as json gives an
-  int), which rounds correctly.
+  int), which rounds correctly; so do all of them where fewer than
+  _ARRAY_MIN are left, too few to pay for the array calls of the steps
+  above.
 
 A value that json gives as the int 0 is +0.0, also when written "-0";
 "-0.0" and "-0e0" are floats and stay -0.0.
@@ -132,6 +143,10 @@ _ZEROS = _U64(0x3030303030303030)
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
 _POW10_F = np.array([10.0**k for k in range(23)])  # exact doubles
 _LONGEST = 19  # significant digits that always fit a uint64
+# _values makes about 150 array calls whatever the count, some 190 us in all on a 2-core
+# x86-64 machine, and float() reads a token in about 0.45 us: below this count of tokens,
+# well short of where the two cost the same, float() reads them
+_ARRAY_MIN = 256
 # below 10**15 < 2**53 the digits w of a token and 10**frac_len are exact doubles, so
 # w / 10**frac_len rounds once, correctly (Clinger's fast path)
 _EXACT_DIGITS = 15
@@ -166,11 +181,13 @@ def _word(words, last, ends, at, count):
     shifted out of it, and only the other runs are gathered.
     """
     back = ends - at
-    far = np.flatnonzero(back + count > 8)
-    if far.size == at.size:
+    far = _where(back + count > 8)
+    if isinstance(far, slice):
         return words[at]
+    if far is None and not back.any():
+        return last
     word = last << (back.astype(_U64) << _U64(3))  # 0 where back is 8 or more
-    if far.size:
+    if far is not None:
         word[far] = words[at[far]]
     return word
 
@@ -187,6 +204,8 @@ def _last_digits(words, buf, last, ends, at, count):
 
 def _eight(word, count):
     """The values of the last min(count, 8) digits in each word; 0 where count is 0."""
+    if (count >= 8).all():
+        return _combine(word - _ZEROS, np.empty_like(word))
     keep = np.minimum(count, 8).astype(_U64)
     np.subtract(_U64(8), keep, out=keep)
     keep <<= _U64(3)  # the bits before the digits
@@ -194,17 +213,33 @@ def _eight(word, count):
     v = word & keep
     keep &= _ZEROS
     v -= keep  # one digit value per byte, first digit lowest
-    np.right_shift(v, _U64(8), out=keep)
+    return _combine(v, keep)
+
+
+def _combine(v, tmp):
+    """The eight-digit values of words v of one digit value per byte, the first digit lowest;
+    v and tmp are overwritten, and v returned."""
+    np.right_shift(v, _U64(8), out=tmp)
     v *= _U64(10)
-    v += keep  # two-digit values in bytes 0, 2, 4 and 6
-    np.right_shift(v, _U64(16), out=keep)
-    keep &= _U64(0x000000FF000000FF)
-    keep *= _U64(0x0000271000000001)
+    v += tmp  # two-digit values in bytes 0, 2, 4 and 6
+    np.right_shift(v, _U64(16), out=tmp)
+    tmp &= _U64(0x000000FF000000FF)
+    tmp *= _U64(0x0000271000000001)
     v &= _U64(0x000000FF000000FF)
     v *= _U64(0x000F424000000064)
-    v += keep
+    v += tmp
     v >>= _U64(32)
     return v
+
+
+def _where(mask):
+    """Count first: slice(None) where mask holds everywhere, so a tier that covers every token
+    runs on the arrays themselves, with no gather or scatter; None where it holds nowhere, so
+    the tier is skipped; the indices where it holds otherwise."""
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return slice(None)
+    return np.flatnonzero(mask) if count else None
 
 
 def _more_digits(words, ends, count, value):
@@ -212,11 +247,9 @@ def _more_digits(words, ends, count, value):
     from the end; return the value of digits 17 to 24."""
     top = np.zeros_like(value)
     for shift in (8, 16):
-        more = np.flatnonzero(count > shift)
-        if not more.size:
+        more = _where(count > shift)
+        if more is None:
             break
-        if more.size == count.size:
-            more = slice(None)
         part = _eight(words[ends[more] - shift], count[more] - shift)
         if shift == 16:
             top[more] = part
@@ -263,11 +296,11 @@ def _eisel_lemire(w, q):
     mant = high >> shift
     # the biased binary exponent; (217706 * q) >> 16 is floor(q * log2(10)) over this q range
     power2 = ((217706 * q) >> 16) + 63 + upper.astype(np.int64) - lz.astype(np.int64) + 1023
-    near = np.flatnonzero((q >= -4) & (q <= 23))  # 5**q fits 64 bits: w * 10**q may be a tie
-    if near.size:
+    near = _where((q >= -4) & (q <= 23))  # 5**q fits 64 bits: w * 10**q may be a tie
+    if near is not None:
         m, h = mant[near], high[near]
         halfway = (low[near] <= 1) & ((m & _U64(3)) == 1) & ((m << shift[near]) == h)
-        mant[near[halfway]] &= ~_U64(1)  # exactly between two doubles: round to even
+        mant[near] -= halfway  # exactly between two doubles: round to even
     sub = power2 <= 0
     if sub.any():
         # subnormal: shift the extra bits out, then round
@@ -282,9 +315,10 @@ def _eisel_lemire(w, q):
     # the smallest normal
     power2 += (mant >> _U64(52)).astype(np.int64) - 1
     mant &= _U64((1 << 52) - 1)
-    inf = np.flatnonzero(power2 >= 0x7FF)
-    mant[inf] = 0
-    power2[inf] = 0x7FF
+    inf = power2 >= 0x7FF
+    if inf.any():
+        mant[inf] = 0
+        power2[inf] = 0x7FF
     return (power2.astype(_U64) << _U64(52)) | mant, undecided
 
 
@@ -387,58 +421,135 @@ def _parts(buf, cls, starts, ends):
 def _values(words, buf, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg,
             is_float):
     """(float64 bit patterns of the tokens, indices of those left to float())."""
+    if ends.size < _ARRAY_MIN:
+        return np.zeros(ends.size, dtype=_U64), np.arange(ends.size)
     last = words[ends]
     int_val = _last_digits(words, buf, last, ends, int_end, int_len)
     frac_val = _last_digits(words, buf, last, ends, mant_end, frac_len)
     # a token of at most eight integer and eight fraction digits, all zero, is a zero
     live = (int_val != 0) | (frac_val != 0) | (int_len > 8) | (frac_len > 8)
     bits = np.zeros(ends.size, dtype=_U64)
-    bits[neg & (is_float | live)] = _U64(1 << 63)  # json gives "-0" as the int 0
-    live = np.flatnonzero(live)
-    if live.size == ends.size:
-        live = slice(None)
-    else:
+    if neg.any():
+        bits[neg & (is_float | live)] = _U64(1 << 63)  # json gives "-0" as the int 0
+    live = _where(live)
+    if live is None:
+        return bits, np.arange(0)
+    if not isinstance(live, slice):
         last, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, int_val, frac_val = (
             a[live] for a in (last, ends, int_end, int_len, mant_end, frac_len, exp_len,
                               exp_neg, int_val, frac_val)
         )
     _more_digits(words, int_end, np.minimum(int_len, 24), int_val)
     frac_top = _more_digits(words, mant_end, np.minimum(frac_len, 24), frac_val)
-    zero_int = (int_len == 1) & (int_val == 0)
-    short = ~zero_int & (int_len + frac_len <= _LONGEST)
-    int_val *= _POW10[np.where(short, frac_len, 0)]
-    int_val += frac_val
-    w = frac_val
-    np.copyto(w, int_val, where=short)
-    del int_val
-    fits = short | (zero_int & ((frac_len <= _LONGEST) | ((frac_len <= 24) & (frac_top < 1000))))
-    del frac_top
+    short = int_len + frac_len <= _LONGEST
+    # w is int_val * 10**frac_len + frac_val where that has at most _LONGEST digits, and
+    # frac_val, the significant digits, where the integer part is 0
+    if short.all():
+        w = int_val
+        w *= _POW10[frac_len]
+        w += frac_val
+        fits = short
+    else:
+        zero_int = (int_len == 1) & (int_val == 0)
+        if short.any():
+            int_val *= _POW10[np.where(short, frac_len, 0)]
+            int_val += frac_val
+            np.copyto(frac_val, int_val, where=short)
+        w = frac_val
+        fits = short | (
+            zero_int & ((frac_len <= _LONGEST) | ((frac_len <= 24) & (frac_top < 1000))))
+    del int_val, frac_val, frac_top
     slow = ~fits | (exp_len > 8)
     q = -frac_len
-    if exp_len.any():
-        e_val = _eight(last, exp_len).astype(np.int32)
-        q += np.where(exp_neg, -e_val, e_val)
+    exps = _where(exp_len != 0)
+    if exps is not None:
+        e_val = _eight(last[exps], exp_len[exps]).astype(np.int32)
+        q[exps] += np.where(exp_neg[exps], -e_val, e_val)
+        slow |= (q < _Q_MIN) | (q > _Q_MAX)  # without an exponent, q is at least -24
     del last
 
     out = np.zeros(w.size, dtype=_U64)
     zero = (w == 0) & ~slow
     exact = ~slow & ~zero & (w <= _U64(1 << 53)) & (q >= -22) & (q <= 22)
-    if exact.any():
-        idx = np.flatnonzero(exact)
+    idx = _where(exact)
+    if idx is not None:
         m, qq = w[idx].astype(float), q[idx]
         up = qq >= 0
         val = np.where(up, m * _POW10_F[np.where(up, qq, 0)], m / _POW10_F[np.where(up, 0, -qq)])
         out[idx] = val.view(_U64)
     el = ~slow & ~zero & ~exact
-    slow |= el & ((q < _Q_MIN) | (q > _Q_MAX))
-    el &= ~slow
-    if el.any():
-        idx = np.flatnonzero(el)
+    idx = _where(el)
+    if idx is not None:
         el_bits, undecided = _eisel_lemire(w[idx], q[idx])
         out[idx] = el_bits
-        slow[idx[undecided]] = True
+        if undecided.any():
+            slow[np.flatnonzero(undecided) if isinstance(idx, slice) else idx[undecided]] = True
     bits[live] |= out
     return bits, np.arange(bits.size)[live][slow]
+
+
+def _short_tokens(last, size):
+    """(float64 bit patterns, admitted, scale, neg) of the tokens of the given sizes, each
+    ending at the top byte of its word in last, which is overwritten.  admitted marks the
+    tokens of at most 8 bytes that match -?(0|[1-9][0-9]*)([.][0-9]+)?; the other entries
+    hold garbage.  scale is frac_len + 1 in a token with a dot, so its dot lies scale bytes
+    before its end, and 0 in one without; neg marks a leading "-".  An admitted token has
+    at most 8 digits w, so w and 10**frac_len are exact doubles and w / 10**frac_len rounds
+    once, correctly (Clinger's fast path)."""
+    skip = size.astype(_U64)
+    np.subtract(_U64(8), skip, out=skip)
+    skip <<= _U64(3)  # the bits below the token; 64 or more past 8 bytes, which shift all out
+    head = last >> skip  # the token's bytes, the first lowest
+    head &= _U64(0xFF)
+    neg = head == _MINUS
+    signed = neg.any()
+    if signed:
+        np.add(skip, _U64(8), out=skip, where=neg)  # the bits below the body: less the sign
+    np.right_shift(last, skip, out=head)
+    head &= _U64(0xF0FF)  # the body's first byte, and the high nibble of its second
+    digits = last
+    digits ^= _ZEROS
+    digits &= np.left_shift(_ALL, skip, out=skip)  # a value per body byte, 0 below the body
+    tmp = np.bitwise_and(head, _U64(0xF0), out=skip)
+    admitted = tmp == _U64(0x30)  # a digit first
+    admitted &= head != _U64(0x3030)  # and not "0" and another digit
+    # + 2 takes each body byte to 0x20 in a ".", a high nibble with bit 4 or 6 set in a sign
+    # or an exponent mark, and below 0x10 in a digit
+    flags = np.add(digits, _U64(0x0202020202020202), out=head)
+    flags &= _U64(0xF0F0F0F0F0F0F0F0)
+    np.bitwise_and(flags, _U64(0x5050505050505050), out=tmp)
+    admitted &= tmp == 0
+    np.subtract(flags, _U64(1), out=tmp)
+    tmp &= flags
+    admitted &= tmp == 0  # at most one dot,
+    admitted &= flags < _U64(1 << 61)  # and not last
+    dot = flags
+    dot >>= _U64(5)  # 1 in the byte of the dot, if any
+    # close the digits up: the fraction moves down over the dot, which leaves the last
+    # digit byte 0, so 10**(frac_len + 1) divides them
+    below = np.subtract(dot, _U64(1), out=tmp)
+    below &= digits
+    dot <<= _U64(8)
+    above = np.subtract(_U64(0), dot, out=dot)
+    digits &= above
+    digits >>= _U64(8)
+    digits |= below
+    scale = np.subtract(_U64(0), above, out=tmp)  # 1 in the byte after the dot
+    scale *= _U64(0x0908070605040302)
+    scale >>= _U64(56)  # frac_len + 1, or 0 without a dot
+    value = above.view(np.float64)
+    if np.count_nonzero(digits):
+        w = _combine(digits, above)
+        np.take(_POW10_F, scale.view(np.int64), mode="clip", out=value)
+        np.divide(w, value, out=value)
+    else:  # every token a zero, as in a sparse grid
+        w = digits
+        value.fill(0.0)
+    if signed:
+        sign = np.bitwise_or(w, scale, out=w) != 0  # json gives "-0" as the int 0
+        sign &= neg
+        np.negative(value, out=value, where=sign)
+    return value.view(_U64), admitted, scale.view(np.int64), neg
 
 
 def _uniform(raw):
@@ -523,20 +634,44 @@ def decode_rows(s, start, stop):
     if found is None:
         return None
     starts, ends, rows, width = found
+    # words[k] is buf[k-8:k]
+    words = np.ndarray((buf.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    size = ends - starts
+    short = np.count_nonzero(size <= 8)
+    if short:
+        bits, admitted, scale, neg = _short_tokens(words[ends], size)
+        short = np.count_nonzero(admitted)
+        if not short:
+            del bits, admitted, scale, neg
+    del size
+    if short == starts.size:
+        return bits.view(np.float64).reshape(rows, width)
+    if short:
+        # the long path reads only the other tokens, so the dots and signs of the admitted
+        # ones leave cls
+        cls = cls.copy()
+        dotted = scale != 0
+        dotted &= admitted
+        cls[np.subtract(ends, scale, out=scale)[dotted]] = _DIGIT
+        cls[starts[admitted & neg]] = _DIGIT
+        long = np.flatnonzero(~admitted)
+        del admitted, scale, neg, dotted
+        starts, ends = starts[long], ends[long]
     parts = _parts(buf, cls, starts, ends)
     if parts is None:
         return None
     del cls
-    words = np.ndarray((buf.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
-    bits, slow = _values(words, buf, ends, *parts)  # words[k] is buf[k-8:k]
-    values = bits.view(np.float64)
-    is_float = parts[-1]
-    for j in slow.tolist():
-        token = s[start + starts[j] : start + ends[j]]
-        try:
-            values[j] = float(token) if is_float[j] else float(int(token))
-        except (OverflowError, ValueError):  # beyond a double, or past the int digit limit
-            return None
+    long_bits, slow = _values(words, buf, ends, *parts)
+    values = long_bits.view(np.float64)
+    tokens = [s[start + a : start + b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
+    try:
+        values[slow] = [float(t) if is_float else float(int(t))
+                        for t, is_float in zip(tokens, parts[-1][slow].tolist())]
+    except (OverflowError, ValueError):  # beyond a double, or past the int digit limit
+        return None
+    if short:
+        bits[long] = long_bits
+        values = bits.view(np.float64)
     return values.reshape(rows, width)
 
 

@@ -1,6 +1,7 @@
 """The instance-file decoder: json.loads, except that grids arrive as float64 arrays."""
 
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -70,11 +71,13 @@ def assert_decodes_like_json(text):
 
     A block that small sends every array longer than 4 characters through
     the row-by-row scan, and every grid of more than 4 values into several
-    blocks.
+    blocks; with _ARRAY_MIN at 0 the long tokens of each block then go
+    through _values, which reads fewer than _ARRAY_MIN of them with float().
     """
     plain = outcome(PLAIN.decode, text)
-    for block_values in (gridtext.QUAD_BATCH_VALUES, 4):
-        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values):
+    for block_values, array_min in ((gridtext.QUAD_BATCH_VALUES, gridtext._ARRAY_MIN), (4, 0)):
+        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values), \
+                mock.patch.object(gridtext, "_ARRAY_MIN", array_min):
             decoded = outcome(gridtext.loads, text)
         assert plain[0] == decoded[0], (block_values, plain, decoded)
         if plain[0] == "raised":
@@ -290,13 +293,17 @@ def reference(text):
 
 
 def kernel(text):
-    """decode_rows(text), checked bit for bit against the reference."""
-    decoded, expected = gridtext.decode_rows(text, 0, len(text)), reference(text)
-    if expected is None:
-        assert decoded is None, text
-    else:
-        assert decoded is not None and decoded.shape == expected.shape, text
-        assert decoded.tobytes() == expected.tobytes(), text
+    """decode_rows(text), checked bit for bit against the reference, with the long tokens read
+    by _values's array tiers at any count (_ARRAY_MIN 0) and at the module's count."""
+    expected = reference(text)
+    for array_min in (0, gridtext._ARRAY_MIN):
+        with mock.patch.object(gridtext, "_ARRAY_MIN", array_min):
+            decoded = gridtext.decode_rows(text, 0, len(text))
+        if expected is None:
+            assert decoded is None, (array_min, text)
+        else:
+            assert decoded is not None and decoded.shape == expected.shape, (array_min, text)
+            assert decoded.tobytes() == expected.tobytes(), (array_min, text)
     return decoded
 
 
@@ -589,3 +596,90 @@ def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
     with pytest.raises(json.JSONDecodeError) as decoded:
         gridtext.loads(text)
     assert (decoded.value.msg, decoded.value.pos) == (plain.value.msg, plain.value.pos)
+
+
+# ---------------------------------------------------------------------------
+# the short-token tier: tokens of at most 8 bytes, -?(0|[1-9][0-9]*)(\.[0-9]+)?
+
+SHORT_TOKENS = st.sampled_from(
+    ["0", "0.0", "-0", "-0.0", "1", "0.5", "-7", "12345678", "-1234.56", "0.000001"]
+)
+LONG_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # 17 digits, exponents, signs
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["0.34172894219364851", "-2.5e-7", "1E+300", "123456789", "-0.0000001"]),
+)
+
+
+@st.composite
+def sparse_grids(draw):
+    """Rows of short tokens with long ones at random positions, any JSON whitespace around
+    every token and bracket."""
+    width = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        long = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        tokens = [draw(LONG_TOKENS if is_long else SHORT_TOKENS) for is_long in long]
+        tokens = [draw(WHITESPACE) + token + draw(WHITESPACE) for token in tokens]
+        rows.append(draw(WHITESPACE) + "[" + ",".join(tokens) + "]" + draw(WHITESPACE))
+    return "[" + ",".join(rows) + "]"
+
+
+@DIFFERENTIAL
+@given(sparse_grids())
+def test_sparse_grids_of_short_tokens_decode_like_json(text):
+    assert_decodes_like_json(text)
+    kernel(text[1:-1].strip(" \t\n\r"))
+
+
+def test_short_tokens_at_eight_bytes_and_long_ones_at_nine():
+    eight = ["12345678", "-1234567", "0.123456", "-0.12345", "-1234.56", "1.000000", "-0.00000"]
+    nine = ["123456789", "-12345678", "0.1234567", "-0.123456", "-12345.67", "1.0000000"]
+    assert {len(t) for t in eight} == {8} and {len(t) for t in nine} == {9}
+    kernel("[" + ", ".join(eight) + "], [" + ", ".join(nine + ["0"]) + "]")
+    assert one("-0.00000") == 0.0 and np.signbit(one("-0.00000"))
+    assert one("12345678") == 12345678.0 and one("-0.12345") == -0.12345
+
+
+@pytest.mark.parametrize("token", ["01", "-01", "00.5", "1.", ".5", "-", "-.5", "1e5", "+1",
+                                   "0.0.", "1-2", "0x1", "1E5", "-0e0", "1.5e"])
+def test_near_misses_of_the_short_grammar_decode_or_are_declined_as_json(token):
+    # alone, and among short tokens that the tier admits, which must not hide a refusal
+    kernel(f"[{token}]")
+    kernel(f"[0.0, 0.0, {token}], [0.5, -7, 0]")
+    kernel(f"[0.0, {token}, 0.0, 1], [-0.0, 12, -0, 0.25]")
+
+
+def test_a_block_of_short_tokens_never_reaches_the_long_path(monkeypatch):
+    def long_path(*args):
+        raise AssertionError("a short token reached the long path")
+
+    monkeypatch.setattr(gridtext, "_parts", long_path)
+    monkeypatch.setattr(gridtext, "_values", long_path)
+    text = "[0.5, 12, -3, -0.0], [0, 0.25, 7, -0], [1.5, -1234.56, 12345678, 0.000001]"
+    decoded = gridtext.decode_rows(text, 0, len(text))
+    assert decoded.tobytes() == reference(text).tobytes()
+    assert [np.signbit(v) for v in decoded[:, 3]] == [True, False, False]
+
+
+def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
+    n, rng = 300, np.random.default_rng(5)
+    mixture = np.zeros((n, n))
+    for a in rng.dirichlet(np.ones(3)):
+        mixture[np.arange(n), rng.permutation(n)] += a
+    text = json.dumps(mixture.tolist())[1:-1]
+    handed = []
+    values = gridtext._values
+
+    def spy(words, buf, ends, *parts):
+        handed.append(ends.copy())
+        return values(words, buf, ends, *parts)
+
+    monkeypatch.setattr(gridtext, "_values", spy)
+    assert kernel(text).tobytes() == mixture.tobytes()
+    tokens = [m for m in re.finditer(r"[-+.eE0-9]+", text)]
+    long_ends = [m.end() for m in tokens if len(m[0]) > 8]
+    assert 0 < len(long_ends) < len(tokens) // 20  # k = 3 values of 300 a row
+    for ends in handed:  # once at _ARRAY_MIN 0, once at the module's
+        assert ends.tolist() == long_ends
+    assert len(handed) == 2

@@ -1,0 +1,142 @@
+"""Time the grid decoder, gridtext.loads, per grid family, in nanoseconds of process time a value.
+
+    python3 tools/decode_bench.py [--seed 1] [--reps 15] [--against TREE] [--smoke]
+
+Each family is one grid built with numpy from the seed and printed by json.dumps, as
+perfbench/corpus.py writes the documents of the benchmark:
+
+- permutation: a permutation matrix, n x n, read through the uniform-layout path;
+- mixture: a convex combination of 3 permutation matrices, n x n, nearly all "0.0";
+- rank-one: 1 + u v^T, n x n, dense 17-digit decimals;
+- tall: a 40000 x 1 column of uniform draws in [0, 1).
+
+Every decode is checked bit for bit against np.array(json.loads(text)); a mismatch
+exits 1.  A repetition times one gridtext.loads call of each family, with the time
+of this process (time.process_time_ns), and the trees in alternating order.  The
+table gives, per family, the median and quartiles of ns a value over the repetitions.
+
+--against TREE also imports TREE's jensenchain (TREE is a source tree's root or its
+src directory) under another package name, times it interleaved with this tree's,
+and prints the median over the repetitions of the ratio this / TREE.
+
+--smoke decodes small grids, each still longer than one block, once per tree: the
+bit-for-bit check alone, no timing.
+"""
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+SIZES = {"full": (512, 40000), "smoke": (96, 20000)}  # (n of the square grids, tall rows)
+
+
+def source_dir(path):
+    path = Path(path).resolve()
+    if (path / "src" / "jensenchain").is_dir():
+        path = path / "src"
+    if not (path / "jensenchain" / "gridtext.py").is_file():
+        sys.exit(f"decode_bench: no jensenchain sources under {path}")
+    return path
+
+
+def load_gridtext(src, name):
+    """src/jensenchain imported as the package name; its gridtext module."""
+    package = src / "jensenchain"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    gridtext = importlib.import_module(f"{name}.gridtext")
+    if not Path(gridtext.__file__).resolve().is_relative_to(src):
+        sys.exit(f"decode_bench: imported {gridtext.__file__}, not the sources under {src}")
+    return gridtext
+
+
+def families(seed, n, tall):
+    """{family: grid text}, each a pure function of the seed and the sizes."""
+    rng = np.random.default_rng(seed)
+    mixture = np.zeros((n, n))
+    for a in rng.dirichlet(np.ones(3)):
+        mixture[np.arange(n), rng.permutation(n)] += a
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    grids = {
+        "permutation": np.eye(n)[rng.permutation(n)],
+        "mixture": mixture,
+        "rank-one": 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v),
+        "tall": rng.random((tall, 1)),
+    }
+    return {name: json.dumps(grid.tolist()) for name, grid in grids.items()}
+
+
+def decode(gridtext, text, expected):
+    """Process-time ns of gridtext.loads(text); exits 1 unless it gives expected bit for bit."""
+    gc.collect()
+    start = time.process_time_ns()
+    grid = gridtext.loads(text)
+    spent = time.process_time_ns() - start
+    if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64
+            and grid.shape == expected.shape and grid.tobytes() == expected.tobytes()):
+        sys.exit(f"decode_bench: {gridtext.__name__} decodes a grid unlike json.loads")
+    return spent
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--reps", type=int, default=15)
+    ap.add_argument("--against", metavar="TREE")
+    ap.add_argument("--smoke", action="store_true")
+    args = ap.parse_args(argv)
+    if args.reps < 2:
+        ap.error("--reps must be at least 2, for quartiles")
+
+    trees = [load_gridtext(source_dir(HERE.parent), "jensenchain")]
+    if args.against:
+        trees.append(load_gridtext(source_dir(args.against), "jensenchain_against"))
+    texts = families(args.seed, *SIZES["smoke" if args.smoke else "full"])
+    expected = {name: np.array(json.loads(text), dtype=float) for name, text in texts.items()}
+    if args.smoke:
+        for name, text in texts.items():
+            for gridtext in trees:
+                decode(gridtext, text, expected[name])
+        print(f"decode_bench: {len(texts)} families x {len(trees)} trees decode like json.loads")
+        return 0
+
+    ns = {(name, k): [] for name in texts for k in range(len(trees))}
+    for rep in range(args.reps):
+        order = range(len(trees))[:: 1 if rep % 2 == 0 else -1]
+        for name, text in texts.items():
+            for k in order:
+                ns[name, k].append(decode(trees[k], text, expected[name]) / expected[name].size)
+
+    print(f"python {platform.python_version()}, numpy {np.__version__}, seed {args.seed}, "
+          f"{args.reps} repetitions; ns a value, median [quartiles]")
+    header = f"{'family':<12} {'values':>7}  {'this tree':>22}"
+    if args.against:
+        header += f"  {'against':>22}  {'this/against':>12}"
+    print(header)
+    for name in texts:
+        row = f"{name:<12} {expected[name].size:>7}"
+        for k in range(len(trees)):
+            q1, q2, q3 = statistics.quantiles(ns[name, k], n=4, method="inclusive")
+            row += f"  {q2:>8.1f} [{q1:>5.1f}, {q3:>5.1f}]"
+        if args.against:
+            ratio = statistics.median(a / b for a, b in zip(ns[name, 0], ns[name, 1]))
+            row += f"  {ratio:>12.3f}"
+        print(row)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
