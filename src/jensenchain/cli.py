@@ -323,6 +323,8 @@ def _verify_scalar_app(application, chains, scale):
     """
     main = chains[""]
     tol = refine.chain_tolerance(main.lower, main.upper, scale)
+    if not math.isfinite(tol):  # finite bounds: the scale is too large for them
+        raise ValidationError(f"--tol: the scale {scale:g} makes the chain tolerance overflow")
     middle = main.middle
     if isinstance(middle, list):
         middle = [{"t": t, "value": v} for t, v in middle]

@@ -43,9 +43,10 @@ digits), as json.dumps or %.17g prints an identity or a permutation matrix,
 is read first through a (rows, row length) view of its bytes: one
 comparison checks every byte against the first row's template, each
 significand w is built a digit column at a time, and the value is
-w / 10**frac_len, exact operands under one rounding as in Clinger's path
-below.  The first row alone decides that any other text takes the general
-path.
+w / 10**frac_len: both operands are exact doubles, so the one rounding of
+the division is correct (W. D. Clinger, "How to read floating point
+numbers accurately", PLDI 1990).  The first row alone decides that any
+other text takes the general path.
 
 The general path is array-at-a-time over the bytes of the text:
 
@@ -57,29 +58,27 @@ The general path is array-at-a-time over the bytes of the text:
   (the "0.0" of a sparse grid, "-7", "12345678", "-1234.56") is checked
   and read from the one word that ends at its last byte: its at most 8
   digits w and 10**frac_len are exact doubles, so w / 10**frac_len rounds
-  once, correctly, as in Clinger's path below.  Only the other tokens go
+  once, correctly, by Clinger's argument above.  Only the other tokens go
   on, compacted, through the steps below, so every refusal and every
   float() fallback is theirs.  Each step counts the tokens it covers
   first: one that covers every token runs on the arrays themselves, with
   no index, gather or scatter, and one that covers none is skipped;
-- the '.', 'e'/'E' and sign bytes of each token fix its parts, which are
-  checked against the JSON number grammar;
-- the integer, fraction and exponent digits are read eight at a time from
-  unaligned 64-bit words (SWAR: D. Lemire, "Number parsing at a gigabyte
-  per second", Softw. Pract. Exp. 51(8), 2021);
-- each value w * 10**q (w below 10**19) is then, in this order: zero;
-  float(w) * 10**q or float(w) / 10**-q when w <= 2**53 and |q| <= 22,
-  where both operands are exact so the one rounding is correct (W. D.
-  Clinger, "How to read floating point numbers accurately", PLDI 1990);
-  or the Eisel-Lemire algorithm on the 128-bit product of w and the
-  leading 64 bits of 5**q (Lemire, above; as fast_float's compute_float,
-  with the rare products whose rounding needs the next 64 bits of 5**q
-  left to the next tier);
-- the few tokens left, such as those of more than 19 significant digits,
-  go to float() (or float(int()) for an integer token, as json gives an
-  int), which rounds correctly; so do all of them where fewer than
-  _ARRAY_MIN are left, too few to pay for the array calls of the steps
-  above.
+- grammar: the '.', 'e'/'E' and sign bytes of each token fix its parts,
+  which are checked against the JSON number grammar;
+- SWAR digits: the integer, fraction and exponent digits are read eight
+  at a time from the unaligned 64-bit words that end at each run (D.
+  Lemire, "Number parsing at a gigabyte per second", Softw. Pract. Exp.
+  51(8), 2021);
+- zero or Eisel-Lemire: each value w * 10**q (w below 10**19) is a zero
+  where w is 0, and otherwise the Eisel-Lemire algorithm on the 128-bit
+  product of w and the leading 64 bits of 5**q (Lemire, above; as
+  fast_float's compute_float, with the rare products whose rounding needs
+  the next 64 bits of 5**q left to float());
+- float(): the few tokens left, such as those of more than 19
+  significant digits, go to float() (or float(int()) for an integer
+  token, as json gives an int), which rounds correctly; so do all of them
+  where fewer than _ARRAY_MIN are left, too few to pay for the array
+  calls of the steps above.
 
 A value that json gives as the int 0 is +0.0, also when written "-0";
 "-0.0" and "-0e0" are floats and stay -0.0.
@@ -143,9 +142,10 @@ _ZEROS = _U64(0x3030303030303030)
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
 _POW10_F = np.array([10.0**k for k in range(23)])  # exact doubles
 _LONGEST = 19  # significant digits that always fit a uint64
-# _values makes about 150 array calls whatever the count, some 190 us in all on a 2-core
-# x86-64 machine, and float() reads a token in about 0.45 us: below this count of tokens,
-# well short of where the two cost the same, float() reads them
+# _values costs some 150-180 us whatever the count (about 240 array calls on a block of
+# 17-digit tokens) on a 2-core x86-64 machine, and float() reads a token, with its slice, in
+# about 0.6 us (0.4 with 9 decimals): below this count of tokens, short of where the two
+# cost the same (about 500 tokens, 1000 with 9 decimals), float() reads them
 _ARRAY_MIN = 256
 # below 10**15 < 2**53 the digits w of a token and 10**frac_len are exact doubles, so
 # w / 10**frac_len rounds once, correctly (Clinger's fast path)
@@ -172,34 +172,6 @@ def _pow5_high():
         high.append(p5 << (64 - bits) if bits <= 64 else p5 >> (bits - 64))
         p5 *= 5
     return np.array(high, dtype=_U64)
-
-
-def _word(words, last, ends, at, count):
-    """The 8-byte words ending at each position at, for runs of count <= 8 bytes before it.
-
-    last is words[ends], the word ending at each token's end; a run inside it is
-    shifted out of it, and only the other runs are gathered.
-    """
-    back = ends - at
-    far = _where(back + count > 8)
-    if isinstance(far, slice):
-        return words[at]
-    if far is None and not back.any():
-        return last
-    word = last << (back.astype(_U64) << _U64(3))  # 0 where back is 8 or more
-    if far is not None:
-        word[far] = words[at[far]]
-    return word
-
-
-def _last_digits(words, buf, last, ends, at, count):
-    """The values of the last min(count, 8) digits before each position at; 0 where count is 0.
-
-    Runs of one digit each, as the integer parts of most decimals, are read byte by byte.
-    """
-    if (count == 1).all():
-        return (buf[at - 1] - _ZERO).astype(_U64)
-    return _eight(_word(words, last, ends, at, np.minimum(count, 8)), count)
 
 
 def _eight(word, count):
@@ -418,27 +390,12 @@ def _parts(buf, cls, starts, ends):
     return int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg, has_dot | has_exp
 
 
-def _values(words, buf, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg,
-            is_float):
+def _values(words, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg, is_float):
     """(float64 bit patterns of the tokens, indices of those left to float())."""
     if ends.size < _ARRAY_MIN:
         return np.zeros(ends.size, dtype=_U64), np.arange(ends.size)
-    last = words[ends]
-    int_val = _last_digits(words, buf, last, ends, int_end, int_len)
-    frac_val = _last_digits(words, buf, last, ends, mant_end, frac_len)
-    # a token of at most eight integer and eight fraction digits, all zero, is a zero
-    live = (int_val != 0) | (frac_val != 0) | (int_len > 8) | (frac_len > 8)
-    bits = np.zeros(ends.size, dtype=_U64)
-    if neg.any():
-        bits[neg & (is_float | live)] = _U64(1 << 63)  # json gives "-0" as the int 0
-    live = _where(live)
-    if live is None:
-        return bits, np.arange(0)
-    if not isinstance(live, slice):
-        last, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, int_val, frac_val = (
-            a[live] for a in (last, ends, int_end, int_len, mant_end, frac_len, exp_len,
-                              exp_neg, int_val, frac_val)
-        )
+    int_val = _eight(words[int_end], int_len)
+    frac_val = _eight(words[mant_end], frac_len)
     _more_digits(words, int_end, np.minimum(int_len, 24), int_val)
     frac_top = _more_digits(words, mant_end, np.minimum(frac_len, 24), frac_val)
     short = int_len + frac_len <= _LONGEST
@@ -463,29 +420,20 @@ def _values(words, buf, ends, int_end, int_len, mant_end, frac_len, exp_len, exp
     q = -frac_len
     exps = _where(exp_len != 0)
     if exps is not None:
-        e_val = _eight(last[exps], exp_len[exps]).astype(np.int32)
+        e_val = _eight(words[ends[exps]], exp_len[exps]).astype(np.int32)
         q[exps] += np.where(exp_neg[exps], -e_val, e_val)
         slow |= (q < _Q_MIN) | (q > _Q_MAX)  # without an exponent, q is at least -24
-    del last
 
-    out = np.zeros(w.size, dtype=_U64)
-    zero = (w == 0) & ~slow
-    exact = ~slow & ~zero & (w <= _U64(1 << 53)) & (q >= -22) & (q <= 22)
-    idx = _where(exact)
+    bits = np.zeros(w.size, dtype=_U64)
+    nonzero = w != 0
+    idx = _where(nonzero & ~slow)
     if idx is not None:
-        m, qq = w[idx].astype(float), q[idx]
-        up = qq >= 0
-        val = np.where(up, m * _POW10_F[np.where(up, qq, 0)], m / _POW10_F[np.where(up, 0, -qq)])
-        out[idx] = val.view(_U64)
-    el = ~slow & ~zero & ~exact
-    idx = _where(el)
-    if idx is not None:
-        el_bits, undecided = _eisel_lemire(w[idx], q[idx])
-        out[idx] = el_bits
+        bits[idx], undecided = _eisel_lemire(w[idx], q[idx])
         if undecided.any():
             slow[np.flatnonzero(undecided) if isinstance(idx, slice) else idx[undecided]] = True
-    bits[live] |= out
-    return bits, np.arange(bits.size)[live][slow]
+    if neg.any():  # a zero is negative only as a float: json gives "-0" as the int 0
+        np.bitwise_or(bits, _U64(1 << 63), out=bits, where=neg & (is_float | nonzero))
+    return bits, np.flatnonzero(slow)
 
 
 def _short_tokens(last, size):
@@ -661,7 +609,7 @@ def decode_rows(s, start, stop):
     if parts is None:
         return None
     del cls
-    long_bits, slow = _values(words, buf, ends, *parts)
+    long_bits, slow = _values(words, ends, *parts)
     values = long_bits.view(np.float64)
     tokens = [s[start + a : start + b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
     try:

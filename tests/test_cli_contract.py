@@ -229,6 +229,15 @@ def test_non_finite_tol_flag_is_refused(tmp_path, command, tol):
     assert_refused(run_doc(tmp_path, SQUARE, command, "--tol", tol), "--tol: expected a finite")
 
 
+def test_a_finite_tol_whose_chain_tolerance_overflows_is_refused(tmp_path):
+    # max(1, |lower|, |upper|) is 2.5, and 1e308 * 2.5 overflows
+    doc = {"application": "jensen", "function": {"name": "square"}, "points": [1, 2],
+           "weights": {"B": [[1, 0], [0, 1]], "C": [[0, 1], [1, 0]]}}
+    assert_refused(run_doc(tmp_path, doc, "verify", "--tol", "1e308"), "--tol", "overflow")
+    code, out, _ = run_doc(tmp_path, doc, "verify", "--tol", "1e300")
+    assert code == 0 and strict_json(out)["tolerance"] == 1e300 * 2.5
+
+
 # ---------------------------------------------------------------------------
 # tighten iteration cap
 

@@ -322,7 +322,11 @@ def test_signed_zeros_follow_json_ints_and_floats():
 @pytest.mark.parametrize("token, value", [
     ("9007199254740993", 9007199254740992.0),  # 2**53 + 1 ties to even
     ("9007199254740995", 9007199254740996.0),
+    ("1e22", 1e22),
     ("1e23", 1e23),
+    ("0.511821625", 0.511821625),  # a 9-decimal token
+    ("123456789.0", 123456789.0),
+    ("9007199254740991", 9007199254740991.0),  # 2**53 - 1
     ("2.2250738585072011e-308", 2.2250738585072011e-308),  # the largest subnormal, almost
     ("2.2250738585072014e-308", 2.2250738585072014e-308),  # the smallest normal
     ("4.9e-324", 5e-324),
@@ -410,6 +414,12 @@ def test_eisel_lemire_rounds_like_float(w, q):
     bits, undecided = gridtext._eisel_lemire(np.array([w], dtype=np.uint64), np.array([q]))
     if not undecided[0]:
         assert int(bits[0]) == int(np.float64(float(f"{w}e{q}")).view(np.uint64)), (w, q)
+
+
+# w <= 2**53 and |q| <= 22, where w and 10**|q| are exact doubles, and just past those limits
+for _w, _q in [(w, q) for w in (2**53 - 1, 2**53, 2**53 + 1) for q in (0, -22, 22, -23, 23)] + [
+        (1, -22), (1, 22), (1, 23)]:
+    test_eisel_lemire_rounds_like_float = example(_w, _q)(test_eisel_lemire_rounds_like_float)
 
 
 WHITESPACE = st.text(alphabet=" \t\n\r", max_size=3)
@@ -671,9 +681,9 @@ def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
     handed = []
     values = gridtext._values
 
-    def spy(words, buf, ends, *parts):
+    def spy(words, ends, *parts):
         handed.append(ends.copy())
-        return values(words, buf, ends, *parts)
+        return values(words, ends, *parts)
 
     monkeypatch.setattr(gridtext, "_values", spy)
     assert kernel(text).tobytes() == mixture.tobytes()

@@ -2,13 +2,21 @@
 
     python3 tools/decode_bench.py [--seed 1] [--reps 15] [--against TREE] [--smoke]
 
-Each family is one grid built with numpy from the seed and printed by json.dumps, as
-perfbench/corpus.py writes the documents of the benchmark:
+Each family is one grid built with numpy from the seed.  The first four are printed by
+json.dumps, as perfbench/corpus.py writes the documents of the benchmark:
 
 - permutation: a permutation matrix, n x n, read through the uniform-layout path;
 - mixture: a convex combination of 3 permutation matrices, n x n, nearly all "0.0";
 - rank-one: 1 + u v^T, n x n, dense 17-digit decimals;
 - tall: a 40000 x 1 column of uniform draws in [0, 1).
+
+The last two are printed by f-strings:
+
+- generated: rows of uniform draws scaled to sum to 1, values of about 1/n, n x n,
+  printed %.17g as `jensenchain generate ds` prints its grids: tokens of up to 22
+  characters with leading zeros, and "e-" tokens below 1e-4;
+- rounded: uniform draws in [-1, 1), n x n, printed with 9 decimals ("%.9f"): 11 and 12
+  character tokens, whose signs keep the grid off the uniform-layout path.
 
 Every decode is checked bit for bit against np.array(json.loads(text)); a mismatch
 exits 1.  A repetition times one gridtext.loads call of each family, with the time
@@ -76,7 +84,14 @@ def families(seed, n, tall):
         "rank-one": 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v),
         "tall": rng.random((tall, 1)),
     }
-    return {name: json.dumps(grid.tolist()) for name, grid in grids.items()}
+    texts = {name: json.dumps(grid.tolist()) for name, grid in grids.items()}
+    generated = rng.random((n, n))
+    generated /= generated.sum(axis=1, keepdims=True)
+    for name, grid, form in (("generated", generated, ".17g"),
+                             ("rounded", rng.uniform(-1.0, 1.0, (n, n)), ".9f")):
+        texts[name] = "[" + ", ".join(
+            "[" + ", ".join(f"{v:{form}}" for v in row) + "]" for row in grid.tolist()) + "]"
+    return texts
 
 
 def decode(gridtext, text, expected):
