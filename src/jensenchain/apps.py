@@ -1,14 +1,15 @@
 """Turnkey chain evaluators for the named special-mean applications.
 
-Each operation evaluates a three-member inequality chain whose middle is
-built from identric, logarithmic, or p-logarithmic means of weighted row
-sums, and returns it as a RefinementChain, judged by the same verdict
-(RefinementChain.holds) as every other chain.  Most also cross-check the
-middle against direct quadrature of the underlying t-average (the route
-the chain's derivation interchanges integrals over); the matrix power
-chain instead checks its identity-matrix reduction and raises on a
-mismatch.  The measure spaces are finite and discrete, so every norm is
-an exact weighted sum.
+Each scalar application is a row of one of two chain builders, judged by
+the verdict of every chain (RefinementChain.holds).  agm and kyfan are
+the jensen row of a catalog function seen through exp(-.) or exp(+.).
+lp, harmonic and powersum are rows of the grid builder over the row sums
+of a sample grid (powersum's grid is diag(x)): the middle is
+mu @ (kernel(s1, s2) @ masses), and the identity check is the
+t-quadrature of the kernel's integrand (the route the chain's derivation
+interchanges integrals over).  The matrix power chain instead checks its
+identity-matrix reduction and raises on a mismatch.  The measure spaces
+are finite and discrete.
 """
 
 from dataclasses import dataclass
@@ -17,13 +18,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .functions import get_function
-from .means import ln_identric, log_mean, pow_integral_mean
-from .measures import (
-    DoublyStochasticMatrix,
-    ProbabilityVector,
-    WeightFunction,
-    frozen_float64,
-)
+from .means import log_mean, pow_integral_mean
+from .measures import DoublyStochasticMatrix, ProbabilityVector, WeightFunction, frozen_float64
 from .numerics import adaptive_simpson
 from .refine import (
     JensenInstance,
@@ -31,6 +27,7 @@ from .refine import (
     _assemble,
     check_weight_pair,
     make_identity_check,
+    phi_integral_closed,
     phi_integral_quad,
 )
 
@@ -63,9 +60,6 @@ class FiniteMeasureSpace:
     def total(self) -> float:
         return float(self.masses.sum())
 
-    def __len__(self):
-        return self.masses.size
-
     @classmethod
     def counting(cls, k: int) -> "FiniteMeasureSpace":
         if k < 1:
@@ -86,10 +80,6 @@ class FunctionVector:
         if not (np.isfinite(s.min()) and np.isfinite(s.max())):  # NaN fails both
             raise ValidationError("samples must be finite")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
 
 
 def _t_quadrature(mu, masses, s1, s2, pointwise):
@@ -113,100 +103,84 @@ def _quadrature_checked(lower, middle, upper, rhs, tol) -> RefinementChain:
     return _assemble(lower, middle, upper, middle, middle, checks=(check,))
 
 
-def _sample_row_sums(g, space, lam, mu, w1, w2):
-    """(s1, s2), the rows of the n x |X| grid g combined by w1 and w2 against lambda."""
-    if g.shape[1] != len(space):
+def _exp_jensen_chain(name, sign, mean_bound, tol, x, lam, mu, w1, w2) -> RefinementChain:
+    """The jensen row of the catalog function name seen through v -> exp(sign * v): the side
+    sum_j lambda_j f(x_j) maps to the lower bound (sign -1) or the upper (sign +1), and
+    mean_bound of the lambda-mean of the points is the other bound."""
+    inst = JensenInstance(f=get_function(name), points=x, lam=lam, mu=mu, w1=w1, w2=w2)
+
+    def transform(v):
+        return float(np.exp(sign * v))
+
+    side = transform(inst.jensen_sides()[1])
+    other = mean_bound(float(inst.lam.weights @ inst.points))
+    lower, upper = (side, other) if sign < 0.0 else (other, side)
+    middle = transform(phi_integral_closed(inst))
+    rhs = transform(phi_integral_quad(inst, atol=1e-12, rtol=1e-12))
+    return _quadrature_checked(lower, middle, upper, rhs, tol)
+
+
+def _row_sums(g, masses, lam, mu, w1, w2):
+    """(s1, s2) of the n x |X| sample grid g: s_k = w_k @ (lambda * g), the instance's form."""
+    if g.shape[1] != masses.size:
         raise ValidationError(
-            f"samples have {g.shape[1]} columns but the space has {len(space)} points"
+            f"samples have {g.shape[1]} columns but the space has {masses.size} points"
         )
     check_weight_pair(lam, mu, w1, w2, g.shape[0])
-    return (w1.values * lam.weights) @ g, (w2.values * lam.weights) @ g
+    lg = lam.weights[:, None] * g
+    return w1.values @ lg, w2.values @ lg
 
 
-def agm_chain(
-    x,
-    lam: ProbabilityVector,
-    mu: ProbabilityVector,
-    w1: WeightFunction,
-    w2: WeightFunction,
-) -> RefinementChain:
+def _grid_chain(lower, upper, mu, masses, s1, s2, kernel, pointwise, tol, outer=None):
+    """A grid row's chain: the middle outer(mu @ (kernel(s1, s2) @ masses)), the closed-form
+    t-average of the integrand pointwise, checked against the t-quadrature of pointwise."""
+    middle = float(mu.weights @ (kernel(s1, s2) @ masses))
+    if outer is not None:
+        middle = outer(middle)
+    quad = _t_quadrature(mu, masses, s1, s2, pointwise)
+    return _quadrature_checked(lower, middle, upper, quad, tol)
+
+
+def agm_chain(x, lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightFunction,
+              w2: WeightFunction) -> RefinementChain:
     """Geometric mean <= mu-weighted product of identric means <= arithmetic mean.
 
     The middle is prod_i I(s1_i, s2_i)^mu_i over the weighted row sums
-    s_k = sum_j wk(i,j) lambda_j x_j; it equals exp(-integral) of the
-    negative-log instance, which the identity check verifies by
-    quadrature.
+    s_k = sum_j wk(i,j) lambda_j x_j: the jensen row of neglog under
+    exp(-.), with the arithmetic mean as the upper bound.
     """
-    inst = JensenInstance(f=get_function("neglog"), points=x, lam=lam, mu=mu, w1=w1, w2=w2)
-    pts = inst.points
-    lower = float(np.exp(inst.lam.weights @ np.log(pts)))
-    upper = float(inst.lam.weights @ pts)
-    middle = float(np.exp(inst.mu.weights @ ln_identric(inst.s1, inst.s2)))
-    quad = phi_integral_quad(inst, atol=1e-12, rtol=1e-12)
-    return _quadrature_checked(lower, middle, upper, float(np.exp(-quad)), AGM_IDENTITY_TOL)
+    return _exp_jensen_chain("neglog", -1.0, lambda a: a, AGM_IDENTITY_TOL, x, lam, mu, w1, w2)
 
 
-def kyfan_chain(
-    x,
-    lam: ProbabilityVector,
-    mu: ProbabilityVector,
-    w1: WeightFunction,
-    w2: WeightFunction,
-) -> RefinementChain:
-    """Complementary-mean ratio chain A'/A <= identric-ratio product <= G'/G for x in (0, 1/2]."""
-    inst = JensenInstance(f=get_function("kyfan"), points=x, lam=lam, mu=mu, w1=w1, w2=w2)
-    pts = inst.points
-    a_n = float(inst.lam.weights @ pts)
-    lower = (1.0 - a_n) / a_n
-    upper = float(np.exp(inst.lam.weights @ (np.log1p(-pts) - np.log(pts))))
-    ln_mid = float(
-        inst.mu.weights
-        @ (ln_identric(1.0 - inst.s1, 1.0 - inst.s2) - ln_identric(inst.s1, inst.s2))
+def kyfan_chain(x, lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightFunction,
+                w2: WeightFunction) -> RefinementChain:
+    """Complementary-mean ratio chain A'/A <= identric-ratio product <= G'/G for x in (0, 1/2]:
+    the jensen row of kyfan under exp(+.), with A'/A = (1 - A)/A as the lower bound."""
+    return _exp_jensen_chain(
+        "kyfan", 1.0, lambda a: (1.0 - a) / a, KYFAN_IDENTITY_TOL, x, lam, mu, w1, w2
     )
-    middle = float(np.exp(ln_mid))
-    quad = phi_integral_quad(inst, atol=1e-12, rtol=1e-12)
-    return _quadrature_checked(lower, middle, upper, float(np.exp(quad)), KYFAN_IDENTITY_TOL)
 
 
-def lp_chain(
-    fv: FunctionVector,
-    space: FiniteMeasureSpace,
-    p: float,
-    lam: ProbabilityVector,
-    mu: ProbabilityVector,
-    w1: WeightFunction,
-    w2: WeightFunction,
-) -> RefinementChain:
-    """p-th power norm chain over a finite discrete measure space, p >= 1.
-
-    Middle: sum_i mu_i ||L_p^p(sum_j w1(i,j) lambda_j |f_j|, sum_j w2(i,j)
-    lambda_j |f_j|)||_1.  The identity check integrates the p-th power of
-    the interpolated combination over t directly, which validates the
-    integral-interchange step of the derivation numerically.
-    """
+def lp_chain(fv: FunctionVector, space: FiniteMeasureSpace, p: float, lam: ProbabilityVector,
+             mu: ProbabilityVector, w1: WeightFunction, w2: WeightFunction) -> RefinementChain:
+    """p-th power norm chain over a finite discrete measure space, p >= 1, with the middle
+    sum_i mu_i ||L_p^p(sum_j w1(i,j) lambda_j |f_j|, sum_j w2(i,j) lambda_j |f_j|)||_1."""
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"lp_chain requires p >= 1, got {p}")
     g = np.abs(fv.samples)
-    s1, s2 = _sample_row_sums(g, space, lam, mu, w1, w2)
     masses = space.masses
-    signed = lam.weights @ fv.samples
-    lower = float(masses @ np.abs(signed) ** p)
+    s1, s2 = _row_sums(g, masses, lam, mu, w1, w2)
+    lower = float(masses @ np.abs(lam.weights @ fv.samples) ** p)
     upper = float(lam.weights @ (g ** p @ masses))
-    middle = float(mu.weights @ (pow_integral_mean(s1, s2, p) @ masses))
-    quad = _t_quadrature(mu, masses, s1, s2, lambda m: m ** p)
-    return _quadrature_checked(lower, middle, upper, quad, LP_IDENTITY_TOL)
+    return _grid_chain(lower, upper, mu, masses, s1, s2, lambda a, b: pow_integral_mean(a, b, p),
+                       lambda m: m ** p, LP_IDENTITY_TOL)
 
 
-def power_sum_chain(
-    x,
-    p: float,
-    lam: ProbabilityVector,
-    mu: ProbabilityVector,
-    w1: WeightFunction,
-    w2: WeightFunction,
-) -> RefinementChain:
-    """sum lambda_j^p x_j^p <= double sum of L_p^p(w1*lambda*x, w2*lambda*x) <= sum lambda_j x_j^p."""
+def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
+                    w1: WeightFunction, w2: WeightFunction) -> RefinementChain:
+    """sum lambda_j^p x_j^p <= double sum of L_p^p(w1*lambda*x, w2*lambda*x) <= sum lambda_j x_j^p:
+    the lp row over the samples diag(x) with unit masses."""
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"power_sum_chain requires p >= 1, got {p}")
@@ -220,11 +194,10 @@ def power_sum_chain(
     lx = lam.weights * x
     lower = float(np.sum(lx ** p))
     upper = float(lam.weights @ x ** p)
-    a1 = w1.values * lx
-    a2 = w2.values * lx
-    middle = float(mu.weights @ pow_integral_mean(a1, a2, p).sum(axis=1))
-    quad = _t_quadrature(mu, np.ones(x.size), a1, a2, lambda m: m ** p)
-    return _quadrature_checked(lower, middle, upper, quad, POWER_SUM_IDENTITY_TOL)
+    # the row sums of diag(x), by broadcasting: no n x n sample grid
+    return _grid_chain(lower, upper, mu, np.ones(x.size), w1.values * lx, w2.values * lx,
+                       lambda a, b: pow_integral_mean(a, b, p),
+                       lambda m: m ** p, POWER_SUM_IDENTITY_TOL)
 
 
 def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
@@ -251,11 +224,13 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
     upper = float(n)
     # c is the identity: ones on the diagonal (checked first, in O(n)), no other nonzero
     if (np.diagonal(cv) == 1.0).all() and np.count_nonzero(cv) == n:
-        diag = np.diag(bv)
-        reduced = float(np.sum(bv ** p))
-        for k in range(p):
-            reduced += float(np.sum(diag ** k))
-        reduced /= p + 1
+        # sum_{k<p} d^k of each diagonal entry d in closed form: p at d = 1, 1 at d = 0
+        d = np.diag(bv)
+        geometric = np.where(d == 1.0, float(p), 1.0)
+        inner = (d != 1.0) & (d != 0.0)
+        di = d[inner]
+        geometric[inner] = -np.expm1(float(p) * np.log1p(di - 1.0)) / (1.0 - di)
+        reduced = (float(np.sum(bv ** p)) + float(geometric.sum())) / (p + 1)
         if abs(middle - reduced) > MATRIX_COINCIDENCE_TOL * max(1.0, abs(middle)):
             raise NumericError(
                 f"identity-matrix reduction mismatch: {middle} vs {reduced}"
@@ -263,22 +238,15 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
     return lower, middle, upper
 
 
-def matrix_power_chain(
-    b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p
-) -> RefinementChain:
+def matrix_power_chain(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p) -> RefinementChain:
     """matrix_power_bounds as a chain, with the verdict every application gets."""
     lower, middle, upper = matrix_power_bounds(b, c, p)
     return _assemble(lower, middle, upper, middle, middle)
 
 
-def harmonic_chain(
-    fv: FunctionVector,
-    space: FiniteMeasureSpace,
-    lam: ProbabilityVector,
-    mu: ProbabilityVector,
-    w1: WeightFunction,
-    w2: WeightFunction,
-) -> RefinementChain:
+def harmonic_chain(fv: FunctionVector, space: FiniteMeasureSpace, lam: ProbabilityVector,
+                   mu: ProbabilityVector, w1: WeightFunction,
+                   w2: WeightFunction) -> RefinementChain:
     """Concave chain for phi(f) = integral of f/(1+f): the middle is mu(X)
     minus the mu-mean of ||1/L(1 + s1, 1 + s2)||_1, and the chain runs
     sum_j lambda_j phi(f_j) <= middle <= phi(sum_j lambda_j f_j)."""
@@ -288,15 +256,14 @@ def harmonic_chain(
             f"sample ({j}, {k}) must be nonnegative, got {fv.samples[j, k]}"
         )
     g = fv.samples
-    s1, s2 = _sample_row_sums(g, space, lam, mu, w1, w2)
     masses = space.masses
+    s1, s2 = _row_sums(g, masses, lam, mu, w1, w2)
 
-    def phi_of(rows):
-        return (rows / (1.0 + rows)) @ masses
+    def frac(m):
+        return m / (1.0 + m)
 
-    lower = float(lam.weights @ phi_of(g))
-    upper = float(phi_of(lam.weights @ g))
-    inv_l = 1.0 / log_mean(1.0 + s1, 1.0 + s2)
-    middle = space.total - float(mu.weights @ (inv_l @ masses))
-    quad = _t_quadrature(mu, masses, s1, s2, lambda m: m / (1.0 + m))
-    return _quadrature_checked(lower, middle, upper, quad, HARMONIC_IDENTITY_TOL)
+    lower = float(lam.weights @ (frac(g) @ masses))
+    upper = float(frac(lam.weights @ g) @ masses)
+    return _grid_chain(lower, upper, mu, masses, s1, s2,
+                       lambda a, b: 1.0 / log_mean(1.0 + a, 1.0 + b), frac,
+                       HARMONIC_IDENTITY_TOL, outer=lambda v: space.total - v)

@@ -25,9 +25,9 @@ from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
 # a larger example budget, for CI runs of the decoder's, the encoder's and the quadrature's
-# differential tests and of the grid validation messages (--hypothesis-profile=ci);
-# tests/test_decoder.py, tests/test_render.py, tests/test_numerics.py and
-# tests/test_measures.py read it
+# differential tests, of the grid validation messages and of the application rows
+# (--hypothesis-profile=ci); tests/test_decoder.py, tests/test_render.py,
+# tests/test_numerics.py, tests/test_measures.py and tests/test_apps.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain
@@ -308,7 +308,7 @@ def scalar_integral_mean(f, a, b):
         raise ValidationError(
             f"segment [{lo}, {hi}] is not inside the domain of {f.name} ({f.domain})"
         )
-    if hi - lo <= EPS_DEG * max(1.0, abs(a), abs(b)):
+    if hi - lo <= EPS_DEG * max(abs(a), abs(b)):
         return float(f.evaluate(0.5 * (a + b)))
     if f.integral_mean is not None:
         return float(f.integral_mean(a, b))

@@ -1,7 +1,9 @@
 """Application chains: anchors, engine agreement, specialized matrix forms."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from jensenchain import (
     lp_chain,
     matrix_power_bounds,
     matrix_power_chain,
+    phi_integral_closed,
     phi_integral_quad,
     power_sum_chain,
     random_doubly_stochastic,
@@ -34,7 +37,7 @@ from jensenchain import (
 from jensenchain import apps
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
 from jensenchain.apps import _t_quadrature
-from jensenchain.refine import TOL_FLOOR
+from jensenchain.refine import TOL_FLOOR, rel_err
 from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_gauss_kronrod
 
 E = math.e
@@ -99,6 +102,16 @@ def test_agm_scaling_invariance(rng):
         assert scaled.middle == pytest.approx(c * base.middle, rel=1e-11)
         assert scaled.upper == pytest.approx(c * base.upper, rel=1e-11)
         assert scaled.passed == base.passed
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e-3])
+def test_agm_middle_keeps_its_precision_at_small_points(scale):
+    """The jensen row's closed form takes small segments far apart in ratio exactly."""
+    w1, w2 = _pair_from_matrices(2, DoublyStochasticMatrix.identity(2),
+                                 DoublyStochasticMatrix.antidiagonal(2))
+    ch = agm_chain([scale, 1.05 * scale], UNI2, UNI2, w1, w2)
+    want = math.exp(float(ln_identric(scale, 1.05 * scale)))
+    assert ch.middle == pytest.approx(want, rel=1e-14)
 
 
 def test_agm_rejects_nonpositive_points():
@@ -184,6 +197,30 @@ def test_kyfan_random_instances_pass(rng):
         assert ch.identity_checks[0].ok
 
 
+@pytest.mark.parametrize("name, chain, sign, positive_range", [
+    ("neglog", agm_chain, -1.0, (0.1, 4.0)),
+    ("kyfan", kyfan_chain, 1.0, (0.02, 0.5)),
+], ids=["agm", "kyfan"])
+def test_agm_and_kyfan_are_exp_transforms_of_the_jensen_row(rng, name, chain, sign,
+                                                            positive_range):
+    """Bit for bit: agm is exp(-.) of the neglog row and kyfan exp(+.) of the kyfan row,
+    the Jensen side sum_j lambda_j f(x_j) giving agm's lower and kyfan's upper bound."""
+    for _ in range(20):
+        x, lam, mu, w1, w2 = _random_setup(rng, positive_range=positive_range)
+        ch = chain(x, lam, mu, w1, w2)
+        inst = JensenInstance(f=get_function(name), points=x, lam=lam, mu=mu, w1=w1, w2=w2)
+        right = inst.jensen_sides()[1]
+        assert (ch.lower if sign < 0.0 else ch.upper) == np.exp(sign * right)
+        assert ch.middle == np.exp(sign * phi_integral_closed(inst))
+        rhs = np.exp(sign * phi_integral_quad(inst, 1e-12, 1e-12))
+        assert ch.identity_checks[0].rhs == rhs
+        # the side is the geometric mean (agm) or G'/G (kyfan) as they were computed directly
+        if sign < 0.0:
+            assert ch.lower == np.exp(lam.weights @ np.log(x))
+        else:
+            assert ch.upper == np.exp(lam.weights @ (np.log1p(-x) - np.log(x)))
+
+
 # ---------------------------------------------------------------------------
 # p-th power norms
 
@@ -246,6 +283,25 @@ def test_lp_p_one_middle_equals_upper(rng):
     ch = lp_chain(fv, FiniteMeasureSpace.counting(4), 1.0, lam, mu, w1, w2)
     assert ch.middle == pytest.approx(ch.upper, rel=1e-12)
     assert ch.slack_lower >= -ch.tol and ch.slack_upper >= -ch.tol
+
+
+def test_lp_chain_allocates_no_n_by_n_array():
+    """Row sums are w @ (lambda * g): at n = m = 600 and |X| = 3 no temporary holds n x n."""
+    n = 600
+    uni = ProbabilityVector.uniform(n)
+    w1 = WeightFunction.ones(uni, uni)
+    w2 = embed_doubly_stochastic(DoublyStochasticMatrix.antidiagonal(n))
+    fv = FunctionVector(np.random.default_rng(5).uniform(0.0, 2.0, (n, 3)))
+    space = FiniteMeasureSpace.counting(3)
+    lp_chain(fv, space, 2.0, uni, uni, w1, w2)  # first call: anything built once is built
+    tracemalloc.start()
+    try:
+        ch = lp_chain(fv, space, 2.0, uni, uni, w1, w2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.passed and ch.identity_checks[0].ok
+    assert peak < n * n * 8
 
 
 def test_lp_rejects_bad_p_and_shapes():
@@ -338,6 +394,16 @@ def test_matrix_power_checks_its_reduction_exactly_when_c_is_the_identity(monkey
         near[:2, :2] += [[-1e-300, 1e-300], [1e-300, -1e-300]]
         matrix_power_bounds(b, DoublyStochasticMatrix(near), 2)
         matrix_power_bounds(b, DoublyStochasticMatrix.antidiagonal(n), 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 10 ** 9, 10 ** 20])
+def test_matrix_power_reduction_takes_diagonal_zeros_and_ones_at_any_p(p):
+    """sum_{k<p} d^k in closed form: p at d = 1 and 1 at d = 0, without a numpy warning."""
+    eye = DoublyStochasticMatrix.identity(3)
+    assert matrix_power_bounds(eye, eye, p)[1] == 3.0
+    # the 3 x 3 antidiagonal has the diagonal (0, 1, 0); the middle is 1 + 4 / (p + 1)
+    middle = matrix_power_bounds(DoublyStochasticMatrix.antidiagonal(3), eye, p)[1]
+    assert middle == pytest.approx(1.0 + 4.0 / (p + 1), rel=1e-15)
 
 
 def test_matrix_power_one_by_one():
@@ -613,3 +679,79 @@ def test_t_quadrature_equals_recursion_over_scalar_integrand(rng, shape, power):
 
     assert _t_quadrature(mu, masses, s1, s2, recording) == ref
     assert max(batches) <= max(1, 2 ** 14 // s1.size)
+
+
+# ---------------------------------------------------------------------------
+# grid rows (lp, powersum, harmonic) against a plain-loop evaluation of their kernels
+
+
+def _mp_kernel(application, a, b, p):
+    """The row's kernel at one sample: L_p^p(a, b) = A(t^p; a, b), or 1/L(1 + a, 1 + b)."""
+    if abs(b - a) <= mpmath.mpf(10) ** -30 * max(a, b):
+        mid = (a + b) / 2  # the closed forms' cancellation would leave no digits here
+        return 1 / (1 + mid) if application == "harmonic" else mid ** p
+    if application == "harmonic":
+        return (mpmath.log1p(b) - mpmath.log1p(a)) / (b - a)
+    return (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+
+
+def loop_grid_middle(application, grid, masses, p, lam, mu, w1, w2):
+    """A grid row's middle by plain loops in 50-digit arithmetic: the row sums
+    sum_j w(i,j) lambda_j g_j(x), the kernel at each (i, x), summed against mu and the masses."""
+    grid, masses = grid.tolist(), masses.tolist()
+    lam, mu = lam.weights.tolist(), mu.weights.tolist()
+    w1, w2 = w1.values.tolist(), w2.values.tolist()
+    with mpmath.workdps(50):
+        mpf, p = mpmath.mpf, mpmath.mpf(p)
+        total = mpf(0)
+        for i in range(len(mu)):
+            for x in range(len(masses)):
+                s1 = sum(mpf(w1[i][j]) * mpf(lam[j]) * mpf(grid[j][x]) for j in range(len(lam)))
+                s2 = sum(mpf(w2[i][j]) * mpf(lam[j]) * mpf(grid[j][x]) for j in range(len(lam)))
+                total += mpf(mu[i]) * mpf(masses[x]) * _mp_kernel(application, s1, s2, p)
+        if application == "harmonic":
+            total = sum(mpf(m) for m in masses) - total
+        return float(total)
+
+
+@st.composite
+def grid_rows(draw):
+    """(application, points, masses, p, lam, mu, w1, w2) of a random lp, powersum or harmonic
+    row: random weights, or two permutations over uniform measures; samples with zeros."""
+    application = draw(st.sampled_from(["lp", "powersum", "harmonic"]))
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        lam = mu = ProbabilityVector.uniform(n)
+        w1, w2 = (embed_doubly_stochastic(DoublyStochasticMatrix(np.eye(n)[rng.permutation(n)]))
+                  for _ in range(2))
+    else:
+        m = draw(st.integers(1, 5))
+        lam, mu = rand_prob(rng, n), rand_prob(rng, m)
+        w1, w2 = rand_weight(rng, mu, lam), rand_weight(rng, mu, lam)
+    shape = (n,) if application == "powersum" else (n, draw(st.integers(1, 4)))
+    points = rng.uniform(0.0, 3.0, shape) * (rng.random(shape) < 0.8)
+    if application == "lp":
+        points *= rng.choice([-1.0, 1.0], shape)
+    masses = np.ones(n) if application == "powersum" else rng.uniform(0.5, 2.0, shape[1])
+    return application, points, masses, p, lam, mu, w1, w2
+
+
+@settings(deadline=None)
+@given(row=grid_rows())
+def test_grid_rows_match_a_plain_loop_evaluation_of_their_kernels(row):
+    application, points, masses, p, lam, mu, w1, w2 = row
+    if application == "powersum":
+        ch = power_sum_chain(points, p, lam, mu, w1, w2)
+        grid = np.diag(points)
+    elif application == "lp":
+        fv, space = FunctionVector(points), FiniteMeasureSpace(masses)
+        ch = lp_chain(fv, space, p, lam, mu, w1, w2)
+        grid = np.abs(points)
+    else:
+        ch = harmonic_chain(FunctionVector(points), FiniteMeasureSpace(masses), lam, mu, w1, w2)
+        grid = points
+    want = loop_grid_middle(application, grid, masses, p, lam, mu, w1, w2)
+    assert rel_err(ch.middle, want) <= 1e-12
+    assert ch.identity_checks[0].ok

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_verify_jensen_grid_and_integral(tmp_path, capsys):
         0.28125 - 0.265625, rel=1e-12
     )
     assert report["pass"] is True
+
+
+def test_verify_jensen_closed_form_holds_at_small_points(tmp_path, capsys):
+    """neglog on [1e-10, 2e-10]: each row's segment is 1e-10 long but spans a ratio of 2, so
+    the closed-form t-average must match its quadrature (it was 0.08% off, and exited 1)."""
+    doc = {"application": "jensen", "function": {"name": "neglog"}, "points": [1e-10, 2e-10],
+           "weights": AGM_ANCHOR["weights"]}
+    assert main(["verify", write(tmp_path, "small.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["identity_checks"][0]["rel_err"] <= 1e-15
+    # the middle of the agm row, exp(-integral), is the identric mean I(1e-10, 2e-10)
+    assert math.exp(-report["integral"]) == pytest.approx(4e-10 / math.e, rel=1e-14)
 
 
 def test_verify_bad_lambda_sum_names_field(tmp_path, capsys):
@@ -260,6 +273,19 @@ def test_matrixpower_edge_document_follows_the_tolerance(tmp_path, capsys):
     assert report["witnesses"] == [
         {"member": "middle", "value": report["middle"], "lower": 2.0, "upper": 2.0}
     ]
+
+
+def test_matrixpower_identity_reduction_takes_constant_time_in_p(tmp_path, capsys):
+    """C = I sums the diagonal's geometric series in closed form, not one term per power."""
+    doc = {"application": "matrixpower", "p": 10 ** 9,
+           "weights": {"B": [[0.5, 0.5], [0.5, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]}}
+    path = write(tmp_path, "huge_p.json", doc)
+    start = time.perf_counter()
+    assert main(["verify", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert report["middle"] == pytest.approx(4.0 / (10 ** 9 + 1), rel=1e-12)
 
 
 VERDICT_DOCS = {

@@ -107,6 +107,15 @@ def test_integral_mean_degenerate_band_returns_midpoint_value():
     assert integral_mean(f, a, b) == f.evaluate(0.5 * (a + b))
 
 
+@pytest.mark.parametrize("a, b", [(1e-10, 2e-10), (1e-7, 1.05e-7), (1e-3, 1.000005e-3)])
+def test_integral_mean_band_is_relative_for_small_points(a, b):
+    """Segments within 1e-8 in absolute size but not relative to their ends take the closed
+    form: for neglog the midpoint value would be off by the curvature 1/x^2."""
+    f = get_function("neglog")
+    assert integral_mean(f, a, b) == -float(ln_identric(a, b))
+    assert integral_mean(f, np.array([a]), np.array([b]))[0] == -float(ln_identric(a, b))
+
+
 # ---------------------------------------------------------------------------
 # error contracts
 
