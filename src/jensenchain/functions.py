@@ -160,6 +160,11 @@ def _im_harmonic_frac(a, b):
     if d == 0.0:
         return a / (1.0 + a)
     q = d / (1.0 + a)
+    if abs(q) <= 1e-3:
+        # 1 - log1p(q) / d = (a + 1 - log1p(q) / q) / (1 + a), whose first form cancels to
+        # about (a + b) / 2 for small ends: 1 - log1p(q) / q is taken by its series
+        s = q * (1 / 2 - q * (1 / 3 - q * (1 / 4 - q * (1 / 5 - q * (1 / 6 - q / 7)))))
+        return (a + s) / (1.0 + a)
     if q > -1.0:
         return 1.0 - math.log1p(q) / d
     # q rounds to -1 where a is near DBL_MAX and b is small: take the logarithms apart

@@ -188,6 +188,31 @@ def test_closed_forms_near_overflow_against_mpmath(name, a, b):
     assert float(abs(mpmath.mpf(got) - ref)) <= 4 * math.ulp(float(ref))
 
 
+SMALL_SEGMENT_PAIRS = [
+    ("harmonic_frac", 1e-9, 2e-9),  # 1 - log1p(q) / d would cancel to 1.6e-7 relative
+    ("harmonic_frac", 0.0, 1e-5),
+    ("harmonic_frac", 1e-3, 0.0),
+    ("harmonic_frac", 0.01, 0.010000001),
+    ("harmonic_frac", 2.0, 2.001),
+    ("harmonic_frac", 1e6, 1e6 + 1e-3),
+    ("neglog", 1e-10, 2e-10),
+    ("kyfan", 1e-10, 2e-10),
+]
+
+
+@pytest.mark.parametrize("name, a, b", SMALL_SEGMENT_PAIRS)
+def test_closed_forms_on_short_or_small_segments_against_mpmath(name, a, b):
+    """Segments short against 1 or with small ends: the closed-form mean within 4 ulp of 50
+    digits, as integral_mean's relative band hands such segments to it."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    got = float(_fetch(name).integral_mean(np.array([a]), np.array([b]))[0])
+    lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+    ref = (ANTIDERIVATIVE[name](hi, mpmath) - ANTIDERIVATIVE[name](lo, mpmath)) / (hi - lo)
+    assert float(abs(mpmath.mpf(got) - ref)) <= 4 * math.ulp(float(ref))
+
+
 def test_direction_spot_check_passes_for_catalog():
     for name in sorted(REQUIRED):
         assert check_direction(_fetch(name), trials=300, seed=5)
