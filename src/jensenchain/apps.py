@@ -1,15 +1,11 @@
 """Turnkey chain evaluators for the named special-mean applications.
 
-Each scalar application is a row of one of two chain builders, judged by
-the verdict of every chain (RefinementChain.holds).  agm and kyfan are
-the jensen row of a catalog function seen through exp(-.) or exp(+.).
-lp, harmonic and powersum are rows of the grid builder over the row sums
-of a sample grid (powersum's grid is diag(x)): the middle is
-mu @ (kernel(s1, s2) @ masses), and the identity check is the
-t-quadrature of the kernel's integrand (the route the chain's derivation
-interchanges integrals over).  The matrix power chain instead checks its
-identity-matrix reduction and raises on a mismatch.  The measure spaces
-are finite and discrete.
+Each scalar application is a row of the refine engine: a catalog function,
+its row sums and its two sides give the closed-form middle and its
+t-quadrature check.  agm and kyfan are the jensen row seen through exp(-.)
+or exp(+.); lp, harmonic and powersum are rows over n functions sampled on
+a finite measure space (powersum's samples are diag(x), unit masses).  The
+matrix power chain checks its identity-matrix reduction instead.
 """
 
 from dataclasses import dataclass
@@ -18,9 +14,9 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .functions import get_function
-from .means import log_mean, pow_integral_mean
+from .means import pow_integral_mean
 from .measures import DoublyStochasticMatrix, ProbabilityVector, WeightFunction, frozen_float64
-from .numerics import adaptive_simpson
+from .numerics import adaptive_simpson  # noqa: F401  (the benchmark's tracer binds it here)
 from .refine import (
     JensenInstance,
     RefinementChain,
@@ -29,6 +25,9 @@ from .refine import (
     make_identity_check,
     phi_integral_closed,
     phi_integral_quad,
+    row_sums,
+    t_average,
+    t_quadrature,
 )
 
 AGM_IDENTITY_TOL = 1e-9
@@ -56,10 +55,6 @@ class FiniteMeasureSpace:
             raise ValidationError(f"mass {k} must be positive, got {m[k]}")
         object.__setattr__(self, "masses", m)
 
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
-
     @classmethod
     def counting(cls, k: int) -> "FiniteMeasureSpace":
         if k < 1:
@@ -82,19 +77,9 @@ class FunctionVector:
         object.__setattr__(self, "samples", s)
 
 
-def _t_quadrature(mu, masses, s1, s2, pointwise):
-    """Integrate t -> sum_i mu_i sum_x mass(x) * pointwise((1-t)s1 + t*s2) over [0, 1].
-
-    The nodes of a depth are evaluated together; each node's grid is
-    reduced by the same matrix-vector and dot products as one node alone
-    would be, so the value does not depend on the batching.
-    """
-
-    def h(ts):
-        m = (1.0 - ts)[:, None, None] * s1 + ts[:, None, None] * s2
-        return np.matmul(mu.weights, (pointwise(m) @ masses)[:, :, None])[:, 0]
-
-    return adaptive_simpson(h, 0.0, 1.0, atol=1e-12, rtol=1e-12, width=s1.size)
+def _t_quadrature(f, mu, s1, s2, sides, masses):
+    """The grid rows' t-quadrature check: the engine's, at 1e-12."""
+    return t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12)
 
 
 def _quadrature_checked(lower, middle, upper, rhs, tol) -> RefinementChain:
@@ -120,25 +105,25 @@ def _exp_jensen_chain(name, sign, mean_bound, tol, x, lam, mu, w1, w2) -> Refine
     return _quadrature_checked(lower, middle, upper, rhs, tol)
 
 
-def _row_sums(g, masses, lam, mu, w1, w2):
-    """(s1, s2) of the n x |X| sample grid g: s_k = w_k @ (lambda * g), the instance's form."""
+def _grid_sums_and_sides(f, g, masses, lam, mu, w1, w2):
+    """(s1, s2, lower, upper) of the n x |X| sample grid g: the row sums s_k = w_k @ (lambda * g)
+    and the Jensen sides f(lambda @ g) @ masses and lambda @ (f(g) @ masses) in chain order."""
     if g.shape[1] != masses.size:
-        raise ValidationError(
-            f"samples have {g.shape[1]} columns but the space has {masses.size} points"
-        )
+        raise ValidationError(f"samples have {g.shape[1]} columns but the space has "
+                              f"{masses.size} points")
     check_weight_pair(lam, mu, w1, w2, g.shape[0])
-    lg = lam.weights[:, None] * g
-    return w1.values @ lg, w2.values @ lg
+    s1, s2 = row_sums(f, g, lam, w1, w2)
+    left = float(f.evaluate_many(lam.weights @ g) @ masses)
+    right = float(lam.weights @ (f.evaluate_many(g) @ masses))
+    return (s1, s2, left, right) if f.is_convex else (s1, s2, right, left)
 
 
-def _grid_chain(lower, upper, mu, masses, s1, s2, kernel, pointwise, tol, outer=None):
-    """A grid row's chain: the middle outer(mu @ (kernel(s1, s2) @ masses)), the closed-form
-    t-average of the integrand pointwise, checked against the t-quadrature of pointwise."""
-    middle = float(mu.weights @ (kernel(s1, s2) @ masses))
-    if outer is not None:
-        middle = outer(middle)
-    quad = _t_quadrature(mu, masses, s1, s2, pointwise)
-    return _quadrature_checked(lower, middle, upper, quad, tol)
+def _row_chain(f, mu, masses, s1, s2, lower, upper, tol) -> RefinementChain:
+    """A grid row's chain: the closed-form t-average of f over the row sums as the middle,
+    checked against its t-quadrature."""
+    middle = t_average(f, mu, s1, s2, masses)
+    rhs = _t_quadrature(f, mu, s1, s2, (lower, upper), masses)
+    return _quadrature_checked(lower, middle, upper, rhs, tol)
 
 
 def agm_chain(x, lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightFunction,
@@ -168,13 +153,10 @@ def lp_chain(fv: FunctionVector, space: FiniteMeasureSpace, p: float, lam: Proba
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"lp_chain requires p >= 1, got {p}")
-    g = np.abs(fv.samples)
-    masses = space.masses
-    s1, s2 = _row_sums(g, masses, lam, mu, w1, w2)
-    lower = float(masses @ np.abs(lam.weights @ fv.samples) ** p)
-    upper = float(lam.weights @ (g ** p @ masses))
-    return _grid_chain(lower, upper, mu, masses, s1, s2, lambda a, b: pow_integral_mean(a, b, p),
-                       lambda m: m ** p, LP_IDENTITY_TOL)
+    f = get_function("powp", {"p": p})
+    s1, s2, _, upper = _grid_sums_and_sides(f, np.abs(fv.samples), space.masses, lam, mu, w1, w2)
+    lower = float(space.masses @ np.abs(lam.weights @ fv.samples) ** p)
+    return _row_chain(f, mu, space.masses, s1, s2, lower, upper, LP_IDENTITY_TOL)
 
 
 def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
@@ -195,9 +177,8 @@ def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
     lower = float(np.sum(lx ** p))
     upper = float(lam.weights @ x ** p)
     # the row sums of diag(x), by broadcasting: no n x n sample grid
-    return _grid_chain(lower, upper, mu, np.ones(x.size), w1.values * lx, w2.values * lx,
-                       lambda a, b: pow_integral_mean(a, b, p),
-                       lambda m: m ** p, POWER_SUM_IDENTITY_TOL)
+    return _row_chain(get_function("powp", {"p": p}), mu, np.ones(x.size), w1.values * lx,
+                      w2.values * lx, lower, upper, POWER_SUM_IDENTITY_TOL)
 
 
 def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
@@ -247,23 +228,15 @@ def matrix_power_chain(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p) 
 def harmonic_chain(fv: FunctionVector, space: FiniteMeasureSpace, lam: ProbabilityVector,
                    mu: ProbabilityVector, w1: WeightFunction,
                    w2: WeightFunction) -> RefinementChain:
-    """Concave chain for phi(f) = integral of f/(1+f): the middle is mu(X)
-    minus the mu-mean of ||1/L(1 + s1, 1 + s2)||_1, and the chain runs
+    """Concave chain for phi(f) = integral of f/(1+f): the harmonic_frac row over the samples,
+    whose middle, the mu-mean of ||A(m/(1+m); s1, s2)||_1, equals mu(X) minus the mu-mean of
+    ||1/L(1 + s1, 1 + s2)||_1; the chain runs
     sum_j lambda_j phi(f_j) <= middle <= phi(sum_j lambda_j f_j)."""
     if np.any(fv.samples < 0.0):
         j, k = np.unravel_index(int(np.argmin(fv.samples)), fv.samples.shape)
         raise ValidationError(
             f"sample ({j}, {k}) must be nonnegative, got {fv.samples[j, k]}"
         )
-    g = fv.samples
-    masses = space.masses
-    s1, s2 = _row_sums(g, masses, lam, mu, w1, w2)
-
-    def frac(m):
-        return m / (1.0 + m)
-
-    lower = float(lam.weights @ (frac(g) @ masses))
-    upper = float(frac(lam.weights @ g) @ masses)
-    return _grid_chain(lower, upper, mu, masses, s1, s2,
-                       lambda a, b: 1.0 / log_mean(1.0 + a, 1.0 + b), frac,
-                       HARMONIC_IDENTITY_TOL, outer=lambda v: space.total - v)
+    f = get_function("harmonic_frac")
+    s1, s2, lower, upper = _grid_sums_and_sides(f, fv.samples, space.masses, lam, mu, w1, w2)
+    return _row_chain(f, mu, space.masses, s1, s2, lower, upper, HARMONIC_IDENTITY_TOL)

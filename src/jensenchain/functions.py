@@ -154,6 +154,11 @@ def _im_xlogx(a, b):
     return 0.5 * (lo + hi) * math.log(hi) + (0.5 * lo * tail - 0.25 * (lo + hi))
 
 
+# 1/3, 1/5, ..., 1/31: artanh(u) = u + u^3 sum_k u^(2k) / (2k + 3), to full precision for
+# |u| <= 1/3
+_ATANH_TAIL = tuple(1.0 / (2 * k + 3) for k in range(15))
+
+
 @_elementwise
 def _im_harmonic_frac(a, b):
     d = b - a
@@ -165,6 +170,18 @@ def _im_harmonic_frac(a, b):
         # about (a + b) / 2 for small ends: 1 - log1p(q) / q is taken by its series
         s = q * (1 / 2 - q * (1 / 3 - q * (1 / 4 - q * (1 / 5 - q * (1 / 6 - q / 7)))))
         return (a + s) / (1.0 + a)
+    lo, hi = (a, b) if d > 0.0 else (b, a)
+    if lo < 0.5 and hi <= 1.0 + 2.0 * lo:
+        # the first form still cancels where the lower end is small; with
+        # u = (hi - lo) / (2 + lo + hi) <= 1/3, log1p(hi) - log1p(lo) = 2 artanh(u), and the
+        # mean is (lo + hi - 2 u^2 (1/3 + u^2/5 + ...)) / (2 + lo + hi), with no cancellation
+        total = lo + hi
+        u = (hi - lo) / (2.0 + total)
+        v = u * u
+        tail = 0.0
+        for c in reversed(_ATANH_TAIL):
+            tail = c + v * tail
+        return (total - 2.0 * v * tail) / (2.0 + total)
     if q > -1.0:
         return 1.0 - math.log1p(q) / d
     # q rounds to -1 where a is near DBL_MAX and b is small: take the logarithms apart

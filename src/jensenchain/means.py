@@ -26,16 +26,8 @@ from .numerics import QUAD_BATCH_VALUES, adaptive_simpson
 EPS_DEG = 1e-8
 
 
-def _as_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape == b.shape:
-        return a, b
-    return np.broadcast_arrays(a, b)
-
-
 def _blockwise(kernel, a, b, *args):
-    """Run kernel(lo, hi, out, *args) over the broadcast pair in blocks.
+    """Run kernel(a, b, out, *args) over the broadcast pair in blocks.
 
     Each block holds at most QUAD_BATCH_VALUES elements of the flattened
     pair, so the kernel's temporaries stay block-sized and the extra
@@ -43,18 +35,19 @@ def _blockwise(kernel, a, b, *args):
     argument that had to be broadcast).  Returns an array of the
     broadcast shape (0-d for scalar arguments).
     """
-    a, b = _as_pair(a, b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     out = np.empty(a.shape)
     flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
     for k in range(0, flat_out.size, QUAD_BATCH_VALUES):
         block = slice(k, k + QUAD_BATCH_VALUES)
-        lo = np.minimum(flat_a[block], flat_b[block])
-        hi = np.maximum(flat_a[block], flat_b[block])
-        kernel(lo, hi, flat_out[block], *args)
+        kernel(flat_a[block], flat_b[block], flat_out[block], *args)
     return out
 
 
-def _ln_identric_block(lo, hi, out):
+def _ln_identric_block(a, b, out):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     d = hi - lo
     near = d <= EPS_DEG * hi
     far = ~near
@@ -88,7 +81,8 @@ def ln_identric(a, b):
     return _blockwise(_ln_identric_block, a, b)
 
 
-def _log_mean_block(lo, hi, out):
+def _log_mean_block(a, b, out):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     d = hi - lo
     near = d <= EPS_DEG * hi
     far = ~near
@@ -109,7 +103,8 @@ def log_mean(a, b):
     return _blockwise(_log_mean_block, a, b)
 
 
-def _pow_integral_mean_block(lo, hi, out, p):
+def _pow_integral_mean_block(a, b, out, p):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     d = hi - lo
     equal = d == 0.0
     near = (d <= EPS_DEG * hi) & ~equal
@@ -206,50 +201,49 @@ def p_logarithmic(a: float, b: float, p: float) -> float:
     return float(pow_integral_mean(a, b, p)) ** (1.0 / p)
 
 
-def integral_mean(f, a, b):
-    """Average value of f over the segments between a and b, elementwise.
-
-    a and b are floats or arrays of segment ends, broadcast together:
-    floats give a float, arrays an array of their broadcast shape.
-    Inside the relative band |b - a| <= EPS_DEG * max(|a|, |b|) the
-    midpoint value f((a+b)/2) is returned, evaluated on Python floats (a
-    band with an absolute floor would also take small segments whose ends
-    are far apart in ratio, where -log curves as 1/x^2: 2% off on
-    [1e-10, 2e-10]); the other segments go to the catalog closed form in
-    one array call when the function carries one, and to adaptive
-    Gauss-Kronrod quadrature (numerics.adaptive_simpson, a name kept from
-    its older Simpson rule) one by one when it does not.  A segment
-    outside the domain of f raises ValidationError naming the first such
-    segment.
-    """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = _as_pair(a, b)
-    shape = a.shape
-    a, b = a.reshape(-1), b.reshape(-1)
-    ordered = a <= b
-    lo = np.where(ordered, a, b)
-    hi = np.where(ordered, b, a)
+def _integral_mean_block(a, b, out, f):
     size = np.maximum(np.abs(a), np.abs(b))
-    inside = f.domain.contains_segment(lo, hi, 1e-12 * np.maximum(1.0, size))
-    if not inside.all():
-        k = int(np.argmin(inside))
-        raise ValidationError(
-            f"segment [{float(lo[k])}, {float(hi[k])}] is not inside the domain of "
-            f"{f.name} ({f.domain})"
-        )
-    out = np.empty(a.shape)
-    near = hi - lo <= EPS_DEG * size
-    for k in near.nonzero()[0].tolist():
-        mid = 0.5 * (float(a[k]) + float(b[k]))
-        if not math.isfinite(mid):  # a + b overflows near DBL_MAX
-            mid = 0.5 * float(a[k]) + 0.5 * float(b[k])
-        out[k] = f.evaluate(mid)
+    # each segment's slack is at least 1e-12, so the domain holds them all if it holds the
+    # block's extremes at that slack
+    if not f.domain.contains_segment(min(a.min(), b.min()), max(a.max(), b.max()), 1e-12):
+        lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
+        inside = f.domain.contains_segment(lo, hi, 1e-12 * np.maximum(1.0, size))
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise ValidationError(
+                f"segment [{float(lo[k])}, {float(hi[k])}] is not inside the domain of "
+                f"{f.name} ({f.domain})"
+            )
+    near = np.abs(b - a) <= EPS_DEG * size
     rest = ~near
-    if f.integral_mean is not None:
-        if rest.any():
-            out[rest] = f.integral_mean(a[rest], b[rest])
-    else:
+    if f.integral_mean is None:
         for k in rest.nonzero()[0].tolist():
-            seg_lo, seg_hi = float(lo[k]), float(hi[k])
+            seg_lo, seg_hi = sorted((float(a[k]), float(b[k])))
             out[k] = adaptive_simpson(f.evaluate, seg_lo, seg_hi) / (seg_hi - seg_lo)
-    return float(out[0]) if scalar else out.reshape(shape)
+    elif rest.all():
+        out[:] = f.integral_mean(a, b)
+    elif rest.any():
+        out[rest] = f.integral_mean(a[rest], b[rest])
+    if near.any():
+        a_n, b_n = a[near], b[near]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (a_n + b_n)
+        big = ~np.isfinite(mid)  # a + b overflows near DBL_MAX
+        mid[big] = 0.5 * a_n[big] + 0.5 * b_n[big]
+        out[near] = f.evaluate_many(mid)
+
+
+def integral_mean(f, a, b):
+    """Average value of f over the segments between a and b, elementwise, a block at a time.
+
+    a and b are floats (giving a float) or arrays, broadcast together.
+    Inside the relative band |b - a| <= EPS_DEG * max(|a|, |b|) it is
+    f((a+b)/2) (an absolute band would also take small segments whose ends
+    are far apart in ratio: for -log, 2% off on [1e-10, 2e-10]); elsewhere
+    the catalog closed form, ends in their given order, or adaptive
+    Gauss-Kronrod quadrature (numerics.adaptive_simpson) per segment for a
+    function without one.  The first segment outside the domain of f is
+    named in a ValidationError.
+    """
+    out = _blockwise(_integral_mean_block, a, b, f)
+    return float(out) if out.ndim == 0 else out

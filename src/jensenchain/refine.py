@@ -10,6 +10,11 @@ convex in t (concave when f is concave, with every inequality reversed),
 and so is its t-average, which collapses to a sum of endpoint integral
 means.  This module evaluates phi, checks the resulting chains, and
 tightens the middle bound over t.
+
+The engine works on the row sums s1 and s2 (row_sums), of shape (m,), or
+(m, |X|) for points sampled on a finite measure space, whose rows are
+summed against its point masses: t_average and t_quadrature give the
+t-average in closed form and by quadrature, for jensen and apps alike.
 """
 
 import functools
@@ -135,6 +140,86 @@ def check_weight_pair(lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightF
             raise ValidationError(f"{label} is normalized against a different lambda")
 
 
+def row_sums(f: ConvexFunctionSpec, points: np.ndarray, lam: ProbabilityVector,
+             w1: WeightFunction, w2: WeightFunction):
+    """(s1, s2) with s_k = w_k @ (lambda * points), for points of shape (n,) or (n, |X|)."""
+    lam = lam.weights
+    lamx = (lam if points.ndim == 1 else lam[:, None]) * points
+    sums = (w1.values @ lamx, w2.values @ lamx)
+    if not lamx.all():
+        # a term lambda_j x_j that underflowed to 0 is multiplied back in the other order
+        lost = ((lamx == 0.0) & (points != 0.0)).reshape(lam.size, -1).any(axis=1) & (lam != 0.0)
+        for s, w in zip(sums, (w1.values, w2.values)):
+            rows = np.flatnonzero((w[:, lost] != 0.0).any(axis=1))
+            s[rows] = (w[rows] * lam) @ points
+    # a row sum is a mean of its column's points, but it can round an ulp past them, where f
+    # may overflow; there it is clamped to their range
+    for s in sums:
+        clamped = np.clip(s, points.min(axis=0), points.max(axis=0))
+        out = clamped != s
+        if out.any():
+            s[out] = np.where(np.isfinite(f.evaluate_many(s[out])), s[out], clamped[out])
+    return sums
+
+
+def _check_rows(f: ConvexFunctionSpec, s1: np.ndarray, s2: np.ndarray):
+    """DomainError unless every row sum lies in the domain of f, which then holds every
+    combination (1-t) s1 + t s2; an interval holds them all when it holds the extremes."""
+    lo, hi = min(s1.min(), s2.min()), max(s1.max(), s2.max())
+    slack = 1e-12 * max(1.0, -lo, hi)
+    if not f.domain.contains_segment(lo, hi, slack):
+        inside = f.domain.contains_array(s1, slack) & f.domain.contains_array(s2, slack)
+        k = np.unravel_index(int(np.argmin(inside)), inside.shape)
+        raise DomainError(f"row sums for row i={k[0]} are {s1[k]} and {s2[k]}, outside the "
+                          f"domain of {f.name} ({f.domain})")
+
+
+def _phi_rows(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses=None) -> np.ndarray:
+    """f at (1-t) s1 + t s2, one row of m values per t (each summed against the masses)."""
+    t = ts.reshape((-1,) + (1,) * s1.ndim)
+    # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
+    inner = (1.0 - t) * s1 + t * s2
+    vals = f.evaluate_many(inner)
+    rows = vals if masses is None else vals @ masses
+    if np.isfinite(rows).all():
+        return rows
+    # a combination can round an ulp past its ends, where f may overflow: clamp it to them
+    big = ~np.isfinite(vals)
+    lo = np.broadcast_to(np.minimum(s1, s2), inner.shape)[big]
+    hi = np.broadcast_to(np.maximum(s1, s2), inner.shape)[big]
+    vals[big] = f.evaluate_many(np.clip(inner[big], lo, hi))
+    return vals if masses is None else vals @ masses
+
+
+def t_average(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, masses=None) -> float:
+    """t-average of phi in closed form: the mu-mean of the integral means A(f; s1, s2)."""
+    rows = integral_mean(f, s1, s2)
+    if masses is not None:
+        rows = rows @ masses
+    # left to right from 0.0 on every Python version (sum of floats compensates from 3.12)
+    return functools.reduce(operator.add, (mu.weights * rows).tolist(), 0.0)
+
+
+def t_quadrature(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, sides, masses=None,
+                 atol=1e-10, rtol=1e-10) -> float:
+    """t-average of phi by adaptive quadrature on [0, 1], each depth's nodes together.
+
+    Each node is reduced by the dot product phi uses, so the result is the
+    quadrature of scalar phi bit for bit, except where the larger magnitude
+    s of the two sides (which bound phi) exceeds _QUAD_SAFE: there a panel's
+    sum could overflow, so phi / s is integrated and the result scaled by s.
+    """
+    _check_rows(f, s1, s2)
+    scale = max(abs(side) for side in sides)
+    if not _QUAD_SAFE < scale < math.inf:
+        scale = 1.0
+
+    def fv(ts):
+        return np.matmul(_phi_rows(f, s1, s2, ts, masses)[:, None, :], mu.weights)[:, 0] / scale
+
+    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=s1.size) * scale
+
+
 @dataclass(frozen=True, eq=False)
 class HadamardWeights:
     """Nonnegative averaging weights p with nodes t in [0, 1]."""
@@ -191,25 +276,8 @@ class JensenInstance:
                 f"point {j} = {pts[j]} is outside the domain of {self.f.name} ({self.f.domain})"
             )
         object.__setattr__(self, "points", pts)
-        lam = self.lam.weights
-        lamx = lam * pts
-        sums = (self.w1.values @ lamx, self.w2.values @ lamx)
-        if not lamx.all():
-            # a term lambda_j x_j that underflowed to 0 is multiplied back in the other order
-            lost = (lamx == 0.0) & (lam != 0.0) & (pts != 0.0)
-            for s, w in zip(sums, (self.w1.values, self.w2.values)):
-                rows = np.flatnonzero((w[:, lost] != 0.0).any(axis=1))
-                s[rows] = (w[rows] * lam) @ pts
-        # a row sum is a mean of the points, but it can round an ulp past them, where f may
-        # overflow; there it is clamped to their range
-        lo, hi = pts.min(), pts.max()
-        for s in sums:
-            out = np.flatnonzero((s < lo) | (s > hi))
-            if out.size:
-                big = out[~np.isfinite(self.f.evaluate_many(s[out]))]
-                s[big] = np.clip(s[big], lo, hi)
-        object.__setattr__(self, "s1", sums[0])
-        object.__setattr__(self, "s2", sums[1])
+        for name, s in zip(("s1", "s2"), row_sums(self.f, pts, self.lam, self.w1, self.w2)):
+            object.__setattr__(self, name, s)
 
     @functools.cached_property
     def _sides(self):
@@ -234,32 +302,12 @@ def _check_t(ts: np.ndarray):
         raise ValidationError(f"t must lie in [0, 1], got {float(ts[np.argmax(bad)])}")
 
 
-def _phi_rows(inst: JensenInstance, ts: np.ndarray) -> np.ndarray:
-    """f at the inner combinations, one row of m values per t."""
-    # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
-    inner = (1.0 - ts)[:, None] * inst.s1[None, :] + ts[:, None] * inst.s2[None, :]
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(inner))))
-    inside = inst.f.domain.contains_array(inner, slack=slack)
-    if not np.all(inside):
-        k, i = np.unravel_index(int(np.argmin(inside)), inner.shape)
-        raise DomainError(
-            f"inner combination for row i={i} at t={ts[k]} is {inner[k, i]}, "
-            f"outside the domain of {inst.f.name} ({inst.f.domain})"
-        )
-    vals = inst.f.evaluate_many(inner)
-    if not np.isfinite(vals).all():
-        # a combination can round an ulp past the largest point, where f may overflow; every
-        # combination is a mean of the points, so it is clamped to their range there
-        big, pts = ~np.isfinite(vals), inst.points
-        vals[big] = inst.f.evaluate_many(np.clip(inner[big], pts.min(), pts.max()))
-    return vals
-
-
 def phi_values(inst: JensenInstance, ts) -> np.ndarray:
     """Vectorized phi over a grid of t values."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_t(ts)
-    return _phi_rows(inst, ts) @ inst.mu.weights
+    _check_rows(inst.f, inst.s1, inst.s2)
+    return _phi_rows(inst.f, inst.s1, inst.s2, ts) @ inst.mu.weights
 
 
 def phi(inst: JensenInstance, t: float) -> float:
@@ -280,29 +328,12 @@ def chain_at_t(inst: JensenInstance, t_grid) -> RefinementChain:
 
 def phi_integral_closed(inst: JensenInstance) -> float:
     """t-average of phi as the mu-mean of endpoint integral means."""
-    terms = inst.mu.weights * integral_mean(inst.f, inst.s1, inst.s2)
-    # left to right from 0.0 on every Python version (sum of floats compensates from 3.12)
-    return functools.reduce(operator.add, terms.tolist(), 0.0)
+    return t_average(inst.f, inst.mu, inst.s1, inst.s2)
 
 
 def phi_integral_quad(inst: JensenInstance, atol=1e-10, rtol=1e-10) -> float:
-    """t-average of phi by adaptive quadrature on [0, 1].
-
-    Each depth's nodes are evaluated together.  Every row is reduced by
-    the same dot product phi(inst, t) uses, so the result equals
-    quadrature over scalar phi bit for bit, except where the larger
-    magnitude s of the Jensen sides (which bound phi) exceeds
-    _QUAD_SAFE: there a panel's weighted sum could overflow, so phi / s
-    is integrated and the result multiplied by s.
-    """
-    scale = max(abs(side) for side in inst.jensen_sides())
-    if not _QUAD_SAFE < scale < math.inf:
-        scale = 1.0
-
-    def fv(ts):
-        return np.matmul(_phi_rows(inst, ts)[:, None, :], inst.mu.weights)[:, 0] / scale
-
-    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=inst.s1.size) * scale
+    """t-average of phi by adaptive quadrature on [0, 1]."""
+    return t_quadrature(inst.f, inst.mu, inst.s1, inst.s2, inst.jensen_sides(), None, atol, rtol)
 
 
 def chain_integral(inst: JensenInstance) -> RefinementChain:

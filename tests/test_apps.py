@@ -1,5 +1,6 @@
 """Application chains: anchors, engine agreement, specialized matrix forms."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -36,8 +37,7 @@ from jensenchain import (
 )
 from jensenchain import apps
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
-from jensenchain.apps import _t_quadrature
-from jensenchain.refine import TOL_FLOOR, rel_err
+from jensenchain.refine import TOL_FLOOR, rel_err, row_sums, t_quadrature
 from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_gauss_kronrod
 
 E = math.e
@@ -187,6 +187,16 @@ def test_kyfan_subnormal_point_keeps_its_row_sum():
     assert inst.s2.tolist() == [0.5, 5e-324]
     assert chain_at_t(inst, [0.0, 0.5, 1.0]).passed
     assert chain_integral(inst).passed
+
+
+def test_grid_row_sums_keep_a_subnormal_sample():
+    """The one row-sum step repairs an underflowed lambda_j * g_j(x) on a sample grid too."""
+    w1, w2 = _pair_from_matrices(2, DoublyStochasticMatrix.identity(2),
+                                 DoublyStochasticMatrix.antidiagonal(2))
+    g = np.array([[5e-324, 1.0], [0.5, 5e-324]])
+    s1, s2 = row_sums(get_function("harmonic_frac"), g, UNI2, w1, w2)
+    assert s1.tolist() == g.tolist()
+    assert s2.tolist() == g[::-1].tolist()
 
 
 def test_kyfan_random_instances_pass(rng):
@@ -657,27 +667,28 @@ def test_harmonic_matrix_specialization(rng):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (16, 5), (40, 2), (120, 150)])
 @pytest.mark.parametrize("power", [1.0, 1.5, 2.0, 3.7, None])
 def test_t_quadrature_equals_recursion_over_scalar_integrand(rng, shape, power):
-    """Zero entries make t**p singular at an end of [0, 1]; None is the harmonic m/(1+m)."""
+    """The engine's t-quadrature over an m x |X| grid of row sums, as the grid rows call it.
+
+    Zero entries make t**p singular at an end of [0, 1]; None is harmonic_frac, m/(1+m).
+    """
     s1 = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.7)
     s2 = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.7)
     mu = rand_prob(rng, shape[0])
     masses = rng.uniform(0.5, 2.0, shape[1])
-    if power is None:
-        pointwise = lambda m: m / (1.0 + m)
-    else:
-        pointwise = lambda m: m ** power
+    f = get_function("harmonic_frac") if power is None else get_function("powp", {"p": power})
 
     def scalar(t):
-        return float(mu.weights @ (pointwise((1.0 - t) * s1 + t * s2) @ masses))
+        return float(mu.weights @ (f.evaluate((1.0 - t) * s1 + t * s2) @ masses))
 
     ref = recursive_gauss_kronrod(scalar, 0.0, 1.0, atol=1e-12, rtol=1e-12)
     batches = []
 
     def recording(m):
         batches.append(m.shape[0])
-        return pointwise(m)
+        return f.evaluate(m)
 
-    assert _t_quadrature(mu, masses, s1, s2, recording) == ref
+    traced = dataclasses.replace(f, evaluate=recording)
+    assert t_quadrature(traced, mu, s1, s2, (0.0, 1.0), masses, atol=1e-12, rtol=1e-12) == ref
     assert max(batches) <= max(1, 2 ** 14 // s1.size)
 
 

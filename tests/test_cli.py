@@ -4,6 +4,7 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -229,6 +230,35 @@ def test_overflowing_integrand_exits_2_at_the_first_infinite_value(tmp_path, cap
     assert captured.out == ""
     first = "error: adaptive quadrature: integrand is inf at t=0.004272314439593694\n"
     assert captured.err.startswith(first)
+
+
+EYE2_SWAP = {"B": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("application, points",
+                         [("powersum", [1.2e154, 1.2e154]), ("lp", [[1.2e154], [1.2e154]])])
+def test_grid_rows_whose_sides_near_the_largest_double_are_verified(tmp_path, capsys,
+                                                                      application, points):
+    """At p = 2 the sides are about 1.4e308: every Kronrod panel sum of the unscaled
+    integrand overflows, so the quadrature check integrates phi scaled by the sides."""
+    doc = {"application": application, "p": 2, "points": points, "weights": EYE2_SWAP}
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert [check["ok"] for check in report["identity_checks"]] == [True]
+
+
+def test_harmonic_middle_at_small_samples_is_accurate(tmp_path, capsys):
+    """1 - 1/L(1 + s1, 1 + s2) rounds 1 + s and cancels; the harmonic_frac row's closed form
+    does not, so the middle lies inside its bounds without the tolerance's help."""
+    doc = {"application": "harmonic", "points": [[1e-10], [3e-10]], "weights": EYE2_SWAP}
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(1e-10), mpmath.mpf(3e-10)
+        exact = float(1 - (mpmath.log1p(b) - mpmath.log1p(a)) / (b - a))
+    assert abs(report["middle"] - exact) <= 4 * math.ulp(exact)
+    assert report["slacks"]["lower"] >= 0.0 and report["slacks"]["upper"] >= 0.0
 
 
 def test_verify_matrix_form_requires_uniform_measures(tmp_path, capsys):

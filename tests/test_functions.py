@@ -213,6 +213,25 @@ def test_closed_forms_on_short_or_small_segments_against_mpmath(name, a, b):
     assert float(abs(mpmath.mpf(got) - ref)) <= 4 * math.ulp(float(ref))
 
 
+def test_harmonic_frac_mean_on_small_ends_at_moderate_q_against_mpmath():
+    """Lower end in [1e-9, 1), q = (hi - lo) / (1 + lo) in (1e-3, 1], either order: both
+    1 - log1p(q) / d and 1 - log1p(q) / q cancel there (the first by 2048 ulp near
+    [1.165e-7, 1.359e-3]); the mean stays within 4 ulp of 50 digits."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(11)
+    lo = np.exp(rng.uniform(math.log(1e-9), 0.0, 2000))
+    hi = lo + 10.0 ** rng.uniform(-3.0, 0.0, lo.size) * (1.0 + lo)
+    a, b = np.where(rng.random(lo.size) < 0.5, (lo, hi), (hi, lo))
+    a, b = np.append(a, [0.9e-3, 1.165e-7]), np.append(b, [2e-3, 1.359e-3])
+    got = _fetch("harmonic_frac").integral_mean(a, b)
+    for x, y, g in zip(a.tolist(), b.tolist(), got.tolist()):
+        lo_m, hi_m = mpmath.mpf(x), mpmath.mpf(y)
+        ref = 1 - (mpmath.log1p(hi_m) - mpmath.log1p(lo_m)) / (hi_m - lo_m)
+        assert float(abs(mpmath.mpf(g) - ref)) <= 4 * math.ulp(float(ref)), (x, y)
+
+
 def test_direction_spot_check_passes_for_catalog():
     for name in sorted(REQUIRED):
         assert check_direction(_fetch(name), trials=300, seed=5)

@@ -1,6 +1,7 @@
 """Unit and property tests for the special means and the integral mean."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from jensenchain import (
     logarithmic,
     p_logarithmic,
 )
+from jensenchain import means
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
 from jensenchain.numerics import QUAD_BATCH_VALUES, adaptive_simpson
 from conftest import (
@@ -222,7 +224,7 @@ def test_integral_mean_quadrature_fallback_agrees_with_closed_form():
 
 
 @given(a=positive, b=positive)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_symmetry_and_betweenness(a, b):
     for mean in (identric, logarithmic):
         v = mean(a, b)
@@ -234,7 +236,7 @@ def test_symmetry_and_betweenness(a, b):
 
 
 @given(a=positive, b=positive, t=st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_positive_homogeneity(a, b, t):
     assert identric(t * a, t * b) == pytest.approx(t * identric(a, b), rel=1e-12)
     assert logarithmic(t * a, t * b) == pytest.approx(t * logarithmic(a, b), rel=1e-12)
@@ -244,7 +246,7 @@ def test_positive_homogeneity(a, b, t):
 
 
 @given(a=positive, b=positive)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_classical_mean_chain(a, b):
     # geometric <= logarithmic <= identric <= arithmetic (classical ordering)
     g = math.sqrt(a * b)
@@ -384,7 +386,7 @@ def _bits(x):
     shape=st.sampled_from(KERNEL_SHAPES),
     p=st.sampled_from([1.0, 2.0, 3.6875, 20.0]) | st.floats(min_value=1.0, max_value=30.0),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 def test_block_kernels_equal_the_where_oracles_bit_for_bit(seed, shape, p):
     """The oracles run on arrays of at least one dimension.
 
@@ -477,6 +479,74 @@ def test_array_integral_mean_names_the_first_segment_outside_the_domain():
         scalar_integral_mean(f, a[2], b[2])
     assert str(exc.value) == str(want.value)
     assert "segment [-1.0, 4.0]" in str(exc.value)
+
+
+DBL_MAX = sys.float_info.max
+
+
+@st.composite
+def segment_blocks(draw):
+    """(f, a, b, block): segments that are exact-equal, in the band, far apart, or (for the
+    functions finite there) in the band near DBL_MAX, where a + b overflows; and a block size
+    that the segments cross."""
+    name = draw(st.sampled_from(sorted(FUN_RANGES)))
+    f = get_function(name, {"p": 3.6875} if name == "powp" else None)
+    kinds = np.array(draw(st.lists(st.integers(0, 3 if name in ("neglog", "harmonic_frac")
+                                                 else 2), min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = FUN_RANGES[name]
+    a = rng.uniform(max(lo, 1e-3), hi, kinds.size)
+    near = np.clip(a * (1.0 + rng.choice([-1.0, 1.0], kinds.size) * 1e-10), max(lo, 1e-3), hi)
+    huge = DBL_MAX * (1.0 - rng.uniform(0.0, 1e-9, (2, kinds.size)))
+    a = np.where(kinds == 3, huge[0], a)
+    b = np.select([kinds == 0, kinds == 1, kinds == 2],
+                  [a, near, rng.uniform(max(lo, 1e-3), hi, kinds.size)], huge[1])
+    return f, a, b, draw(st.integers(1, 9))
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(segment_blocks())
+def test_integral_mean_block_by_block_equals_scalar_calls(drawn):
+    f, a, b, block = drawn
+    whole = integral_mean(f, a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(means, "QUAD_BATCH_VALUES", block)
+        got = integral_mean(f, a, b)
+    assert np.array_equal(_bits(got), _bits(whole))
+    want = np.array([scalar_integral_mean(f, x, y) for x, y in zip(a, b)])
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_integral_mean_names_the_first_segment_outside_the_domain_across_blocks(monkeypatch):
+    f = get_function("neglog")
+    a = np.arange(1.0, 13.0)
+    b = a + 1.0
+    a[[7, 10]] = -1.0, -3.0  # in the third and the fourth block of three
+    monkeypatch.setattr(means, "QUAD_BATCH_VALUES", 3)
+    with pytest.raises(ValidationError) as exc:
+        integral_mean(f, a, b)
+    with pytest.raises(ValidationError) as want:
+        scalar_integral_mean(f, a[7], b[7])
+    assert str(exc.value) == str(want.value)
+
+
+def test_integral_mean_memory_peak_stays_under_two_outputs():
+    """400k segments, half of them exact-equal or in the band: every temporary is a block's,
+    so the peak is the output array and a few blocks."""
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.0, 2.0, 400_000)
+    b = rng.uniform(0.0, 2.0, a.size)
+    b[::4] = a[::4]
+    b[1::4] = a[1::4] * (1.0 + 1e-10)
+    f = get_function("powp", {"p": 2.5})
+    integral_mean(f, a[:100], b[:100])
+    tracemalloc.start()
+    try:
+        integral_mean(f, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * a.nbytes
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1e103), (5e153, 1e154), (1e102, 1e103), (3e102, 1e103)])

@@ -18,7 +18,6 @@ from jensenchain import (
     get_function,
     matrix_instance,
 )
-from jensenchain.apps import _t_quadrature
 from jensenchain.measures import sinkhorn_normalize
 from jensenchain.numerics import (
     QUAD_MAX_EVALS,
@@ -26,7 +25,7 @@ from jensenchain.numerics import (
     adaptive_simpson_many,
     golden_section_minimize,
 )
-from jensenchain.refine import phi_integral_quad
+from jensenchain.refine import phi_integral_quad, t_quadrature
 
 from conftest import FUN_RANGES, GK_NODES, rand_prob, recursive_gauss_kronrod
 
@@ -321,12 +320,13 @@ def test_t_quadrature_meets_its_tolerance_against_mpmath(rng, power):
     mu = rand_prob(rng, shape[0])
     masses = rng.uniform(0.5, 2.0, shape[1])
     if power is None:
-        pointwise, mp_pointwise = (lambda m: m / (1.0 + m)), (lambda m: m / (1 + m))
+        f, mp_pointwise = get_function("harmonic_frac"), (lambda m: m / (1 + m))
     else:
-        pointwise, mp_pointwise = (lambda m: m ** power), (lambda m: m ** mpmath.mpf(power))
+        f, mp_pointwise = get_function("powp", {"p": power}), (lambda m: m ** mpmath.mpf(power))
     terms = [
         (mu.weights[i] * masses[x], s1[i, x], s2[i, x])
         for i in range(shape[0]) for x in range(shape[1])
     ]
     exact = _mp_quad(lambda t: sum(w * mp_pointwise((1 - t) * a + t * b) for w, a, b in terms))
-    assert _within(_t_quadrature(mu, masses, s1, s2, pointwise), exact, 1e-12)
+    got = t_quadrature(f, mu, s1, s2, (0.0, 1.0), masses, atol=1e-12, rtol=1e-12)
+    assert _within(got, exact, 1e-12)

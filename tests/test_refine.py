@@ -265,9 +265,9 @@ def test_quadrature_calls_stay_under_the_value_cap(monkeypatch):
     sizes = []
     rows = refine._phi_rows
 
-    def recording(inst, ts):
+    def recording(f, s1, s2, ts, masses=None):
         sizes.append(ts.size)
-        return rows(inst, ts)
+        return rows(f, s1, s2, ts, masses)
 
     monkeypatch.setattr(refine, "_phi_rows", recording)
     assert phi_integral_quad(inst) == ref
