@@ -5,14 +5,14 @@ its row sums and its two sides give the closed-form middle and its
 t-quadrature check.  agm and kyfan are the jensen row seen through exp(-.)
 or exp(+.); lp, harmonic and powersum are rows over n functions sampled on
 a finite measure space (powersum's samples are diag(x), unit masses).  The
-matrix power chain checks its identity-matrix reduction instead.
+matrix power chain checks its identity-matrix reduction instead, when C = I.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .functions import get_function
 from .means import pow_integral_mean
 from .measures import DoublyStochasticMatrix, ProbabilityVector, WeightFunction, frozen_float64
@@ -22,7 +22,7 @@ from .refine import (
     RefinementChain,
     _assemble,
     check_weight_pair,
-    make_identity_check,
+    checked_chain,
     phi_integral_closed,
     phi_integral_quad,
     row_sums,
@@ -82,12 +82,6 @@ def _t_quadrature(f, mu, s1, s2, sides, masses):
     return t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12)
 
 
-def _quadrature_checked(lower, middle, upper, rhs, tol) -> RefinementChain:
-    """The chain lower <= middle <= upper, its middle checked against the quadrature rhs."""
-    check = make_identity_check("t-quadrature", middle, rhs, tol)
-    return _assemble(lower, middle, upper, middle, middle, checks=(check,))
-
-
 def _exp_jensen_chain(name, sign, mean_bound, tol, x, lam, mu, w1, w2) -> RefinementChain:
     """The jensen row of the catalog function name seen through v -> exp(sign * v): the side
     sum_j lambda_j f(x_j) maps to the lower bound (sign -1) or the upper (sign +1), and
@@ -102,7 +96,7 @@ def _exp_jensen_chain(name, sign, mean_bound, tol, x, lam, mu, w1, w2) -> Refine
     lower, upper = (side, other) if sign < 0.0 else (other, side)
     middle = transform(phi_integral_closed(inst))
     rhs = transform(phi_integral_quad(inst, atol=1e-12, rtol=1e-12))
-    return _quadrature_checked(lower, middle, upper, rhs, tol)
+    return checked_chain(lower, middle, upper, "t-quadrature", rhs, tol)
 
 
 def _grid_sums_and_sides(f, g, masses, lam, mu, w1, w2):
@@ -123,7 +117,7 @@ def _row_chain(f, mu, masses, s1, s2, lower, upper, tol) -> RefinementChain:
     checked against its t-quadrature."""
     middle = t_average(f, mu, s1, s2, masses)
     rhs = _t_quadrature(f, mu, s1, s2, (lower, upper), masses)
-    return _quadrature_checked(lower, middle, upper, rhs, tol)
+    return checked_chain(lower, middle, upper, "t-quadrature", rhs, tol)
 
 
 def agm_chain(x, lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightFunction,
@@ -186,8 +180,6 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
 
     The middle is the L_p^p kernel of lp_chain and power_sum_chain over
     the matrix entries; it equals (1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k).
-    When c is the identity the middle is also recomputed in its reduced
-    diagonal form and the two must coincide (NumericError otherwise).
     Returns (lower, middle, upper); matrix_power_chain judges them.
     """
     if isinstance(p, float) and not p.is_integer():
@@ -198,31 +190,33 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
     if b.n != c.n:
         raise ValidationError(f"matrix orders differ: {b.n} vs {c.n}")
     n = b.n
-    bv = b.values
-    cv = c.values
-    middle = float(pow_integral_mean(bv, cv, p).sum())
-    lower = float(n) ** (2 - p)
-    upper = float(n)
-    # c is the identity: ones on the diagonal (checked first, in O(n)), no other nonzero
-    if (np.diagonal(cv) == 1.0).all() and np.count_nonzero(cv) == n:
-        # sum_{k<p} d^k of each diagonal entry d in closed form: p at d = 1, 1 at d = 0
-        d = np.diag(bv)
-        geometric = np.where(d == 1.0, float(p), 1.0)
-        inner = (d != 1.0) & (d != 0.0)
-        di = d[inner]
-        geometric[inner] = -np.expm1(float(p) * np.log1p(di - 1.0)) / (1.0 - di)
-        reduced = (float(np.sum(bv ** p)) + float(geometric.sum())) / (p + 1)
-        if abs(middle - reduced) > MATRIX_COINCIDENCE_TOL * max(1.0, abs(middle)):
-            raise NumericError(
-                f"identity-matrix reduction mismatch: {middle} vs {reduced}"
-            )
-    return lower, middle, upper
+    middle = float(pow_integral_mean(b.values, c.values, p).sum())
+    return float(n) ** (2 - p), middle, float(n)
 
 
 def matrix_power_chain(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p) -> RefinementChain:
-    """matrix_power_bounds as a chain, with the verdict every application gets."""
+    """matrix_power_bounds as a chain, with the verdict every application gets.
+
+    When c is the identity the middle is also recomputed in its reduced
+    diagonal form, (1/(p+1)) (sum_ij b_ij^p + sum_i sum_{k<p} b_ii^k), and
+    checked against it as the identity check identity-reduction.
+    """
     lower, middle, upper = matrix_power_bounds(b, c, p)
-    return _assemble(lower, middle, upper, middle, middle)
+    cv = c.values
+    # c is the identity: ones on the diagonal (checked first, in O(n)), no other nonzero
+    if not ((np.diagonal(cv) == 1.0).all() and np.count_nonzero(cv) == c.n):
+        return _assemble(lower, middle, upper, middle, middle)
+    p = int(p)
+    # sum_{k<p} d^k of each diagonal entry d in closed form: p at d = 1, 1 at d = 0
+    bv = b.values
+    d = np.diag(bv)
+    geometric = np.where(d == 1.0, float(p), 1.0)
+    inner = (d != 1.0) & (d != 0.0)
+    di = d[inner]
+    geometric[inner] = -np.expm1(float(p) * np.log1p(di - 1.0)) / (1.0 - di)
+    reduced = (float(np.sum(bv ** p)) + float(geometric.sum())) / (p + 1)
+    return checked_chain(lower, middle, upper, "identity-reduction", reduced,
+                         MATRIX_COINCIDENCE_TOL)
 
 
 def harmonic_chain(fv: FunctionVector, space: FiniteMeasureSpace, lam: ProbabilityVector,

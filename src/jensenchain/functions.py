@@ -59,8 +59,7 @@ class ConvexFunctionSpec:
     present, maps arrays of segment ends a and b (floats are taken as
     0-d arrays) to the array of A(f; a, b) in closed form, elementwise,
     and must handle a == b.
-    The direction is declared metadata: it is trusted by the chain
-    checkers and only spot-checked by check_direction.
+    The direction is declared metadata: the chain checkers trust it.
     """
 
     name: str
@@ -242,28 +241,3 @@ def get_function(name: str, params: dict | None = None) -> ConvexFunctionSpec:
     if params:
         raise ValidationError(f"function {name!r} takes no parameters, got {sorted(params)}")
     return ConvexFunctionSpec(name, *_CATALOG[name])
-
-
-def check_direction(f: ConvexFunctionSpec, trials: int = 200, seed: int = 0, span=(-8.0, 8.0)):
-    """Midpoint spot-check of the declared curvature on random in-domain pairs.
-
-    Not a proof; it samples f((x+y)/2) against (f(x)+f(y))/2 and returns
-    False on any violation beyond rounding.
-    """
-    lo = max(f.domain.lo, span[0])
-    hi = min(f.domain.hi, span[1])
-    if f.domain.lo_open:
-        lo = lo + 1e-6 * max(1.0, abs(lo))
-    if f.domain.hi_open:
-        hi = hi - 1e-6 * max(1.0, abs(hi))
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(lo, hi, trials)
-    y = rng.uniform(lo, hi, trials)
-    fx = f.evaluate_many(x)
-    fy = f.evaluate_many(y)
-    fmid = f.evaluate_many(0.5 * (x + y))
-    scale = np.maximum(1.0, np.maximum(np.abs(fx), np.abs(fy)))
-    gap = 0.5 * (fx + fy) - fmid
-    if f.is_convex:
-        return bool(np.all(gap >= -1e-12 * scale))
-    return bool(np.all(gap <= 1e-12 * scale))

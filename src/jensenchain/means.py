@@ -219,7 +219,7 @@ def _integral_mean_block(a, b, out, f):
     if f.integral_mean is None:
         for k in rest.nonzero()[0].tolist():
             seg_lo, seg_hi = sorted((float(a[k]), float(b[k])))
-            out[k] = adaptive_simpson(f.evaluate, seg_lo, seg_hi) / (seg_hi - seg_lo)
+            out[k] = adaptive_simpson(f.evaluate_many, seg_lo, seg_hi) / (seg_hi - seg_lo)
     elif rest.all():
         out[:] = f.integral_mean(a, b)
     elif rest.any():

@@ -6,9 +6,10 @@ convex/concave functions on bounded intervals, and the objective of the
 7/15-point Gauss-Kronrod pair to each panel (R. Piessens et al.,
 QUADPACK, Springer 1983) and hands each depth's nodes to a vectorized
 integrand at once (W. Gander and W. Gautschi, "Adaptive quadrature -
-revisited", BIT 40, 2000).  The entry points keep their older names
-adaptive_simpson and adaptive_simpson_many, under which the package and
-the benchmark's tracer bind them.
+revisited", BIT 40, 2000).  adaptive_simpson is the one quadrature
+routine: it takes vectorized integrands only, and keeps the name of the
+adaptive Simpson rule it replaced, under which the package and the
+benchmark's tracer bind it.
 """
 
 import math
@@ -91,12 +92,8 @@ def _panel_sums(values):
     return terms[0] + terms[1]
 
 
-def adaptive_simpson_many(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL,
-                          max_depth=QUAD_MAX_DEPTH, width=1):
+def adaptive_simpson(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL, width=1):
     """Integrate over [a, b] by adaptive 7/15-point Gauss-Kronrod quadrature.
-
-    The name is kept from the adaptive Simpson rule this engine used
-    before, because callers and the benchmark's tracer bind it.
 
     fv maps a 1-D array of nodes to the array of integrand values there.
     The panels are refined level by level: at each depth the 15 Kronrod
@@ -113,7 +110,7 @@ def adaptive_simpson_many(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL,
     halves with each depth.  Accepted panels are summed bottom-up in tree
     order (parent = left + right), so the result is the one a depth-first
     recursion gives, bit for bit.  Raises NumericError when a panel at
-    depth max_depth is still not accepted, or when the integral would
+    depth QUAD_MAX_DEPTH is still not accepted, or when the integral would
     need more than QUAD_MAX_EVALS nodes (15 per panel), or at the first
     NaN or infinite integrand value.
     """
@@ -150,7 +147,7 @@ def adaptive_simpson_many(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL,
         levels.append((kronrod, split))
         if split.size == 0:
             break
-        if depth >= max_depth:
+        if depth >= QUAD_MAX_DEPTH:
             k = split[0]
             raise NumericError(
                 f"adaptive quadrature did not converge on [{float(lo[k])}, {float(hi[k])}] "
@@ -165,22 +162,6 @@ def adaptive_simpson_many(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL,
         values[split] = total[0::2] + total[1::2]
         total = values
     return sign * float(total[0])
-
-
-def adaptive_simpson(f, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL, max_depth=QUAD_MAX_DEPTH,
-                     width=None):
-    """Integrate f over [a, b] with adaptive_simpson_many (Gauss-Kronrod, old name kept).
-
-    By default f is scalar and is called once per node.  Given a width,
-    f is a vectorized integrand (adaptive_simpson_many's fv) that
-    materialises width float64 values per node.
-    """
-    if width is None:
-        return adaptive_simpson_many(
-            lambda ts: [f(t) for t in ts.tolist()], a, b, atol=atol, rtol=rtol,
-            max_depth=max_depth,
-        )
-    return adaptive_simpson_many(f, a, b, atol=atol, rtol=rtol, max_depth=max_depth, width=width)
 
 
 def golden_section_minimize(f, a, b, tol, max_iter=1000):

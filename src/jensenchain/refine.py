@@ -38,6 +38,7 @@ from .measures import (
 from .numerics import adaptive_simpson, golden_section_minimize
 
 TOL_FLOOR = 1e-9
+JENSEN_IDENTITY_TOL = 1e-8  # the jensen row's closed-form t-average against its quadrature
 # below this bound on |phi|, no panel sum of the quadrature overflows: the Kronrod and the
 # Gauss weights each sum to 2, so a partial sum stays within 2 max|phi| and K - G within 4
 _QUAD_SAFE = sys.float_info.max / 16.0
@@ -67,11 +68,6 @@ class IdentityCheck:
     rel_err: float
     tol: float
     ok: bool
-
-
-def make_identity_check(name: str, lhs: float, rhs: float, tol: float) -> IdentityCheck:
-    e = rel_err(lhs, rhs)
-    return IdentityCheck(name, float(lhs), float(rhs), e, tol, e <= tol)
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,14 @@ def _assemble(lower, middle, upper, mid_lo, mid_hi, inner=(), checks=()):
         inner_slacks=tuple(float(s) for s in inner),
         identity_checks=tuple(checks),
     )
+
+
+def checked_chain(lower, middle, upper, name, rhs, tol) -> RefinementChain:
+    """The chain lower <= middle <= upper, with the identity check name of its middle
+    against rhs, the same value by a second route, at relative tolerance tol."""
+    e = rel_err(middle, rhs)
+    check = IdentityCheck(name, float(middle), float(rhs), e, tol, e <= tol)
+    return _assemble(lower, middle, upper, middle, middle, checks=(check,))
 
 
 def check_weight_pair(lam: ProbabilityVector, mu: ProbabilityVector, w1: WeightFunction,
@@ -191,6 +195,13 @@ def _phi_rows(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses=None) -> np.
     return vals if masses is None else vals @ masses
 
 
+def _phi_batch(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, ts: np.ndarray,
+               masses=None) -> np.ndarray:
+    """phi at each t of ts, each row of values dotted with mu on its own: phi at a t has one
+    value, whatever batch of t holds it."""
+    return np.matmul(_phi_rows(f, s1, s2, ts, masses)[:, None, :], mu.weights)[:, 0]
+
+
 def t_average(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, masses=None) -> float:
     """t-average of phi in closed form: the mu-mean of the integral means A(f; s1, s2)."""
     rows = integral_mean(f, s1, s2)
@@ -204,7 +215,7 @@ def t_quadrature(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, sides, ma
                  atol=1e-10, rtol=1e-10) -> float:
     """t-average of phi by adaptive quadrature on [0, 1], each depth's nodes together.
 
-    Each node is reduced by the dot product phi uses, so the result is the
+    Each node is reduced by _phi_batch, as phi is, so the result is the
     quadrature of scalar phi bit for bit, except where the larger magnitude
     s of the two sides (which bound phi) exceeds _QUAD_SAFE: there a panel's
     sum could overflow, so phi / s is integrated and the result scaled by s.
@@ -215,7 +226,7 @@ def t_quadrature(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, sides, ma
         scale = 1.0
 
     def fv(ts):
-        return np.matmul(_phi_rows(f, s1, s2, ts, masses)[:, None, :], mu.weights)[:, 0] / scale
+        return _phi_batch(f, mu, s1, s2, ts, masses) / scale
 
     return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=s1.size) * scale
 
@@ -307,7 +318,7 @@ def phi_values(inst: JensenInstance, ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_t(ts)
     _check_rows(inst.f, inst.s1, inst.s2)
-    return _phi_rows(inst.f, inst.s1, inst.s2, ts) @ inst.mu.weights
+    return _phi_batch(inst.f, inst.mu, inst.s1, inst.s2, ts)
 
 
 def phi(inst: JensenInstance, t: float) -> float:
@@ -337,18 +348,22 @@ def phi_integral_quad(inst: JensenInstance, atol=1e-10, rtol=1e-10) -> float:
 
 
 def chain_integral(inst: JensenInstance) -> RefinementChain:
-    """Check the sandwich for the t-average of phi, taken in closed form."""
+    """Check the sandwich for the t-average of phi, taken in closed form and checked against
+    its quadrature."""
     mid = phi_integral_closed(inst)
     lower, upper = inst.oriented_bounds()
-    return _assemble(lower, float(mid), upper, mid, mid)
+    return checked_chain(lower, mid, upper, "integral-closed-vs-quadrature",
+                         phi_integral_quad(inst), JENSEN_IDENTITY_TOL)
 
 
 def chain_hadamard(inst: JensenInstance, hw: HadamardWeights) -> RefinementChain:
     """Four-member chain: the sandwich around phi(weighted node mean) and the
     weighted mean of phi over the nodes, ordered by the declared direction."""
-    t_bar = float(hw.p @ hw.t) / hw.total
-    vals = phi_values(inst, hw.t)
-    m_point = phi(inst, t_bar)
+    # a weighted mean of the nodes lies in their hull, but the dot product and the sum round
+    # apart and can put it an ulp outside, past 1
+    t_bar = min(max(float(hw.p @ hw.t) / hw.total, float(hw.t.min())), float(hw.t.max()))
+    vals = phi_values(inst, np.concatenate(([t_bar], hw.t)))
+    m_point, vals = float(vals[0]), vals[1:]
     m_avg = float(hw.p @ vals) / hw.total
     if not math.isfinite(m_avg):
         # the weighted sum overflows before the division: normalize the weights first

@@ -25,10 +25,10 @@ from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
 # a larger example budget, for CI runs of the decoder's, the encoder's and the quadrature's
-# differential tests, of the grid validation messages, of the application rows and of the
-# special means (--hypothesis-profile=ci); tests/test_decoder.py, tests/test_render.py,
-# tests/test_numerics.py, tests/test_measures.py, tests/test_apps.py and tests/test_means.py
-# read it
+# differential tests, of the grid validation messages, of the application rows, of the special
+# means and of phi's one value at each t (--hypothesis-profile=ci); tests/test_decoder.py,
+# tests/test_render.py, tests/test_numerics.py, tests/test_measures.py, tests/test_apps.py,
+# tests/test_means.py and tests/test_refine.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain
@@ -150,6 +150,11 @@ def _gk_refine(f, a, b, kronrod, err, tol, depth, max_depth):
     return _gk_refine(f, a, m, *left, half, depth + 1, max_depth) + _gk_refine(
         f, m, b, *right, half, depth + 1, max_depth
     )
+
+
+def scalar(f):
+    """The scalar integrand f as the vectorized one adaptive_simpson takes: one f call per node."""
+    return lambda ts: [f(t) for t in ts.tolist()]
 
 
 def recursive_gauss_kronrod(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
@@ -318,8 +323,33 @@ def scalar_integral_mean(f, a, b):
         return float(f.evaluate_many(np.array([mid]))[0])
     if f.integral_mean is not None:
         return float(f.integral_mean(a, b))
-    total = adaptive_simpson(f.evaluate, lo, hi)
+    total = adaptive_simpson(f.evaluate_many, lo, hi)
     return total / (hi - lo)
+
+
+def check_direction(f, trials=200, seed=0, span=(-8.0, 8.0)):
+    """Midpoint spot-check of the declared curvature on random in-domain pairs.
+
+    Not a proof; it samples f((x+y)/2) against (f(x)+f(y))/2 and returns
+    False on any violation beyond rounding.
+    """
+    lo = max(f.domain.lo, span[0])
+    hi = min(f.domain.hi, span[1])
+    if f.domain.lo_open:
+        lo = lo + 1e-6 * max(1.0, abs(lo))
+    if f.domain.hi_open:
+        hi = hi - 1e-6 * max(1.0, abs(hi))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, hi, trials)
+    y = rng.uniform(lo, hi, trials)
+    fx = f.evaluate_many(x)
+    fy = f.evaluate_many(y)
+    fmid = f.evaluate_many(0.5 * (x + y))
+    scale = np.maximum(1.0, np.maximum(np.abs(fx), np.abs(fy)))
+    gap = 0.5 * (fx + fy) - fmid
+    if f.is_convex:
+        return bool(np.all(gap >= -1e-12 * scale))
+    return bool(np.all(gap <= 1e-12 * scale))
 
 
 def loop_phi_integral_closed(inst):

@@ -22,6 +22,7 @@ from jensenchain import (
     agm_chain,
     chain_at_t,
     chain_integral,
+    chain_tolerance,
     embed_doubly_stochastic,
     get_function,
     harmonic_chain,
@@ -186,6 +187,21 @@ def test_kyfan_subnormal_point_keeps_its_row_sum():
     assert inst.s1.tolist() == [5e-324, 0.5]
     assert inst.s2.tolist() == [0.5, 5e-324]
     assert chain_at_t(inst, [0.0, 0.5, 1.0]).passed
+    # the closed-form t-average in the sandwich; chain_integral also checks it by quadrature,
+    # which the next test pins
+    middle = phi_integral_closed(inst)
+    lower, upper = inst.oriented_bounds()
+    tol = chain_tolerance(lower, upper)
+    assert lower - tol <= middle <= upper + tol
+
+
+@pytest.mark.xfail(strict=True, raises=NumericError, reason="the quadrature cannot converge on "
+                   "the logarithmic spike of the kyfan row at t = 0")
+def test_kyfan_subnormal_point_integral_chain_is_checked_by_quadrature():
+    w1, w2 = _pair_from_matrices(2, DoublyStochasticMatrix.identity(2),
+                                 DoublyStochasticMatrix.antidiagonal(2))
+    inst = JensenInstance(f=get_function("kyfan"), points=[5e-324, 0.5], lam=UNI2, mu=UNI2,
+                          w1=w1, w2=w2)
     assert chain_integral(inst).passed
 
 
@@ -395,25 +411,36 @@ def test_matrix_power_p_one_attains_upper(rng):
 def test_matrix_power_checks_its_reduction_exactly_when_c_is_the_identity(monkeypatch, n):
     # a middle off by far more than the coincidence tolerance is caught only on the identity
     # branch: C = I takes it, and so a near-identity C (or a permutation) must not
-    monkeypatch.setattr(apps, "pow_integral_mean", lambda b, c, p: 2.0 * (b + c))
     b = DoublyStochasticMatrix.uniform(n)
-    with pytest.raises(NumericError, match="identity-matrix reduction mismatch"):
-        matrix_power_bounds(b, DoublyStochasticMatrix.identity(n), 2)
+    eye = DoublyStochasticMatrix.identity(n)
+    (honest,) = matrix_power_chain(b, eye, 2).identity_checks
+    assert honest.name == "identity-reduction" and honest.ok
+    monkeypatch.setattr(apps, "pow_integral_mean", lambda b, c, p: 2.0 * (b + c))
+    ch = matrix_power_chain(b, eye, 2)
+    (check,) = ch.identity_checks
+    assert check.name == "identity-reduction" and not check.ok
+    assert (check.lhs, check.rhs) == (ch.middle, honest.rhs)
+    assert check.tol == apps.MATRIX_COINCIDENCE_TOL
     if n > 1:
         near = np.eye(n)
         near[:2, :2] += [[-1e-300, 1e-300], [1e-300, -1e-300]]
-        matrix_power_bounds(b, DoublyStochasticMatrix(near), 2)
-        matrix_power_bounds(b, DoublyStochasticMatrix.antidiagonal(n), 2)
+        assert matrix_power_chain(b, DoublyStochasticMatrix(near), 2).identity_checks == ()
+        antidiagonal = DoublyStochasticMatrix.antidiagonal(n)
+        assert matrix_power_chain(b, antidiagonal, 2).identity_checks == ()
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 10 ** 9, 10 ** 20])
 def test_matrix_power_reduction_takes_diagonal_zeros_and_ones_at_any_p(p):
     """sum_{k<p} d^k in closed form: p at d = 1 and 1 at d = 0, without a numpy warning."""
     eye = DoublyStochasticMatrix.identity(3)
-    assert matrix_power_bounds(eye, eye, p)[1] == 3.0
+    ch = matrix_power_chain(eye, eye, p)
+    (check,) = ch.identity_checks
+    assert ch.middle == check.rhs == 3.0 and check.ok
     # the 3 x 3 antidiagonal has the diagonal (0, 1, 0); the middle is 1 + 4 / (p + 1)
-    middle = matrix_power_bounds(DoublyStochasticMatrix.antidiagonal(3), eye, p)[1]
-    assert middle == pytest.approx(1.0 + 4.0 / (p + 1), rel=1e-15)
+    ch = matrix_power_chain(DoublyStochasticMatrix.antidiagonal(3), eye, p)
+    (check,) = ch.identity_checks
+    assert ch.middle == pytest.approx(1.0 + 4.0 / (p + 1), rel=1e-15)
+    assert check.rhs == pytest.approx(1.0 + 4.0 / (p + 1), rel=1e-15) and check.ok
 
 
 def test_matrix_power_one_by_one():

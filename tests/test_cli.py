@@ -76,6 +76,28 @@ def test_verify_jensen_grid_and_integral(tmp_path, capsys):
     assert report["pass"] is True
 
 
+def test_hadamard_nodes_all_at_one_verify(tmp_path, capsys):
+    """The weighted node mean p @ t / sum(p) can round to 1.0000000000000002 when every node is
+    1; it is kept inside the nodes' hull, so the document verifies."""
+    doc = {"application": "jensen", "function": {"name": "square"}, "points": [1.0, 2.0],
+           "weights": AGM_ANCHOR["weights"],
+           "hadamard": {"p": [5.6, 4.6, 2.8, 5.0, 9.3, 2.1, 7.4, 2.6], "t": [1] * 8}}
+    assert main(["verify", write(tmp_path, "had.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # both middle members are phi(1) = 2.5, the upper bound
+    assert report["slacks"]["hadamard_inner"] == 0.0 and report["slacks"]["hadamard_upper"] == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="the t-quadrature's first panel misses the endpoint "
+                   "spikes of t**p and (1-t)**p, so it accepts 0 at depth 0")
+def test_powp_at_a_huge_exponent_verifies(tmp_path, capsys):
+    """powp at p = 1e6 on [0, 1] with C the swap: the closed form gives 9.99999000001e-07 and
+    the quadrature 0, so a valid instance exits 1."""
+    doc = {"application": "jensen", "function": {"name": "powp", "params": {"p": 1e6}},
+           "points": [0.0, 1.0], "weights": AGM_ANCHOR["weights"]}
+    assert main(["verify", write(tmp_path, "powp.json", doc)]) == 0
+
+
 def test_verify_jensen_closed_form_holds_at_small_points(tmp_path, capsys):
     """neglog on [1e-10, 2e-10]: each row's segment is 1e-10 long but spans a ratio of 2, so
     the closed-form t-average must match its quadrature (it was 0.08% off, and exited 1)."""
@@ -316,6 +338,27 @@ def test_matrixpower_identity_reduction_takes_constant_time_in_p(tmp_path, capsy
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
     assert report["middle"] == pytest.approx(4.0 / (10 ** 9 + 1), rel=1e-12)
+
+
+def test_matrixpower_identity_reduction_is_a_reported_check(tmp_path, capsys, monkeypatch):
+    """C = I recomputes the middle in its reduced diagonal form; a mismatch is a failed
+    identity check, so it exits 1 with the check in the report, as every failed check does."""
+    doc = {"application": "matrixpower", "p": 3,
+           "weights": {"B": [[0.25, 0.75], [0.75, 0.25]], "C": [[1.0, 0.0], [0.0, 1.0]]}}
+    path = write(tmp_path, "c_identity.json", doc)
+    assert main(["verify", path]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["identity_checks"]
+    assert check["name"] == "identity-reduction" and check["ok"] is True
+    assert check["tol"] == cli.apps.MATRIX_COINCIDENCE_TOL
+    monkeypatch.setattr(cli.apps, "pow_integral_mean", lambda b, c, p: 2.0 * (b + c))
+    assert main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    (failed,) = report["identity_checks"]
+    assert failed["name"] == "identity-reduction" and failed["ok"] is False
+    assert failed["lhs"] == report["middle"] and failed["rhs"] == check["rhs"]
+    assert report["pass"] is False
 
 
 VERDICT_DOCS = {

@@ -11,9 +11,10 @@ from jensenchain import (
     CATALOG_NAMES,
     Interval,
     ValidationError,
-    check_direction,
     get_function,
 )
+
+from conftest import check_direction
 
 REQUIRED = {"square", "exp", "neglog", "kyfan", "powp", "xlogx", "harmonic_frac"}
 

@@ -30,6 +30,8 @@ from jensenchain import (
     phi_convexity_check,
     phi_integral_closed,
     phi_integral_quad,
+    phi_values,
+    random_doubly_stochastic,
     tighten,
     validate_weight,
 )
@@ -272,6 +274,40 @@ def test_quadrature_calls_stay_under_the_value_cap(monkeypatch):
     monkeypatch.setattr(refine, "_phi_rows", recording)
     assert phi_integral_quad(inst) == ref
     assert max(sizes) == 4 and len(sizes) >= 4
+
+
+@st.composite
+def phi_grids(draw):
+    """(instance, ts): a catalog f on n <= 400 points with Sinkhorn-normalized B and C, and a
+    t grid whose values repeat."""
+    name = draw(st.sampled_from(sorted(FUN_RANGES)))
+    n = draw(st.integers(2, 400))
+    seed = draw(st.integers(0, 2 ** 30))
+    lo, hi = FUN_RANGES[name]
+    inst = matrix_instance(
+        np.random.default_rng(seed).uniform(lo, hi, n),
+        get_function(name, {"p": 2.5} if name == "powp" else None),
+        random_doubly_stochastic(n, seed),
+        random_doubly_stochastic(n, seed + 1),
+    )
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    ts = draw(st.lists(st.sampled_from([0.0, 1.0, *values]), min_size=1, max_size=16))
+    return inst, np.array(ts)
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(phi_grids())
+def test_phi_has_one_value_at_each_t_wherever_it_is_computed(case):
+    """phi over a batch of t, phi at one t and the quadrature's integrand agree bit for bit."""
+    inst, ts = case
+    single = [phi(inst, t) for t in ts.tolist()]
+    assert phi_values(inst, ts).tolist() == single
+    integrands = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(refine, "adaptive_simpson", lambda fv, *_, **__: integrands.append(fv) or 0.0)
+        phi_integral_quad(inst)
+    (fv,) = integrands
+    assert fv(ts).tolist() == single  # the sides are far below the rescaling threshold
 
 
 def test_integral_bracketing_by_midpoint_and_trapezoid(rng):
