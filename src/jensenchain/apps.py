@@ -6,6 +6,9 @@ t-quadrature check.  agm and kyfan are the jensen row seen through exp(-.)
 or exp(+.); lp, harmonic and powersum are rows over n functions sampled on
 a finite measure space (powersum's samples are diag(x), unit masses).  The
 matrix power chain checks its identity-matrix reduction instead, when C = I.
+powersum and matrixpower cost the support of their weights: a pair whose
+two weights are 0 adds A(t^p; 0, 0) = 0, so where such pairs are most of
+the grid only the live pairs are evaluated.
 """
 
 from dataclasses import dataclass
@@ -21,8 +24,10 @@ from .refine import (
     JensenInstance,
     RefinementChain,
     _assemble,
+    check_finite,
     check_weight_pair,
     checked_chain,
+    live_pairs,
     phi_integral_closed,
     phi_integral_quad,
     row_sums,
@@ -77,9 +82,9 @@ class FunctionVector:
         object.__setattr__(self, "samples", s)
 
 
-def _t_quadrature(f, mu, s1, s2, sides, masses):
+def _t_quadrature(f, mu, s1, s2, sides, masses, rows=None):
     """The grid rows' t-quadrature check: the engine's, at 1e-12."""
-    return t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12)
+    return t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12, rows=rows)
 
 
 def _exp_jensen_chain(name, sign, mean_bound, tol, x, lam, mu, w1, w2) -> RefinementChain:
@@ -112,11 +117,13 @@ def _grid_sums_and_sides(f, g, masses, lam, mu, w1, w2):
     return (s1, s2, left, right) if f.is_convex else (s1, s2, right, left)
 
 
-def _row_chain(f, mu, masses, s1, s2, lower, upper, tol) -> RefinementChain:
-    """A grid row's chain: the closed-form t-average of f over the row sums as the middle,
-    checked against its t-quadrature."""
-    middle = t_average(f, mu, s1, s2, masses)
-    rhs = _t_quadrature(f, mu, s1, s2, (lower, upper), masses)
+def _row_chain(f, mu, masses, s1, s2, lower, upper, tol, rows=None) -> RefinementChain:
+    """A grid row's chain: the closed-form t-average of f over the row sums (or their live
+    entries, see refine.t_average) as the middle, checked against its t-quadrature once
+    both sides are finite."""
+    check_finite(("lower bound", lower), ("upper bound", upper))
+    middle = t_average(f, mu, s1, s2, masses, rows)
+    rhs = _t_quadrature(f, mu, s1, s2, (lower, upper), masses, rows)
     return checked_chain(lower, middle, upper, "t-quadrature", rhs, tol)
 
 
@@ -156,7 +163,8 @@ def lp_chain(fv: FunctionVector, space: FiniteMeasureSpace, p: float, lam: Proba
 def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
                     w1: WeightFunction, w2: WeightFunction) -> RefinementChain:
     """sum lambda_j^p x_j^p <= double sum of L_p^p(w1*lambda*x, w2*lambda*x) <= sum lambda_j x_j^p:
-    the lp row over the samples diag(x) with unit masses."""
+    the lp row over the samples diag(x) with unit masses, over the live pairs (i, j), where
+    w1 or w2 and lambda_j x_j are nonzero, when they are at most half of the grid."""
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"power_sum_chain requires p >= 1, got {p}")
@@ -170,9 +178,16 @@ def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
     lx = lam.weights * x
     lower = float(np.sum(lx ** p))
     upper = float(lam.weights @ x ** p)
-    # the row sums of diag(x), by broadcasting: no n x n sample grid
-    return _row_chain(get_function("powp", {"p": p}), mu, np.ones(x.size), w1.values * lx,
-                      w2.values * lx, lower, upper, POWER_SUM_IDENTITY_TOL)
+    f = get_function("powp", {"p": p})
+    live = live_pairs(w1.values, w2.values, lx != 0.0)
+    if live is None:
+        # the row sums of diag(x), by broadcasting: no n x n sample grid
+        return _row_chain(f, mu, np.ones(x.size), w1.values * lx, w2.values * lx, lower, upper,
+                          POWER_SUM_IDENTITY_TOL)
+    rows, cols = np.divmod(live, x.size)
+    lx = lx[cols]
+    s1, s2 = (w.values.reshape(-1)[live] * lx for w in (w1, w2))
+    return _row_chain(f, mu, None, s1, s2, lower, upper, POWER_SUM_IDENTITY_TOL, rows)
 
 
 def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
@@ -180,6 +195,7 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
 
     The middle is the L_p^p kernel of lp_chain and power_sum_chain over
     the matrix entries; it equals (1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k).
+    Where most entries are 0 in both matrices it is summed over the others.
     Returns (lower, middle, upper); matrix_power_chain judges them.
     """
     if isinstance(p, float) and not p.is_integer():
@@ -189,9 +205,12 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
         raise ValidationError(f"matrix power bounds need p >= 1, got {p}")
     if b.n != c.n:
         raise ValidationError(f"matrix orders differ: {b.n} vs {c.n}")
-    n = b.n
-    middle = float(pow_integral_mean(b.values, c.values, p).sum())
-    return float(n) ** (2 - p), middle, float(n)
+    bv, cv = b.values, c.values
+    live = live_pairs(bv, cv)
+    if live is not None:
+        bv, cv = bv.reshape(-1)[live], cv.reshape(-1)[live]
+    middle = float(pow_integral_mean(bv, cv, p).sum())
+    return float(b.n) ** (2 - p), middle, float(b.n)
 
 
 def matrix_power_chain(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p) -> RefinementChain:

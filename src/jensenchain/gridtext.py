@@ -500,6 +500,18 @@ def _short_tokens(last, size):
     return value.view(_U64), admitted, scale.view(np.int64), neg
 
 
+@functools.lru_cache(maxsize=4)
+def _row_template(lead, int_len, frac_len, sep, width, tail):
+    """(template, limit) of a uniform row layout, as read-only uint8 arrays: the row's bytes
+    with every digit "0", and the largest byte ^ template in each column.  Built once per
+    layout, as every block of a grid repeats it."""
+    token = b"0" * int_len + (b"." + b"0" * frac_len if frac_len else b"")
+    template = b"[" + lead + sep.join([token] * width) + tail
+    # byte ^ template is the digit's value, at most 9, in a digit column, and 0 in any other
+    limit = np.frombuffer(template.translate(_DIGIT_LIMIT), dtype=np.uint8)
+    return np.frombuffer(template, dtype=np.uint8), limit
+
+
 def _uniform(raw):
     """The rows of raw as a 2-D float64 array if every row is laid out byte for byte as the
     first one, with every token laid out as its first token: an unsigned integer or decimal
@@ -532,11 +544,8 @@ def _uniform(raw):
     rows, rest = divmod(len(raw) + len(gap), stride)
     if rest:
         return None
-    token = b"0" * int_len + (b"." + b"0" * frac_len if frac_len else b"")
-    template = b"[" + lead + sep.join([token] * width) + raw[body_end : close + 1] + gap
-    # byte ^ template is the digit's value, at most 9, in a digit column, and 0 in any other
-    limit = np.frombuffer(template.translate(_DIGIT_LIMIT), dtype=np.uint8)
-    template = np.frombuffer(template, dtype=np.uint8)
+    template, limit = _row_template(lead, int_len, frac_len, sep, width,
+                                    raw[body_end : close + 1] + gap)
     head = np.frombuffer(raw, dtype=np.uint8, count=close + 1)
     if not (head ^ template[: close + 1] <= limit[: close + 1]).all():
         return None
@@ -659,15 +668,22 @@ class _GridDecoder(json.JSONDecoder):
         s, end = s_and_end
         start = end - 1  # the opening bracket
         head = s[start : start + QUAD_BATCH_VALUES]
-        try:
-            value, stop = self._c_scan(head, 0)
-        except (json.JSONDecodeError, StopIteration):  # longer than the head, or malformed
+        found = None
+        # a grid ends in "]" "]": where a full head holds no such end, no grid closes inside it
+        # and the head is not scanned (any other array is the full scan's below, which gives
+        # what the head's scan gives, as _number_block leaves it as it is)
+        if len(head) < QUAD_BATCH_VALUES or _GRID_END.search(head):
+            try:
+                value, stop = self._c_scan(head, 0)
+            except (json.JSONDecodeError, StopIteration):  # longer than the head, or malformed
+                pass
+            else:
+                found = _number_block(value, head[:stop]), start + stop
+        if found is None:
             found = _read_grid(s, end)
             if found is None:
                 return self._c_scan(s, start)
-            value, stop = found
-        else:
-            value, stop = _number_block(value, head[:stop]), start + stop
+        value, stop = found
         if type(value) is np.ndarray:
             freeze(value)  # the one place a decoded grid is made read-only
         return value, stop

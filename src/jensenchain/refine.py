@@ -15,6 +15,8 @@ The engine works on the row sums s1 and s2 (row_sums), of shape (m,), or
 (m, |X|) for points sampled on a finite measure space, whose rows are
 summed against its point masses: t_average and t_quadrature give the
 t-average in closed form and by quadrature, for jensen and apps alike.
+Where f(0) = 0 and most entries of an (m, |X|) grid are 0 at both ends,
+they take its live entries alone (live_pairs), each with its row index.
 """
 
 import functools
@@ -102,13 +104,17 @@ class RefinementChain:
         return self.holds(self.tol)
 
 
-def _assemble(lower, middle, upper, mid_lo, mid_hi, inner=(), checks=()):
-    members = (("lower bound", lower), ("upper bound", upper),
-               ("smallest middle member", mid_lo), ("largest middle member", mid_hi))
+def check_finite(*members):
+    """NumericError naming the first (name, value) member that is not finite: an infinite
+    bound would make the tolerance infinite and the chain pass vacuously."""
     for name, value in members:
         if not math.isfinite(value):
-            # an infinite bound would make the tolerance infinite and the chain pass vacuously
             raise NumericError(f"the chain's {name} is {float(value)}, not a finite number")
+
+
+def _assemble(lower, middle, upper, mid_lo, mid_hi, inner=(), checks=()):
+    check_finite(("lower bound", lower), ("upper bound", upper),
+                 ("smallest middle member", mid_lo), ("largest middle member", mid_hi))
     return RefinementChain(
         lower=float(lower),
         middle=middle,
@@ -166,6 +172,21 @@ def row_sums(f: ConvexFunctionSpec, points: np.ndarray, lam: ProbabilityVector,
     return sums
 
 
+def live_pairs(a: np.ndarray, b: np.ndarray, cols=None):
+    """Flat row-major indices of the entries of two (m, n) grids where a or b is nonzero,
+    in the columns that cols marks (every column by default); None when more than half of
+    the entries are live, or none is, where the whole grid is the cheaper form.  No
+    temporary is larger than two m x n boolean masks."""
+    half = a.size // 2
+    if (cols is None or cols.all()) and max(np.count_nonzero(a), np.count_nonzero(b)) > half:
+        return None
+    live = a != 0.0
+    live |= b != 0.0
+    if cols is not None:
+        live &= cols
+    return np.flatnonzero(live) if 0 < np.count_nonzero(live) <= half else None
+
+
 def _check_rows(f: ConvexFunctionSpec, s1: np.ndarray, s2: np.ndarray):
     """DomainError unless every row sum lies in the domain of f, which then holds every
     combination (1-t) s1 + t s2; an interval holds them all when it holds the extremes."""
@@ -195,38 +216,49 @@ def _phi_rows(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses=None) -> np.
     return vals if masses is None else vals @ masses
 
 
-def _phi_batch(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, ts: np.ndarray,
+def _phi_batch(f: ConvexFunctionSpec, weights: np.ndarray, s1, s2, ts: np.ndarray,
                masses=None) -> np.ndarray:
-    """phi at each t of ts, each row of values dotted with mu on its own: phi at a t has one
-    value, whatever batch of t holds it."""
-    return np.matmul(_phi_rows(f, s1, s2, ts, masses)[:, None, :], mu.weights)[:, 0]
+    """phi at each t of ts, each row of values dotted with the weights (mu, or the row mass
+    of each live entry) on its own: phi at a t has one value, whatever batch of t holds it."""
+    return np.matmul(_phi_rows(f, s1, s2, ts, masses)[:, None, :], weights)[:, 0]
 
 
-def t_average(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, masses=None) -> float:
-    """t-average of phi in closed form: the mu-mean of the integral means A(f; s1, s2)."""
-    rows = integral_mean(f, s1, s2)
-    if masses is not None:
-        rows = rows @ masses
+def t_average(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, masses=None,
+              rows=None) -> float:
+    """t-average of phi in closed form: the mu-mean of the integral means A(f; s1, s2).
+
+    With rows, s1 and s2 hold the live entries of an (m, |X|) grid with
+    unit masses, entry k in row rows[k]; every other entry is 0
+    at both ends, where f(0) = 0 makes its integral mean 0.
+    """
+    means = integral_mean(f, s1, s2)
+    if rows is not None:
+        means = np.bincount(rows, weights=means, minlength=mu.weights.size)
+    elif masses is not None:
+        means = means @ masses
     # left to right from 0.0 on every Python version (sum of floats compensates from 3.12)
-    return functools.reduce(operator.add, (mu.weights * rows).tolist(), 0.0)
+    return functools.reduce(operator.add, (mu.weights * means).tolist(), 0.0)
 
 
 def t_quadrature(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, sides, masses=None,
-                 atol=1e-10, rtol=1e-10) -> float:
+                 atol=1e-10, rtol=1e-10, rows=None) -> float:
     """t-average of phi by adaptive quadrature on [0, 1], each depth's nodes together.
 
     Each node is reduced by _phi_batch, as phi is, so the result is the
     quadrature of scalar phi bit for bit, except where the larger magnitude
     s of the two sides (which bound phi) exceeds _QUAD_SAFE: there a panel's
     sum could overflow, so phi / s is integrated and the result scaled by s.
+    With rows, s1 and s2 are live entries as in t_average, and phi sums
+    each against its row's mu, so a node costs one value per live entry.
     """
     _check_rows(f, s1, s2)
     scale = max(abs(side) for side in sides)
     if not _QUAD_SAFE < scale < math.inf:
         scale = 1.0
+    weights = mu.weights if rows is None else mu.weights[rows]
 
     def fv(ts):
-        return _phi_batch(f, mu, s1, s2, ts, masses) / scale
+        return _phi_batch(f, weights, s1, s2, ts, masses) / scale
 
     return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=s1.size) * scale
 
@@ -318,7 +350,7 @@ def phi_values(inst: JensenInstance, ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_t(ts)
     _check_rows(inst.f, inst.s1, inst.s2)
-    return _phi_batch(inst.f, inst.mu, inst.s1, inst.s2, ts)
+    return _phi_batch(inst.f, inst.mu.weights, inst.s1, inst.s2, ts)
 
 
 def phi(inst: JensenInstance, t: float) -> float:

@@ -36,9 +36,9 @@ from jensenchain import (
     random_doubly_stochastic,
     validate_weight,
 )
-from jensenchain import apps
+from jensenchain import apps, refine
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
-from jensenchain.refine import TOL_FLOOR, rel_err, row_sums, t_quadrature
+from jensenchain.refine import TOL_FLOOR, rel_err, row_sums, t_average, t_quadrature
 from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_gauss_kronrod
 
 E = math.e
@@ -479,17 +479,30 @@ def test_matrix_power_holds_for_generated_matrices(rng):
             assert lower - 1e-12 <= middle <= upper + 1e-12
 
 
+def permutation_mixture(rng, n, k):
+    """A convex combination of k random n x n permutation matrices: at most k n nonzeros."""
+    grid = np.zeros((n, n))
+    for a in rng.dirichlet(np.ones(k)):
+        grid[np.arange(n), rng.permutation(n)] += a
+    return grid
+
+
 @st.composite
 def matrix_pairs(draw):
-    """(B, C, p): a random pair, the identity against a permutation, or C = I; n <= 40, p <= 30."""
+    """(B, C, p): a random pair, the identity against a permutation, C = I, or two mixtures of
+    a few permutations (mostly (0, 0) pairs from n = 6 on); n <= 40, p <= 30."""
     n = draw(st.integers(1, 40))
     p = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 2 ** 30))
-    family = draw(st.sampled_from(["random", "identity-permutation", "c-identity"]))
+    family = draw(st.sampled_from(["random", "identity-permutation", "c-identity", "mixtures"]))
     eye = DoublyStochasticMatrix.identity(n)
     if family == "identity-permutation":
         perm = np.random.default_rng(seed).permutation(n)
         return eye, DoublyStochasticMatrix(np.eye(n)[perm]), p
+    if family == "mixtures":
+        rng = np.random.default_rng(seed)
+        return (DoublyStochasticMatrix(permutation_mixture(rng, n, 2)),
+                DoublyStochasticMatrix(permutation_mixture(rng, n, 3)), p)
     b = random_doubly_stochastic(n, seed=seed)
     if family == "c-identity":
         return b, eye, p
@@ -503,6 +516,28 @@ def test_matrix_power_middle_matches_ksum_oracle(pair):
     _, middle, _ = matrix_power_bounds(b, c, p)
     want = ksum_matrix_power_middle(b, c, p)
     assert abs(middle - want) <= 1e-14 * abs(want)
+
+
+@st.composite
+def dense_pairs(draw):
+    """(B, C, p) with no (0, 0) pair: a mixture of two permutations and a matrix without a zero
+    entry, either way round; n <= 30, p <= 12."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pair = [DoublyStochasticMatrix(permutation_mixture(rng, n, 2)),
+            random_doubly_stochastic(n, seed=int(rng.integers(2 ** 30)))]
+    if draw(st.booleans()):
+        pair.reverse()
+    return (*pair, draw(st.integers(1, 12)))
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(pair=dense_pairs())
+def test_matrix_power_middle_without_zero_pairs_is_the_full_grid_sum(pair):
+    b, c, p = pair
+    assert np.all((b.values != 0.0) | (c.values != 0.0))
+    _, middle, _ = matrix_power_bounds(b, c, p)
+    assert middle == float(pow_integral_mean(b.values, c.values, p).sum())
 
 
 def test_matrix_power_chain_is_judged_by_the_chain_verdict():
@@ -755,15 +790,25 @@ def loop_grid_middle(application, grid, masses, p, lam, mu, w1, w2):
 @st.composite
 def grid_rows(draw):
     """(application, points, masses, p, lam, mu, w1, w2) of a random lp, powersum or harmonic
-    row: random weights, or two permutations over uniform measures; samples with zeros."""
+    row: random weights, or over uniform measures two permutations, the identity against a
+    permutation, or two mixtures of two permutations (from n = 4 on, mostly (0, 0) weight
+    pairs); samples with zeros."""
     application = draw(st.sampled_from(["lp", "powersum", "harmonic"]))
-    n = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["random", "permutations", "identity-permutation",
+                                   "mixtures"]))
+    n = draw(st.integers(1, 5 if family in ("random", "permutations") else 9))
     p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 6.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
+    if family != "random":
         lam = mu = ProbabilityVector.uniform(n)
-        w1, w2 = (embed_doubly_stochastic(DoublyStochasticMatrix(np.eye(n)[rng.permutation(n)]))
-                  for _ in range(2))
+
+        def grid():
+            if family == "mixtures":
+                return permutation_mixture(rng, n, 2)
+            return np.eye(n)[rng.permutation(n)]
+
+        b = np.eye(n) if family == "identity-permutation" else grid()
+        w1, w2 = (embed_doubly_stochastic(DoublyStochasticMatrix(g)) for g in (b, grid()))
     else:
         m = draw(st.integers(1, 5))
         lam, mu = rand_prob(rng, n), rand_prob(rng, m)
@@ -776,7 +821,7 @@ def grid_rows(draw):
     return application, points, masses, p, lam, mu, w1, w2
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=max(200, settings.default.max_examples))
 @given(row=grid_rows())
 def test_grid_rows_match_a_plain_loop_evaluation_of_their_kernels(row):
     application, points, masses, p, lam, mu, w1, w2 = row
@@ -793,3 +838,79 @@ def test_grid_rows_match_a_plain_loop_evaluation_of_their_kernels(row):
     want = loop_grid_middle(application, grid, masses, p, lam, mu, w1, w2)
     assert rel_err(ch.middle, want) <= 1e-12
     assert ch.identity_checks[0].ok
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(pair=dense_pairs(), x=st.lists(st.floats(0.01, 5.0), min_size=30, max_size=30),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.7]) | st.floats(1.0, 6.0))
+def test_power_sum_without_zero_pairs_takes_the_full_grid_bit_for_bit(pair, x, p):
+    """Every (i, j) pair is live, so the middle and the quadrature are the engine's over the
+    whole n x n grid of row sums, unchanged."""
+    b, c, _ = pair
+    n = b.n
+    x = np.array(x[:n])
+    uni = ProbabilityVector.uniform(n)
+    w1, w2 = _pair_from_matrices(n, b, c)
+    ch = power_sum_chain(x, p, uni, uni, w1, w2)
+    f = get_function("powp", {"p": p})
+    lx = uni.weights * x
+    s1, s2, ones = w1.values * lx, w2.values * lx, np.ones(n)
+    assert ch.middle == t_average(f, uni, s1, s2, ones)
+    sides = (ch.lower, ch.upper)
+    assert ch.identity_checks[0].rhs == t_quadrature(f, uni, s1, s2, sides, ones, 1e-12, 1e-12)
+
+
+def _identity_against_a_permutation(n, seed):
+    uni = ProbabilityVector.uniform(n)
+    perm = np.random.default_rng(seed).permutation(n)
+    w1 = embed_doubly_stochastic(DoublyStochasticMatrix.identity(n))
+    return uni, w1, embed_doubly_stochastic(DoublyStochasticMatrix(np.eye(n)[perm]))
+
+
+def test_power_sum_quadrature_evaluates_only_the_live_pairs(monkeypatch):
+    """The identity against a permutation, with three x_j = 0: each quadrature node evaluates
+    t^p at the live pairs alone, at most 2n of the n^2."""
+    n = 60
+    uni, w1, w2 = _identity_against_a_permutation(n, 11)
+    x = np.random.default_rng(12).uniform(0.0, 5.0, n)
+    x[:3] = 0.0
+    live = np.count_nonzero(((w1.values != 0.0) | (w2.values != 0.0)) & (x != 0.0))
+    f = get_function("powp", {"p": 2.5})
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return f.evaluate(m)
+
+    traced = dataclasses.replace(f, evaluate=recording)
+    monkeypatch.setattr(apps, "get_function", lambda name, params=None: traced)
+    nodes = []
+    quadrature = refine.adaptive_simpson
+
+    def counting(fv, *args, **kwargs):
+        return quadrature(lambda ts: nodes.append(ts.size) or fv(ts), *args, **kwargs)
+
+    monkeypatch.setattr(refine, "adaptive_simpson", counting)
+    ch = power_sum_chain(x, 2.5, uni, uni, w1, w2)
+    assert ch.passed and ch.identity_checks[0].ok
+    quad = [shape for shape in shapes if len(shape) == 2]  # phi's (nodes, pairs) arrays
+    assert quad and all(shape[1] == live for shape in quad)
+    assert sum(k * m for k, m in quad) <= sum(nodes) * live
+    assert live <= 2 * n
+
+
+def test_power_sum_chain_over_sparse_weights_allocates_no_n_by_n_array():
+    """At hard n = 600 (the identity against a permutation) the 2n live pairs replace the two
+    n x n grids of row sums: the whole call peaks below one n x n float array."""
+    n = 600
+    uni, w1, w2 = _identity_against_a_permutation(n, 5)
+    x = np.random.default_rng(6).uniform(0.0, 5.0, n)
+    power_sum_chain(x, 2.5, uni, uni, w1, w2)  # first call: anything built once is built
+    tracemalloc.start()
+    try:
+        ch = power_sum_chain(x, 2.5, uni, uni, w1, w2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.passed and ch.identity_checks[0].ok
+    assert peak < n * n * 8

@@ -233,8 +233,8 @@ def test_quadrature_budget_exhaustion_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_overflowing_integrand_exits_2_at_the_first_infinite_value(tmp_path, capsys):
-    # 300**200 overflows, so the t-quadrature integrand is inf from the first node, the
-    # smallest Kronrod node 0.5 - 0.5 * 0.99145537112081264 on [0, 1] (no node is an end)
+    # 300**200 overflows, so the t-quadrature integrand would be inf from its first node; the
+    # sides overflow first (150**200 in the lower one), and the row refuses them before it
     doc = {
         "application": "powersum",
         "p": 200,
@@ -250,11 +250,25 @@ def test_overflowing_integrand_exits_2_at_the_first_infinite_value(tmp_path, cap
         assert main(["verify", write(tmp_path, "ps.json", doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    first = "error: adaptive quadrature: integrand is inf at t=0.004272314439593694\n"
-    assert captured.err.startswith(first)
+    assert captured.err == "error: the chain's lower bound is inf, not a finite number\n"
 
 
 EYE2_SWAP = {"B": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("application, points, p, weights", [
+    ("powersum", [1.0, 3.0], 1e6, {"B": [[0.5, 0.5], [0.5, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("lp", [[1.0], [2.0]], 1e300, EYE2_SWAP),
+])
+def test_grid_rows_refuse_an_infinite_side_before_their_quadrature(tmp_path, capsys, application,
+                                                                    points, p, weights):
+    """Sides that overflow are named as the jensen row names them, not as an integrand error
+    of the t-quadrature that would follow (exit 2 either way)."""
+    doc = {"application": application, "p": p, "points": points, "weights": weights}
+    assert main(["verify", write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the chain's lower bound is inf, not a finite number\n"
 
 
 @pytest.mark.parametrize("application, points",
