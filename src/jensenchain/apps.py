@@ -5,10 +5,10 @@ its row sums and its two sides give the closed-form middle and its
 t-quadrature check.  agm and kyfan are the jensen row seen through exp(-.)
 or exp(+.); lp, harmonic and powersum are rows over n functions sampled on
 a finite measure space (powersum's samples are diag(x), unit masses).  The
-matrix power chain checks its identity-matrix reduction instead, when C = I.
-powersum and matrixpower cost the support of their weights: a pair whose
-two weights are 0 adds A(t^p; 0, 0) = 0, so where such pairs are most of
-the grid only the live pairs are evaluated.
+matrix power middle is integral_mean of powp over the matrix entries; its
+chain checks the identity-matrix reduction instead, when C = I.  powersum
+and matrixpower cost the support of their weights (_support): a pair whose
+two weights are 0 adds A(t^p; 0, 0) = 0, so only live pairs are evaluated.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .functions import get_function
-from .means import pow_integral_mean
+from .means import integral_mean
 from .measures import DoublyStochasticMatrix, ProbabilityVector, WeightFunction, frozen_float64
 from .numerics import adaptive_simpson  # noqa: F401  (the benchmark's tracer binds it here)
 from .refine import (
@@ -179,25 +179,24 @@ def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
     lower = float(np.sum(lx ** p))
     upper = float(lam.weights @ x ** p)
     f = get_function("powp", {"p": p})
-    live = live_pairs(w1.values, w2.values, lx != 0.0)
+    s1, s2, rows, cols = _support(w1.values, w2.values, lx != 0.0)
+    masses = np.ones(x.size) if rows is None else None
+    return _row_chain(f, mu, masses, s1 * lx[cols], s2 * lx[cols], lower, upper,
+                      POWER_SUM_IDENTITY_TOL, rows)
+
+
+def _support(g1, g2, cols=None):
+    """(s1, s2, rows, cols): grids g1 and g2 whole (rows None, cols all) or, where live_pairs
+    finds them at most half, their live entries, entry k at (rows[k], cols[k])."""
+    live = live_pairs(g1, g2, cols)
     if live is None:
-        # the row sums of diag(x), by broadcasting: no n x n sample grid
-        return _row_chain(f, mu, np.ones(x.size), w1.values * lx, w2.values * lx, lower, upper,
-                          POWER_SUM_IDENTITY_TOL)
-    rows, cols = np.divmod(live, x.size)
-    lx = lx[cols]
-    s1, s2 = (w.values.reshape(-1)[live] * lx for w in (w1, w2))
-    return _row_chain(f, mu, None, s1, s2, lower, upper, POWER_SUM_IDENTITY_TOL, rows)
+        return g1, g2, None, slice(None)
+    rows, cols = np.divmod(live, g1.shape[1])
+    return g1.reshape(-1)[live], g2.reshape(-1)[live], rows, cols
 
 
-def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
-    """n^(2-p) <= sum_ij L_p^p(b_ij, c_ij) <= n, for integer p >= 1.
-
-    The middle is the L_p^p kernel of lp_chain and power_sum_chain over
-    the matrix entries; it equals (1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k).
-    Where most entries are 0 in both matrices it is summed over the others.
-    Returns (lower, middle, upper); matrix_power_chain judges them.
-    """
+def _matrix_power(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
+    """matrix_power_bounds, then the int p and the entries (s1, s2) of b and c summed over."""
     if isinstance(p, float) and not p.is_integer():
         raise ValidationError(f"matrix power bounds need an integer exponent, got {p}")
     p = int(p)
@@ -205,12 +204,20 @@ def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p)
         raise ValidationError(f"matrix power bounds need p >= 1, got {p}")
     if b.n != c.n:
         raise ValidationError(f"matrix orders differ: {b.n} vs {c.n}")
-    bv, cv = b.values, c.values
-    live = live_pairs(bv, cv)
-    if live is not None:
-        bv, cv = bv.reshape(-1)[live], cv.reshape(-1)[live]
-    middle = float(pow_integral_mean(bv, cv, p).sum())
-    return float(b.n) ** (2 - p), middle, float(b.n)
+    s1, s2, _, _ = _support(b.values, c.values)
+    middle = float(integral_mean(get_function("powp", {"p": p}), s1, s2).sum())
+    return float(b.n) ** (2 - p), middle, float(b.n), p, s1, s2
+
+
+def matrix_power_bounds(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
+    """n^(2-p) <= sum_ij L_p^p(b_ij, c_ij) <= n, for integer p >= 1.
+
+    The middle is integral_mean of powp, as in lp_chain and power_sum_chain,
+    summed over the matrix entries, or over their support as power_sum_chain
+    sums; it equals (1/(p+1)) sum_ij sum_k b_ij^k c_ij^(p-k).
+    Returns (lower, middle, upper); matrix_power_chain judges them.
+    """
+    return _matrix_power(b, c, p)[:3]
 
 
 def matrix_power_chain(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p) -> RefinementChain:
@@ -218,22 +225,21 @@ def matrix_power_chain(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p) 
 
     When c is the identity the middle is also recomputed in its reduced
     diagonal form, (1/(p+1)) (sum_ij b_ij^p + sum_i sum_{k<p} b_ii^k), and
-    checked against it as the identity check identity-reduction.
+    checked against it as the identity check identity-reduction, over the
+    entries the middle is summed over.
     """
-    lower, middle, upper = matrix_power_bounds(b, c, p)
-    cv = c.values
-    # c is the identity: ones on the diagonal (checked first, in O(n)), no other nonzero
-    if not ((np.diagonal(cv) == 1.0).all() and np.count_nonzero(cv) == c.n):
+    lower, middle, upper, p, s1, s2 = _matrix_power(b, c, p)
+    # c is the identity: ones on the diagonal (checked first, in O(n)), no other nonzero among
+    # s2, which holds every nonzero of c
+    if not ((np.diagonal(c.values) == 1.0).all() and np.count_nonzero(s2) == c.n):
         return _assemble(lower, middle, upper, middle, middle)
-    p = int(p)
     # sum_{k<p} d^k of each diagonal entry d in closed form: p at d = 1, 1 at d = 0
-    bv = b.values
-    d = np.diag(bv)
+    d = np.diag(b.values)
     geometric = np.where(d == 1.0, float(p), 1.0)
     inner = (d != 1.0) & (d != 0.0)
     di = d[inner]
     geometric[inner] = -np.expm1(float(p) * np.log1p(di - 1.0)) / (1.0 - di)
-    reduced = (float(np.sum(bv ** p)) + float(geometric.sum())) / (p + 1)
+    reduced = (float(np.sum(s1 ** p)) + float(geometric.sum())) / (p + 1)
     return checked_chain(lower, middle, upper, "identity-reduction", reduced,
                          MATRIX_COINCIDENCE_TOL)
 

@@ -2,18 +2,20 @@
 
 Each entry packages an evaluator, its domain interval, the declared
 curvature direction, and (when one exists) a closed form for the
-integral mean A(f; a, b).  The closed forms are written with
-log1p/expm1 so they remain accurate for nearly equal endpoints.
+integral mean A(f; a, b).  The closed forms are array kernels run a block
+at a time, like the means they build on: each gives a segment the form
+that stays accurate in its regime (equal ends, nearly equal, apart, past
+an overflow), whatever batch holds it.
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .means import ln_identric, pow_integral_mean
+from .means import _blockwise, ln_identric, pow_integral_mean
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -57,8 +59,8 @@ class ConvexFunctionSpec:
     evaluate accepts floats and numpy arrays, and maps an array to the
     array of its values, of the same shape.  integral_mean, when
     present, maps arrays of segment ends a and b (floats are taken as
-    0-d arrays) to the array of A(f; a, b) in closed form, elementwise,
-    and must handle a == b.
+    0-d arrays) to the array of A(f; a, b) in closed form, elementwise. It
+    gets every segment, a == b too, and must stay accurate as b nears a.
     The direction is declared metadata: the chain checkers trust it.
     """
 
@@ -89,17 +91,6 @@ class ConvexFunctionSpec:
         return replace(self, direction=direction)
 
 
-def _elementwise(closed_form):
-    """Array form of a scalar closed form written with math, applied to each pair of floats."""
-
-    def array_form(a, b):
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        values = [closed_form(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
-        return np.array(values, dtype=float).reshape(a.shape)
-
-    return array_form
-
-
 def _im_square(a, b):
     with np.errstate(over="ignore", invalid="ignore"):
         mean = (a * a + a * b + b * b) / 3.0
@@ -111,20 +102,16 @@ def _im_square(a, b):
         return np.where(np.isfinite(mean), mean, (x * x + x * y + y * y) / 3.0 * s * s)
 
 
-@_elementwise
-def _im_exp(a, b):
-    d = b - a
-    if d == 0.0:
-        return math.exp(a)
-    try:
-        mean = math.exp(a) * math.expm1(d) / d
-    except OverflowError:
-        mean = _INF
-    if math.isfinite(mean):
-        return mean
-    # exp(a) * expm1(d) overflows before the mean does: there, factor exp(hi) out
-    hi, span = max(a, b), abs(d)
-    return math.exp(hi) * -math.expm1(-span) / span
+def _im_exp(a, b, out):
+    # A = (e^hi - e^lo) / (hi - lo) = e^hi expm1(d) / d with d = lo - hi <= 0: a rounding of d
+    # moves expm1(d) / d by at most as much relatively, and e^hi overflows before A does
+    hi = np.maximum(a, b)
+    d = np.minimum(a, b) - hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(np.exp(hi) * np.expm1(d), d, out=out)
+    equal = d == 0.0  # 0 / 0 above
+    if equal.any():
+        out[equal] = np.exp(hi[equal])
 
 
 def _im_neglog(a, b):
@@ -135,68 +122,77 @@ def _im_kyfan(a, b):
     return ln_identric(1.0 - a, 1.0 - b) - ln_identric(a, b)
 
 
-@_elementwise
-def _im_xlogx(a, b):
-    lo, hi = (a, b) if a <= b else (b, a)
-    if lo == hi:
-        return a * math.log(a)
-    r = (hi - lo) / lo
-    mean = 0.5 * (lo + hi) * math.log(hi) + 0.5 * lo * math.log1p(r) / r - 0.25 * (lo + hi)
-    if math.isfinite(mean):
-        return mean
-    # r overflows for a tiny lo and a huge hi, where log1p(r) / r = log(hi / lo) * lo / (hi - lo);
-    # near x log x = DBL_MAX the first two terms overflow before the last is taken off
-    if math.isfinite(r):
-        tail = math.log1p(r) / r
-    else:
-        tail = (math.log(hi) - math.log(lo)) * (lo / (hi - lo))
-    return 0.5 * (lo + hi) * math.log(hi) + (0.5 * lo * tail - 0.25 * (lo + hi))
+def _im_xlogx(a, b, out):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    total = lo + hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (hi - lo) / lo
+        out[:] = 0.5 * total * np.log(hi) + 0.5 * lo * np.log1p(r) / r - 0.25 * total
+        # not finite where lo == hi (0 / 0); where r overflows, for a tiny lo and a huge hi,
+        # log1p(r) / r = log(hi / lo) * lo / (hi - lo); near x log x = DBL_MAX the first two
+        # terms overflow before the last is taken off
+        odd = ~np.isfinite(out)
+        if odd.any():
+            equal = r == 0.0
+            out[equal] = lo[equal] * np.log(lo[equal])
+            big = odd & ~equal
+            if not big.any():
+                return
+            lo, hi, r, total = lo[big], hi[big], r[big], total[big]
+            tail = np.log1p(r) / r
+            inf = np.isinf(r)
+            lo_i, hi_i = lo[inf], hi[inf]
+            tail[inf] = (np.log(hi_i) - np.log(lo_i)) * (lo_i / (hi_i - lo_i))
+            out[big] = 0.5 * total * np.log(hi) + (0.5 * lo * tail - 0.25 * total)
 
 
-# 1/3, 1/5, ..., 1/31: artanh(u) = u + u^3 sum_k u^(2k) / (2k + 3), to full precision for
-# |u| <= 1/3
-_ATANH_TAIL = tuple(1.0 / (2 * k + 3) for k in range(15))
+# k and 1/(2k + 3) for k < 15: artanh(u) = u + u^3 sum_k u^(2k) / (2k + 3), to full precision
+# for |u| <= 1/3
+_ATANH_POWERS = np.arange(15.0)
+_ATANH_TAIL = 1.0 / (2.0 * _ATANH_POWERS + 3.0)
 
 
-@_elementwise
-def _im_harmonic_frac(a, b):
-    d = b - a
-    if d == 0.0:
-        return a / (1.0 + a)
-    q = d / (1.0 + a)
-    if abs(q) <= 1e-3:
-        # 1 - log1p(q) / d = (a + 1 - log1p(q) / q) / (1 + a), whose first form cancels to
-        # about (a + b) / 2 for small ends: 1 - log1p(q) / q is taken by its series
-        s = q * (1 / 2 - q * (1 / 3 - q * (1 / 4 - q * (1 / 5 - q * (1 / 6 - q / 7)))))
-        return (a + s) / (1.0 + a)
-    lo, hi = (a, b) if d > 0.0 else (b, a)
-    if lo < 0.5 and hi <= 1.0 + 2.0 * lo:
-        # the first form still cancels where the lower end is small; with
-        # u = (hi - lo) / (2 + lo + hi) <= 1/3, log1p(hi) - log1p(lo) = 2 artanh(u), and the
-        # mean is (lo + hi - 2 u^2 (1/3 + u^2/5 + ...)) / (2 + lo + hi), with no cancellation
-        total = lo + hi
-        u = (hi - lo) / (2.0 + total)
+def _im_harmonic_frac(a, b, out):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    d = hi - lo
+    q = d / (1.0 + lo)
+    # the mean is 1 - log1p(q) / d = (lo + 1 - log1p(q) / q) / (1 + lo), whose first form
+    # cancels to about (lo + hi) / 2 for small ends: for small q (lo == hi included, where the
+    # mean is lo / (1 + lo)), 1 - log1p(q) / q is taken by its series
+    small = q <= 1e-3
+    if small.any():
+        q_s, lo_s = q[small], lo[small]
+        s = q_s * (1 / 2 - q_s * (1 / 3 - q_s * (1 / 4 - q_s * (1 / 5 - q_s * (1 / 6 - q_s / 7)))))
+        out[small] = (lo_s + s) / (1.0 + lo_s)
+    # the first form still cancels where lo is small; for q <= 1, u = (hi - lo) / (2 + lo + hi)
+    # <= 1/3, log1p(hi) - log1p(lo) = 2 artanh(u), and the mean is
+    # (lo + hi - 2 u^2 (1/3 + u^2/5 + ...)) / (2 + lo + hi), with no cancellation
+    series = (lo < 0.5) & (q <= 1.0) & ~small
+    if series.any():
+        total = lo[series] + hi[series]
+        u = d[series] / (2.0 + total)
         v = u * u
-        tail = 0.0
-        for c in reversed(_ATANH_TAIL):
-            tail = c + v * tail
-        return (total - 2.0 * v * tail) / (2.0 + total)
-    if q > -1.0:
-        return 1.0 - math.log1p(q) / d
-    # q rounds to -1 where a is near DBL_MAX and b is small: take the logarithms apart
-    return 1.0 - (math.log1p(b) - math.log1p(a)) / d
+        # each row summed on its own, so a segment's tail does not depend on its batch
+        tail = (v[:, None] ** _ATANH_POWERS * _ATANH_TAIL).sum(axis=1)
+        out[series] = (total - 2.0 * v * tail) / (2.0 + total)
+    direct = ~(small | series)
+    if direct.any():
+        out[direct] = 1.0 - np.log1p(q[direct]) / d[direct]
 
 
-# name -> (domain, direction, evaluate, integral_mean) for the entries without parameters
+# name -> (domain, direction, evaluate, integral_mean) for the entries without parameters; the
+# block kernels _im_exp, _im_xlogx and _im_harmonic_frac write a block's means into out
 _CATALOG = {
     "square": (Interval(), CONVEX, lambda x: x * x, _im_square),
-    "exp": (Interval(), CONVEX, np.exp, _im_exp),
+    "exp": (Interval(), CONVEX, np.exp, partial(_blockwise, _im_exp)),
     "neglog": (Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: -np.log(x), _im_neglog),
     "kyfan": (
         Interval(0.0, 0.5, lo_open=True), CONVEX, lambda x: np.log1p(-x) - np.log(x), _im_kyfan
     ),
-    "xlogx": (Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: x * np.log(x), _im_xlogx),
-    "harmonic_frac": (Interval(0.0, _INF), CONCAVE, lambda x: x / (1.0 + x), _im_harmonic_frac),
+    "xlogx": (Interval(0.0, _INF, lo_open=True), CONVEX, lambda x: x * np.log(x),
+              partial(_blockwise, _im_xlogx)),
+    "harmonic_frac": (Interval(0.0, _INF), CONCAVE, lambda x: x / (1.0 + x),
+                      partial(_blockwise, _im_harmonic_frac)),
 }
 
 

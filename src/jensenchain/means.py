@@ -10,9 +10,10 @@ segment [a, b]:
 
 The (b - a) denominators cancel catastrophically as a -> b, so each
 closed form is evaluated through log1p/expm1 reformulations that stay
-accurate at any separation, and switches to a midpoint series inside the
-relative band |b - a| <= EPS_DEG * max(|a|, |b|).  Exact equality always
-returns the argument itself.
+accurate at any separation, and switches to a series in the midpoint m
+and u = (b-a)/(a+b) inside the relative band |b - a| <= EPS_DEG *
+max(|a|, |b|).  integral_mean only dispatches, to a closed form for
+every segment or, without one, to f(m) in the band and quadrature.
 """
 
 import math
@@ -46,15 +47,24 @@ def _blockwise(kernel, a, b, *args):
     return out
 
 
+def _midpoint(a, b):
+    """(a + b) / 2 elementwise, taken as a/2 + b/2 where a + b overflows next to DBL_MAX."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (a + b)
+    big = np.isinf(mid)
+    if big.any():
+        mid[big] = 0.5 * a[big] + 0.5 * b[big]
+    return mid
+
+
 def _ln_identric_block(a, b, out):
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     d = hi - lo
     near = d <= EPS_DEG * hi
     far = ~near
 
-    lo_n, hi_n = lo[near], hi[near]
-    m = 0.5 * (lo_n + hi_n)
-    u = d[near] / (lo_n + hi_n)
+    m = _midpoint(lo[near], hi[near])
+    u = 0.5 * d[near] / m
     u2 = u * u
     out[near] = np.log(m) - u2 * (1.0 / 6.0 + u2 * (1.0 / 20.0 + u2 / 42.0))
 
@@ -86,14 +96,8 @@ def _log_mean_block(a, b, out):
     d = hi - lo
     near = d <= EPS_DEG * hi
     far = ~near
-
-    lo_n, hi_n = lo[near], hi[near]
-    m = 0.5 * (lo_n + hi_n)
-    u = d[near] / (lo_n + hi_n)
-    u2 = u * u
-    # m * u / artanh(u), denominator written as the artanh series
-    out[near] = m / (1.0 + u2 * (1.0 / 3.0 + u2 * (1.0 / 5.0 + u2 / 7.0)))
-
+    # m u / artanh(u) = m / (1 + u^2/3 + ...), and u^2 / 3 <= 1e-17 rounds away
+    out[near] = _midpoint(lo[near], hi[near])
     d_far = d[far]
     out[far] = d_far / np.log1p(d_far / lo[far])
 
@@ -112,14 +116,15 @@ def _pow_integral_mean_block(a, b, out, p):
     # pairs to the direct form
     with np.errstate(over="ignore"):
         r = np.divide(d, lo, out=np.full(d.shape, np.inf), where=lo > 0.0)
-    mid = ~equal & ~near & (r <= 0.25)
+    # past r = expm1(709 / (p + 1)) (< 1/4 from p = 3178) (1 + r)^(p + 1) overflows, and the
+    # direct form does not cancel
+    mid = ~equal & ~near & (r <= min(0.25, math.expm1(709.0 / (p + 1.0))))
     far = ~(equal | near | mid)
 
     out[equal] = lo[equal] ** p
 
-    lo_n, hi_n = lo[near], hi[near]
-    m = 0.5 * (lo_n + hi_n)
-    u = d[near] / (lo_n + hi_n)
+    m = _midpoint(lo[near], hi[near])
+    u = 0.5 * d[near] / m
     u2 = u * u
     c2 = p * (p - 1.0) / 6.0
     c4 = c2 * (p - 2.0) * (p - 3.0) / 20.0
@@ -152,8 +157,8 @@ def pow_integral_mean(a, b, p):
 
     Three evaluation regimes keep full precision: the midpoint series in
     the degenerate band, an expm1/log1p form for small separations
-    (r = (hi-lo)/lo <= 1/4), and the direct power difference otherwise
-    (also covers a == 0).  Where the direct form overflows, the
+    (r = (hi-lo)/lo <= 1/4, and (1+r)^(p+1) finite), and the direct power
+    difference otherwise (also covers a == 0).  Where the direct form overflows, the
     scale-free hi^p (1 - rho^(p+1)) / ((p+1)(1 - rho)), rho = lo/hi,
     replaces it.  Each element is evaluated in its own regime only, a
     block at a time.
@@ -168,19 +173,20 @@ def _check_positive(name, *values):
 
 
 def identric(a: float, b: float) -> float:
-    """Identric mean I(a, b) for a, b > 0."""
-    a = float(a)
-    b = float(b)
+    """Identric mean I(a, b) for a, b > 0, as hi I(lo/hi, 1): ln I(lo/hi, 1) is in [-1, 0], where
+    exp keeps full precision (exp(ln I(a, b)) is 200 ulp off next to DBL_MAX)."""
+    a, b = float(a), float(b)
     _check_positive("identric", a, b)
     if a == b:
         return a
-    return float(math.exp(float(ln_identric(a, b))))
+    lo, hi = min(a, b), max(a, b)
+    # lo / hi can underflow to 0; below 5e-324, I(x, 1) is 1/e in double precision
+    return hi * math.exp(float(ln_identric(max(lo / hi, 5e-324), 1.0)))
 
 
 def logarithmic(a: float, b: float) -> float:
     """Logarithmic mean L(a, b) for a, b > 0."""
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     _check_positive("logarithmic", a, b)
     if a == b:
         return a
@@ -189,9 +195,7 @@ def logarithmic(a: float, b: float) -> float:
 
 def p_logarithmic(a: float, b: float, p: float) -> float:
     """p-logarithmic mean L_p(a, b) for a, b >= 0 and p >= 1."""
-    a = float(a)
-    b = float(b)
-    p = float(p)
+    a, b, p = float(a), float(b), float(p)
     if not p >= 1.0:
         raise ValidationError(f"p_logarithmic requires p >= 1, got {p}")
     if a < 0.0 or b < 0.0:
@@ -202,11 +206,11 @@ def p_logarithmic(a: float, b: float, p: float) -> float:
 
 
 def _integral_mean_block(a, b, out, f):
-    size = np.maximum(np.abs(a), np.abs(b))
     # each segment's slack is at least 1e-12, so the domain holds them all if it holds the
     # block's extremes at that slack
     if not f.domain.contains_segment(min(a.min(), b.min()), max(a.max(), b.max()), 1e-12):
         lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
+        size = np.maximum(np.abs(a), np.abs(b))
         inside = f.domain.contains_segment(lo, hi, 1e-12 * np.maximum(1.0, size))
         if not inside.all():
             k = int(np.argmin(inside))
@@ -214,36 +218,29 @@ def _integral_mean_block(a, b, out, f):
                 f"segment [{float(lo[k])}, {float(hi[k])}] is not inside the domain of "
                 f"{f.name} ({f.domain})"
             )
-    near = np.abs(b - a) <= EPS_DEG * size
-    rest = ~near
-    if f.integral_mean is None:
-        for k in rest.nonzero()[0].tolist():
-            seg_lo, seg_hi = sorted((float(a[k]), float(b[k])))
-            out[k] = adaptive_simpson(f.evaluate_many, seg_lo, seg_hi) / (seg_hi - seg_lo)
-    elif rest.all():
+    if f.integral_mean is not None:
         out[:] = f.integral_mean(a, b)
-    elif rest.any():
-        out[rest] = f.integral_mean(a[rest], b[rest])
+        return
+    near = np.abs(b - a) <= EPS_DEG * np.maximum(np.abs(a), np.abs(b))
+    for k in (~near).nonzero()[0].tolist():
+        seg_lo, seg_hi = sorted((float(a[k]), float(b[k])))
+        out[k] = adaptive_simpson(f.evaluate_many, seg_lo, seg_hi) / (seg_hi - seg_lo)
     if near.any():
-        a_n, b_n = a[near], b[near]
-        with np.errstate(over="ignore"):
-            mid = 0.5 * (a_n + b_n)
-        big = ~np.isfinite(mid)  # a + b overflows near DBL_MAX
-        mid[big] = 0.5 * a_n[big] + 0.5 * b_n[big]
-        out[near] = f.evaluate_many(mid)
+        out[near] = f.evaluate_many(_midpoint(a[near], b[near]))
 
 
 def integral_mean(f, a, b):
     """Average value of f over the segments between a and b, elementwise, a block at a time.
 
     a and b are floats (giving a float) or arrays, broadcast together.
-    Inside the relative band |b - a| <= EPS_DEG * max(|a|, |b|) it is
-    f((a+b)/2) (an absolute band would also take small segments whose ends
-    are far apart in ratio: for -log, 2% off on [1e-10, 2e-10]); elsewhere
-    the catalog closed form, ends in their given order, or adaptive
-    Gauss-Kronrod quadrature (numerics.adaptive_simpson) per segment for a
-    function without one.  The first segment outside the domain of f is
-    named in a ValidationError.
+    A function with a closed form gets every segment from it, ends in their
+    given order; the closed form owns its accuracy as the ends meet.  For a
+    function without one, a segment in the relative band |b - a| <=
+    EPS_DEG * max(|a|, |b|) gets f((a+b)/2) (an absolute band would also
+    take small segments whose ends are far apart in ratio: for -log, 2% off
+    on [1e-10, 2e-10]), and any other segment adaptive Gauss-Kronrod
+    quadrature (numerics.adaptive_simpson) of its own.  The first segment
+    outside the domain of f is named in a ValidationError.
     """
     out = _blockwise(_integral_mean_block, a, b, f)
     return float(out) if out.ndim == 0 else out

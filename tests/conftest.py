@@ -26,9 +26,10 @@ from jensenchain.numerics import adaptive_simpson
 
 # a larger example budget, for CI runs of the decoder's, the encoder's and the quadrature's
 # differential tests, of the grid validation messages, of the application rows, of the special
-# means and of phi's one value at each t (--hypothesis-profile=ci); tests/test_decoder.py,
-# tests/test_render.py, tests/test_numerics.py, tests/test_measures.py, tests/test_apps.py,
-# tests/test_means.py and tests/test_refine.py read it
+# means, of the catalog closed forms and of phi's one value at each t
+# (--hypothesis-profile=ci); tests/test_decoder.py, tests/test_render.py, tests/test_numerics.py,
+# tests/test_measures.py, tests/test_apps.py, tests/test_means.py, tests/test_functions.py and
+# tests/test_refine.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain
@@ -305,7 +306,8 @@ def where_pow_integral_mean(a, b, p):
 
 
 def scalar_integral_mean(f, a, b):
-    """A(f; a, b) for one segment, with Python-float band and domain checks."""
+    """A(f; a, b) for one segment, with a Python-float domain check: the closed form when f has
+    one, else f at the midpoint in the relative band and quadrature outside it."""
     a = float(a)
     b = float(b)
     lo, hi = (a, b) if a <= b else (b, a)
@@ -314,6 +316,8 @@ def scalar_integral_mean(f, a, b):
         raise ValidationError(
             f"segment [{lo}, {hi}] is not inside the domain of {f.name} ({f.domain})"
         )
+    if f.integral_mean is not None:
+        return float(f.integral_mean(a, b))
     if hi - lo <= EPS_DEG * max(abs(a), abs(b)):
         mid = 0.5 * (a + b)
         if not math.isfinite(mid):  # a + b overflows near DBL_MAX
@@ -321,8 +325,6 @@ def scalar_integral_mean(f, a, b):
         # evaluated as an array, as the library evaluates f: numpy's array power can differ
         # from the scalar one by an ulp
         return float(f.evaluate_many(np.array([mid]))[0])
-    if f.integral_mean is not None:
-        return float(f.integral_mean(a, b))
     total = adaptive_simpson(f.evaluate_many, lo, hi)
     return total / (hi - lo)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import timeit
 import tracemalloc
 
 import mpmath
@@ -415,7 +416,7 @@ def test_matrix_power_checks_its_reduction_exactly_when_c_is_the_identity(monkey
     eye = DoublyStochasticMatrix.identity(n)
     (honest,) = matrix_power_chain(b, eye, 2).identity_checks
     assert honest.name == "identity-reduction" and honest.ok
-    monkeypatch.setattr(apps, "pow_integral_mean", lambda b, c, p: 2.0 * (b + c))
+    monkeypatch.setattr(apps, "integral_mean", lambda f, b, c: 2.0 * (b + c))
     ch = matrix_power_chain(b, eye, 2)
     (check,) = ch.identity_checks
     assert check.name == "identity-reduction" and not check.ok
@@ -441,6 +442,29 @@ def test_matrix_power_reduction_takes_diagonal_zeros_and_ones_at_any_p(p):
     (check,) = ch.identity_checks
     assert ch.middle == pytest.approx(1.0 + 4.0 / (p + 1), rel=1e-15)
     assert check.rhs == pytest.approx(1.0 + 4.0 / (p + 1), rel=1e-15) and check.ok
+
+
+def test_matrix_power_identity_reduction_costs_the_support_only():
+    """B a permutation, C = I: the reduction reads the entries the middle is summed over, so
+    it allocates less than one n x n array and adds little to matrix_power_bounds."""
+    n, p = 675, 6
+    b = DoublyStochasticMatrix(np.eye(n)[np.random.default_rng(6).permutation(n)])
+    eye = DoublyStochasticMatrix.identity(n)
+    (check,) = matrix_power_chain(b, eye, p).identity_checks
+    assert check.name == "identity-reduction" and check.ok
+    tracemalloc.start()
+    try:
+        matrix_power_chain(b, eye, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+    def best(call):
+        return min(timeit.repeat(call, number=5, repeat=7))
+
+    assert best(lambda: matrix_power_chain(b, eye, p)) <= 1.5 * best(
+        lambda: matrix_power_bounds(b, eye, p))
 
 
 def test_matrix_power_one_by_one():

@@ -88,6 +88,45 @@ def test_hadamard_nodes_all_at_one_verify(tmp_path, capsys):
     assert report["slacks"]["hadamard_inner"] == 0.0 and report["slacks"]["hadamard_upper"] == 0.0
 
 
+def test_hadamard_weight_zero_verifies(tmp_path, capsys):
+    """A Hadamard node weight may be 0: only a negative one is refused."""
+    doc = dict(SQUARE_JENSEN, hadamard={"p": [0.0, 1.0, 2.0], "t": [0.2, 0.5, 0.9]})
+    assert main(["verify", write(tmp_path, "had0.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_row_sum_past_the_domain_is_named_with_both_row_sums(tmp_path, capsys):
+    """B is doubly stochastic within its tolerance, but its first row sum 0.50000000004 leaves
+    kyfan's (0, 1/2]; the other, C's 0.5, does not, so the check must take the larger end of
+    the two. The jensen form reaches the row-sum check; the kyfan application stops earlier,
+    at integral_mean's segment check."""
+    doc = {"application": "jensen", "function": {"name": "kyfan"}, "points": [0.5, 0.5],
+           "weights": {"B": [[0.50000000004, 0.50000000004], [0.49999999996, 0.49999999996]],
+                       "C": [[0.5, 0.5], [0.5, 0.5]]}}
+    assert main(["verify", write(tmp_path, "kyfan_edge.json", doc)]) == 2
+    assert ("row sums for row i=0 are 0.50000000004 and 0.5, outside the domain of kyfan"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("application, p, points", [
+    ("jensen", 1e5, [1.0, 1.00000001]),
+    ("jensen", 1e6, [1.0, 1.00000001]),
+    ("lp", 1e5, [[1.0], [1.00000001]]),
+])
+def test_steep_powers_on_nearly_equal_points_verify(tmp_path, capsys, application, p, points):
+    """Row sums 1e-8 apart, inside the band where f(midpoint) is off from A(t^p) by about
+    p^2 u^2 / 6: the closed form owns that band, so the middle meets its t-quadrature."""
+    doc = {"application": application, "points": points,
+           "weights": {"B": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 1.0], [1.0, 0.0]]}}
+    if application == "lp":
+        doc["p"] = p
+    else:
+        doc["function"] = {"name": "powp", "params": {"p": p}}
+    assert main(["verify", write(tmp_path, "steep.json", doc)]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["identity_checks"]
+    assert check["ok"] is True and check["rel_err"] <= 1e-10
+
+
 @pytest.mark.xfail(strict=True, reason="the t-quadrature's first panel misses the endpoint "
                    "spikes of t**p and (1-t)**p, so it accepts 0 at depth 0")
 def test_powp_at_a_huge_exponent_verifies(tmp_path, capsys):
@@ -364,7 +403,7 @@ def test_matrixpower_identity_reduction_is_a_reported_check(tmp_path, capsys, mo
     (check,) = json.loads(capsys.readouterr().out)["identity_checks"]
     assert check["name"] == "identity-reduction" and check["ok"] is True
     assert check["tol"] == cli.apps.MATRIX_COINCIDENCE_TOL
-    monkeypatch.setattr(cli.apps, "pow_integral_mean", lambda b, c, p: 2.0 * (b + c))
+    monkeypatch.setattr(cli.apps, "integral_mean", lambda f, b, c: 2.0 * (b + c))
     assert main(["verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from jensenchain import (
@@ -12,6 +14,7 @@ from jensenchain import (
     Interval,
     ValidationError,
     get_function,
+    integral_mean,
 )
 
 from conftest import check_direction
@@ -231,6 +234,104 @@ def test_harmonic_frac_mean_on_small_ends_at_moderate_q_against_mpmath():
         lo_m, hi_m = mpmath.mpf(x), mpmath.mpf(y)
         ref = 1 - (mpmath.log1p(hi_m) - mpmath.log1p(lo_m)) / (hi_m - lo_m)
         assert float(abs(mpmath.mpf(g) - ref)) <= 4 * math.ulp(float(ref)), (x, y)
+
+
+# ---------------------------------------------------------------------------
+# every closed form on batches that span its regimes, against 50 digits
+
+
+def _powp_top(p):
+    return DBL_MAX ** (1.0 / p) * (1.0 - 1e-12)  # the largest x with x ** p finite, or just under
+
+
+# label -> (spec, bottom, top, f and an antiderivative in mpmath, ulp): the points where f is
+# finite run from bottom to top; every value is within ulp units in the last place of
+# max(1, |A|)
+CLOSED_FORMS = {
+    "square": (get_function("square"), -SQRT_MAX, SQRT_MAX, lambda x, mp: x * x,
+               ANTIDERIVATIVE["square"], 4),
+    "exp": (get_function("exp"), -1e308, LN_MAX, lambda x, mp: mp.exp(x),
+            ANTIDERIVATIVE["exp"], 4),
+    "neglog": (get_function("neglog"), 5e-324, DBL_MAX, lambda x, mp: -mp.log(x),
+               ANTIDERIVATIVE["neglog"], 4),
+    "kyfan": (get_function("kyfan"), 5e-324, 0.5, lambda x, mp: mp.log1p(-x) - mp.log(x),
+              ANTIDERIVATIVE["kyfan"], 4),
+    "xlogx": (get_function("xlogx"), 5e-324, XLOGX_MAX, lambda x, mp: x * mp.log(x),
+              ANTIDERIVATIVE["xlogx"], 4),
+    "harmonic_frac": (get_function("harmonic_frac"), 0.0, DBL_MAX, lambda x, mp: x / (1 + x),
+                      ANTIDERIVATIVE["harmonic_frac"], 4),
+    **{
+        f"powp{p:g}": (get_function("powp", {"p": p}), 0.0, _powp_top(p),
+                       lambda x, mp, p=p: x ** p, lambda x, mp, p=p: x ** (p + 1) / (p + 1),
+                       p + 4)  # m ** p rounds by p ulp
+        for p in (1.0, 2.5, 20.0, 1e5)
+    },
+}
+REGIMES = ("equal", "band", "series", "direct", "overflow")
+
+
+def _point(rng, bottom, top):
+    """A point of [bottom, top]: in [-3, 3] or [0.05, 4] half the time, else spread over the
+    magnitudes of the whole range."""
+    if rng.random() < 0.5:
+        x = rng.uniform(-3.0, 3.0) if bottom < 0.0 else rng.uniform(0.05, 4.0)
+    elif bottom < 0.0:
+        x = rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-40.0, math.log(max(-bottom, top))))
+    else:
+        x = math.exp(rng.uniform(math.log(max(bottom, 1e-300)), math.log(top)))
+    return min(max(x, bottom), top)
+
+
+def _segment(rng, regime, bottom, top):
+    """(a, b) in a regime: equal ends, a relative gap inside the 1e-8 band (down to one ulp),
+    a gap past it up to 20%, independent ends, or one end next to the top of the range."""
+    a = _point(rng, bottom, top)
+    if regime == "equal":
+        b = a
+    elif regime in ("band", "series"):
+        low, high = (-16.0, -8.0) if regime == "band" else (-8.0, -0.7)
+        b = a * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(low, high))
+    elif regime == "direct":
+        b = _point(rng, bottom, top)
+    else:
+        b = top * (1.0 - 10.0 ** rng.uniform(-15.0, -0.5))
+    b = min(max(b, bottom), top)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+@st.composite
+def closed_form_batches(draw):
+    label = draw(st.sampled_from(sorted(CLOSED_FORMS)))
+    regimes = draw(st.lists(st.sampled_from(REGIMES), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bottom, top = CLOSED_FORMS[label][1:3]
+    a, b = np.array([_segment(rng, r, bottom, top) for r in regimes]).T
+    return label, a, b
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(closed_form_batches())
+def test_closed_forms_on_regime_batches_against_mpmath(drawn):
+    """A batch equals its segments one at a time bit for bit, integral_mean hands every segment
+    to the closed form, and each value is within a few ulp of max(1, |A|) from 50 digits: that
+    floor is the chain tolerance's, so the zeros of xlogx and kyfan are not relative blow-ups."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    label, a, b = drawn
+    f, _, _, f_mp, antiderivative, ulps = CLOSED_FORMS[label]
+    got = f.integral_mean(a, b)
+    one_by_one = np.array([float(f.integral_mean(x, y)) for x, y in zip(a, b)])
+    assert np.array_equal(got.view(np.int64), one_by_one.view(np.int64))
+    assert np.array_equal(integral_mean(f, a, b).view(np.int64), got.view(np.int64))
+    for x, y, g in zip(a.tolist(), b.tolist(), got.tolist()):
+        mx, my = mpmath.mpf(x), mpmath.mpf(y)
+        if x == y:
+            ref = f_mp(mx, mpmath)
+        else:
+            ref = (antiderivative(my, mpmath) - antiderivative(mx, mpmath)) / (my - mx)
+        bound = ulps * math.ulp(max(1.0, abs(float(ref))))
+        assert float(abs(mpmath.mpf(g) - ref)) <= bound, (label, x, y, g, float(ref))
 
 
 def test_direction_spot_check_passes_for_catalog():

@@ -104,9 +104,12 @@ def test_integral_mean_orientation_symmetry():
 
 
 def test_integral_mean_degenerate_band_returns_midpoint_value():
-    f = get_function("square")
+    """Only a function without a closed form takes f at the midpoint in the band."""
+    square = get_function("square")
+    f = ConvexFunctionSpec("bare_square", square.domain, square.direction, square.evaluate)
     a, b = 2.0, 2.0 + 1e-12
     assert integral_mean(f, a, b) == f.evaluate(0.5 * (a + b))
+    assert integral_mean(square, a, b) == float(square.integral_mean(a, b))
 
 
 @pytest.mark.parametrize("a, b", [(1e-10, 2e-10), (1e-7, 1.05e-7), (1e-3, 1.000005e-3)])
@@ -116,6 +119,27 @@ def test_integral_mean_band_is_relative_for_small_points(a, b):
     f = get_function("neglog")
     assert integral_mean(f, a, b) == -float(ln_identric(a, b))
     assert integral_mean(f, np.array([a]), np.array([b]))[0] == -float(ln_identric(a, b))
+
+
+def test_public_means_next_to_the_largest_double_against_mpmath():
+    """On (DBL_MAX, the double below it), the band midpoint is taken as a/2 + b/2, since a + b
+    overflows: every mean is within 4 ulp of 50 digits, with no warning."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    a, b = sys.float_info.max, math.nextafter(sys.float_info.max, 0.0)
+    x, y = mpmath.mpf(a), mpmath.mpf(b)
+    ln_i = (y * mpmath.log(y) - x * mpmath.log(x)) / (y - x) - 1
+    log_m = (y - x) / (mpmath.log(y) - mpmath.log(x))
+    a1 = (y * y - x * x) / (2 * (y - x))
+    cases = [(identric, (a, b), mpmath.exp(ln_i)), (logarithmic, (a, b), log_m),
+             (p_logarithmic, (a, b, 1.0), a1), (ln_identric, (a, b), ln_i),
+             (pow_integral_mean, (a, b, 1.0), a1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mean, args, ref in cases:
+            got = float(mean(*args))
+            assert abs(mpmath.mpf(got) - ref) <= 4 * math.ulp(float(ref)), mean.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ interpreter.
 The summary lists, per application (the first word of the operation's
 label), how many operations differ in exit code, stdout, ``--out`` bytes or
 first stderr line, the worst relative change of every numeric field of the
-JSON they print (list positions folded into ``[]``), and the numeric fields
-that only one tree prints, each with the number of leaves the change adds
-(``+``) or drops (``-``).  Then it names each differing operation.  Exit
+JSON they print (list positions folded into ``[]``), the worst absolute
+change of that field over the parent report's ``tolerance`` (the margin a
+verdict turns on; ``-`` where no report that moved it has one), and the
+numeric fields that only one tree prints, each with the number of leaves
+the change adds (``+``) or drops (``-``).  Then it names each differing operation.  Exit
 status: 0 when every operation agrees, 1 when some differ.
 """
 
@@ -123,9 +125,10 @@ def rel_change(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare(parent, change, worst, layout):
-    """Aspects in which two results differ; records numeric changes in worst[field] and the
-    leaves only one side prints in layout[(sign, field)]."""
+def compare(parent, change, worst, margin, layout):
+    """Aspects in which two results differ; records numeric changes in worst[field], their
+    size over the parent report's tolerance in margin[field], and the leaves only one side
+    prints in layout[(sign, field)]."""
     differ = [k for k in ASPECTS if parent[k] != change[k]]
     if "stdout" in differ or "out" in differ:
         for key, prefix in (("stdout", ""), ("out", "out:")):
@@ -135,9 +138,12 @@ def compare(parent, change, worst, layout):
             for sign, only in (("-", a.keys() - b.keys()), ("+", b.keys() - a.keys())):
                 for path in only:
                     layout[sign, fold(path)] += 1
+            tol = a.get(f"{prefix}.tolerance" if prefix else "tolerance")
             for path in a.keys() & b.keys():
                 field = fold(path)
                 worst[field] = max(worst.get(field, 0.0), rel_change(a[path], b[path]))
+                if tol and a[path] != b[path]:
+                    margin[field] = max(margin.get(field, 0.0), abs(a[path] - b[path]) / tol)
     return differ
 
 
@@ -151,7 +157,7 @@ def main(argv=None):
     trees = (source_dir(args.parent_src), source_dir(args.change_src))
 
     counts = defaultdict(lambda: dict.fromkeys(("ops", "same", *ASPECTS), 0))
-    worst = defaultdict(dict)
+    worst, margin = defaultdict(dict), defaultdict(dict)
     layout = defaultdict(Counter)
     listed = []
     with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
@@ -166,7 +172,7 @@ def main(argv=None):
                     app = a["label"].split("-")[0]
                     row = counts[app]
                     row["ops"] += 1
-                    differ = compare(a, b, worst[app], layout[app])
+                    differ = compare(a, b, worst[app], margin[app], layout[app])
                     row["same"] += not differ
                     for aspect in differ:
                         row[aspect] += 1
@@ -188,9 +194,12 @@ def main(argv=None):
     changed = [(app, field, v) for app in sorted(worst)
                for field, v in sorted(worst[app].items()) if v > 0.0]
     if changed:
-        print("\nworst relative change per numeric field (fields that moved)")
+        print("\nworst change per numeric field (fields that moved): relative, and absolute over "
+              "the parent's tolerance")
         for app, field, v in changed:
-            print(f"  {app:<12} {field:<32} {v:.3g}")
+            over_tol = margin[app].get(field)
+            print(f"  {app:<12} {field:<32} {v:<10.3g} "
+                  + ("-" if over_tol is None else f"{over_tol:.3g}"))
     if any(layout.values()):
         print("\nnumeric fields printed by one tree only (+ change, - parent): leaves")
         for app in sorted(layout):
