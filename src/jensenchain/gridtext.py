@@ -50,10 +50,16 @@ other text takes the general path.
 
 The general path is array-at-a-time over the bytes of the text:
 
-- a byte-class table gives the token bounds (maximal runs of number
-  characters), the commas and the brackets; every gap between two tokens
-  must hold exactly one comma, and the brackets must pair up around rows
-  of equal width w, with "]" "," "[" at each row break;
+- bytes: one deletion of every byte a grid may hold must leave nothing;
+  four byte searches say whether the text holds a sign or an exponent
+  mark at all;
+- tokens: the token bounds are the edges of the maximal runs of number
+  characters, and the brackets must pair up around rows of equal width w.
+  Every gap between two tokens must hold exactly one comma.  Where each
+  in-row token is followed at once by "," and each row's "]" too, as
+  json.dumps and generate print a grid, every gap holds a comma there, so
+  the commas are counted, not located; in any other layout they are
+  located, with "]" "," "[" at each row break;
 - a token of at most 8 bytes that matches -?(0|[1-9][0-9]*)([.][0-9]+)?
   (the "0.0" of a sparse grid, "-7", "12345678", "-1234.56") is checked
   and read from the one word that ends at its last byte: its at most 8
@@ -64,16 +70,22 @@ The general path is array-at-a-time over the bytes of the text:
   first: one that covers every token runs on the arrays themselves, with
   no index, gather or scatter, and one that covers none is skipped;
 - grammar: the '.', 'e'/'E' and sign bytes of each token fix its parts,
-  which are checked against the JSON number grammar;
-- SWAR digits: the integer, fraction and exponent digits are read eight
-  at a time from the unaligned 64-bit words that end at each run (D.
-  Lemire, "Number parsing at a gigabyte per second", Softw. Pract. Exp.
-  51(8), 2021);
+  which are checked against the JSON number grammar.  A text with no sign
+  or exponent byte skips their bookkeeping.  Where there are as many dots
+  as tokens and each token has one second after its sign (a grid of
+  decimals below 10 in magnitude, such as 1 + u v^T), the dots are looked
+  up there, not located;
+- SWAR digits: the fraction and any longer integer digits are read eight
+  at a time from the three words of the 24 bytes that end at each run,
+  fetched in one gather (D. Lemire, "Number parsing at a gigabyte per
+  second", Softw. Pract. Exp. 51(8), 2021); a one-digit integer part is
+  read from its byte;
 - zero or Eisel-Lemire: each value w * 10**q (w below 10**19) is a zero
   where w is 0, and otherwise the Eisel-Lemire algorithm on the 128-bit
   product of w and the leading 64 bits of 5**q (Lemire, above; as
   fast_float's compute_float, with the rare products whose rounding needs
-  the next 64 bits of 5**q left to float());
+  the next 64 bits of 5**q left to float()); the low word of the product
+  is formed only where the tie test reads it (-4 <= q <= 23);
 - float(): the few tokens left, such as those of more than 19
   significant digits, go to float() (or float(int()) for an integer
   token, as json gives an int), which rounds correctly; so do all of them
@@ -126,17 +138,11 @@ from .measures import freeze
 from .numerics import QUAD_BATCH_VALUES
 
 _U64 = np.uint64
-_PAD = b" " * 8
+_PAD = b" " * 24  # around a block's bytes, so that a window of 24 bytes ending in it is read
 
-# byte classes: the low bit marks a number character, _BAD any byte outside a grid
-_WS, _DIGIT, _COMMA, _DOT, _BRACKET, _MARK, _BAD = 0, 1, 2, 3, 4, 5, 8
-_CLASS = bytearray([_BAD]) * 256
-for _chars, _code in ((b" \t\n\r", _WS), (b"0123456789", _DIGIT), (b",", _COMMA),
-                      (b".", _DOT), (b"[]", _BRACKET), (b"eE+-", _MARK)):
-    for _c in _chars:
-        _CLASS[_c] = _code
-_CLASS = bytes(_CLASS)
-_MINUS, _PLUS, _OPEN, _CLOSE, _ZERO = b"-+[]0"
+# the bytes of a grid's text: deleting them leaves nothing of a text that holds no other
+_GRID_BYTES = b" \t\n\r0123456789,.[]eE+-"
+_MINUS, _PLUS, _OPEN, _CLOSE, _ZERO, _COMMA, _DOT = b"-+[]0,."
 _ALL = _U64(0xFFFFFFFFFFFFFFFF)
 _ZEROS = _U64(0x3030303030303030)
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
@@ -174,32 +180,27 @@ def _pow5_high():
     return np.array(high, dtype=_U64)
 
 
+# the digit values, the low nibbles, of the last c bytes of a word, for c in 0..8
+_DIGIT_BYTES = np.array([(-1 << 8 * (8 - c)) & 0x0F0F0F0F0F0F0F0F for c in range(9)], dtype=_U64)
+
+
 def _eight(word, count):
     """The values of the last min(count, 8) digits in each word; 0 where count is 0."""
     if (count >= 8).all():
-        return _combine(word - _ZEROS, np.empty_like(word))
-    keep = np.minimum(count, 8).astype(_U64)
-    np.subtract(_U64(8), keep, out=keep)
-    keep <<= _U64(3)  # the bits before the digits
-    np.left_shift(_ALL, keep, out=keep)
-    v = word & keep
-    keep &= _ZEROS
-    v -= keep  # one digit value per byte, first digit lowest
-    return _combine(v, keep)
+        return _combine(word & _DIGIT_BYTES[8])
+    return _combine(word & _DIGIT_BYTES[np.minimum(count, 8)])
 
 
-def _combine(v, tmp):
-    """The eight-digit values of words v of one digit value per byte, the first digit lowest;
-    v and tmp are overwritten, and v returned."""
-    np.right_shift(v, _U64(8), out=tmp)
-    v *= _U64(10)
-    v += tmp  # two-digit values in bytes 0, 2, 4 and 6
-    np.right_shift(v, _U64(16), out=tmp)
-    tmp &= _U64(0x000000FF000000FF)
-    tmp *= _U64(0x0000271000000001)
-    v &= _U64(0x000000FF000000FF)
-    v *= _U64(0x000F424000000064)
-    v += tmp
+def _combine(v):
+    """The eight-digit values of words v of one digit value per byte, the first digit lowest
+    (Lemire, above); v is overwritten and returned."""
+    v *= _U64(10 << 8 | 1)
+    v >>= _U64(8)  # two-digit values in bytes 0, 2, 4 and 6
+    v &= _U64(0x00FF00FF00FF00FF)
+    v *= _U64(100 << 16 | 1)
+    v >>= _U64(16)  # four-digit values in bytes 0-1 and 4-5
+    v &= _U64(0x0000FFFF0000FFFF)
+    v *= _U64(10000 << 32 | 1)
     v >>= _U64(32)
     return v
 
@@ -214,33 +215,44 @@ def _where(mask):
     return np.flatnonzero(mask) if count else None
 
 
-def _more_digits(words, ends, count, value):
-    """Add to value, the last eight of count <= 24 digits before each end, the digits 9 to 24
-    from the end; return the value of digits 17 to 24."""
-    top = np.zeros_like(value)
-    for shift in (8, 16):
-        more = _where(count > shift)
-        if more is None:
-            break
-        part = _eight(words[ends[more] - shift], count[more] - shift)
-        if shift == 16:
-            top[more] = part
-        part *= _POW10[shift]
-        value[more] += part
-    return top
+def _windows(padded, size):
+    """The view of padded, _PAD + text + _PAD as uint8, whose entry k holds the size <= 24
+    bytes of text before its byte k: one gather of these costs about what one gather of
+    unaligned uint64 words does, whatever the size."""
+    return np.ndarray((padded.size - 2 * len(_PAD) + 1,), dtype=f"V{size}", buffer=padded,
+                      offset=len(_PAD) - size, strides=(1,))
 
 
-def _mul128(a, b):
-    """(high, low) 64-bit halves of the products a * b of uint64 arrays; b is overwritten."""
+def _digits(padded, ends, count):
+    """(value, top) of the last count <= 24 digits before each end: value is that of the
+    digits (mod 2**64 past 19 digits), top that of the digits 17 to 24 from the end, None
+    where no token has more than 16.  The three words of 24 bytes are read in one gather."""
+    words = _windows(padded, 24)[ends].view("<u8").reshape(-1, 3)
+    value = _eight(words[:, 2], count)
+    top = None
+    most = count.max()
+    if most > 8:
+        part = _eight(words[:, 1], np.maximum(count - 8, 0))
+        part *= _U64(10**8)
+        value += part
+    if most > 16:
+        top = _eight(words[:, 0], np.maximum(count - 16, 0))
+        value += top * _U64(10**16)
+    return value, top
+
+
+def _mul128(a, b, low=True):
+    """(high, low) 64-bit halves of the products a * b of uint64 arrays, low None unless
+    asked for; b is overwritten."""
     mask = _U64(0xFFFFFFFF)
     a0, a1, b0 = a & mask, a >> _U64(32), b & mask
     b >>= _U64(32)
-    low = a0 * b0  # the four partial products, then the middle column
+    lo = a0 * b0  # the four partial products, then the middle column
     a0 *= b
     b0 *= a1
     a1 *= b
     high = a1
-    mid = low >> _U64(32)
+    mid = lo >> _U64(32)
     high += a0 >> _U64(32)
     high += b0 >> _U64(32)
     a0 &= mask
@@ -248,34 +260,48 @@ def _mul128(a, b):
     mid += a0
     mid += b0
     high += mid >> _U64(32)
-    low &= mask
+    if not low:
+        return high, None
+    lo &= mask
     mid <<= _U64(32)
-    low |= mid
-    return high, low
+    lo |= mid
+    return high, lo
+
+
+@functools.cache
+def _power2_base():
+    """floor(q * log2(10)) + 63 + 1023 for q in [_Q_MIN, _Q_MAX], as (217706 * q) >> 16 gives
+    it over this range: the biased binary exponent of w * 10**q, less the normalizing shift
+    of w, where the product's top bit is bit 126."""
+    q = np.arange(_Q_MIN, _Q_MAX + 1, dtype=np.int64)
+    return ((217706 * q) >> 16) + (63 + 1023)
 
 
 def _eisel_lemire(w, q):
     """(float64 bit patterns of w * 10**q, mask of those left undecided), for 0 < w < 2**64
     and q in [_Q_MIN, _Q_MAX]."""
-    bits = np.frexp(w.astype(float))[1].astype(_U64)  # the bit length, or one more after rounding
+    # the bit length, from the exponent of w as a double, or one more after its rounding
+    bits = w.astype(float).view(_U64) >> _U64(52)
+    bits -= _U64(1022)
     bits -= (w >> (bits - _U64(1))) == 0
-    lz = _U64(64) - bits
+    lz = np.subtract(_U64(64), bits, out=bits)
     w = w << lz
-    high, low = _mul128(w, _pow5_high()[q - _Q_MIN])
+    at = q - _Q_MIN
+    near = _where((q >= -4) & (q <= 23))  # 5**q fits 64 bits: w * 10**q may be a tie
+    high, low = _mul128(w, _pow5_high()[at], low=near is not None)
     undecided = (high & _U64(0x1FF)) == _U64(0x1FF)  # the next 64 bits of 5**q could carry in
     upper = high >> _U64(63)
     shift = upper + _U64(9)
     mant = high >> shift
-    # the biased binary exponent; (217706 * q) >> 16 is floor(q * log2(10)) over this q range
-    power2 = ((217706 * q) >> 16) + 63 + upper.astype(np.int64) - lz.astype(np.int64) + 1023
-    near = _where((q >= -4) & (q <= 23))  # 5**q fits 64 bits: w * 10**q may be a tie
+    power2 = np.subtract(upper, lz, out=lz).view(np.int64)  # the biased binary exponent
+    power2 += _power2_base()[at]
     if near is not None:
         m, h = mant[near], high[near]
         halfway = (low[near] <= 1) & ((m & _U64(3)) == 1) & ((m << shift[near]) == h)
         mant[near] -= halfway  # exactly between two doubles: round to even
-    sub = power2 <= 0
-    if sub.any():
+    if power2.min() <= 0:
         # subnormal: shift the extra bits out, then round
+        sub = power2 <= 0
         out = (1 - power2[sub]).astype(_U64)
         m = mant[sub] >> np.minimum(out, _U64(63))
         m[out >= 64] = 0
@@ -283,50 +309,68 @@ def _eisel_lemire(w, q):
         power2[sub] = 1  # 0 after the binade step below, unless the rounding reaches 2**52
     mant += mant & _U64(1)
     mant >>= _U64(1)
-    # a carry to 2**53 moves to the next binade, and a subnormal rounded up to 2**52 is
-    # the smallest normal
-    power2 += (mant >> _U64(52)).astype(np.int64) - 1
-    mant &= _U64((1 << 52) - 1)
+    # mant is in [2**52, 2**53], or below 2**52 for a subnormal: added to the exponent field
+    # less one, its top bit steps the exponent, so a carry to 2**53 moves to the next binade
+    # and a subnormal rounded up to 2**52 is the smallest normal
     inf = power2 >= 0x7FF
+    power2 -= 1
+    power2 <<= 52
+    mant += power2.view(_U64)
     if inf.any():
-        mant[inf] = 0
-        power2[inf] = 0x7FF
-    return (power2.astype(_U64) << _U64(52)) | mant, undecided
+        mant[inf] = _U64(0x7FF << 52)
+    return mant, undecided
 
 
-def _tokens(buf, cls):
-    """(starts, ends, rows, width) of the number tokens of buf, if buf is rows of single
-    tokens separated as JSON arrays; None otherwise."""
-    num = (cls & 1).view(bool)
+def _tokens(buf, plus):
+    """(starts, ends, rows, width, num) of the number tokens of buf, a text of grid bytes, if
+    buf is rows of single tokens separated as JSON arrays; None otherwise.  num marks the
+    number characters; plus says whether buf holds a "+"."""
+    # among the bytes of a grid, the number characters are "+" and the bytes above ",",
+    # less the brackets: "-", ".", the digits, "E" and "e"
+    bracket = np.bitwise_or(buf, 6) == 0x5F
+    num = buf > _COMMA
+    num ^= bracket
+    if plus:
+        num |= buf == _PLUS
     # buf[0] and buf[-1] are brackets, so the edges pair up
-    edges = np.flatnonzero(num[1:] != num[:-1]).astype(np.int32) + 1
+    edges = np.flatnonzero(num[1:] != num[:-1])
+    edges += 1
     starts, ends = edges[0::2], edges[1::2]
-    # every token but the last is followed by one comma, inside its row or after its row
-    commas = np.flatnonzero(cls == _COMMA)
-    if not (commas.size + 1 == starts.size
-            and (ends[:-1] <= commas).all() and (commas < starts[1:]).all()):
-        return None
-    brackets = np.flatnonzero(cls == _BRACKET)
+    brackets = np.flatnonzero(bracket)
+    del bracket
     opens, closes = brackets[0::2], brackets[1::2]
     rows = opens.size
     width = starts.size // rows if rows else 0
     if not (width and starts.size == rows * width and closes.size == rows
             and (buf[opens] == _OPEN).all() and (buf[closes] == _CLOSE).all()):
         return None
-    # each row's tokens lie inside its brackets, and each row break holds "]" "," "["
-    first, last = starts[::width], ends[width - 1 :: width]
-    gap = commas[width - 1 :: width]
-    if not ((opens < first).all() and (last <= closes).all()
-            and (closes[:-1] < gap).all() and (gap < opens[1:]).all()):
+    # each row's tokens lie inside its brackets
+    if not ((opens < starts[::width]).all() and (ends[width - 1 :: width] <= closes).all()):
         return None
-    return starts, ends, rows, width
+    # every token but the last is followed by one comma, inside its row or after its row:
+    # where each in-row token is followed at once by a comma and each row's "]" too, every
+    # gap holds a comma, so a count of one comma a gap leaves room for no other
+    gap = closes[:-1] + 1
+    if ((buf[ends].reshape(rows, width)[:, :-1] == _COMMA).all()
+            and (buf[gap] == _COMMA).all()):
+        commas = np.count_nonzero(buf == _COMMA)
+        return (starts, ends, rows, width, num) if commas + 1 == starts.size else None
+    commas = np.flatnonzero(buf == _COMMA)
+    if not (commas.size + 1 == starts.size
+            and (ends[:-1] <= commas).all() and (commas < starts[1:]).all()):
+        return None
+    # each row break holds "]" "," "["
+    gap = commas[width - 1 :: width]
+    if not ((closes[:-1] < gap).all() and (gap < opens[1:]).all()):
+        return None
+    return starts, ends, rows, width, num
 
 
 def _positions(at, starts, ends):
     """The position in at lying in each token, or -1; None if a token holds two."""
     if at.size == starts.size and (starts < at).all() and (at < ends).all():
         return at  # one in every token, as the dots of a grid of decimals
-    where = np.full(starts.size, -1, dtype=np.int32)
+    where = np.full(starts.size, -1, dtype=np.intp)
     who = _owner(at, starts)
     if who.size > 1 and not (who[1:] != who[:-1]).all():
         return None
@@ -339,22 +383,24 @@ def _owner(at, starts):
     return np.searchsorted(starts, at, side="right") - 1
 
 
-def _parts(buf, cls, starts, ends):
+def _parts(buf, padded, num, starts, ends, dot, mark):
     """The digit runs of each token, checked against the JSON number grammar
     -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?, as
     (int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg, is_float); None if a
-    token breaks it.  The fraction digits end at mant_end, the exponent digits at ends."""
+    token breaks it.  buf is the text in padded, _PAD + text + _PAD as uint8; dot and mark
+    mark the dots and the sign and exponent bytes of these tokens, mark is None where the
+    block holds none; so are exp_len, exp_neg and neg then.
+    The fraction digits end at mant_end, the exponent digits at ends."""
     ntok = starts.size
-    neg = np.zeros(ntok, dtype=bool)
-    exp_neg = np.zeros(ntok, dtype=bool)
-    exp_len = np.zeros(ntok, dtype=np.int32)
-    exp = np.full(ntok, -1, dtype=np.int32)  # the position of the e or E, or -1
-    mark = cls == _MARK
-    if mark.any():
+    neg = exp_len = exp_neg = None
+    has_exp = exp = None
+    if mark is not None and mark.any():
+        neg = np.zeros(ntok, dtype=bool)
+        exp_neg = np.zeros(ntok, dtype=bool)
         mark_at = np.flatnonzero(mark)
         marks = buf[mark_at]
         after_e = (buf[mark_at - 1] | 0x20) == ord("e")
-        at_start = (cls[mark_at - 1] & 1) == 0
+        at_start = ~num[mark_at - 1]
         minus = marks == _MINUS
         if not np.where(minus, at_start | after_e, (marks != _PLUS) | after_e).all():
             return None
@@ -366,38 +412,60 @@ def _parts(buf, cls, starts, ends):
         signed = mark_at[~is_exp & after_e]  # the sign of an exponent
         exp_owner = _owner(signed, starts)
         exp_neg[exp_owner] = buf[signed] == _MINUS
-        exp_len = np.where(exp >= 0, ends - exp - 1, 0)
+        has_exp = exp >= 0
+        exp_len = np.where(has_exp, ends - exp - 1, 0)
         exp_len[exp_owner] -= 1
-    has_exp = exp >= 0
-    dot = _positions(np.flatnonzero(cls == _DOT), starts, ends)
-    if dot is None:
-        return None
-    has_dot = dot >= 0
-    first = starts + neg
-    mant_end = np.where(has_exp, exp, ends)
-    int_end = np.where(has_dot, dot, mant_end)
+    first = starts if neg is None else starts + neg
+    # as many dots as tokens, each second after its sign, as in a grid of decimals below 10:
+    # every token holds one there, and no other; otherwise the dots are located.  The byte
+    # after a lone "-" may lie past the text, so it is read from padded
+    every_dot = (np.count_nonzero(dot) == ntok
+                 and (padded[first + (len(_PAD) + 1)] == _DOT).all())
+    if every_dot:
+        dot = first + 1
+    else:
+        dot_at = np.flatnonzero(dot)
+        dot = _positions(dot_at, starts, ends)
+        if dot is None:
+            return None
+        every_dot = dot is dot_at
+    mant_end = ends if exp is None else np.where(has_exp, exp, ends)
+    if every_dot:  # the dots end the integer parts
+        has_dot, int_end = True, dot
+        frac_len = mant_end - dot
+        frac_len -= 1
+        is_float = np.ones(ntok, dtype=bool)
+    else:
+        has_dot = dot >= 0
+        int_end = np.where(has_dot, dot, mant_end)
+        frac_len = np.where(has_dot, mant_end - dot - 1, 0)
+        is_float = has_dot if exp is None else has_dot | has_exp
     int_len = int_end - first
-    frac_len = np.where(has_dot, mant_end - dot - 1, 0)
-    multi = np.flatnonzero(int_len > 1)
-    if not (
-        (int_len >= 1).all()
-        and (buf[first[multi]] != _ZERO).all()
-        and (frac_len >= has_dot).all()
-        and (exp_len >= has_exp).all()
-        and (~(has_dot & has_exp) | (dot < exp)).all()
-    ):
+    if not (int_len.min() >= 1 and (frac_len >= has_dot).all()):
         return None
-    return int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg, has_dot | has_exp
+    if int_len.max() > 1:
+        multi = np.flatnonzero(int_len > 1)
+        if not (buf[first[multi]] != _ZERO).all():
+            return None
+    # with no dot, dot is -1 and lies before any exponent mark
+    if exp is not None and not ((exp_len >= has_exp).all() and (~has_exp | (dot < exp)).all()):
+        return None
+    return int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg, is_float
 
 
-def _values(words, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg, is_float):
-    """(float64 bit patterns of the tokens, indices of those left to float())."""
+def _values(padded, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg, neg,
+            is_float):
+    """(float64 bit patterns of the tokens, indices of those left to float()), for the
+    tokens of the text in padded, _PAD + text + _PAD as uint8; exp_len, exp_neg and neg are
+    None where no token has an exponent or a sign."""
     if ends.size < _ARRAY_MIN:
         return np.zeros(ends.size, dtype=_U64), np.arange(ends.size)
-    int_val = _eight(words[int_end], int_len)
-    frac_val = _eight(words[mant_end], frac_len)
-    _more_digits(words, int_end, np.minimum(int_len, 24), int_val)
-    frac_top = _more_digits(words, mant_end, np.minimum(frac_len, 24), frac_val)
+    if int_len.max() == 1:  # one digit each, read from its byte
+        int_val = padded[int_end + (len(_PAD) - 1)].astype(_U64)
+        int_val -= _U64(_ZERO)
+    else:
+        int_val = _digits(padded, int_end, np.minimum(int_len, 24))[0]
+    frac_val, frac_top = _digits(padded, mant_end, np.minimum(frac_len, 24))
     short = int_len + frac_len <= _LONGEST
     # w is int_val * 10**frac_len + frac_val where that has at most _LONGEST digits, and
     # frac_val, the significant digits, where the integer part is 0
@@ -413,25 +481,34 @@ def _values(words, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg,
             int_val += frac_val
             np.copyto(frac_val, int_val, where=short)
         w = frac_val
-        fits = short | (
-            zero_int & ((frac_len <= _LONGEST) | ((frac_len <= 24) & (frac_top < 1000))))
+        fits = frac_len <= _LONGEST
+        if frac_top is not None:
+            fits |= (frac_len <= 24) & (frac_top < 1000)
+        fits &= zero_int
+        fits |= short
     del int_val, frac_val, frac_top
-    slow = ~fits | (exp_len > 8)
+    slow = ~fits
     q = -frac_len
-    exps = _where(exp_len != 0)
-    if exps is not None:
-        e_val = _eight(words[ends[exps]], exp_len[exps]).astype(np.int32)
-        q[exps] += np.where(exp_neg[exps], -e_val, e_val)
-        slow |= (q < _Q_MIN) | (q > _Q_MAX)  # without an exponent, q is at least -24
+    if exp_len is not None:
+        slow |= exp_len > 8
+        exps = _where(exp_len != 0)
+        if exps is not None:
+            e_val = _eight(_windows(padded, 8)[ends[exps]].view("<u8"), exp_len[exps])
+            e_val = e_val.view(np.int64)
+            q[exps] += np.where(exp_neg[exps], -e_val, e_val)
+            slow |= (q < _Q_MIN) | (q > _Q_MAX)  # without an exponent, q is at least -24
 
-    bits = np.zeros(w.size, dtype=_U64)
     nonzero = w != 0
     idx = _where(nonzero & ~slow)
-    if idx is not None:
-        bits[idx], undecided = _eisel_lemire(w[idx], q[idx])
-        if undecided.any():
-            slow[np.flatnonzero(undecided) if isinstance(idx, slice) else idx[undecided]] = True
-    if neg.any():  # a zero is negative only as a float: json gives "-0" as the int 0
+    if isinstance(idx, slice):
+        bits, undecided = _eisel_lemire(w, q)
+        slow |= undecided
+    else:
+        bits = np.zeros(w.size, dtype=_U64)
+        if idx is not None:
+            bits[idx], undecided = _eisel_lemire(w[idx], q[idx])
+            slow[idx[undecided]] = True
+    if neg is not None and neg.any():  # a zero is negative only as a float: json gives "-0" as 0
         np.bitwise_or(bits, _U64(1 << 63), out=bits, where=neg & (is_float | nonzero))
     return bits, np.flatnonzero(slow)
 
@@ -487,7 +564,7 @@ def _short_tokens(last, size):
     scale >>= _U64(56)  # frac_len + 1, or 0 without a dot
     value = above.view(np.float64)
     if np.count_nonzero(digits):
-        w = _combine(digits, above)
+        w = _combine(digits)
         np.take(_POW10_F, scale.view(np.int64), mode="clip", out=value)
         np.divide(w, value, out=value)
     else:  # every token a zero, as in a sparse grid
@@ -575,50 +652,53 @@ def decode_rows(s, start, stop):
         raw = s[start:stop].encode("ascii")
     except UnicodeEncodeError:
         return None
-    # positions are int32
-    if not 3 <= len(raw) < 2**31 or raw[0] != _OPEN or raw[-1] != _CLOSE:
+    if len(raw) < 3 or raw[0] != _OPEN or raw[-1] != _CLOSE:
         return None
     uniform = _uniform(raw)
     if uniform is not None:
         return uniform
-    cls = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
-    if cls.max() >= _BAD:
+    if raw.translate(None, _GRID_BYTES):  # a byte that no grid holds
         return None
+    plus = b"+" in raw
+    marked = plus or b"-" in raw or b"e" in raw or b"E" in raw
     padded = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
     del raw
-    buf = padded[8:-8]
-    found = _tokens(buf, cls)
+    buf = padded[len(_PAD) : -len(_PAD)]
+    found = _tokens(buf, plus)
     if found is None:
         return None
-    starts, ends, rows, width = found
-    # words[k] is buf[k-8:k]
-    words = np.ndarray((buf.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    starts, ends, rows, width, num = found
     size = ends - starts
     short = np.count_nonzero(size <= 8)
     if short:
-        bits, admitted, scale, neg = _short_tokens(words[ends], size)
+        bits, admitted, scale, neg = _short_tokens(_windows(padded, 8)[ends].view("<u8"), size)
         short = np.count_nonzero(admitted)
         if not short:
             del bits, admitted, scale, neg
     del size
     if short == starts.size:
         return bits.view(np.float64).reshape(rows, width)
+    dot = buf == _DOT
+    mark = None
+    if marked:  # the sign and exponent bytes: the number characters outside "." to "9"
+        mark = np.subtract(buf, _DOT) > 11
+        mark &= num
     if short:
         # the long path reads only the other tokens, so the dots and signs of the admitted
-        # ones leave cls
-        cls = cls.copy()
+        # ones leave its masks
         dotted = scale != 0
         dotted &= admitted
-        cls[np.subtract(ends, scale, out=scale)[dotted]] = _DIGIT
-        cls[starts[admitted & neg]] = _DIGIT
+        dot[np.subtract(ends, scale, out=scale)[dotted]] = False
+        if mark is not None:
+            mark[starts[admitted & neg]] = False
         long = np.flatnonzero(~admitted)
         del admitted, scale, neg, dotted
         starts, ends = starts[long], ends[long]
-    parts = _parts(buf, cls, starts, ends)
+    parts = _parts(buf, padded, num, starts, ends, dot, mark)
     if parts is None:
         return None
-    del cls
-    long_bits, slow = _values(words, ends, *parts)
+    del num, dot, mark
+    long_bits, slow = _values(padded, ends, *parts)
     values = long_bits.view(np.float64)
     tokens = [s[start + a : start + b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
     try:

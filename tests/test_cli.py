@@ -137,6 +137,19 @@ def test_powp_at_a_huge_exponent_verifies(tmp_path, capsys):
     assert main(["verify", write(tmp_path, "powp.json", doc)]) == 0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the t-quadrature's per-panel tolerance "
+                   "halves with each depth, and on the near-overflow panel of this exp row "
+                   "the residual does not keep up")
+def test_exp_near_overflow_with_a_swap_verifies(tmp_path, capsys):
+    """exp on [696.278..., -708.493...] with C the swap is valid, with finite Jensen sides,
+    but exits 2 with 'adaptive quadrature did not converge on [0.9998638379156546,
+    0.9998638379165641] (residual 2.493e+276 at depth 40)'.  It is a fixed witness of what
+    test_cli_verifies_catalog_functions_near_overflow can draw at random."""
+    doc = {"function": {"name": "exp"}, "points": [696.2780766596751, -708.4934446365237],
+           "weights": AGM_ANCHOR["weights"]}
+    assert main(["verify", write(tmp_path, "exp.json", doc)]) == 0
+
+
 def test_verify_jensen_closed_form_holds_at_small_points(tmp_path, capsys):
     """neglog on [1e-10, 2e-10]: each row's segment is 1e-10 long but spans a ratio of 2, so
     the closed-form t-average must match its quadrature (it was 0.08% off, and exited 1)."""

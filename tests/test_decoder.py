@@ -693,3 +693,109 @@ def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
     for ends in handed:  # once at _ARRAY_MIN 0, once at the module's
         assert ends.tolist() == long_ends
     assert len(handed) == 2
+
+
+# ---------------------------------------------------------------------------
+# layouts read without locating the commas or the dots: each in-row token followed at once by
+# ",", each row's "]" by ","; each token's dot second after its sign.  Every other layout
+# takes the located scans, block by block.
+
+HUGGING_TOKENS = st.one_of(
+    st.floats(0.1, 9.9).map(repr),  # one integer digit, its dot looked up
+    st.floats(-9.9, -0.1).map(repr),
+    st.floats(10.0, 1e6).map(repr),  # a multi-digit integer part: the dots are located
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**12), 10**12).map(str),
+    st.sampled_from(["-0", "-0.0", "-0.000000000000", "-0e0", "1.5e-7", "0.12345678901234567"]),
+)
+# the separator inside a row, and the one between rows
+HUGGING_LAYOUTS = st.sampled_from([(", ", "], ["), (",", "],["),
+                                   (",\n      ", "\n    ],\n    [\n      ")])
+
+
+@st.composite
+def hugging_grids(draw):
+    """Rows of numbers laid out as json.dumps or generate prints them, with at most one gap
+    or row break out of that layout."""
+    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    sep, brk = draw(HUGGING_LAYOUTS)
+    cells = [[draw(HUGGING_TOKENS) for _ in range(width)] for _ in range(rows)]
+    text = brk.join(sep.join(row) for row in cells)
+    cuts = [m.start() for m in re.finditer(",", text)]
+    edit = draw(st.sampled_from(["none", "none", "space", "double", "drop", "trail"]))
+    if cuts and edit != "none":
+        at = draw(st.sampled_from(cuts))
+        text = text[:at] + {"space": " ,", "double": ",,", "drop": " ", "trail": ",]"}[edit] \
+            + text[at + 1 :]
+    return "[" + text + "]"
+
+
+@DIFFERENTIAL
+@given(hugging_grids())
+def test_grids_hugging_their_separators_decode_like_json_across_blocks(text):
+    kernel(text)
+    assert_decodes_like_json("[" + text + "]")
+
+
+def long_tokens(text):
+    """text with zeros after the last digit of each decimal, so that it is a long token."""
+    return re.sub(r"-?[0-9][.0-9]*(?![.0-9eE])",
+                  lambda m: m[0] + "0" * 9 if "." in m[0] else m[0], text)
+
+
+@pytest.mark.parametrize("text", [
+    # hugs its separators but for one gap, in a row and at a row break
+    "[1.5, 2.25, 3.125 , 4.5], [5.5, 6.5, 7.5, 8.5]",
+    "[1.5, 2.25, 3.125, 4.5] , [5.5, 6.5, 7.5, 8.5]",
+    "[1.5, 2.25, 3.125, 4.5],\n[5.5, 6.5, 7.5, 8.5]",
+    "[1.5,2.25,3.125,4.5],[5.5,6.5,7.5,8.5]",
+    # the only multi-digit integer part is the last token's
+    "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7.5, 12.5]",
+    # a token without a dot, so the dots are located
+    "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7, 12.5]",
+    # -0 and -0.0 among signed tokens: json gives -0 as the int 0, -0.0 as a float
+    "[-0, -0.0, -1.5, 0.5], [-0.000, -0e0, -0.0e5, -7]",
+])
+def test_layouts_beside_the_hugging_ones_decode_like_json(text):
+    for t in (text, long_tokens(text)):
+        kernel(t)
+        assert_decodes_like_json("[" + t + "]")
+
+
+@pytest.mark.parametrize("text", [
+    "[1.5000000001, 2.5000000001,], [3.5000000001, 4.5000000001]",
+    "[1.5000000001, 2.5000000001] [3.5000000001, 4.5000000001]",
+    "[1.5000000001, 2.5000000001], [3.5000000001, 4.5000000001],",
+    "[1.5000000001,, 2.5000000001], [3.5000000001, 4.5000000001]",
+    # as many commas as gaps, one of them in the wrong gap
+    "[1.5000000001,, 2.5000000001] [3.5000000001, 4.5000000001]",
+    "[1.5000000001, 2.5000000001,] [3.5000000001, 4.5000000001]",
+    # as many dots as tokens, two in one token, and a lone "-" last in the block
+    "[1..5, -]",
+    "[1.., -]",
+])
+def test_a_stray_or_missing_comma_is_refused_as_json_refuses_it(text):
+    assert kernel(text) is None
+    assert_decodes_like_json("[" + text + "]")
+    with pytest.raises(json.JSONDecodeError):
+        gridtext.loads("[" + text + "]")
+
+
+def test_signed_zeros_in_signed_blocks_of_long_tokens():
+    text = ("[-0, -0.0, -1.2345678901, 0.5], [-0.000000000000, -0e0, -0.0e5, 1],"
+            " [0, 0.0, 1.2345678901, -2.5]")
+    decoded = kernel(text)
+    assert np.signbit(decoded).tolist() == [[False, True, True, False], [True, True, True, False],
+                                             [False, False, False, True]]
+
+
+@pytest.mark.parametrize("block_values", [4, 8])
+def test_a_block_without_signs_beside_a_signed_one(block_values):
+    unsigned = [[1.25 + k / 7 for k in range(4)] for _ in range(3)]
+    signed = [[-1.25 - k / 7, 0.5, -0.0, 9.75] for k in range(3)]
+    for grid in (unsigned + signed, signed + unsigned):
+        text = json.dumps({"C": grid})
+        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values), \
+                mock.patch.object(gridtext, "_ARRAY_MIN", 0):
+            decoded = gridtext.loads(text)["C"]
+        assert decoded.tobytes() == np.array(grid).tobytes()

@@ -385,6 +385,29 @@ def test_holds_is_the_one_verdict_and_passed_uses_the_floor():
     assert not tight.holds(1e-11)
 
 
+@pytest.mark.parametrize("side", ["slack_lower", "slack_upper"])
+def test_holds_at_exactly_minus_tol_and_not_one_ulp_below(side):
+    tol = 0.1
+    slacks = {"slack_lower": 0.0, "slack_upper": 0.0, side: -tol}
+    assert refine.RefinementChain(1.0, 1.5, 2.0, tol=tol, **slacks).holds(tol)
+    slacks[side] = math.nextafter(-tol, -math.inf)
+    assert not refine.RefinementChain(1.0, 1.5, 2.0, tol=tol, **slacks).holds(tol)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 3)])
+def test_live_pairs_lists_exactly_half_the_grid_and_no_more(shape):
+    size = shape[0] * shape[1]
+    half = size // 2
+    for in_a in (half, half // 2):  # every live entry in a, then some in a and the rest in b
+        a, b = np.zeros(size), np.zeros(size)
+        a[:in_a] = 1.0
+        b[in_a:half] = 2.0
+        pairs = refine.live_pairs(a.reshape(shape), b.reshape(shape))
+        assert pairs is not None and pairs.tolist() == list(range(half)), in_a
+        b[half] = 3.0
+        assert refine.live_pairs(a.reshape(shape), b.reshape(shape)) is None, in_a
+
+
 # ---------------------------------------------------------------------------
 # convexity check and tighten
 

@@ -10,13 +10,18 @@ json.dumps, as perfbench/corpus.py writes the documents of the benchmark:
 - rank-one: 1 + u v^T, n x n, dense 17-digit decimals;
 - tall: a 40000 x 1 column of uniform draws in [0, 1).
 
-The last two are printed by f-strings:
+The others are printed by f-strings:
 
 - generated: rows of uniform draws scaled to sum to 1, values of about 1/n, n x n,
   printed %.17g as `jensenchain generate ds` prints its grids: tokens of up to 22
   characters with leading zeros, and "e-" tokens below 1e-4;
 - rounded: uniform draws in [-1, 1), n x n, printed with 9 decimals ("%.9f"): 11 and 12
-  character tokens, whose signs keep the grid off the uniform-layout path.
+  character tokens, whose signs keep the grid off the uniform-layout path;
+- pretty: the rank-one grid printed %.17g one number a line, nested as
+  `jensenchain generate weight` writes its grids, so every row break is "]" "," after a
+  line of indentation;
+- spaced: the rank-one grid as json.dumps prints it, with a space before every "," and
+  "]", a layout whose commas the decoder must locate.
 
 Every decode is checked bit for bit against np.array(json.loads(text)); a mismatch
 exits 1.  A repetition times one gridtext.loads call of each family, with the time
@@ -91,6 +96,11 @@ def families(seed, n, tall):
                              ("rounded", rng.uniform(-1.0, 1.0, (n, n)), ".9f")):
         texts[name] = "[" + ", ".join(
             "[" + ", ".join(f"{v:{form}}" for v in row) + "]" for row in grid.tolist()) + "]"
+    rows = grids["rank-one"].tolist()
+    texts["pretty"] = "[\n  [\n    " + "\n  ],\n  [\n    ".join(
+        ",\n    ".join(f"{v:.17g}" for v in row) for row in rows) + "\n  ]\n]"
+    texts["spaced"] = "[" + ", ".join(
+        "[" + " , ".join(repr(v) for v in row) + " ]" for row in rows) + "]"
     return texts
 
 
