@@ -69,15 +69,17 @@ _NDIM = {
 
 
 def _load_document(path: str) -> dict:
+    """The JSON object in the file at path, read as bytes: gridtext.loads reads its long
+    grids from them, so the file's text is never held as a whole str beside them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
-        doc = gridtext.loads(text)
+        doc = gridtext.loads(data)
+    except UnicodeDecodeError as exc:  # a ValueError too, so first
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -1,33 +1,54 @@
 """JSON text, both ways: documents in, with grids decoded to float64 bit for bit as json.loads
 would, and reports out, each number at 17 significant digits as %.17g prints it.
 
-loads(text) is json.loads, except that NaN, Infinity and -Infinity are
+loads(data) is json.loads, except that NaN, Infinity and -Infinity are
 refused (ValidationError) and that every array of equal-length, non-empty
 rows of numbers not nested in another array becomes one read-only 2-D
-float64 array, bit for bit np.array(json.loads(text), dtype=float).
-Objects and strings go through json's Python scanner, so that every array
-reaches the grid reader (a document nested too deeply for it is read
-again, whole, by the C scanner):
+float64 array, bit for bit np.array(json.loads(text), dtype=float).  data
+is a str, or the bytes of a file, read as a file opened in text mode reads
+them: UTF-8, with "\r\n" and "\r" read as "\n".
+
+From bytes, each grid of more than QUAD_BATCH_VALUES bytes that opens the
+document or follows a ":" (where json's array hook meets an array, when the
+":" ends a key) is read from the bytes by the grid reader below, and only
+the text between those grids becomes a str, with a stand-in "[]" at each
+grid's place: the scanner takes the grid where it meets its stand-in as an
+array value.  A stand-in it does not meet so (one in a string, or in an
+array that the C scanner reads), and any error, sends the whole document to
+the text path, decoded from UTF-8 as above, so every value and every
+message is json's.  So the text of a document is never held whole as a str
+beside its bytes.
+
+On text, objects and strings go through json's Python scanner, so that
+every array reaches the grid reader (a document nested too deeply for it is
+read again, whole, by the C scanner):
 
 - an array whose text is shorter than QUAD_BATCH_VALUES characters holds
   less than one block of values, so the C scanner reads it whole and a
   grid is converted at once;
-- a longer grid is cut into blocks of rows by characters, so no row is
-  visited from Python, and decode_rows turns the text of each block into
-  float64 directly: the grid never exists as Python floats.  A block runs
-  to the first "]" past the characters of QUAD_BATCH_VALUES values, at
-  the first row's (then the last block's) characters per value; inside
-  the grid that "]" ends a row.  A block that runs past the grid holds
-  what follows it in an object, a quote or a brace, which decode_rows
-  refuses before any other work; it is cut again at the grid's end, as is
-  a block with no "]" after it.  A row wider than a block is its own
-  block, read in pieces of about a block's characters cut at commas;
-- any other long array, and any block decode_rows declines, is read again
-  by the C scanner from the array's opening bracket: that gives the same
-  list, or raises the same error, as json.loads.
+- a longer grid is read from the bytes of its text through the first "]"
+  "]" (the end of a grid's last row and of the grid), a block of rows at a
+  time.
 
-decode_rows(s, start, stop) takes a text = s[start:stop] such as
-'[1.5, 0], [-2e-3, 7]': one or more rows of JSON numbers, each in
+The grid reader cuts a grid into blocks of rows by characters, so no row is
+visited from Python, and decode_rows turns the bytes of each block into
+float64 directly: the grid never exists as Python floats.  A block runs to
+the first "]" past the characters of QUAD_BATCH_VALUES values, at the
+first row's (then the last block's) characters per value; inside the grid
+that "]" ends a row.  A block that runs past the grid holds what follows it
+in an object, a quote or a brace, which decode_rows refuses before any
+other work; it is cut again at the grid's end, as is a block with no "]"
+after it.  A row wider than a block is its own block, read in pieces of
+about a block's characters cut at commas.  Each block is written into one
+float64 array that owns its data, sized first for a square grid (or the
+rows the bytes left hold at the first row's length) and grown or shrunk in
+place, so that a grid is never held beside its blocks.  Any other long
+array, and any block decode_rows declines, is read again by the C scanner
+from the array's opening bracket: that gives the same list, or raises the
+same error, as json.loads.
+
+decode_rows(s, start, stop) takes the bytes of a text = s[start:stop] such as
+b'[1.5, 0], [-2e-3, 7]': one or more rows of JSON numbers, each in
 brackets, separated by commas, with any JSON whitespace around the tokens.
 It returns the 2-D float64 array equal to
 np.array(json.loads("[" + text + "]"), dtype=float), or None when the text
@@ -127,6 +148,7 @@ OOPSLA 2019:
 """
 
 import functools
+import io
 import json
 import re
 from json.encoder import encode_basestring_ascii
@@ -646,12 +668,9 @@ def _uniform(raw):
 
 
 def decode_rows(s, start, stop):
-    """s[start:stop], rows of JSON numbers, as a 2-D float64 array; None if it is not (see
-    the module doc)."""
-    try:
-        raw = s[start:stop].encode("ascii")
-    except UnicodeEncodeError:
-        return None
+    """The bytes s[start:stop], rows of JSON numbers, as a 2-D float64 array; None if they
+    are not (see the module doc)."""
+    raw = s[start:stop]
     if len(raw) < 3 or raw[0] != _OPEN or raw[-1] != _CLOSE:
         return None
     uniform = _uniform(raw)
@@ -721,10 +740,13 @@ def _refuse_constant(name):
 
 
 class _GridDecoder(json.JSONDecoder):
-    """json.JSONDecoder whose arrays go through _parse_array (see the module doc)."""
+    """json.JSONDecoder whose arrays go through _parse_array (see the module doc); with
+    stand_ins, {position in the text: grid}, it reads the text between the grids that
+    _decode_bytes read, and takes each grid at its stand-in."""
 
-    def __init__(self):
+    def __init__(self, stand_ins=None):
         super().__init__(parse_constant=_refuse_constant)
+        self._stand_ins = stand_ins
         self._c_scan = json.scanner.c_make_scanner(self)
         self.parse_array = self._parse_array
         self.scan_once = json.scanner.py_make_scanner(self)
@@ -738,6 +760,8 @@ class _GridDecoder(json.JSONDecoder):
         try:
             return super().raw_decode(s, idx)
         except RecursionError:
+            if self._stand_ins is not None:
+                raise  # the C scanner would read each stand-in as an empty list
             # the Python scanner spends more stack per nested object than the C scanner
             try:
                 return self._c_scan(s, idx)
@@ -747,12 +771,16 @@ class _GridDecoder(json.JSONDecoder):
     def _parse_array(self, s_and_end, scan_once):
         s, end = s_and_end
         start = end - 1  # the opening bracket
+        if self._stand_ins is not None:
+            found = self._stand_ins.pop(start, None)
+            if found is not None:
+                return freeze(found), start + len(_STAND_IN)
         head = s[start : start + QUAD_BATCH_VALUES]
         found = None
         # a grid ends in "]" "]": where a full head holds no such end, no grid closes inside it
         # and the head is not scanned (any other array is the full scan's below, which gives
         # what the head's scan gives, as _number_block leaves it as it is)
-        if len(head) < QUAD_BATCH_VALUES or _GRID_END.search(head):
+        if len(head) < QUAD_BATCH_VALUES or _TEXT_GRID_END.search(head):
             try:
                 value, stop = self._c_scan(head, 0)
             except (json.JSONDecodeError, StopIteration):  # longer than the head, or malformed
@@ -760,7 +788,7 @@ class _GridDecoder(json.JSONDecoder):
             else:
                 found = _number_block(value, head[:stop]), start + stop
         if found is None:
-            found = _read_grid(s, end)
+            found = _read_text_grid(s, end)
             if found is None:
                 return self._c_scan(s, start)
         value, stop = found
@@ -769,29 +797,93 @@ class _GridDecoder(json.JSONDecoder):
         return value, stop
 
 
+def _decode_bytes(data):
+    """The document in data, its long grids read from the bytes (see the module doc)."""
+    parts, stand_ins, at, size = [], {}, 0, 0
+    for start, stop, grid in _long_grids(data):
+        parts.append(data[at:start].decode("utf-8"))
+        size += len(parts[-1])
+        stand_ins[size] = grid
+        parts.append(_STAND_IN)
+        size += len(_STAND_IN)
+        at = stop
+    parts.append(data[at:].decode("utf-8"))
+    value = _GridDecoder(stand_ins).decode("".join(parts))
+    if stand_ins:  # one lay in a string or in an array, where json reads no grid
+        raise _Reread
+    return value
+
+
+class _Reread(Exception):
+    """A stand-in of _decode_bytes was not taken where its grid stood: read the text."""
+
+
+# what a grid read from the bytes stands in for in the text: an array, with no quote,
+# backslash or control character, as the grid's own text has none
+_STAND_IN = "[]"
+# a long grid that json's array hook may see: at the start of a document or after a ":"
+_VALUE_GRID = re.compile(rb"[ \t\n\r]*(\[)[ \t\n\r]*\[")
 # the end of a grid: its last row's "]", whitespace, and the grid's own "]"
-_GRID_END = re.compile(r"\][ \t\n\r]*\]")
+_GRID_END = re.compile(rb"\][ \t\n\r]*\]")
+_TEXT_GRID_END = re.compile(r"\][ \t\n\r]*\]")
+_SPACE = re.compile(rb"[ \t\n\r]*").match
+
+
+def _long_grids(data):
+    """(start, stop, grid) of each grid of more than QUAD_BATCH_VALUES bytes that opens the
+    document or follows a ":", in order."""
+    pos = 0
+    while True:
+        candidate = _VALUE_GRID.match(data, pos)
+        # a grid ends at its first "]" "]", so one that ends within a block's bytes is left to
+        # the scanner, which reads it whole, as is any array with a "]" "]" there
+        if candidate and not _GRID_END.search(data, pos, candidate.start(1) + QUAD_BATCH_VALUES):
+            start = candidate.start(1)
+            found = _read_grid(data, start + 1)
+            if found is not None:
+                pos = found[1]
+                yield start, pos, found[0]
+        pos = data.find(b":", pos) + 1
+        if not pos:
+            return
+
+
+def _read_text_grid(s, end):
+    """_read_grid on the array whose body starts at s[end], a str: on the bytes of its text
+    through the first "]" whitespace "]", where a grid ends."""
+    if not s.startswith("[", json.decoder.WHITESPACE.match(s, end).end()):
+        return None
+    grid_end = _TEXT_GRID_END.search(s, end)
+    if grid_end is None:
+        return None
+    try:
+        raw = s[end - 1 : grid_end.end()].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    found = _read_grid(raw, 1)
+    return None if found is None or found[1] != len(raw) else (found[0], grid_end.end())
 
 
 def _read_grid(s, end):
-    """(2-D float64 array, end) of the array whose body starts at s[end], read a block at a
-    time; None if it is not a grid of numbers."""
-    ws = json.decoder.WHITESPACE.match
-    pos = ws(s, end).end()
-    first_close = s.find("]", pos)
-    if not s.startswith("[", pos) or first_close < 0:
+    """(2-D float64 array, end) of the array whose body starts at s[end], s bytes, read a
+    block at a time into one array grown in place; None if it is not a grid of numbers."""
+    pos = _SPACE(s, end).end()
+    first_close = s.find(b"]", pos)
+    if not s.startswith(b"[", pos) or first_close < 0:
         return None
-    width = s.count(",", pos, first_close) + 1
+    width = s.count(b",", pos, first_close) + 1
     if width > QUAD_BATCH_VALUES:
         # decoded in pieces of about a block of characters
         piece, chars = (first_close - pos) * QUAD_BATCH_VALUES // width, 1
-        decode = functools.partial(_wide_row, chars=piece)
+        decode = functools.partial(_wide_row, chars=piece, width=width)
     else:
         piece, chars = 0, (first_close + 1 - pos) * -(-QUAD_BATCH_VALUES // width)
         decode = decode_rows
-    blocks = []
+    top = pos
+    # as many rows as a square grid has, or as the bytes left hold at the first row's length
+    grid, rows = np.empty((min(width, (len(s) - pos) // (first_close + 1 - pos)), width)), 0
     while True:
-        stop = s.find("]", pos + chars - 1) + 1
+        stop = s.find(b"]", pos + chars - 1) + 1
         block = decode(s, pos, stop) if stop else None
         if block is None:
             grid_end = _GRID_END.search(s, pos, stop or len(s))
@@ -801,36 +893,48 @@ def _read_grid(s, end):
             block = decode(s, pos, stop)
             if block is None:
                 return None
-        if blocks and block.shape[1] != blocks[0].shape[1]:
+        if block.shape[1] != width:
             return None
-        blocks.append(block)
+        if rows + block.shape[0] > grid.shape[0]:
+            # as many rows as the bytes left hold at the rows' length so far, at most twice
+            # as many as before
+            more = (len(s) - stop) * (rows + block.shape[0]) // (stop - top)
+            grid.resize((rows + block.shape[0] + min(more, grid.shape[0]), width),
+                        refcheck=False)
+        grid[rows : rows + block.shape[0]] = block
+        rows += block.shape[0]
         if not piece:
             chars = (stop - pos) * QUAD_BATCH_VALUES // block.size + 1
-        after = ws(s, stop).end()
-        if s.startswith("]", after):
-            return np.concatenate(blocks), after + 1
-        if not s.startswith(",", after):
+        del block  # freed before the next block is decoded
+        after = _SPACE(s, stop).end()
+        if s.startswith(b"]", after):
+            if rows < grid.shape[0]:
+                grid.resize((rows, width), refcheck=False)
+            return grid, after + 1
+        if not s.startswith(b",", after):
             return None
-        pos = ws(s, after + 1).end()
+        pos = _SPACE(s, after + 1).end()
 
 
-def _wide_row(s, start, stop, chars):
-    """The row s[start:stop] as a 1 x width float64 array, decoded a piece of at most about
-    chars characters at a time, each cut at a comma; None if it is not a row of numbers."""
-    if not s.startswith("[", start):
+def _wide_row(s, start, stop, chars, width):
+    """The row s[start:stop] of width numbers as a 1 x width float64 array, decoded a piece
+    of at most about chars characters at a time, each cut at a comma; None if it is not a
+    row of width numbers."""
+    if not s.startswith(b"[", start):
         return None
-    pieces, first = [], start + 1
+    row, done, first = np.empty((1, width)), 0, start + 1
     while True:
-        cut = s.rfind(",", first, first + chars) if first + chars < stop - 1 else -1
-        text = "[" + s[first : cut if cut >= 0 else stop - 1] + "]"
+        cut = s.rfind(b",", first, first + chars) if first + chars < stop - 1 else -1
+        text = b"[" + s[first : cut if cut >= 0 else stop - 1] + b"]"
         piece = decode_rows(text, 0, len(text))
-        if piece is None:
+        if piece is None or done + piece.shape[1] > width:
             return None
-        pieces.append(piece)
+        row[:, done : done + piece.shape[1]] = piece
+        done += piece.shape[1]
         if cut < 0:
-            return np.concatenate(pieces, axis=1)
+            return row if done == width else None
         # past the whitespace after the cut, so that a piece of a uniform row lays out as the row
-        first = json.decoder.WHITESPACE.match(s, cut + 1).end()
+        first = _SPACE(s, cut + 1).end()
 
 
 def _number_block(value, text):
@@ -847,7 +951,23 @@ def _number_block(value, text):
     return block if block.ndim == 2 else value  # rows of equal-length rows are 3-D
 
 
-loads = _GridDecoder().decode
+_DECODER = _GridDecoder()
+
+
+def loads(data):
+    """The document in data, JSON text as bytes (UTF-8, as a file holds it) or as a str, with
+    its grids as read-only float64 arrays (see the module doc)."""
+    if isinstance(data, str):
+        return _DECODER.decode(data)
+    if len(data) > QUAD_BATCH_VALUES:  # else it holds no grid longer than a block
+        try:
+            return _decode_bytes(data)
+        except (ValueError, RecursionError, _Reread):
+            pass
+    # as the text a file opened in text mode gives, so that every value and every error is
+    # json's: a UnicodeDecodeError at the file's byte, a line and column after "\r\n" and
+    # "\r" are read as "\n"
+    return _DECODER.decode(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-10
 QUAD_MAX_DEPTH = 40
 QUAD_MAX_EVALS = 100_000  # integrand nodes per integral
-QUAD_BATCH_VALUES = 2 ** 14  # float64 values one vectorized integrand call may materialise
+# float64 values one block of array work may materialise: the nodes of one integrand call
+# times the values phi takes at a node, the rows of a grid phi evaluates at once (one row where
+# a row is wider), the segments of one integral_mean block, and the values of one block that
+# gridtext decodes or encodes
+QUAD_BATCH_VALUES = 2 ** 14
 
 # QUADPACK's dqk15 on [-1, 1]: the positive Kronrod nodes and their weights, the centre last,
 # and the weights of the 7-point Gauss rule on every other of those nodes

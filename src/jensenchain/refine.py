@@ -37,7 +37,7 @@ from .measures import (
     embed_doubly_stochastic,
     frozen_float64,
 )
-from .numerics import adaptive_simpson, golden_section_minimize
+from .numerics import QUAD_BATCH_VALUES, adaptive_simpson, golden_section_minimize
 
 TOL_FLOOR = 1e-9
 JENSEN_IDENTITY_TOL = 1e-8  # the jensen row's closed-form t-average against its quadrature
@@ -200,7 +200,28 @@ def _check_rows(f: ConvexFunctionSpec, s1: np.ndarray, s2: np.ndarray):
 
 
 def _phi_rows(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses=None) -> np.ndarray:
-    """f at (1-t) s1 + t s2, one row of m values per t (each summed against the masses)."""
+    """f at (1-t) s1 + t s2, one row of m values per t (each summed against the masses).
+
+    The values are computed at most QUAD_BATCH_VALUES at a time: a block of
+    whole rows of s1 (one row where a row is wider), at as many t as fit.
+    The blocks of rows are cut at the same rows whatever the t, as the
+    matrix-vector product vals @ masses sums a row in an order that depends
+    on the rows beside it: so phi at a t has one value, whatever batch of t
+    holds it.
+    """
+    m = s1.shape[0]
+    out = np.empty((ts.size, m))
+    step = max(1, QUAD_BATCH_VALUES // (s1.size // m))
+    for i in range(0, m, step):
+        a, b = s1[i : i + step], s2[i : i + step]
+        per_t = max(1, QUAD_BATCH_VALUES // a.size)
+        for k in range(0, ts.size, per_t):
+            out[k : k + per_t, i : i + step] = _phi_block(f, a, b, ts[k : k + per_t], masses)
+    return out
+
+
+def _phi_block(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses) -> np.ndarray:
+    """_phi_rows on one block of rows and of t."""
     t = ts.reshape((-1,) + (1,) * s1.ndim)
     # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
     inner = (1.0 - t) * s1 + t * s2

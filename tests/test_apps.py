@@ -39,6 +39,7 @@ from jensenchain import (
 )
 from jensenchain import apps, refine
 from jensenchain.means import ln_identric, log_mean, pow_integral_mean
+from jensenchain.numerics import QUAD_BATCH_VALUES
 from jensenchain.refine import TOL_FLOOR, rel_err, row_sums, t_average, t_quadrature
 from conftest import ksum_matrix_power_middle, rand_prob, rand_weight, recursive_gauss_kronrod
 
@@ -776,6 +777,26 @@ def test_t_quadrature_equals_recursion_over_scalar_integrand(rng, shape, power):
     traced = dataclasses.replace(f, evaluate=recording)
     assert t_quadrature(traced, mu, s1, s2, (0.0, 1.0), masses, atol=1e-12, rtol=1e-12) == ref
     assert max(batches) <= max(1, 2 ** 14 // s1.size)
+
+
+def test_t_quadrature_of_a_dense_powersum_grid_holds_a_few_blocks_beyond_its_inputs():
+    """A dense 658 x 658 grid is one node per integrand call; each call evaluates it a block of
+    QUAD_BATCH_VALUES values at a time, not as n x n temporaries."""
+    n = 658
+    rng = np.random.default_rng(14)
+    s1, s2 = rng.uniform(0.5, 1.5, (2, n, n))
+    f, mu, masses = get_function("powp", {"p": 2.5}), ProbabilityVector.uniform(n), np.ones(n)
+    sides = (1.0, 2.0)
+    first = t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12)
+    tracemalloc.start()
+    try:
+        again = t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    block = QUAD_BATCH_VALUES * 8
+    assert peak < 6 * block, (peak, block)  # an n x n float64 array is 26 blocks
 
 
 # ---------------------------------------------------------------------------

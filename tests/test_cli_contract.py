@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import jensenchain
-from jensenchain import NumericError, functions, get_function
+from jensenchain import NumericError, functions, get_function, gridtext
 from jensenchain.cli import main
 from jensenchain.numerics import golden_section_minimize
 from jensenchain.refine import _assemble
@@ -176,6 +176,53 @@ NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), 
 def test_integer_past_the_digit_limit_exits_2(tmp_path, old, new):
     data = json.dumps(POWERSUM).replace(old, new)
     assert_refused(run_raw(tmp_path, data.encode()), "error: ")
+
+
+def text_mode_error(path):
+    """The error line of a document read as a file opened in text mode (UTF-8, "\\r\\n" and
+    "\\r" read as "\\n") and parsed by json.loads, as the CLI words each failure."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})\n"
+    try:
+        json.loads(text, parse_constant=gridtext._refuse_constant)
+    except json.JSONDecodeError as exc:
+        return (f"error: {path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
+                f"{exc.msg}\n")
+    except RecursionError:
+        return f"error: {path}: JSON nested too deeply\n"
+    except ValueError as exc:
+        return f"error: {path}: {exc}\n"
+    raise AssertionError("the document is well formed")
+
+
+# a 40 x 30 grid in a powersum document, one number a line as generate prints them: longer
+# than a block, so the CLI reads it from the file's bytes before it meets the fault
+GRID_DOC = json.dumps(dict(POWERSUM, weights={"B": np.eye(40, 30).tolist(), "C": (
+    np.random.default_rng(13).random((40, 30)) * 7 - 3).tolist()}), indent=1)
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda d: d.replace(b'"powersum"', b'"power\xffsum"'), id="invalid-utf8"),
+    pytest.param(lambda d: d[: len(d) // 2] + b"\xc3" + d[len(d) // 2 :], id="invalid-utf8-in-grid"),
+    pytest.param(lambda d: d[:-2] + b'"x": "\xe2\x82"}', id="truncated-utf8"),
+    pytest.param(lambda d: b"\xef\xbb\xbf" + d, id="bom"),
+    pytest.param(lambda d: d.replace(b"\n", b"\r\n")[:-1] + b", tru}", id="crlf"),
+    pytest.param(lambda d: d.replace(b"\n", b"\r")[:-1] + b", tru}", id="cr"),
+    pytest.param(lambda d: d.replace(b"\n", b"\r\n").replace(b"]\r\n }", b"],\r\n }"), id="crlf-grid"),
+    pytest.param(lambda d: d.replace(b'"p": 2.5', b'"p": NaN'), id="nan"),
+    pytest.param(lambda d: d.replace(b"0.0", b"-Infinity", 1), id="infinity-in-grid"),
+    pytest.param(lambda d: d.replace(b'"p": 2.5', b'"p": ' + b"9" * 5000), id="digit-limit",
+                 marks=NO_DIGIT_LIMIT),
+    pytest.param(lambda d: d[:-1] + b', "seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 id="deep"),
+])
+def test_input_errors_read_from_bytes_are_those_of_a_text_mode_read(tmp_path, fault):
+    data = fault(GRID_DOC.encode())
+    code, out, err = run_raw(tmp_path, data)
+    assert (code, out, err) == (2, "", text_mode_error(tmp_path / "doc.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -66,19 +66,36 @@ def outcome(decode, text):
         return "raised", (type(exc), str(exc))
 
 
+def text_mode(data):
+    """json.loads on data as a file opened in text mode reads it: UTF-8, with "\\r\\n" and
+    "\\r" read as "\\n"."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text, parse_constant=gridtext._refuse_constant)
+
+
 def assert_decodes_like_json(text):
-    """The decoder agrees with json.loads on text, also with a block of 4 values.
+    """The decoder agrees with json.loads on text, and on its UTF-8 bytes with json.loads on
+    them as a file opened in text mode reads them, also with a block of 4 values.
 
     A block that small sends every array longer than 4 characters through
     the row-by-row scan, and every grid of more than 4 values into several
-    blocks; with _ARRAY_MIN at 0 the long tokens of each block then go
-    through _values, which reads fewer than _ARRAY_MIN of them with float().
+    blocks, and makes every grid longer than 4 bytes at an object's value
+    one that the bytes path reads from the bytes; with _ARRAY_MIN at 0 the
+    long tokens of each block then go through _values, which reads fewer
+    than _ARRAY_MIN of them with float().
     """
-    plain = outcome(PLAIN.decode, text)
+    assert_same_outcome(text, PLAIN.decode)
+    assert_same_outcome(text.encode("utf-8"), text_mode)
+
+
+def assert_same_outcome(data, reference):
+    """gridtext.loads(data) gives reference(data), its value or its error's type and message,
+    at the module's block size and at blocks of 4 values."""
+    plain = outcome(reference, data)
     for block_values, array_min in ((gridtext.QUAD_BATCH_VALUES, gridtext._ARRAY_MIN), (4, 0)):
         with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values), \
                 mock.patch.object(gridtext, "_ARRAY_MIN", array_min):
-            decoded = outcome(gridtext.loads, text)
+            decoded = outcome(gridtext.loads, data)
         assert plain[0] == decoded[0], (block_values, plain, decoded)
         if plain[0] == "raised":
             assert plain == decoded, block_values
@@ -246,6 +263,85 @@ def test_non_finite_constants_are_refused_inside_and_outside_grids():
 
 
 # ---------------------------------------------------------------------------
+# documents read from their bytes
+
+
+# a grid of about 23 KB of text, longer than a block: read from the bytes at any block size
+LONG_GRID = json.dumps((np.random.default_rng(11).random((40, 30)) * 7 - 3).tolist())
+
+
+@pytest.mark.parametrize("text", [
+    # non-ASCII text before, between and after long grids
+    '{"s": "\u00fcnic\u00f8de \u2603", "B": ' + LONG_GRID + ', "t": "\u20ac", "C": ' + LONG_GRID
+    + ', "\u00e9": "\U0001f600"}',
+    json.dumps({"s": "ünicøde ☃", "B": json.loads(LONG_GRID)}, ensure_ascii=False),
+    # the text of a long grid at an object's value, inside a string
+    json.dumps({"s": '"x": ' + LONG_GRID, "B": json.loads(LONG_GRID)}),
+    json.dumps({"s": "x: " + LONG_GRID}),
+    # a grid inside an outer array stays a list
+    "[" + LONG_GRID + ", 1]",
+    '{"a": [' + LONG_GRID + "]}",
+    '[{"a": ' + LONG_GRID + "}]",
+    '{"a": [{"b": ' + LONG_GRID + '}], "B": ' + LONG_GRID + "}",
+    # a top-level grid, and one with whitespace around it
+    LONG_GRID,
+    " \n\t" + LONG_GRID.replace("[[", "[ \n [", 1) + " \n",
+    # duplicate keys holding grids: the last one is kept
+    '{"B": ' + LONG_GRID + ', "B": ' + LONG_GRID.replace("[[", "[[1, ", 1).replace("], [", ", 1], [1, ")
+    .replace("]]", ", 1]]") + "}",
+    '{"B": ' + LONG_GRID + ', "B": 5}',
+    # malformed documents after, before and around a long grid
+    '{"B": ' + LONG_GRID + ', "x": [1, 2,]}',
+    '{"B": ' + LONG_GRID + ', "x": tru}',
+    '{"B": ' + LONG_GRID,
+    '{"B": ' + LONG_GRID + "} x",
+    '{"x": "\\q", "B": ' + LONG_GRID + "}",
+    '{"B": ' + LONG_GRID + ', "p": NaN}',
+    '{"B": ' + LONG_GRID + ', "seed": ' + "9" * 5000 + "}",
+    '{"B": ' + LONG_GRID + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '\ufeff{"B": ' + LONG_GRID + "}",
+    # a long grid that is not one: a NaN, a string or a ragged row in it
+    '{"B": ' + LONG_GRID.replace("]]", ", NaN]]") + "}",
+    '{"B": ' + LONG_GRID.replace("]]", ', "1"]]') + "}",
+    '{"B": ' + LONG_GRID.replace("]]", ", 1]]") + "}",
+], ids=range(24))
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_documents_read_from_their_bytes_decode_like_json(text, newline):
+    # the grids laid out one number a line, as generate prints them, with the file's newlines
+    text = text.replace(", ", "," + newline + "  ")
+    assert_same_outcome(text.encode("utf-8"), text_mode)
+
+
+def test_objects_nested_past_the_python_scanner_after_a_long_grid_are_read_as_json_reads_them():
+    # read again, whole, by the C scanner, which leaves every array a list
+    text = '{"B": ' + LONG_GRID + ', "a": ' + '{"a": ' * 700 + "1" + "}" * 700 + "}"
+    assert gridtext.loads(text.encode()) == json.loads(text)
+
+
+def test_an_error_after_a_long_grid_is_placed_in_the_file_text():
+    data = ('{\r\n"B": ' + LONG_GRID.replace("], ", "],\r\n") + ',\r"x": tru}').encode()
+    with pytest.raises(json.JSONDecodeError) as error:
+        gridtext.loads(data)
+    assert (error.value.lineno, error.value.colno) == (42, 6)  # "\r\n" and "\r" end a line
+    assert outcome(gridtext.loads, data) == outcome(text_mode, data)
+
+
+@pytest.mark.parametrize("before", [b"", b'{"s": "caf\xc3\xa9", "B": ' + LONG_GRID.encode() + b", "])
+def test_invalid_utf8_is_placed_at_its_byte_in_the_file(before):
+    data = (before or b"{") + b'"x": "\xff"}'
+    with pytest.raises(UnicodeDecodeError) as error:
+        gridtext.loads(data)
+    assert error.value.start == data.index(b"\xff")
+    assert outcome(gridtext.loads, data) == outcome(text_mode, data)
+
+
+def test_a_grid_read_from_the_bytes_owns_its_data_and_is_read_only():
+    doc = gridtext.loads(('{"B": ' + LONG_GRID + "}").encode())
+    assert doc["B"].flags.owndata and not doc["B"].flags.writeable
+    assert doc["B"].tobytes() == np.array(json.loads(LONG_GRID)).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 
@@ -279,6 +375,35 @@ def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
         assert_same(plain, decoded)
 
 
+def test_a_dense_document_peaks_at_its_bytes_and_its_grid_plus_a_block(tmp_path):
+    # n = 700, 1 + u v^T: 17-digit decimals, about 13 bytes of text a value
+    n = 700
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    grid = 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"application": "jensen", "function": {"name": "square"},
+                                "points": list(range(n)),
+                                "weights": {"omega1": {"kind": "matrix", "values": grid.tolist()}}}))
+    block = json.dumps({"values": grid[: gridtext.QUAD_BATCH_VALUES // n].tolist()}).encode()
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            result = load()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    block_peak, _ = peak(lambda: gridtext.loads(block))  # the work of one block, and its grid
+    doc_peak, doc = peak(lambda: cli._load_document(str(path)))
+    assert doc["weights"]["omega1"]["values"].tobytes() == grid.tobytes()
+    # the file's bytes, the grid, and the work of a block: no copy of the text as a str, and
+    # no grid beside its blocks
+    size = path.stat().st_size
+    assert doc_peak < size + grid.nbytes + 1.5 * block_peak, (doc_peak, size, block_peak)
+
+
 # ---------------------------------------------------------------------------
 # the grid kernel: gridtext.decode_rows on the text of a block of rows
 
@@ -293,12 +418,14 @@ def reference(text):
 
 
 def kernel(text):
-    """decode_rows(text), checked bit for bit against the reference, with the long tokens read
-    by _values's array tiers at any count (_ARRAY_MIN 0) and at the module's count."""
+    """decode_rows on the UTF-8 bytes of text, checked bit for bit against the reference, with
+    the long tokens read by _values's array tiers at any count (_ARRAY_MIN 0) and at the
+    module's count."""
     expected = reference(text)
+    data = text.encode("utf-8")
     for array_min in (0, gridtext._ARRAY_MIN):
         with mock.patch.object(gridtext, "_ARRAY_MIN", array_min):
-            decoded = gridtext.decode_rows(text, 0, len(text))
+            decoded = gridtext.decode_rows(data, 0, len(data))
         if expected is None:
             assert decoded is None, (array_min, text)
         else:
@@ -454,12 +581,13 @@ def test_a_tall_narrow_grid_is_cut_into_blocks_by_characters(indent):
     # Each grid is 4 blocks: one at the first row's 5 characters a value, two of about
     # QUAD_BATCH_VALUES values, and the rest.  After the grid comes another key (its last
     # block runs into the quote and is decoded again, cut at the grid's end), the end of
-    # the object (the last block ends at the grid's own "]") or the end of the text.
+    # the object (the last block ends at the grid's own "]") or the end of the text.  Each
+    # text is read from its bytes, as the CLI reads a file.
     texts = {'{"values": ' + grid + ', "C": ' + grid + "}": 4 + 1 + 4,
              '{"values": ' + grid + "}": 4, grid: 4}
     for text, calls in texts.items():
         with mock.patch.object(gridtext, "decode_rows", wraps=gridtext.decode_rows) as rows:
-            decoded = gridtext.loads(text)
+            decoded = gridtext.loads(text.encode())
         assert_same(PLAIN.decode(text), decoded)
         assert rows.call_count == calls
 
@@ -667,7 +795,7 @@ def test_a_block_of_short_tokens_never_reaches_the_long_path(monkeypatch):
     monkeypatch.setattr(gridtext, "_parts", long_path)
     monkeypatch.setattr(gridtext, "_values", long_path)
     text = "[0.5, 12, -3, -0.0], [0, 0.25, 7, -0], [1.5, -1234.56, 12345678, 0.000001]"
-    decoded = gridtext.decode_rows(text, 0, len(text))
+    decoded = gridtext.decode_rows(text.encode(), 0, len(text))
     assert decoded.tobytes() == reference(text).tobytes()
     assert [np.signbit(v) for v in decoded[:, 3]] == [True, False, False]
 

@@ -43,6 +43,7 @@ from conftest import (
     direct_phi,
     loop_phi_integral_closed,
     make_instance,
+    rand_prob,
     recursive_gauss_kronrod,
 )
 
@@ -308,6 +309,59 @@ def test_phi_has_one_value_at_each_t_wherever_it_is_computed(case):
         phi_integral_quad(inst)
     (fv,) = integrands
     assert fv(ts).tolist() == single  # the sides are far below the rescaling threshold
+
+
+@st.composite
+def phi_grid_rows(draw):
+    """(f, mu, s1, s2, masses, ts, block): an m x |X| grid of row sums of a catalog f, as the
+    lp, powersum and harmonic rows hand it to phi, a t grid whose values repeat, and a block
+    of values that cuts the grid into blocks of rows (a row to a block where it is wider)."""
+    name = draw(st.sampled_from(sorted(FUN_RANGES)))
+    m, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 30)))
+    lo, hi = FUN_RANGES[name]
+    s1, s2 = rng.uniform(lo, hi, (2, m, width))
+    mu = rand_prob(rng, m)
+    masses = rng.uniform(0.5, 2.0, width)
+    block = draw(st.sampled_from([1, 3, width, 4 * width + 1, m * width // 2 + 1, m * width]))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    ts = draw(st.lists(st.sampled_from([0.0, 1.0, *values]), min_size=1, max_size=16))
+    f = get_function(name, {"p": 2.5} if name == "powp" else None)
+    return f, mu, s1, s2, masses, np.array(ts), block
+
+
+def assert_one_phi_at_each_t(f, mu, s1, s2, masses, ts):
+    """phi over the batch ts, phi at each t alone and the t-quadrature's integrand agree bit
+    for bit on grid rows."""
+    single = [refine._phi_batch(f, mu.weights, s1, s2, np.array([t]), masses)[0]
+              for t in ts.tolist()]
+    assert refine._phi_batch(f, mu.weights, s1, s2, ts, masses).tolist() == single
+    integrands = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(refine, "adaptive_simpson", lambda fv, *_, **__: integrands.append(fv) or 0.0)
+        refine.t_quadrature(f, mu, s1, s2, (1.0, 1.0), masses)
+    (fv,) = integrands
+    assert fv(ts).tolist() == single
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(phi_grid_rows())
+def test_phi_of_grid_rows_wider_than_a_block_has_one_value_at_each_t(case):
+    # vals @ masses sums a row in an order that depends on the rows beside it, so the blocks
+    # of rows must be cut at the same rows whatever batch of t is evaluated
+    *args, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(refine, "QUAD_BATCH_VALUES", block)
+        assert_one_phi_at_each_t(*args)
+
+
+def test_phi_of_a_grid_wider_than_the_module_block_has_one_value_at_each_t():
+    rng = np.random.default_rng(12)
+    m = 130  # 130 x 130 values: more than one block of QUAD_BATCH_VALUES
+    s1, s2 = rng.uniform(0.0, 2.0, (2, m, m))
+    ts = np.array([0.0, 0.3, 1.0, 0.3, 0.7, 0.0])
+    assert_one_phi_at_each_t(get_function("powp", {"p": 2.5}), ProbabilityVector.uniform(m),
+                             s1, s2, rng.uniform(0.5, 2.0, m), ts)
 
 
 def test_integral_bracketing_by_midpoint_and_trapezoid(rng):

@@ -23,14 +23,18 @@ The others are printed by f-strings:
 - spaced: the rank-one grid as json.dumps prints it, with a space before every "," and
   "]", a layout whose commas the decoder must locate.
 
-Every decode is checked bit for bit against np.array(json.loads(text)); a mismatch
-exits 1.  A repetition times one gridtext.loads call of each family, with the time
-of this process (time.process_time_ns), and the trees in alternating order.  The
-table gives, per family, the median and quartiles of ns a value over the repetitions.
+Each grid is decoded from its UTF-8 bytes, as the CLI reads a file; a tree whose
+gridtext.loads takes only a str is timed on the bytes decoded to a str, the decoding
+included, as its CLI read a file as text.  Every decode is checked bit for
+bit against np.array(json.loads(text)); a mismatch exits 1.  A repetition times one
+decode of each family, with the time of this process (time.process_time_ns), and the
+trees in alternating order.  The table gives, per family, the median and quartiles of
+ns a value over the repetitions.
 
 --against TREE also imports TREE's jensenchain (TREE is a source tree's root or its
 src directory) under another package name, times it interleaved with this tree's,
-and prints the median over the repetitions of the ratio this / TREE.
+and prints the median and quartiles over the repetitions of the ratio this / TREE: a
+ratio whose quartiles straddle 1 is within the noise of the machine.
 
 --smoke decodes small grids, each still longer than one block, once per tree: the
 bit-for-bit check alone, no timing.
@@ -104,15 +108,27 @@ def families(seed, n, tall):
     return texts
 
 
-def decode(gridtext, text, expected):
-    """Process-time ns of gridtext.loads(text); exits 1 unless it gives expected bit for bit."""
+def reader(gridtext):
+    """The decode of a file's bytes by gridtext: loads itself, or loads of their text where
+    loads takes only a str."""
+    try:
+        gridtext.loads(b"[[0]]")
+    except TypeError:
+        return lambda data: gridtext.loads(data.decode("utf-8"))
+    return gridtext.loads
+
+
+def decode(tree, data, expected):
+    """Process-time ns of the decode of data by tree, a (package name, read) pair; exits 1
+    unless it gives expected bit for bit."""
+    name, read = tree
     gc.collect()
     start = time.process_time_ns()
-    grid = gridtext.loads(text)
+    grid = read(data)
     spent = time.process_time_ns() - start
     if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64
             and grid.shape == expected.shape and grid.tobytes() == expected.tobytes()):
-        sys.exit(f"decode_bench: {gridtext.__name__} decodes a grid unlike json.loads")
+        sys.exit(f"decode_bench: {name} decodes a grid unlike json.loads")
     return spent
 
 
@@ -126,30 +142,32 @@ def main(argv=None):
     if args.reps < 2:
         ap.error("--reps must be at least 2, for quartiles")
 
-    trees = [load_gridtext(source_dir(HERE.parent), "jensenchain")]
+    trees = [("jensenchain", reader(load_gridtext(source_dir(HERE.parent), "jensenchain")))]
     if args.against:
-        trees.append(load_gridtext(source_dir(args.against), "jensenchain_against"))
+        name = "jensenchain_against"
+        trees.append((name, reader(load_gridtext(source_dir(args.against), name))))
     texts = families(args.seed, *SIZES["smoke" if args.smoke else "full"])
     expected = {name: np.array(json.loads(text), dtype=float) for name, text in texts.items()}
+    texts = {name: text.encode("utf-8") for name, text in texts.items()}
     if args.smoke:
-        for name, text in texts.items():
-            for gridtext in trees:
-                decode(gridtext, text, expected[name])
+        for name, data in texts.items():
+            for tree in trees:
+                decode(tree, data, expected[name])
         print(f"decode_bench: {len(texts)} families x {len(trees)} trees decode like json.loads")
         return 0
 
     ns = {(name, k): [] for name in texts for k in range(len(trees))}
     for rep in range(args.reps):
         order = range(len(trees))[:: 1 if rep % 2 == 0 else -1]
-        for name, text in texts.items():
+        for name, data in texts.items():
             for k in order:
-                ns[name, k].append(decode(trees[k], text, expected[name]) / expected[name].size)
+                ns[name, k].append(decode(trees[k], data, expected[name]) / expected[name].size)
 
     print(f"python {platform.python_version()}, numpy {np.__version__}, seed {args.seed}, "
           f"{args.reps} repetitions; ns a value, median [quartiles]")
     header = f"{'family':<12} {'values':>7}  {'this tree':>22}"
     if args.against:
-        header += f"  {'against':>22}  {'this/against':>12}"
+        header += f"  {'against':>22}  {'this/against':>22}"
     print(header)
     for name in texts:
         row = f"{name:<12} {expected[name].size:>7}"
@@ -157,8 +175,9 @@ def main(argv=None):
             q1, q2, q3 = statistics.quantiles(ns[name, k], n=4, method="inclusive")
             row += f"  {q2:>8.1f} [{q1:>5.1f}, {q3:>5.1f}]"
         if args.against:
-            ratio = statistics.median(a / b for a, b in zip(ns[name, 0], ns[name, 1]))
-            row += f"  {ratio:>12.3f}"
+            ratios = [a / b for a, b in zip(ns[name, 0], ns[name, 1])]
+            q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+            row += f"  {q2:>8.3f} [{q1:>5.3f}, {q3:>5.3f}]"
         print(row)
     return 0
 
