@@ -67,7 +67,27 @@ significand w is built a digit column at a time, and the value is
 w / 10**frac_len: both operands are exact doubles, so the one rounding of
 the division is correct (W. D. Clinger, "How to read floating point
 numbers accurately", PLDI 1990).  The first row alone decides that any
-other text takes the general path.
+other text takes the next tier.
+
+A sparse text, whose tokens are all one zero token, "0" or "0.0" as its
+first token writes it, but at most _ARRAY_MIN that hold a nonzero digit (a
+convex combination of a few permutation matrices, printed by json.dumps
+with its default or compact separators, or one number a line as generate
+prints it), is read at the cost of its nonzero tokens: one comparison of
+the bytes with "1" to "9" finds their digits, each token is bounded by the
+separators within 24 bytes of its first nonzero digit, and with the zero
+token put back in their place the text must equal, byte for byte, the
+zero template of its own uniform layout (as above), which also gives each
+token its row and column.  The tokens must match the JSON number grammar
+and are read by float() (an integer token of at most 24 digits reads as
+float(int()) does).  The tier declines, and the general path reads the
+text, where the first token is not a zero followed by its separator, where
+the text holds a quote or a brace (a block that runs past its grid) or
+more than one nonzero digit in eight of its first _SPARSE_HEAD bytes
+(these decide a dense text from its first bytes), where it holds more than
+_ARRAY_MIN nonzero tokens, or where the template does not match, as it
+does not where a token runs past the 24 bytes on either side of its first
+nonzero digit.
 
 The general path is array-at-a-time over the bytes of the text:
 
@@ -82,7 +102,8 @@ The general path is array-at-a-time over the bytes of the text:
   the commas are counted, not located; in any other layout they are
   located, with "]" "," "[" at each row break;
 - a token of at most 8 bytes that matches -?(0|[1-9][0-9]*)([.][0-9]+)?
-  (the "0.0" of a sparse grid, "-7", "12345678", "-1234.56") is checked
+  (the "0.0" of a grid the sparse tier declines, "-7", "12345678",
+  "-1234.56") is checked
   and read from the one word that ends at its last byte: its at most 8
   digits w and 10**frac_len are exact doubles, so w / 10**frac_len rounds
   once, correctly, by Clinger's argument above.  Only the other tokens go
@@ -152,6 +173,7 @@ import io
 import json
 import re
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +183,7 @@ from .numerics import QUAD_BATCH_VALUES
 
 _U64 = np.uint64
 _PAD = b" " * 24  # around a block's bytes, so that a window of 24 bytes ending in it is read
+_WINDOW = 2 * len(_PAD) + 1  # a byte and the 24 on each side of it
 
 # the bytes of a grid's text: deleting them leaves nothing of a text that holds no other
 _GRID_BYTES = b" \t\n\r0123456789,.[]eE+-"
@@ -182,6 +205,11 @@ _JSON_SPACE = b" \t\n\r"
 # "[", whitespace, the integer and fraction digits of the first token, its separator
 _FIRST_TOKEN = re.compile(rb"\[([ \t\n\r]*)([0-9]+)(\.[0-9]+)?(,[ \t\n\r]*)?")
 _ROW_GAP = re.compile(rb",[ \t\n\r]*\[")
+# "[", whitespace and a zero token, "0" or "0.0", ended by its separator or the row's "]"
+_ZERO_FIRST = re.compile(rb"\[[ \t\n\r]*(0(?:\.0)?)[, \t\n\r\]]")
+_SPARSE_HEAD = 256  # bytes whose nonzero digits say whether a block may be sparse
+# JSON numbers, each followed by a space
+_JSON_NUMBERS = re.compile(rb"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)? )*")
 # the largest byte ^ template under each template byte: 9 under a "0" (a digit), 0 elsewhere
 _DIGIT_LIMIT = bytes(9 if c == _ZERO else 0 for c in range(256))
 _Q_MIN, _Q_MAX = -342, 308  # beyond these, w * 10**q rounds to 0 or to inf
@@ -611,24 +639,35 @@ def _row_template(lead, int_len, frac_len, sep, width, tail):
     return np.frombuffer(template, dtype=np.uint8), limit
 
 
-def _uniform(raw):
-    """The rows of raw as a 2-D float64 array if every row is laid out byte for byte as the
-    first one, with every token laid out as its first token: an unsigned integer or decimal
-    of at most _EXACT_DIGITS digits.  None otherwise, decided from the first row alone where
-    that row breaks the layout."""
+class _Layout(NamedTuple):
+    """A uniform row layout, as a text's first row shows it."""
+
+    template: np.ndarray  # a row's bytes and the gap after it, every digit "0" (uint8)
+    limit: np.ndarray  # the largest byte ^ template in each column
+    rows: int
+    gap: bytes  # between two rows: "," and the whitespace before the next "["
+    first: int  # the offset of a row's first token
+    cell: int  # the bytes of a token and its separator
+    width: int
+    int_len: int
+    frac_len: int
+
+
+def _layout(raw):
+    """The layout of raw's rows if each is laid out byte for byte as its first row, with
+    every token as the first token (an unsigned integer or decimal), as far as the first row
+    and raw's length show it; None where they break it.  The bytes themselves are the
+    caller's to compare with the template."""
     first = _FIRST_TOKEN.match(raw)
     if first is None:
         return None
     lead, whole, frac, sep = first.groups(b"")
     int_len, frac_len = len(whole), max(len(frac) - 1, 0)
-    if int_len + frac_len > _EXACT_DIGITS:
-        return None
-    size = len(whole) + len(frac)
     close = raw.find(b"]", first.end())
     body_end = close
     while raw[body_end - 1] in _JSON_SPACE:
         body_end -= 1
-    cell = size + len(sep)
+    cell = len(whole) + len(frac) + len(sep)
     width, rest = divmod(body_end - 1 - len(lead) + len(sep), cell)
     if rest or (width > 1) != bool(sep):
         return None
@@ -639,20 +678,33 @@ def _uniform(raw):
         if gap is None:
             return None
         gap = gap[0][:-1]  # "," and the whitespace before the next row's "["
-    stride = close + 1 + len(gap)
-    rows, rest = divmod(len(raw) + len(gap), stride)
+    rows, rest = divmod(len(raw) + len(gap), close + 1 + len(gap))
     if rest:
         return None
     template, limit = _row_template(lead, int_len, frac_len, sep, width,
                                     raw[body_end : close + 1] + gap)
-    head = np.frombuffer(raw, dtype=np.uint8, count=close + 1)
-    if not (head ^ template[: close + 1] <= limit[: close + 1]).all():
+    return _Layout(template, limit, rows, gap, 1 + len(lead), cell, width, int_len, frac_len)
+
+
+def _uniform(raw):
+    """The rows of raw as a 2-D float64 array if every row is laid out byte for byte as the
+    first one, with every token laid out as its first token: an unsigned integer or decimal
+    of at most _EXACT_DIGITS digits.  None otherwise, decided from the first row alone where
+    that row breaks the layout."""
+    layout = _layout(raw)
+    if layout is None or layout.int_len + layout.frac_len > _EXACT_DIGITS:
         return None
-    digits = np.frombuffer(raw + gap, dtype=np.uint8).reshape(rows, stride) ^ template
+    template, limit, rows, gap, first, cell, width, int_len, frac_len = layout
+    row_end = template.size - len(gap)
+    head = np.frombuffer(raw, dtype=np.uint8, count=row_end)
+    if not (head ^ template[:row_end] <= limit[:row_end]).all():
+        return None
+    digits = np.frombuffer(raw + gap, dtype=np.uint8).reshape(rows, template.size) ^ template
     if not (digits <= limit).all():
         return None
+    size = int_len + (frac_len + 1 if frac_len else 0)
     cells = np.lib.stride_tricks.as_strided(
-        digits[:, 1 + len(lead) :], shape=(rows, width, size), strides=(stride, cell, 1),
+        digits[:, first:], shape=(rows, width, size), strides=(template.size, cell, 1),
         writeable=False,
     )
     if int_len > 1 and not cells[..., 0].all():  # a leading zero, as in "01.5"
@@ -667,15 +719,96 @@ def _uniform(raw):
     return value
 
 
+def _sparse(raw):
+    """The rows of raw as a 2-D float64 array if they are laid out uniformly (see _layout)
+    with every token the zero token that the first token writes, "0" or "0.0", but at most
+    _ARRAY_MIN that hold a nonzero digit, each a JSON number; None where the tier declines
+    (see the module doc), a token that breaks the grammar included: the general path then
+    reads the text, and refuses it."""
+    zero = _ZERO_FIRST.match(raw)
+    # a block that runs past its grid holds a quote or a brace; a dense one, most often a
+    # nonzero first token, or more than one nonzero digit in eight bytes of its head
+    if zero is None or b'"' in raw or b"}" in raw:
+        return None
+    head = raw[:_SPARSE_HEAD]
+    if 8 * (len(head) - len(head.translate(None, b"123456789"))) > len(head):
+        return None
+    bounds = _nonzero_tokens(raw)
+    if bounds is None:
+        return None
+    zero = zero[1]
+    # raw cut at each token's bounds: the text between the tokens, then each token
+    cuts = [0, *bounds.ravel().tolist(), len(raw)]
+    parts = [raw[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    tokens = parts[1::2]
+    rebuilt = zero.join(parts[0::2])  # each nonzero token put back to the zero token
+    layout = _layout(rebuilt)
+    if layout is None or not (layout.template.tobytes() * layout.rows).startswith(rebuilt):
+        return None
+    if not _JSON_NUMBERS.fullmatch(b" ".join([*tokens, b""])):
+        return None
+    # each token's offset once the tokens before it are put back to the zero token: a zero
+    # token's place in the template, between two separators
+    shrink = bounds[:, 1] - bounds[:, 0]
+    shrink -= len(zero)
+    at = bounds[:, 0] - np.cumsum(shrink)
+    at += shrink
+    row, at = np.divmod(at, layout.template.size)
+    at -= layout.first
+    at //= layout.cell
+    values = np.zeros((layout.rows, layout.width))
+    # float() reads an integer token as float(int()) does, as json gives an int: it has a
+    # nonzero digit first, so it is not "-0", and at most 24 digits, so it is neither beyond
+    # a double nor past the int digit limit
+    values[row, at] = [float(t) for t in tokens]
+    return values
+
+
+def _nonzero_tokens(raw):
+    """The (start, end) rows, as an integer array, of the tokens of raw that hold a nonzero
+    digit; raw opens with "[" and ends with "]".  A token runs from its first nonzero digit
+    back and on to the nearest separators, the bytes below "+", "," and the brackets (a byte
+    that no number holds may lie in a token: the grammar refuses it there).  A token with
+    no separator within 24 bytes of its first nonzero digit on a side is cut short there,
+    so the number bytes left beside its place refuse the block's template.  None where
+    there are more than _ARRAY_MIN of them."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    nonzero = np.subtract(buf, ord("1"), dtype=np.uint8) < 9
+    # a token read whole has at most 24 nonzero digits: above this, more tokens or a long one
+    if np.count_nonzero(nonzero) > 24 * _ARRAY_MIN:
+        return None
+    at = np.flatnonzero(nonzero[1:] > nonzero[:-1])  # the first digit of each run
+    del nonzero
+    at += 1
+    # the 24 bytes on each side of each such digit, in one gather of windows
+    padded = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
+    near = np.ndarray((buf.size,), dtype=f"V{_WINDOW}", buffer=padded, strides=(1,))
+    near = near[at].view(np.uint8).reshape(at.size, _WINDOW)
+    del padded
+    number = near >= _PLUS
+    number &= near != _COMMA
+    near |= 6
+    number &= near != 0x5F  # "[" and "]" (and "Y" and "_", which no grid holds)
+    starts = at - np.argmin(number[:, 23::-1], axis=1)
+    first = np.flatnonzero(np.diff(starts, prepend=-1))  # the first run of each token
+    if first.size > _ARRAY_MIN:
+        return None
+    bounds = np.empty((first.size, 2), dtype=np.intp)
+    bounds[:, 0] = starts[first]
+    bounds[:, 1] = at[first] + np.argmin(number[first, 25:], axis=1) + 1
+    return bounds
+
+
 def decode_rows(s, start, stop):
     """The bytes s[start:stop], rows of JSON numbers, as a 2-D float64 array; None if they
     are not (see the module doc)."""
     raw = s[start:stop]
     if len(raw) < 3 or raw[0] != _OPEN or raw[-1] != _CLOSE:
         return None
-    uniform = _uniform(raw)
-    if uniform is not None:
-        return uniform
+    for tier in (_uniform, _sparse):
+        decoded = tier(raw)
+        if decoded is not None:
+            return decoded
     if raw.translate(None, _GRID_BYTES):  # a byte that no grid holds
         return None
     plus = b"+" in raw

@@ -927,3 +927,139 @@ def test_a_block_without_signs_beside_a_signed_one(block_values):
                 mock.patch.object(gridtext, "_ARRAY_MIN", 0):
             decoded = gridtext.loads(text)["C"]
         assert decoded.tobytes() == np.array(grid).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the sparse tier: one zero token, "0" or "0.0", but a few tokens with a nonzero digit
+
+# the separator inside a row, the space after "[" and before "]", and the gap between rows:
+# json.dumps, compact, one number a line, and padded rows, whose first token lies past the
+# first cell
+SPARSE_LAYOUTS = st.sampled_from([(", ", "", "", ", "), (",", "", "", ","),
+                                  (",\n      ", "\n      ", "\n    ", ",\n    "),
+                                  (", ", "      ", " ", ",\n")])
+# JSON numbers of at most 24 bytes, each with a nonzero digit
+SPARSE_VALUES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e308).map(repr),
+    st.floats(min_value=-1e308, max_value=-5e-324).map(repr),
+    st.integers(1, 10**20).map(str),
+    st.sampled_from(["1", "-7", "0.5", "1E+2", "2.5e-3", "1e400", "-0.00000000000000000001"]),
+)
+# not taken by the tier: near misses of the grammar, zeros other than the zero token, tokens
+# longer than 24 bytes, an integer beyond a double and one past the int digit limit
+SPARSE_OTHERS = st.sampled_from(
+    ["+1", "01", "1.", ".5", "1e", "-0", "-0.0", "0.00", "00", "1..5", "0.1" + "3" * 30,
+     "1" + "0" * 309, "9" * 4301]
+)
+
+
+@st.composite
+def sparse_blocks(draw):
+    """(text, clean): rows of one zero token with a few nonzero tokens placed first, last, as
+    a whole row or anywhere, in one of SPARSE_LAYOUTS; clean when every other token is one
+    of SPARSE_VALUES and the first is the zero token."""
+    zero = draw(st.sampled_from(["0", "0.0"]))
+    sep, lead, trail, gap = draw(SPARSE_LAYOUTS)
+    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = [[zero] * width for _ in range(rows)]
+    place = draw(st.sampled_from(["first", "last", "row", "anywhere", "anywhere"]))
+    if place == "first":
+        spots = [(0, 0)]
+    elif place == "last":
+        spots = [(rows - 1, width - 1)]
+    elif place == "row":
+        i = draw(st.integers(0, rows - 1))
+        spots = [(i, j) for j in range(width)]
+    else:
+        spots = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, width - 1)),
+                              max_size=4))
+    clean = True
+    for i, j in spots:
+        other = draw(st.integers(0, 5)) == 0
+        cells[i][j] = draw(SPARSE_OTHERS if other else SPARSE_VALUES)
+        clean &= not other
+    clean &= cells[0][0] == zero
+    return gap.join(f"[{lead}{sep.join(row)}{trail}]" for row in cells), clean
+
+
+@DIFFERENTIAL
+@given(sparse_blocks())
+@example(("[0.0, 0.0], [1e-05, 0.0]", True))
+@example(("[0,3],[0,12345678901234567890]", True))
+@example(("[0.0, 0.0], [0.0, 01]", False))
+def test_sparse_blocks_decode_like_json(block):
+    text, clean = block
+    kernel(text)
+    data = text.encode()
+    expected = reference(text)
+    tier = gridtext._sparse(data)
+    if tier is not None:  # the tier gives a grid only where json gives that grid
+        assert expected is not None and tier.tobytes() == expected.tobytes(), text
+        assert tier.shape == expected.shape, text
+    head = data[: gridtext._SPARSE_HEAD]
+    sparse_head = 8 * sum(byte in b"123456789" for byte in head) <= len(head)
+    assert tier is not None or not (clean and sparse_head), text
+    # through the document decoder, as a grid of blocks of 4 values and one block, each
+    # refusal json's
+    for block_values in (4, gridtext.QUAD_BATCH_VALUES):
+        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values):
+            for doc, read in (("[" + text + "]", PLAIN.decode), (b"[" + data + b"]", text_mode)):
+                plain, decoded = outcome(read, doc), outcome(gridtext.loads, doc)
+                assert plain[0] == decoded[0], (block_values, text)
+                if plain[0] == "raised":
+                    assert plain == decoded, (block_values, text)
+                else:
+                    assert_same(plain[1], decoded[1])
+
+
+def mixture_block(n=512, rows=32, k=3, seed=5):
+    """(bytes, grid): the first rows of a convex combination of k permutation matrices, n x n,
+    as json.dumps prints it, a block of at most k * rows nonzero tokens."""
+    rng = np.random.default_rng(seed)
+    mixture = np.zeros((n, n))
+    for a in rng.dirichlet(np.ones(k)):
+        mixture[np.arange(n), rng.permutation(n)] += a
+    return json.dumps(mixture[:rows].tolist())[1:-1].encode(), mixture[:rows]
+
+
+def test_a_birkhoff_mixture_block_reaches_no_general_step(monkeypatch):
+    def general(*args):
+        raise AssertionError("a zero token reached the general kernel")
+
+    for step in ("_short_tokens", "_parts", "_values"):
+        monkeypatch.setattr(gridtext, step, general)
+    for zero in ("0.0", "0"):
+        data, grid = mixture_block()
+        if zero == "0":
+            data = data.replace(b"0.0,", b"0,").replace(b"0.0]", b"0]")
+        decoded = gridtext.decode_rows(data, 0, len(data))
+        assert decoded.tobytes() == grid.tobytes(), zero
+
+
+def test_dense_blocks_and_blocks_past_their_grid_are_declined_before_the_array_work(
+        monkeypatch):
+    def array_work(raw):
+        raise AssertionError("the sparse tier's array work ran")
+
+    monkeypatch.setattr(gridtext, "_nonzero_tokens", array_work)
+    rng = np.random.default_rng(4)
+    dense = rng.random((30, 30))
+    sparse, _ = mixture_block()
+    zero_first = dense.copy()
+    zero_first[0, 0] = 0.0
+    blocks = [json.dumps(dense.tolist())[1:-1],
+              json.dumps(zero_first.tolist())[1:-1],  # a zero first, nonzero digits after it
+              sparse.decode()[:-1] + ']], "C": [[0.0, 0.5]',  # past the grid: a quote
+              sparse.decode()[:-1] + "]]}, [0.0, 0.5]"]  # and a brace
+    for text in blocks:
+        assert gridtext._sparse(text.encode()) is None, text[:40]
+        kernel(text)
+
+
+def test_the_sparse_tier_takes_at_most_array_min_nonzero_tokens():
+    for count in (gridtext._ARRAY_MIN, gridtext._ARRAY_MIN + 1):
+        grid = np.zeros((2, gridtext._ARRAY_MIN))
+        grid.flat[-count:] = 1.0  # after a zero head
+        text = json.dumps(grid.tolist())[1:-1]
+        assert (gridtext._sparse(text.encode()) is None) == (count > gridtext._ARRAY_MIN)
+        kernel(text)

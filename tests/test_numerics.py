@@ -60,6 +60,11 @@ def test_golden_section_quadratic():
     assert v == pytest.approx(0.0, abs=1e-17)
 
 
+def test_golden_section_on_an_interval_other_than_the_unit_one():
+    x, _ = golden_section_minimize(lambda t: (t - 3.7) ** 2, 2.0, 5.0, 1e-9)
+    assert abs(x - 3.7) <= 1e-8
+
+
 def test_golden_section_boundary_minimum():
     x, v = golden_section_minimize(lambda t: t, 0.0, 1.0, 1e-10)
     assert x == pytest.approx(0.0, abs=1e-9)

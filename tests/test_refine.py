@@ -127,6 +127,14 @@ def test_evaluation_domain_error_names_row():
         phi(inst, 1.0)  # the w2 row sums reproduce the raw points, 0.1 < 0.35
 
 
+def test_row_sums_get_a_slack_relative_to_their_largest_magnitude():
+    # powp's domain is [0, inf): the slack is 1e-12 * max(1, -lo, hi) = 1e-9 here
+    f = get_function("powp", {"p": 2})
+    refine._check_rows(f, np.array([-1e-10, 1000.0]), np.array([0.5, 1000.0]))
+    with pytest.raises(DomainError, match=r"row i=0 "):
+        refine._check_rows(f, np.array([-2e-9, 1000.0]), np.array([0.5, 1000.0]))
+
+
 # ---------------------------------------------------------------------------
 # chain_at_t
 

@@ -6,9 +6,16 @@ Each family is one grid built with numpy from the seed.  The first four are prin
 json.dumps, as perfbench/corpus.py writes the documents of the benchmark:
 
 - permutation: a permutation matrix, n x n, read through the uniform-layout path;
-- mixture: a convex combination of 3 permutation matrices, n x n, nearly all "0.0";
+- mixture: a convex combination of 3 permutation matrices, n x n, nearly all "0.0",
+  read through the sparse tier;
 - rank-one: 1 + u v^T, n x n, dense 17-digit decimals;
 - tall: a 40000 x 1 column of uniform draws in [0, 1).
+
+Two more are sparse grids in other layouts:
+
+- compact: the mixture printed by json.dumps with separators=(",", ":"), "0.0," a zero;
+- integer: 10 P1 + P2 for two permutation matrices, printed as integers, its zeros "0"
+  (with 3 P1 + P2 every entry is one digit, a layout the uniform tier reads).
 
 The others are printed by f-strings:
 
@@ -38,6 +45,11 @@ ratio whose quartiles straddle 1 is within the noise of the machine.
 
 --smoke decodes small grids, each still longer than one block, once per tree: the
 bit-for-bit check alone, no timing.
+
+Before any timing, one decode of each family per tree counts the blocks that each tier of
+gridtext.decode_rows decoded (uniform, sparse, general: the blocks neither of the first two
+took), by wrapping the tier functions of the loaded module; a tree without a tier prints
+"-" for it.
 """
 
 import argparse
@@ -54,7 +66,9 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-SIZES = {"full": (512, 40000), "smoke": (96, 20000)}  # (n of the square grids, tall rows)
+# (n of the square grids, tall rows): at n = 256 a block of the mixture holds about 190
+# nonzero tokens, few enough for the sparse tier
+SIZES = {"full": (512, 40000), "smoke": (256, 20000)}
 
 
 def source_dir(path):
@@ -94,6 +108,9 @@ def families(seed, n, tall):
         "tall": rng.random((tall, 1)),
     }
     texts = {name: json.dumps(grid.tolist()) for name, grid in grids.items()}
+    texts["compact"] = json.dumps(mixture.tolist(), separators=(",", ":"))
+    p1, p2 = (np.eye(n, dtype=int)[rng.permutation(n)] for _ in range(2))
+    texts["integer"] = json.dumps((10 * p1 + p2).tolist())
     generated = rng.random((n, n))
     generated /= generated.sum(axis=1, keepdims=True)
     for name, grid, form in (("generated", generated, ".17g"),
@@ -116,6 +133,33 @@ def reader(gridtext):
     except TypeError:
         return lambda data: gridtext.loads(data.decode("utf-8"))
     return gridtext.loads
+
+
+TIERS = ("_uniform", "_sparse")  # then the general kernel
+
+
+def tier_counts(gridtext, read, data):
+    """[uniform, sparse, general] blocks that gridtext's decode_rows decoded in one read of
+    data, None for a tier gridtext does not have."""
+    counts = dict.fromkeys(("decode_rows",) + TIERS, 0)
+    saved = {name: getattr(gridtext, name) for name in counts if hasattr(gridtext, name)}
+
+    def counting(name, tier):
+        def wrapped(*args):
+            block = tier(*args)
+            counts[name] += block is not None
+            return block
+        return wrapped
+
+    for name, tier in saved.items():
+        setattr(gridtext, name, counting(name, tier))
+    try:
+        read(data)
+    finally:
+        for name, tier in saved.items():
+            setattr(gridtext, name, tier)
+    found = [counts[name] if name in saved else None for name in TIERS]
+    return found + [counts["decode_rows"] - sum(c or 0 for c in found)]
 
 
 def decode(tree, data, expected):
@@ -142,13 +186,20 @@ def main(argv=None):
     if args.reps < 2:
         ap.error("--reps must be at least 2, for quartiles")
 
-    trees = [("jensenchain", reader(load_gridtext(source_dir(HERE.parent), "jensenchain")))]
+    modules = [load_gridtext(source_dir(HERE.parent), "jensenchain")]
     if args.against:
-        name = "jensenchain_against"
-        trees.append((name, reader(load_gridtext(source_dir(args.against), name))))
+        modules.append(load_gridtext(source_dir(args.against), "jensenchain_against"))
+    trees = [(module.__name__.split(".")[0], reader(module)) for module in modules]
     texts = families(args.seed, *SIZES["smoke" if args.smoke else "full"])
     expected = {name: np.array(json.loads(text), dtype=float) for name, text in texts.items()}
     texts = {name: text.encode("utf-8") for name, text in texts.items()}
+
+    print("blocks decoded by each tier: uniform / sparse / general")
+    print(f"{'family':<12}" + "".join(f"  {name:>22}" for name, _ in trees))
+    for name, data in texts.items():
+        cells = (" / ".join("-" if c is None else str(c) for c in tier_counts(module, read, data))
+                 for module, (_, read) in zip(modules, trees))
+        print(f"{name:<12}" + "".join(f"  {cell:>22}" for cell in cells))
     if args.smoke:
         for name, data in texts.items():
             for tree in trees:
