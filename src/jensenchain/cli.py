@@ -405,12 +405,12 @@ def cmd_generate(kind: str, n: int, m=None, seed: int = 0, out=None) -> int:
         payload = {"kind": "matrix", "values": w.values}
     else:
         raise ValidationError(f"unknown generator kind {kind!r}; expected ds or weight")
-    text = render_json(payload) + "\n"
+    text = render_json(payload)  # a grid's text is large: printed, not copied with its "\n"
     if out is None:
-        sys.stdout.write(text)
+        print(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            print(text, file=fh)
     return 0
 
 

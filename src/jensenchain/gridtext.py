@@ -85,9 +85,11 @@ text, where the first token is not a zero followed by its separator, where
 the text holds a quote or a brace (a block that runs past its grid) or
 more than one nonzero digit in eight of its first _SPARSE_HEAD bytes
 (these decide a dense text from its first bytes), where it holds more than
-_ARRAY_MIN nonzero tokens, or where the template does not match, as it
-does not where a token runs past the 24 bytes on either side of its first
-nonzero digit.
+_ARRAY_MIN nonzero tokens (decided before any work per token where its runs
+of nonzero digits more than 24 bytes apart, each in a token of its own,
+count that many), or where the template does not match, as it does not
+where a token runs past the 24 bytes on either side of its first nonzero
+digit.
 
 The general path is array-at-a-time over the bytes of the text:
 
@@ -101,10 +103,11 @@ The general path is array-at-a-time over the bytes of the text:
   json.dumps and generate print a grid, every gap holds a comma there, so
   the commas are counted, not located; in any other layout they are
   located, with "]" "," "[" at each row break;
-- a token of at most 8 bytes that matches -?(0|[1-9][0-9]*)([.][0-9]+)?
-  (the "0.0" of a grid the sparse tier declines, "-7", "12345678",
-  "-1234.56") is checked
-  and read from the one word that ends at its last byte: its at most 8
+- where a text holds at least _ARRAY_MIN tokens of at most 8 bytes, or
+  no others (a few beside long tokens cost less on the long path than the
+  array calls of this step), each that matches -?(0|[1-9][0-9]*)([.][0-9]+)? (the "0.0" of a grid the
+  sparse tier declines, "-7", "12345678", "-1234.56") is checked and
+  read from the one word that ends at its last byte: its at most 8
   digits w and 10**frac_len are exact doubles, so w / 10**frac_len rounds
   once, correctly, by Clinger's argument above.  Only the other tokens go
   on, compacted, through the steps below, so every refusal and every
@@ -145,27 +148,40 @@ NumericError, since JSON cannot carry it.
 
 encode_rows(values, indent) takes a 2-D float64 array and returns the JSON
 text of its list of rows, one number a line, nested at indent as
-render_json nests lists, each number as f"{v:.17g}" prints it.  The
+render_json nests lists, each number as f"{v:.17g}" prints it; render_json
+joins a grid's text, a part a block, once with the rest of the report.  The
 work is array-at-a-time, a block of rows of at most QUAD_BATCH_VALUES
 numbers at a time (one row where a row is wider), as fixed-precision
 printing in U. Adams, "Ryu revisited: printf floating point conversion",
 OOPSLA 2019:
 
-- a normal double m * 2**e with X = floor(log10 |v|) and k = 16 - X in
-  [0, 27] has the 17 digits D = round-half-even(m * 5**k * 2**(e + k)),
-  exact from one 64 x 64 -> 128-bit product (5**27 < 2**64); the rounding
-  is decided from the bits shifted out, and X is corrected once where D
-  falls outside [10**16, 10**17);
+- log10 gives X = floor(log10 |v|), or one less.  A normal double with
+  k = 16 - X in [0, 27] has the 17 digits D = round-half-even(|v| * 10**k).
+  Through k = 22, 10**k is an exact double, and Dekker's exact product of
+  two doubles split in halves (Veltkamp's split; no fused multiply-add)
+  gives |v| * 10**k = p + e exactly, p the rounded product, an even integer
+  above 2**53, so D = p + rint(e).  Above k = 22, one 64 x 64 -> 128-bit
+  product m * 5**k (5**27 < 2**64) gives it, the rounding decided from the
+  bits shifted out.  X is corrected once where D falls outside
+  [10**16, 10**17);
 - D is expanded to ASCII digits eight at a time in 64-bit words (SWAR,
   the inverse of the decoder's digit reader);
-- the %g layout is laid into fixed byte slots of one cell per number:
-  sign, "0." and leading zeros, the digits with the decimal point shifted
-  in, the exponent "e-XX", the separator; fixed notation for -4 <= X < 17
-  with trailing zeros dropped, exponent form otherwise;
-- a slot that a number does not fill holds a NUL byte, so one deletion of
-  every NUL from the block's cells compresses them into the text;
-- every other value (+-0, subnormals, |v| >= 1e17 or below 1e-11, inf and
-  nan, a shift of more than 64 bits) is printed by f"{v:.17g}" itself.
+- a number takes three words, 24 bytes: the sign, the "0." and leading
+  zeros of fixed notation below 1, the digits with the decimal point
+  shifted in and trailing zeros dropped (fixed notation for -4 <= X < 17),
+  or in exponent form the digits 4 bytes down and the exponent "e-XX"
+  after them.  Every byte that does not come from a digit (the lead, the
+  point, the "0" under each digit printed) is read from a table by X and
+  the count of significant digits; a byte that a number does not fill
+  holds a NUL;
+- a block's cells, the three words of each number and the separator's,
+  lie in one buffer that serves every block, with the separators and row
+  breaks written once; one deletion of every NUL compresses a block into
+  its text.  A separator of up to 8 bytes, at indent 0 or 1 (as generate
+  prints its grids), takes one word, so the deletion reads 32 bytes a
+  number;
+- zeros print "0" and "-0"; every other value (subnormals, |v| >= 1e17 or
+  below 1e-11, inf and nan) is printed by f"{v:.17g}" itself.
 """
 
 import functools
@@ -207,7 +223,7 @@ _FIRST_TOKEN = re.compile(rb"\[([ \t\n\r]*)([0-9]+)(\.[0-9]+)?(,[ \t\n\r]*)?")
 _ROW_GAP = re.compile(rb",[ \t\n\r]*\[")
 # "[", whitespace and a zero token, "0" or "0.0", ended by its separator or the row's "]"
 _ZERO_FIRST = re.compile(rb"\[[ \t\n\r]*(0(?:\.0)?)[, \t\n\r\]]")
-_SPARSE_HEAD = 256  # bytes whose nonzero digits say whether a block may be sparse
+_SPARSE_HEAD = 1024  # bytes whose nonzero digits say whether a block may be sparse
 # JSON numbers, each followed by a space
 _JSON_NUMBERS = re.compile(rb"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)? )*")
 # the largest byte ^ template under each template byte: 9 under a "0" (a digit), 0 elsewhere
@@ -733,7 +749,10 @@ def _sparse(raw):
     head = raw[:_SPARSE_HEAD]
     if 8 * (len(head) - len(head.translate(None, b"123456789"))) > len(head):
         return None
-    bounds = _nonzero_tokens(raw)
+    runs = _digit_runs(raw)
+    if runs is None:
+        return None
+    bounds = _nonzero_tokens(raw, runs)
     if bounds is None:
         return None
     zero = zero[1]
@@ -764,25 +783,34 @@ def _sparse(raw):
     return values
 
 
-def _nonzero_tokens(raw):
-    """The (start, end) rows, as an integer array, of the tokens of raw that hold a nonzero
-    digit; raw opens with "[" and ends with "]".  A token runs from its first nonzero digit
-    back and on to the nearest separators, the bytes below "+", "," and the brackets (a byte
-    that no number holds may lie in a token: the grammar refuses it there).  A token with
-    no separator within 24 bytes of its first nonzero digit on a side is cut short there,
-    so the number bytes left beside its place refuse the block's template.  None where
-    there are more than _ARRAY_MIN of them."""
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    nonzero = np.subtract(buf, ord("1"), dtype=np.uint8) < 9
+def _digit_runs(raw):
+    """The offsets of the first digit of each run of nonzero digits of raw, None where they
+    show more than _ARRAY_MIN tokens (see _nonzero_tokens): before any work per run."""
+    nonzero = np.subtract(np.frombuffer(raw, dtype=np.uint8), ord("1"), dtype=np.uint8) < 9
     # a token read whole has at most 24 nonzero digits: above this, more tokens or a long one
     if np.count_nonzero(nonzero) > 24 * _ARRAY_MIN:
         return None
-    at = np.flatnonzero(nonzero[1:] > nonzero[:-1])  # the first digit of each run
-    del nonzero
+    at = np.flatnonzero(nonzero[1:] > nonzero[:-1])
     at += 1
+    # the runs of a token read whole start within 24 bytes of its first one, so runs further
+    # apart lie in different tokens
+    if at.size > _ARRAY_MIN and np.count_nonzero(np.diff(at) > len(_PAD)) >= _ARRAY_MIN:
+        return None
+    return at
+
+
+def _nonzero_tokens(raw, at):
+    """The (start, end) rows, as an integer array, of the tokens of raw that hold a nonzero
+    digit, given at, the first digit of each run of nonzero digits; raw opens with "[" and
+    ends with "]".  A token runs from its first nonzero digit back and on to the nearest
+    separators, the bytes below "+", "," and the brackets (a byte that no number holds may
+    lie in a token: the grammar refuses it there).  A token with no separator within 24
+    bytes of its first nonzero digit on a side is cut short there, so the number bytes left
+    beside its place refuse the block's template.  None where there are more than
+    _ARRAY_MIN of them."""
     # the 24 bytes on each side of each such digit, in one gather of windows
     padded = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
-    near = np.ndarray((buf.size,), dtype=f"V{_WINDOW}", buffer=padded, strides=(1,))
+    near = np.ndarray((len(raw),), dtype=f"V{_WINDOW}", buffer=padded, strides=(1,))
     near = near[at].view(np.uint8).reshape(at.size, _WINDOW)
     del padded
     number = near >= _PLUS
@@ -822,6 +850,9 @@ def decode_rows(s, start, stop):
     starts, ends, rows, width, num = found
     size = ends - starts
     short = np.count_nonzero(size <= 8)
+    # a few beside long tokens cost less on the long path than the array calls below
+    if short < _ARRAY_MIN and short < starts.size:
+        short = 0
     if short:
         bits, admitted, scale, neg = _short_tokens(_windows(padded, 8)[ends].view("<u8"), size)
         short = np.count_nonzero(admitted)
@@ -1108,9 +1139,24 @@ def loads(data):
 
 _POW5 = np.array([5**k for k in range(28)], dtype=_U64)  # 5**27 < 2**64
 _K_MAX = _U64(27)
+_K_EXACT = _U64(22)  # through 10**22, a power of ten is an exact double
+_SPLIT = 2.0**27 + 1  # Veltkamp's factor: a double splits into two halves of at most 26 bits
 _E8, _E16, _E17 = _U64(10**8), _U64(10**16), _U64(10**17)
+_MAGNITUDE = _U64((1 << 63) - 1)
 _NORMAL_MIN, _NORMAL_MAX = _U64(0x0010000000000000), _U64(0x7FEFFFFFFFFFFFFF)  # as bits
-_POINT_CHAR = _U64(ord("."))
+
+
+def _split(x, high, low):
+    """Veltkamp's split of the doubles x into halves of at most 26 bits, high + low == x,
+    written to high and low."""
+    np.multiply(x, _SPLIT, out=high)
+    np.subtract(high, x, out=low)
+    high -= low
+    np.subtract(x, high, out=low)
+
+
+_POW10_HIGH, _POW10_LOW = np.empty_like(_POW10_F), np.empty_like(_POW10_F)
+_split(_POW10_F, _POW10_HIGH, _POW10_LOW)
 
 
 def _text_words(text, size=0):
@@ -1120,58 +1166,104 @@ def _text_words(text, size=0):
     return np.frombuffer(raw, dtype="<u8")
 
 
+# a number's table key: 17 * (X + 11) + its significant digits - 1, for X in [-11, 16]; the
+# keys below _KEY_FIXED are those of the exponent form (X < -4)
+_KEY_FIXED = 17 * 7
+
+
 def _layout_tables():
-    """For X = -11 .. 16 (index X + 11): the word of the "0." and leading zeros, after the
-    sign's byte; the digits ahead of a decimal point among the 17 (all 17 where the lead
-    holds the point); the digits kept even when they are trailing zeros; and the exponent
-    word.  Fixed notation for X >= -4, exponent form below."""
-    lead, point, keep, exponent = [], [], [], []
+    """For each key (see above): the three words of a number's 24 bytes that do not come from
+    its digits (the "0." and leading zeros of fixed notation below 1, the decimal point where
+    a digit follows it, and "0" in the byte of every digit printed), and the masks of the
+    bytes of the digit words H and L (digits 2-9 and 10-17) that lie ahead of the point.
+
+    The sign takes byte 0, the "0.000" bytes 1-5 and the 17 digits bytes 6 on, the digits
+    after the point a byte further up; a digit is printed through the last nonzero one, and
+    in fixed notation at least through the units.  In exponent form the point follows the
+    first digit, and the exponent is appended after the digits are moved 4 bytes down."""
+    const, exponent, head = [], [], []
     for x in range(-11, 17):
         fraction = -4 <= x < 0  # "0." and -X-1 zeros, then all 17 digits after the point
-        lead.append(_text_words("\0" + ("0." + "0" * (-x - 1) if fraction else ""), 1))
-        point.append(17 if fraction else max(x, 0) + 1)
-        keep.append(0 if fraction else max(x, 0) + 1)
-        exponent.append(_text_words(f"e-{-x:02d}" if x < -4 else "", 1))
-    return (np.concatenate(lead), np.array(point), np.array(keep), np.concatenate(exponent))
+        lead = (b"\0" + (b"0." + b"0" * (-x - 1) if fraction else b"")).ljust(6, b"\0")
+        point = 17 if fraction else max(x, 0) + 1
+        for sig in range(1, 18):
+            keep = sig if x < 0 else max(sig, x + 1)
+            tail = b"." + b"0" * (keep - point) if keep > point else b""
+            const.append((lead + b"0" * min(keep, point) + tail).ljust(24, b"\0"))
+        exponent.append((f"e-{-x:02d}" if x < -4 else "").encode("ascii").ljust(8, b"\0") * 17)
+        head += [(1 << 8 * (point - 1)) - 1] * 17
+    words = np.frombuffer(b"".join(const), dtype="<u8").reshape(-1, 3)
+    return (*(np.ascontiguousarray(words[:, w]) for w in range(3)),
+            np.array([h & 0xFFFFFFFFFFFFFFFF for h in head], dtype=_U64),
+            np.array([h >> 64 for h in head], dtype=_U64),
+            np.frombuffer(b"".join(exponent), dtype="<u8"))
 
 
-_LEAD, _POINT, _KEEP, _EXPONENT = _layout_tables()
+_CONST0, _CONST1, _CONST2, _HEAD_H, _HEAD_L, _EXPONENT = _layout_tables()
 
 
-def _digit_bytes(x):
+def _digit_bytes(x, hi, tmp):
     """The eight decimal digits of each x < 10**8 as the bytes of a word, the first digit
-    lowest: the inverse of _eight, less the ASCII zeros.  x is overwritten."""
-    hi = x // _U64(10000)
-    x -= hi * _U64(10000)
+    lowest: the inverse of _eight, less the ASCII zeros.  x is overwritten; hi and tmp are
+    scratch.
+
+    Each step halves the digits of each lane: with h the lane's quotient by c,
+    (x - c h) 2**b + h == x 2**b - h (c 2**b - 1)."""
+    np.floor_divide(x, _U64(10000), out=hi)
     x <<= _U64(32)
-    x |= hi  # four-digit halves in 32-bit lanes, the leading one low
-    np.multiply(x, _U64(5243), out=hi)  # / 100 in each lane
+    x -= np.multiply(hi, _U64((10000 << 32) - 1), out=tmp)  # four-digit halves, leading low
+    np.multiply(x, _U64(5243), out=hi)  # / 100 in each 32-bit lane
     hi >>= _U64(19)
     hi &= _U64(0x0000007F0000007F)
-    x -= hi * _U64(100)
     x <<= _U64(16)
-    x |= hi  # two-digit quarters in 16-bit lanes
-    np.multiply(x, _U64(103), out=hi)  # / 10 in each lane
+    x -= np.multiply(hi, _U64((100 << 16) - 1), out=tmp)  # two-digit quarters
+    np.multiply(x, _U64(103), out=hi)  # / 10 in each 16-bit lane
     hi >>= _U64(10)
     hi &= _U64(0x000F000F000F000F)
-    x -= hi * _U64(10)
     x <<= _U64(8)
-    x |= hi
-    return x
+    x -= np.multiply(hi, _U64((10 << 8) - 1), out=tmp)
 
 
-def _scaled(v, k):
-    """(round-half-even(|v| * 10**k), mask of k in [0, 27]) for float64 v.
+def _two_product(a, k, work):
+    """round-half-even(a * 10**k) as uint64 in work[0], for doubles a and k in [0, 22] with
+    a * 10**k in [2**53, 2**63); work is 6 rows of a.size words, the others scratch.
 
-    For v = m * 2**e, one 128-bit product m * 2**(left + 1) * 5**k, shifted right by right
+    With 10**k = H + L and a = h + l split in halves, a * 10**k is p + e exactly, p the
+    rounded product and e = ((h H - p) + h L + l H) + l L computed without error
+    (T. J. Dekker, "A floating-point technique for extending the available precision",
+    Numer. Math. 18, 1971).  p is an even integer, so the nearest integer, ties to even, is
+    p + rint(e)."""
+    e, p, power_h, power_l, high, low = (row.view(float) for row in work)
+    # k is in range: "clip" only spares take a copy of its output
+    np.take(_POW10_F, k, out=p, mode="clip")
+    p *= a
+    np.take(_POW10_HIGH, k, out=power_h, mode="clip")
+    np.take(_POW10_LOW, k, out=power_l, mode="clip")
+    _split(a, high, low)
+    np.multiply(high, power_h, out=e)
+    e -= p
+    e += np.multiply(high, power_l, out=high)
+    e += np.multiply(low, power_h, out=power_h)
+    e += np.multiply(low, power_l, out=low)
+    np.rint(e, out=e)
+    d, r = work[0].view(np.int64), work[2].view(np.int64)
+    np.copyto(r, e, casting="unsafe")
+    np.copyto(d, p, casting="unsafe")
+    d += r
+    return work[0]
+
+
+def _wide_product(a, k):
+    """round-half-even(a * 10**k) as uint64, for normal doubles a > 0 and k in [0, 27] with
+    a * 10**k below 2**63.
+
+    For a = m * 2**e, one 128-bit product m * 2**(left + 1) * 5**k, shifted right by right
     bits (left - right = e + k), gives twice the value with its half bit lowest; the bits
-    shifted out of it decide the ties.  It is exact where v is normal and right is at most
-    64, as it is where 10**16 <= the result < 10**17; a larger right gives 0.
+    shifted out of it decide the ties.  It is exact where right is at most 64, as it is where
+    10**16 <= the result < 10**18; a larger right gives 0.
     """
-    bits = v.view(_U64)
-    ok = k.view(_U64) <= _K_MAX
-    k = np.minimum(k.view(_U64), _K_MAX).view(np.int64)
-    shift = ((bits >> _U64(52)) & _U64(0x7FF)).view(np.int64)
+    bits = a.view(_U64)
+    shift = (bits >> _U64(52)).view(np.int64)
     shift += k
     shift -= 1075
     left = np.maximum(shift, 0)
@@ -1182,7 +1274,7 @@ def _scaled(v, k):
     m <<= left.view(_U64)
     del left
     hi, lo = _mul128(m, _POW5[k])
-    del m, k
+    del m
     out = _U64(64) - right  # 64 or more shifts give 0
     twice = lo >> right
     del right
@@ -1198,146 +1290,172 @@ def _scaled(v, k):
     twice &= sticky
     twice &= _U64(1)
     d += twice
-    return d, ok
+    return d
 
 
-def _first_bytes(count8):
-    """For 8 * count, count in [1, 17]: masks of the bytes of the digit words H and L
-    (digits 2-9 and 10-17) that lie among the first count digits."""
-    return ~(_ALL << (count8 - _U64(8))), _ALL >> (_U64(136) - count8)
+def _scaled(a, k, work):
+    """round-half-even(a * 10**k) as uint64 in work[0] (6 rows of a.size words, the others
+    scratch) for doubles a >= 0, by _two_product through k = 22 and by _wide_product above;
+    returns the mask of the entries where that is exact: a normal, k in [0, 27] and the
+    product below 10**18.  The other entries hold garbage."""
+    k_bits = k.view(_U64)
+    exact = k_bits <= _K_MAX
+    near = _where(k_bits <= _K_EXACT)
+    if isinstance(near, slice):
+        _two_product(a, k, work)
+        return exact
+    d = work[0]
+    d.fill(0)
+    if near is not None:
+        d[near] = _two_product(a[near], k[near], np.empty((6, near.size), dtype=_U64))
+    wide = _where(exact & (k_bits > _K_EXACT))
+    if wide is not None:
+        d[wide] = _wide_product(a[wide], k[wide])
+    return exact
 
 
-def _number_words(v):
-    """The four words of each number of v (1-D float64) as %.17g prints it, NUL bytes between
-    the characters: the sign and the "0.000" of fixed notation below 1 in bytes 0-5, the
-    digits with the decimal point shifted in from byte 6 to 23, and the exponent in the low
-    half of the fourth word.  Temporaries are freed or overwritten as soon as they are spent,
-    so the memory a block needs stays a few arrays of its size."""
+def _number_words(v, work, out):
+    """The three words of each number of v (1-D float64) as %.17g prints it, NUL bytes between
+    the characters (see _layout_tables), written to out: three arrays of one shape, of v.size
+    words each (the word columns of a block's cells).  work is 8 rows of v.size words, all
+    scratch: every step of the common path writes to a row of it, so a block allocates no
+    array of its size."""
+    first, second, third, a, x, k, d, high = work  # rows, renamed as their use changes
     bits = v.view(_U64)
+    a = np.bitwise_and(bits, _MAGNITUDE, out=a).view(float)
     # X or one less: log10 is off by far less than the margin, and an X one too high could
     # let D round up to exactly 10**16 from 16 digits
-    x = np.log10(np.clip(bits & _U64((1 << 63) - 1), _NORMAL_MIN, _NORMAL_MAX).view(float))
-    x -= 1e-12
-    k = np.floor(x, out=x).astype(np.int64)
-    del x
-    np.subtract(16, k, out=k)
-    d, ok = _scaled(v, k)  # subnormals, zeros, inf and nan have k outside [0, 27]
-    up = np.flatnonzero(ok & (d >= _E17))
-    if up.size:  # X is one more: x was one low, or D rounded up to 10**17
+    np.maximum(a.view(_U64), _NORMAL_MIN, out=x)
+    np.minimum(x, _NORMAL_MAX, out=x)
+    x = x.view(float)
+    np.log10(x, out=x)
+    np.subtract(16 + 1e-12, x, out=x)
+    np.ceil(x, out=x)  # 16 - X, or one more
+    k = k.view(np.int64)
+    np.copyto(k, x, casting="unsafe")
+    # subnormals, zeros, inf and nan have k outside [0, 27]
+    x = x.view(_U64)
+    ok = _scaled(a, k, [d, first, second, third, x, high])
+    up = _where(ok & (d >= _E17))
+    if up is not None:  # X is one more: x was one low, or D rounded up to 10**17
         k[up] -= 1
-        d[up], ok[up] = _scaled(v[up], k[up])
-    ok &= d >= _E16
-    ok &= d < _E17
-    at = np.minimum(k.view(_U64), _K_MAX, out=k.view(_U64)).view(np.int64)
-    np.subtract(27, at, out=at)  # X + 11
+        a = a[up]
+        redo = np.empty((6, a.size), dtype=_U64)
+        ok[up] = _scaled(a, k[up], redo)
+        d[up] = redo[0]
+    ok &= np.subtract(d, _E16, out=x) < _E17 - _E16
 
-    top = d // _E16
-    d -= top * _E16
-    high = d // _E8
-    d -= high * _E8
-    high = _digit_bytes(high)
-    low = _digit_bytes(d)
-    # significant digits, through the last nonzero one: the byte of the top bit of the 16 low
-    # digit bytes; a digit's top bit is bit 3 of its byte or lower, so the rounding of the
-    # float conversion cannot reach the next byte
-    f = low.astype(float)
-    f *= 2.0**64
-    f += high.astype(float)
-    sig8 = np.frexp(f)[1].astype(np.int64)
-    del f
-    sig8 += 15
-    sig8 &= -8
-    point8 = _POINT[at]
-    point8 <<= 3
-    keep8 = _KEEP[at]
-    keep8 <<= 3
-    np.maximum(keep8, sig8, out=keep8)
-    keep_h, keep_l = _first_bytes(keep8.view(_U64))
-    del keep8
-    high |= _ZEROS
-    high &= keep_h
-    low |= _ZEROS
-    low &= keep_l
-    del keep_h, keep_l
-    head_h, head_l = _first_bytes(point8.view(_U64))
+    top, tmp = x, work[3]  # |v| is spent
+    np.floor_divide(d, _E16, out=top)
+    d -= np.multiply(top, _E16, out=tmp)
+    np.floor_divide(d, _E8, out=high)
+    d -= np.multiply(high, _E8, out=tmp)
+    low = d
+    _digit_bytes(work[6:], work[:2], work[2:4])  # low and high at once
+    # the significant digits, through the last nonzero one: from the exponent of
+    # 2 (L * 2**64 + H) + 1, whose top bit lies in the byte of the last nonzero digit (bit 4
+    # or lower of it: a digit is at most 9, so the float's rounding cannot carry into the next
+    # byte), or is bit 0 where the 16 digits after the first are all zero
+    f = tmp.view(float)
+    np.copyto(f, low.view(np.int64), casting="unsafe")
+    f *= 2.0**65
+    f += np.multiply(high.view(np.int64), 2.0, out=first.view(float))
+    f += 1.0
+    key = np.right_shift(f.view(_U64), _U64(55), out=tmp)  # digits + 126
+    k = np.minimum(k.view(_U64), _K_MAX, out=k.view(_U64))
+    key -= np.multiply(k, _U64(17), out=k)
+    key += _U64(17 * 27 - 127)
+    key = key.view(np.int64)
+
+    head_h = np.take(_HEAD_H, key, out=k, mode="clip")
     head_h &= high
+    high ^= head_h  # the tail, a byte further up to make room for the point
+    head_l = np.take(_HEAD_L, key, out=third, mode="clip")
     head_l &= low
-    high ^= head_h  # the tails, a byte further up to make room for the point
     low ^= head_l
-    # the point's bit offset from byte 0 of the number, 256 more (past the three words)
-    # where no digit follows it
-    dot = point8 - sig8
-    del sig8
-    dot >>= 63
-    dot <<= 8
-    dot += point8
-    dot += 48 + 256
-    del point8
-    dot = dot.view(_U64)
-
-    first = _LEAD[at]
-    first |= (bits >> _U64(63)) * _U64(ord("-"))
-    top |= _U64(0x30)
+    shape = out[0].shape
+    np.take(_CONST0, key, out=first, mode="clip")
+    sign = np.right_shift(bits, _U64(63), out=second)
+    sign *= _U64(ord("-"))
+    first |= sign
     top <<= _U64(48)
     first |= top
-    del top
-    first |= head_h << _U64(56)
-    first |= _POINT_CHAR << dot
-    second = np.right_shift(head_h, _U64(8), out=head_h)
+    np.bitwise_or(first.reshape(shape),
+                  np.left_shift(head_h, _U64(56), out=second).reshape(shape), out=out[0])
+    np.take(_CONST1, key, out=second, mode="clip")
+    second |= np.right_shift(head_h, _U64(8), out=head_h)
     second |= high
-    del high
-    second |= head_l << _U64(56)
-    dot -= _U64(64)
-    second |= _POINT_CHAR << dot
+    np.bitwise_or(second.reshape(shape),
+                  np.left_shift(head_l, _U64(56), out=head_h).reshape(shape), out=out[1])
     third = np.right_shift(head_l, _U64(8), out=head_l)
     third |= low
-    del low
-    dot -= _U64(64)
-    third |= _POINT_CHAR << dot
-    words = [first, second, third, _EXPONENT[at]]
+    np.bitwise_or(third.reshape(shape),
+                  np.take(_CONST2, key, out=head_h, mode="clip").reshape(shape), out=out[2])
 
+    # the exponent form: the digits 4 bytes down, from byte 6 to 2, and the exponent after them
+    scientific = np.flatnonzero(ok & (key < _KEY_FIXED))
+    if scientific.size:
+        at = np.unravel_index(scientific, shape)
+        w0, w1, w2 = (w[at] for w in out)
+        out[0][at] = (w0 & _U64(0xFF)) | (w0 >> _U64(32)) | (w1 << _U64(32))
+        out[1][at] = (w1 >> _U64(32)) | (w2 << _U64(32))
+        out[2][at] = (w2 >> _U64(32)) | (_EXPONENT[key[scientific]] << _U64(32))
     slow = np.flatnonzero(~ok)
     if slow.size:
+        zero = bits[slow] << _U64(1) == 0  # +-0, printed "0" and "-0"
+        at = np.unravel_index(slow[zero], shape)
+        out[0][at] = _U64(ord("0") << 8) | (bits[slow[zero]] >> _U64(63)) * _U64(ord("-"))
+        out[1][at] = out[2][at] = 0
+        slow = slow[~zero]
+        at = np.unravel_index(slow, shape)
         text = b"".join(f"{t:.17g}".encode("ascii").ljust(24, b"\0") for t in v[slow].tolist())
         fallback = np.frombuffer(text, dtype="<u8").reshape(-1, 3)
         for w in range(3):
-            words[w][slow] = fallback[:, w]
-        words[3][slow] = 0
-    return words
+            out[w][at] = fallback[:, w]
 
 
 def encode_rows(values, indent):
     """values, a 2-D float64 array, as the JSON text of its list of rows at indent (see the
     module doc); inf and nan are printed as %.17g prints them."""
+    return "".join(_row_parts(values, indent))
+
+
+def _row_parts(values, indent):
+    """The text of encode_rows as a list of parts, a block of rows a part."""
     rows, cols = values.shape
     outer, pad, inner = ("  " * (indent + j) for j in range(3))
     if not rows:
-        return "[]"
+        return ["[]"]
     if not cols:
-        return "[\n" + ",\n".join([pad + "[]"] * rows) + f"\n{outer}]"
-    sep = _text_words(f"\0\0\0\0,\n{inner}")  # after the exponent's half word
+        return ["[\n" + ",\n".join([pad + "[]"] * rows) + f"\n{outer}]"]
+    sep = _text_words(f",\n{inner}")
     brk = _text_words(f"\n{pad}],\n{pad}[\n{inner}")
     end = _text_words(f"\n{pad}]", brk.size)
     width = 3 + sep.size
-    step = max(1, QUAD_BATCH_VALUES // cols)
+    line = cols * width + brk.size  # the words of a row
+    step = min(rows, max(1, QUAD_BATCH_VALUES // cols))
+    # one buffer of cells and one of scratch rows serve every block: the separators and row
+    # breaks are written once
+    text = bytearray(step * line * 8)
+    words = np.frombuffer(text, dtype="<u8").reshape(step, line)
+    cells = words[:, : cols * width].reshape(step, cols, width)
+    cells[..., 3:] = sep
+    cells[:, -1, 3:] = 0  # the last number of a row is followed by brk
+    words[:, cols * width :] = brk
+    work = np.empty(8 * step * cols, dtype=_U64)
     out = [f"[\n{pad}[\n{inner}"]
     for start in range(0, rows, step):
         block = values[start : start + step]
         n = block.shape[0]
-        text = bytearray(n * (cols * width + brk.size) * 8)
-        words = np.frombuffer(text, dtype="<u8").reshape(n, -1)
-        cells = words[:, : cols * width].reshape(n, cols, width)
-        cells[..., 3:] = sep
-        for w, word in enumerate(_number_words(np.ravel(block))):
-            cells[..., w] |= word.reshape(n, cols)
-        cells[:, -1, 3] &= _U64(0xFFFFFFFF)  # the last number of a row is followed by brk
-        cells[:, -1, 4:] = 0
-        words[:, cols * width :] = brk
+        _number_words(np.ravel(block), work[: 8 * n * cols].reshape(8, n * cols),
+                      [cells[:n, :, w] for w in range(3)])
         if start + n == rows:
-            words[-1, cols * width :] = end
-        out.append(text.translate(None, b"\0").decode("ascii"))
+            words[n - 1, cols * width :] = end
+        size = n * line * 8
+        out.append((text if size == len(text) else text[:size]).translate(None, b"\0")
+                   .decode("ascii"))
     out.append(f"\n{outer}]")
-    return "".join(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1377,8 +1495,9 @@ def _render(obj, out, indent):
     elif obj is None:
         out.append("null")
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
-        # a generated grid: every row at once, the bytes of the list-of-rows branch above
-        out.append(_finite(encode_rows(obj, indent)))
+        # a generated grid: every row at once, the bytes of the list-of-rows branch above,
+        # joined once with the rest of the report
+        out.extend(_finite(part) for part in _row_parts(obj, indent))
     else:
         out.append(encode_basestring_ascii(str(obj)))
 

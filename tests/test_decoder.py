@@ -800,6 +800,21 @@ def test_a_block_of_short_tokens_never_reaches_the_long_path(monkeypatch):
     assert [np.signbit(v) for v in decoded[:, 3]] == [True, False, False]
 
 
+def test_fewer_than_array_min_short_tokens_are_read_on_the_long_path(monkeypatch):
+    calls = []
+    short_tokens = gridtext._short_tokens
+    monkeypatch.setattr(gridtext, "_short_tokens",
+                        lambda *args: calls.append(args) or short_tokens(*args))
+    grid = 1.0 + np.random.default_rng(3).random((20, 20))  # 400 tokens of 17 or more bytes
+    for count in (1, gridtext._ARRAY_MIN - 1, gridtext._ARRAY_MIN):
+        grid.flat[:count] = 2.5
+        text = json.dumps(grid.tolist())[1:-1]
+        calls.clear()
+        assert kernel(text).tobytes() == grid.tobytes()
+        # once at _ARRAY_MIN 0, and at the module's only from _ARRAY_MIN short tokens on
+        assert len(calls) == 1 + (count >= gridtext._ARRAY_MIN), count
+
+
 def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
     n, rng = 300, np.random.default_rng(5)
     mixture = np.zeros((n, n))
@@ -1054,6 +1069,35 @@ def test_dense_blocks_and_blocks_past_their_grid_are_declined_before_the_array_w
     for text in blocks:
         assert gridtext._sparse(text.encode()) is None, text[:40]
         kernel(text)
+
+
+def test_more_than_array_min_tokens_far_apart_are_declined_before_the_windows(monkeypatch):
+    # each nonzero token 8 cells from the last: their runs of nonzero digits lie more than 24
+    # bytes apart, so they count as a token each before any window is gathered
+    calls = []
+    nonzero_tokens = gridtext._nonzero_tokens
+    monkeypatch.setattr(gridtext, "_nonzero_tokens",
+                        lambda *args: calls.append(args) or nonzero_tokens(*args))
+    for count in (gridtext._ARRAY_MIN, gridtext._ARRAY_MIN + 1):
+        grid = np.zeros((48, 48))
+        grid.flat[1 : 8 * count : 8] = 0.125
+        text = json.dumps(grid.tolist())[1:-1]
+        calls.clear()
+        tier = gridtext._sparse(text.encode())
+        assert (tier is None) == (count > gridtext._ARRAY_MIN)
+        assert len(calls) == (count <= gridtext._ARRAY_MIN)
+        kernel(text)
+
+
+def test_a_mixture_with_two_nonzero_tokens_in_its_first_256_bytes_is_sparse():
+    grid = np.zeros((32, 128))
+    grid[0, 1:3] = [0.12345678912345678, 0.98765432198765432]  # 17 nonzero digits each
+    grid[np.arange(1, 32), np.arange(5, 36)] = 0.5
+    data = json.dumps(grid.tolist())[1:-1].encode()
+    head = data[:256]
+    assert 8 * (len(head) - len(head.translate(None, b"123456789"))) > len(head)
+    tier = gridtext._sparse(data)
+    assert tier is not None and tier.tobytes() == grid.tobytes()
 
 
 def test_the_sparse_tier_takes_at_most_array_min_nonzero_tokens():

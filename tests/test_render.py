@@ -172,3 +172,56 @@ def test_render_of_an_array_refuses_non_finite_numbers_as_its_rows(bad):
     with pytest.raises(NumericError, match="non-finite number -?(inf|nan)") as array:
         render_json(grid)
     assert str(array.value) == str(plain.value)
+
+
+def per_number(grid, indent):
+    """The text of grid's list of rows at indent as the per-number path prints it."""
+    outer, pad, inner = ("  " * (indent + j) for j in range(3))
+    rows = (f"[\n{inner}" + f",\n{inner}".join(f"{v:.17g}" for v in row) + f"\n{pad}]"
+            for row in grid.tolist())
+    return f"[\n{pad}" + f",\n{pad}".join(rows) + f"\n{outer}]"
+
+
+def test_encoder_on_both_sides_of_every_decade_and_path_boundary():
+    # X from -13 to 18: the fallback below 1e-11, the 128-bit product for k = 16 - X in
+    # [23, 27] (|v| below 1e-6), the two-product through k = 22, the exponent form below
+    # 1e-4, fixed notation through 1e17 and the fallback above; at each decade's ends, where
+    # log10 leaves X one low, and across it
+    rng = np.random.default_rng(11)
+    values = []
+    for x in range(-13, 19):
+        p = float(f"1e{x}")
+        for step in (1e-14, 1e-12, 3e-12, 1e-9):
+            values += [p * (1 + step), p * (1 - step)]
+        values += (p * rng.uniform(1.0, 10.0, 40)).tolist()
+    grid = np.array(values + [-v for v in values]).reshape(-1, 16)
+    assert gridtext.encode_rows(grid, 0) == per_number(grid, 0)
+
+
+def test_encoder_rounds_exact_ties_half_to_even_on_both_products():
+    # v = m / 2**(k + 1) with m odd has v * 10**k = m 5**k / 2 exactly, a tie between two
+    # 17-digit integers: k <= 22 takes the two-product, k >= 23 the 128-bit product
+    values = []
+    for k in range(1, 28):
+        low = -(-2 * 10**16 // 5**k) | 1  # the first odd m with m 5**k / 2 >= 10**16
+        for m in (low, low + 2, low + 4, 2 * low + 1, 2 * 10**17 // 5**k - 1 | 1):
+            if m * 5**k < 2 * 10**17 and m < 2**53:
+                values.append(m / 2 ** (k + 1))
+    assert len(values) > 100
+    grid = np.array(values + [-v for v in values]).reshape(2, -1)
+    assert gridtext.encode_rows(grid, 1) == per_number(grid, 1)
+
+
+def test_encoder_prints_zeros_subnormals_and_large_values_as_17g():
+    grid = np.zeros((40, 30))
+    grid[::3, ::2] = -0.0
+    grid[1::7, 1::5] = [5e-324, -2.2250738585072009e-308, 1e17, -DBL_MAX, 1e-12, 0.5]
+    assert gridtext.encode_rows(grid, 0) == per_number(grid, 0)
+
+
+@pytest.mark.parametrize("indent", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, WIDE), (QUAD_BATCH_VALUES // 7 + 5, 7), (3, 1)], ids=str)
+def test_encoder_at_every_indent_and_block_shape(indent, shape):
+    rng = np.random.default_rng(indent)
+    grid = rng.random(shape) * 10.0 ** rng.integers(-13, 19, shape)
+    assert gridtext.encode_rows(grid, indent) == per_number(grid, indent)

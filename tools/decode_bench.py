@@ -30,6 +30,13 @@ The others are printed by f-strings:
 - spaced: the rank-one grid as json.dumps prints it, with a space before every "," and
   "]", a layout whose commas the decoder must locate.
 
+The last two, printed by json.dumps, sit at the edges of the tiers:
+
+- crowded: a convex combination of 12 permutation matrices, n x n, whose blocks hold more
+  nonzero tokens than the sparse tier takes, far apart, read by the general kernel;
+- few-short: the rank-one grid with its first column set to 2.5, one token of at most 8
+  bytes a row, too few in a block for the short-token step.
+
 Each grid is decoded from its UTF-8 bytes, as the CLI reads a file; a tree whose
 gridtext.loads takes only a str is timed on the bytes decoded to a str, the decoding
 included, as its CLI read a file as text.  Every decode is checked bit for
@@ -122,6 +129,13 @@ def families(seed, n, tall):
         ",\n    ".join(f"{v:.17g}" for v in row) for row in rows) + "\n  ]\n]"
     texts["spaced"] = "[" + ", ".join(
         "[" + " , ".join(repr(v) for v in row) + " ]" for row in rows) + "]"
+    crowded = np.zeros((n, n))
+    for a in rng.dirichlet(np.ones(12)):
+        crowded[np.arange(n), rng.permutation(n)] += a
+    texts["crowded"] = json.dumps(crowded.tolist())
+    few_short = grids["rank-one"].copy()
+    few_short[:, 0] = 2.5
+    texts["few-short"] = json.dumps(few_short.tolist())
     return texts
 
 
