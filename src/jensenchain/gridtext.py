@@ -103,17 +103,13 @@ The general path is array-at-a-time over the bytes of the text:
   json.dumps and generate print a grid, every gap holds a comma there, so
   the commas are counted, not located; in any other layout they are
   located, with "]" "," "[" at each row break;
-- where a text holds at least _ARRAY_MIN tokens of at most 8 bytes, or
-  no others (a few beside long tokens cost less on the long path than the
-  array calls of this step), each that matches -?(0|[1-9][0-9]*)([.][0-9]+)? (the "0.0" of a grid the
-  sparse tier declines, "-7", "12345678", "-1234.56") is checked and
-  read from the one word that ends at its last byte: its at most 8
-  digits w and 10**frac_len are exact doubles, so w / 10**frac_len rounds
-  once, correctly, by Clinger's argument above.  Only the other tokens go
-  on, compacted, through the steps below, so every refusal and every
-  float() fallback is theirs.  Each step counts the tokens it covers
-  first: one that covers every token runs on the arrays themselves, with
-  no index, gather or scatter, and one that covers none is skipped;
+- zeros: a token of exactly the three bytes "0.0" (the zero of a grid the
+  sparse tier declines) is +0.0, and its dot leaves the dot mask; a text
+  of nothing else is returned then.  Only the other tokens go on,
+  compacted, through the steps below, so every refusal and every float()
+  fallback is theirs.  Each step counts the tokens it covers first: one
+  that covers every token runs on the arrays themselves, with no index,
+  gather or scatter, and one that covers none is skipped;
 - grammar: the '.', 'e'/'E' and sign bytes of each token fix its parts,
   which are checked against the JSON number grammar.  A text with no sign
   or exponent byte skips their bookkeeping.  Where there are as many dots
@@ -129,8 +125,9 @@ The general path is array-at-a-time over the bytes of the text:
   where w is 0, and otherwise the Eisel-Lemire algorithm on the 128-bit
   product of w and the leading 64 bits of 5**q (Lemire, above; as
   fast_float's compute_float, with the rare products whose rounding needs
-  the next 64 bits of 5**q left to float()); the low word of the product
-  is formed only where the tie test reads it (-4 <= q <= 23);
+  the next 64 bits of 5**q left to float(), and so are subnormal results
+  and those past the largest double); the low word of the product is
+  formed only where the tie test reads it (-4 <= q <= 23);
 - float(): the few tokens left, such as those of more than 19
   significant digits, go to float() (or float(int()) for an integer
   token, as json gives an int), which rounds correctly; so do all of them
@@ -156,14 +153,12 @@ printing in U. Adams, "Ryu revisited: printf floating point conversion",
 OOPSLA 2019:
 
 - log10 gives X = floor(log10 |v|), or one less.  A normal double with
-  k = 16 - X in [0, 27] has the 17 digits D = round-half-even(|v| * 10**k).
-  Through k = 22, 10**k is an exact double, and Dekker's exact product of
-  two doubles split in halves (Veltkamp's split; no fused multiply-add)
-  gives |v| * 10**k = p + e exactly, p the rounded product, an even integer
-  above 2**53, so D = p + rint(e).  Above k = 22, one 64 x 64 -> 128-bit
-  product m * 5**k (5**27 < 2**64) gives it, the rounding decided from the
-  bits shifted out.  X is corrected once where D falls outside
-  [10**16, 10**17);
+  k = 16 - X in [0, 22] has the 17 digits D = round-half-even(|v| * 10**k):
+  10**k is an exact double, and Dekker's exact product of two doubles
+  split in halves (Veltkamp's split; no fused multiply-add) gives
+  |v| * 10**k = p + e exactly, p the rounded product, an even integer
+  above 2**53, so D = p + rint(e).  X is corrected once where D falls
+  outside [10**16, 10**17);
 - D is expanded to ASCII digits eight at a time in 64-bit words (SWAR,
   the inverse of the decoder's digit reader);
 - a number takes three words, 24 bytes: the sign, the "0." and leading
@@ -181,7 +176,7 @@ OOPSLA 2019:
   prints its grids), takes one word, so the deletion reads 32 bytes a
   number;
 - zeros print "0" and "-0"; every other value (subnormals, |v| >= 1e17 or
-  below 1e-11, inf and nan) is printed by f"{v:.17g}" itself.
+  below 1e-6, inf and nan) is printed by f"{v:.17g}" itself.
 """
 
 import functools
@@ -204,8 +199,6 @@ _WINDOW = 2 * len(_PAD) + 1  # a byte and the 24 on each side of it
 # the bytes of a grid's text: deleting them leaves nothing of a text that holds no other
 _GRID_BYTES = b" \t\n\r0123456789,.[]eE+-"
 _MINUS, _PLUS, _OPEN, _CLOSE, _ZERO, _COMMA, _DOT = b"-+[]0,."
-_ALL = _U64(0xFFFFFFFFFFFFFFFF)
-_ZEROS = _U64(0x3030303030303030)
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
 _POW10_F = np.array([10.0**k for k in range(23)])  # exact doubles
 _LONGEST = 19  # significant digits that always fit a uint64
@@ -307,7 +300,7 @@ def _digits(padded, ends, count):
     return value, top
 
 
-def _mul128(a, b, low=True):
+def _mul128(a, b, low):
     """(high, low) 64-bit halves of the products a * b of uint64 arrays, low None unless
     asked for; b is overwritten."""
     mask = _U64(0xFFFFFFFF)
@@ -344,8 +337,9 @@ def _power2_base():
 
 
 def _eisel_lemire(w, q):
-    """(float64 bit patterns of w * 10**q, mask of those left undecided), for 0 < w < 2**64
-    and q in [_Q_MIN, _Q_MAX]."""
+    """(float64 bit patterns of w * 10**q, mask of those left undecided: the products whose
+    rounding the next 64 bits of 5**q could change, subnormal results and those past the
+    largest double), for 0 < w < 2**64 and q in [_Q_MIN, _Q_MAX]."""
     # the bit length, from the exponent of w as a double, or one more after its rounding
     bits = w.astype(float).view(_U64) >> _U64(52)
     bits -= _U64(1022)
@@ -365,25 +359,14 @@ def _eisel_lemire(w, q):
         m, h = mant[near], high[near]
         halfway = (low[near] <= 1) & ((m & _U64(3)) == 1) & ((m << shift[near]) == h)
         mant[near] -= halfway  # exactly between two doubles: round to even
-    if power2.min() <= 0:
-        # subnormal: shift the extra bits out, then round
-        sub = power2 <= 0
-        out = (1 - power2[sub]).astype(_U64)
-        m = mant[sub] >> np.minimum(out, _U64(63))
-        m[out >= 64] = 0
-        mant[sub] = m
-        power2[sub] = 1  # 0 after the binade step below, unless the rounding reaches 2**52
     mant += mant & _U64(1)
     mant >>= _U64(1)
-    # mant is in [2**52, 2**53], or below 2**52 for a subnormal: added to the exponent field
-    # less one, its top bit steps the exponent, so a carry to 2**53 moves to the next binade
-    # and a subnormal rounded up to 2**52 is the smallest normal
-    inf = power2 >= 0x7FF
+    # mant is in [2**52, 2**53]: added to the exponent field less one, its top bit steps the
+    # exponent, so a carry to 2**53 moves to the next binade
     power2 -= 1
+    undecided |= power2.view(_U64) > _U64(0x7FD)  # a field outside [1, 0x7FE]: to float()
     power2 <<= 52
     mant += power2.view(_U64)
-    if inf.any():
-        mant[inf] = _U64(0x7FF << 52)
     return mant, undecided
 
 
@@ -577,70 +560,6 @@ def _values(padded, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg
     if neg is not None and neg.any():  # a zero is negative only as a float: json gives "-0" as 0
         np.bitwise_or(bits, _U64(1 << 63), out=bits, where=neg & (is_float | nonzero))
     return bits, np.flatnonzero(slow)
-
-
-def _short_tokens(last, size):
-    """(float64 bit patterns, admitted, scale, neg) of the tokens of the given sizes, each
-    ending at the top byte of its word in last, which is overwritten.  admitted marks the
-    tokens of at most 8 bytes that match -?(0|[1-9][0-9]*)([.][0-9]+)?; the other entries
-    hold garbage.  scale is frac_len + 1 in a token with a dot, so its dot lies scale bytes
-    before its end, and 0 in one without; neg marks a leading "-".  An admitted token has
-    at most 8 digits w, so w and 10**frac_len are exact doubles and w / 10**frac_len rounds
-    once, correctly (Clinger's fast path)."""
-    skip = size.astype(_U64)
-    np.subtract(_U64(8), skip, out=skip)
-    skip <<= _U64(3)  # the bits below the token; 64 or more past 8 bytes, which shift all out
-    head = last >> skip  # the token's bytes, the first lowest
-    head &= _U64(0xFF)
-    neg = head == _MINUS
-    signed = neg.any()
-    if signed:
-        np.add(skip, _U64(8), out=skip, where=neg)  # the bits below the body: less the sign
-    np.right_shift(last, skip, out=head)
-    head &= _U64(0xF0FF)  # the body's first byte, and the high nibble of its second
-    digits = last
-    digits ^= _ZEROS
-    digits &= np.left_shift(_ALL, skip, out=skip)  # a value per body byte, 0 below the body
-    tmp = np.bitwise_and(head, _U64(0xF0), out=skip)
-    admitted = tmp == _U64(0x30)  # a digit first
-    admitted &= head != _U64(0x3030)  # and not "0" and another digit
-    # + 2 takes each body byte to 0x20 in a ".", a high nibble with bit 4 or 6 set in a sign
-    # or an exponent mark, and below 0x10 in a digit
-    flags = np.add(digits, _U64(0x0202020202020202), out=head)
-    flags &= _U64(0xF0F0F0F0F0F0F0F0)
-    np.bitwise_and(flags, _U64(0x5050505050505050), out=tmp)
-    admitted &= tmp == 0
-    np.subtract(flags, _U64(1), out=tmp)
-    tmp &= flags
-    admitted &= tmp == 0  # at most one dot,
-    admitted &= flags < _U64(1 << 61)  # and not last
-    dot = flags
-    dot >>= _U64(5)  # 1 in the byte of the dot, if any
-    # close the digits up: the fraction moves down over the dot, which leaves the last
-    # digit byte 0, so 10**(frac_len + 1) divides them
-    below = np.subtract(dot, _U64(1), out=tmp)
-    below &= digits
-    dot <<= _U64(8)
-    above = np.subtract(_U64(0), dot, out=dot)
-    digits &= above
-    digits >>= _U64(8)
-    digits |= below
-    scale = np.subtract(_U64(0), above, out=tmp)  # 1 in the byte after the dot
-    scale *= _U64(0x0908070605040302)
-    scale >>= _U64(56)  # frac_len + 1, or 0 without a dot
-    value = above.view(np.float64)
-    if np.count_nonzero(digits):
-        w = _combine(digits)
-        np.take(_POW10_F, scale.view(np.int64), mode="clip", out=value)
-        np.divide(w, value, out=value)
-    else:  # every token a zero, as in a sparse grid
-        w = digits
-        value.fill(0.0)
-    if signed:
-        sign = np.bitwise_or(w, scale, out=w) != 0  # json gives "-0" as the int 0
-        sign &= neg
-        np.negative(value, out=value, where=sign)
-    return value.view(_U64), admitted, scale.view(np.int64), neg
 
 
 @functools.lru_cache(maxsize=4)
@@ -848,50 +767,39 @@ def decode_rows(s, start, stop):
     if found is None:
         return None
     starts, ends, rows, width, num = found
-    size = ends - starts
-    short = np.count_nonzero(size <= 8)
-    # a few beside long tokens cost less on the long path than the array calls below
-    if short < _ARRAY_MIN and short < starts.size:
-        short = 0
-    if short:
-        bits, admitted, scale, neg = _short_tokens(_windows(padded, 8)[ends].view("<u8"), size)
-        short = np.count_nonzero(admitted)
-        if not short:
-            del bits, admitted, scale, neg
-    del size
-    if short == starts.size:
-        return bits.view(np.float64).reshape(rows, width)
+    # a token of exactly the bytes "0.0" is +0.0: only the other tokens go on
+    three = np.flatnonzero(ends - starts == 3)
+    at = starts[three]
+    zero = three[(buf[at] == _ZERO) & (buf[at + 1] == _DOT) & (buf[at + 2] == _ZERO)]
+    del three, at
+    if zero.size == starts.size:
+        return np.zeros((rows, width))
     dot = buf == _DOT
     mark = None
     if marked:  # the sign and exponent bytes: the number characters outside "." to "9"
         mark = np.subtract(buf, _DOT) > 11
         mark &= num
-    if short:
-        # the long path reads only the other tokens, so the dots and signs of the admitted
-        # ones leave its masks
-        dotted = scale != 0
-        dotted &= admitted
-        dot[np.subtract(ends, scale, out=scale)[dotted]] = False
-        if mark is not None:
-            mark[starts[admitted & neg]] = False
-        long = np.flatnonzero(~admitted)
-        del admitted, scale, neg, dotted
+    if zero.size:
+        dot[starts[zero] + 1] = False  # _parts sees only the other tokens' dots
+        long = np.ones(starts.size, dtype=bool)
+        long[zero] = False
+        long = np.flatnonzero(long)
         starts, ends = starts[long], ends[long]
     parts = _parts(buf, padded, num, starts, ends, dot, mark)
     if parts is None:
         return None
     del num, dot, mark
-    long_bits, slow = _values(padded, ends, *parts)
-    values = long_bits.view(np.float64)
+    bits, slow = _values(padded, ends, *parts)
+    values = bits.view(np.float64)
     tokens = [s[start + a : start + b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
     try:
         values[slow] = [float(t) if is_float else float(int(t))
                         for t, is_float in zip(tokens, parts[-1][slow].tolist())]
     except (OverflowError, ValueError):  # beyond a double, or past the int digit limit
         return None
-    if short:
-        bits[long] = long_bits
-        values = bits.view(np.float64)
+    if zero.size:
+        values = np.zeros(rows * width)
+        values[long] = bits.view(np.float64)
     return values.reshape(rows, width)
 
 
@@ -1137,8 +1045,6 @@ def loads(data):
 # ---------------------------------------------------------------------------
 # encoding
 
-_POW5 = np.array([5**k for k in range(28)], dtype=_U64)  # 5**27 < 2**64
-_K_MAX = _U64(27)
 _K_EXACT = _U64(22)  # through 10**22, a power of ten is an exact double
 _SPLIT = 2.0**27 + 1  # Veltkamp's factor: a double splits into two halves of at most 26 bits
 _E8, _E16, _E17 = _U64(10**8), _U64(10**16), _U64(10**17)
@@ -1166,9 +1072,9 @@ def _text_words(text, size=0):
     return np.frombuffer(raw, dtype="<u8")
 
 
-# a number's table key: 17 * (X + 11) + its significant digits - 1, for X in [-11, 16]; the
+# a number's table key: 17 * (X + 6) + its significant digits - 1, for X in [-6, 16]; the
 # keys below _KEY_FIXED are those of the exponent form (X < -4)
-_KEY_FIXED = 17 * 7
+_KEY_FIXED = 17 * 2
 
 
 def _layout_tables():
@@ -1182,7 +1088,7 @@ def _layout_tables():
     in fixed notation at least through the units.  In exponent form the point follows the
     first digit, and the exponent is appended after the digits are moved 4 bytes down."""
     const, exponent, head = [], [], []
-    for x in range(-11, 17):
+    for x in range(-6, 17):
         fraction = -4 <= x < 0  # "0." and -X-1 zeros, then all 17 digits after the point
         lead = (b"\0" + (b"0." + b"0" * (-x - 1) if fraction else b"")).ljust(6, b"\0")
         point = 17 if fraction else max(x, 0) + 1
@@ -1253,54 +1159,14 @@ def _two_product(a, k, work):
     return work[0]
 
 
-def _wide_product(a, k):
-    """round-half-even(a * 10**k) as uint64, for normal doubles a > 0 and k in [0, 27] with
-    a * 10**k below 2**63.
-
-    For a = m * 2**e, one 128-bit product m * 2**(left + 1) * 5**k, shifted right by right
-    bits (left - right = e + k), gives twice the value with its half bit lowest; the bits
-    shifted out of it decide the ties.  It is exact where right is at most 64, as it is where
-    10**16 <= the result < 10**18; a larger right gives 0.
-    """
-    bits = a.view(_U64)
-    shift = (bits >> _U64(52)).view(np.int64)
-    shift += k
-    shift -= 1075
-    left = np.maximum(shift, 0)
-    right = np.subtract(left, shift, out=shift).view(_U64)
-    left += 1
-    m = bits & _U64((1 << 52) - 1)
-    m |= _U64(1 << 52)
-    m <<= left.view(_U64)
-    del left
-    hi, lo = _mul128(m, _POW5[k])
-    del m
-    out = _U64(64) - right  # 64 or more shifts give 0
-    twice = lo >> right
-    del right
-    hi <<= out
-    twice |= hi
-    del hi
-    sticky = np.left_shift(lo, out, out=lo)  # the bits below the half bit
-    del out
-    sticky |= _U64(0) - sticky
-    sticky >>= _U64(63)
-    d = twice >> _U64(1)
-    sticky |= d
-    twice &= sticky
-    twice &= _U64(1)
-    d += twice
-    return d
-
-
 def _scaled(a, k, work):
     """round-half-even(a * 10**k) as uint64 in work[0] (6 rows of a.size words, the others
-    scratch) for doubles a >= 0, by _two_product through k = 22 and by _wide_product above;
-    returns the mask of the entries where that is exact: a normal, k in [0, 27] and the
-    product below 10**18.  The other entries hold garbage."""
-    k_bits = k.view(_U64)
-    exact = k_bits <= _K_MAX
-    near = _where(k_bits <= _K_EXACT)
+    scratch) for doubles a >= 0, by _two_product; returns the mask of the entries with k in
+    [0, 22], where that is exact for a normal a and k = 16 - X or 17 - X.  The other entries
+    hold garbage: only the masked ones reach _two_product, so inf and nan are never cast to
+    an integer."""
+    exact = k.view(_U64) <= _K_EXACT
+    near = _where(exact)
     if isinstance(near, slice):
         _two_product(a, k, work)
         return exact
@@ -1308,9 +1174,6 @@ def _scaled(a, k, work):
     d.fill(0)
     if near is not None:
         d[near] = _two_product(a[near], k[near], np.empty((6, near.size), dtype=_U64))
-    wide = _where(exact & (k_bits > _K_EXACT))
-    if wide is not None:
-        d[wide] = _wide_product(a[wide], k[wide])
     return exact
 
 
@@ -1333,7 +1196,7 @@ def _number_words(v, work, out):
     np.ceil(x, out=x)  # 16 - X, or one more
     k = k.view(np.int64)
     np.copyto(k, x, casting="unsafe")
-    # subnormals, zeros, inf and nan have k outside [0, 27]
+    # subnormals, zeros, inf and nan have k outside [0, 22], as has |v| below about 1e-6
     x = x.view(_U64)
     ok = _scaled(a, k, [d, first, second, third, x, high])
     up = _where(ok & (d >= _E17))
@@ -1362,9 +1225,9 @@ def _number_words(v, work, out):
     f += np.multiply(high.view(np.int64), 2.0, out=first.view(float))
     f += 1.0
     key = np.right_shift(f.view(_U64), _U64(55), out=tmp)  # digits + 126
-    k = np.minimum(k.view(_U64), _K_MAX, out=k.view(_U64))
+    k = np.minimum(k.view(_U64), _K_EXACT, out=k.view(_U64))
     key -= np.multiply(k, _U64(17), out=k)
-    key += _U64(17 * 27 - 127)
+    key += _U64(17 * 22 - 127)
     key = key.view(np.int64)
 
     head_h = np.take(_HEAD_H, key, out=k, mode="clip")

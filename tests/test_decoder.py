@@ -737,7 +737,7 @@ def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
 
 
 # ---------------------------------------------------------------------------
-# the short-token tier: tokens of at most 8 bytes, -?(0|[1-9][0-9]*)(\.[0-9]+)?
+# short tokens beside long ones, the zero step's "0.0" among them
 
 SHORT_TOKENS = st.sampled_from(
     ["0", "0.0", "-0", "-0.0", "1", "0.5", "-7", "12345678", "-1234.56", "0.000001"]
@@ -780,39 +780,46 @@ def test_short_tokens_at_eight_bytes_and_long_ones_at_nine():
 
 
 @pytest.mark.parametrize("token", ["01", "-01", "00.5", "1.", ".5", "-", "-.5", "1e5", "+1",
-                                   "0.0.", "1-2", "0x1", "1E5", "-0e0", "1.5e"])
+                                   "0.0.", "1-2", "0x1", "1E5", "-0e0", "1.5e", "0.00", "00.0",
+                                   "-0.0", "0.0e0", "0e0", "0.0-", "9.0", "0.9"])
 def test_near_misses_of_the_short_grammar_decode_or_are_declined_as_json(token):
-    # alone, and among short tokens that the tier admits, which must not hide a refusal
+    # alone, among short tokens, and among a majority of the zero step's "0.0", in a layout
+    # that the sparse tier declines: no token read as a zero may hide a refusal
     kernel(f"[{token}]")
     kernel(f"[0.0, 0.0, {token}], [0.5, -7, 0]")
     kernel(f"[0.0, {token}, 0.0, 1], [-0.0, 12, -0, 0.25]")
+    kernel(f"[0.0,0.0, 0.0], [0.0, {token},  0.0], [0.0, 0.0, 0.0]")
 
 
-def test_a_block_of_short_tokens_never_reaches_the_long_path(monkeypatch):
-    def long_path(*args):
-        raise AssertionError("a short token reached the long path")
+def test_a_block_of_zero_tokens_is_returned_whole_by_the_zero_step(monkeypatch):
+    def general(*args):
+        raise AssertionError("a zero token reached the general kernel")
 
-    monkeypatch.setattr(gridtext, "_parts", long_path)
-    monkeypatch.setattr(gridtext, "_values", long_path)
-    text = "[0.5, 12, -3, -0.0], [0, 0.25, 7, -0], [1.5, -1234.56, 12345678, 0.000001]"
-    decoded = gridtext.decode_rows(text.encode(), 0, len(text))
-    assert decoded.tobytes() == reference(text).tobytes()
-    assert [np.signbit(v) for v in decoded[:, 3]] == [True, False, False]
+    text = "[0.0,0.0, 0.0], [0.0, 0.0,  0.0]"  # spacing the sparse tier declines
+    assert gridtext._sparse(text.encode()) is None
+    for step in ("_parts", "_values"):
+        monkeypatch.setattr(gridtext, step, general)
+    decoded = kernel(text)
+    assert decoded.tobytes() == np.zeros((2, 3)).tobytes()
+    assert not np.signbit(decoded).any()
 
 
-def test_fewer_than_array_min_short_tokens_are_read_on_the_long_path(monkeypatch):
-    calls = []
-    short_tokens = gridtext._short_tokens
-    monkeypatch.setattr(gridtext, "_short_tokens",
-                        lambda *args: calls.append(args) or short_tokens(*args))
-    grid = 1.0 + np.random.default_rng(3).random((20, 20))  # 400 tokens of 17 or more bytes
-    for count in (1, gridtext._ARRAY_MIN - 1, gridtext._ARRAY_MIN):
-        grid.flat[:count] = 2.5
-        text = json.dumps(grid.tolist())[1:-1]
-        calls.clear()
-        assert kernel(text).tobytes() == grid.tobytes()
-        # once at _ARRAY_MIN 0, and at the module's only from _ARRAY_MIN short tokens on
-        assert len(calls) == 1 + (count >= gridtext._ARRAY_MIN), count
+def test_subnormal_and_overflowing_tokens_in_an_array_block_decode_like_json():
+    rng = np.random.default_rng(11)
+    # random subnormals of every size, the smallest normal and the values just below it, and
+    # past the largest double: with q at most 308, so read by the arrays up to their rounding
+    subnormal = (rng.integers(1, 1 << 52, 200) >> rng.integers(0, 52, 200)).view(float)
+    tokens = [repr(v) for v in subnormal.tolist()]
+    tokens += ["5e-324", "4.9406564584124654e-324", "2.4703282292062328e-324", "1e-320",
+               "2.2250738585072009e-308", "2.2250738585072011e-308", "2.2250738585072014e-308",
+               "-2.2250738585072012e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+               "1.7976931348623159e308", "-1.7976931348623157e308", "1e309", "-1e309",
+               "2e308", "1.8e308", "-5e308", "1e-400", "123456789e-330", "1e-340"]
+    tokens += [repr(v) for v in rng.random(64 - len(tokens) % 8).tolist()]
+    assert len(tokens) >= gridtext._ARRAY_MIN and len(tokens) % 8 == 0  # read by the arrays
+    rows = [tokens[i : i + 8] for i in range(0, len(tokens), 8)]
+    decoded = kernel(", ".join("[" + ", ".join(row) + "]" for row in rows))
+    assert np.isinf(decoded).sum() == 6 and (decoded[np.isfinite(decoded)] != 0).sum() > 200
 
 
 def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
@@ -1041,7 +1048,7 @@ def test_a_birkhoff_mixture_block_reaches_no_general_step(monkeypatch):
     def general(*args):
         raise AssertionError("a zero token reached the general kernel")
 
-    for step in ("_short_tokens", "_parts", "_values"):
+    for step in ("_parts", "_values"):
         monkeypatch.setattr(gridtext, step, general)
     for zero in ("0.0", "0"):
         data, grid = mixture_block()

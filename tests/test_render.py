@@ -183,10 +183,10 @@ def per_number(grid, indent):
 
 
 def test_encoder_on_both_sides_of_every_decade_and_path_boundary():
-    # X from -13 to 18: the fallback below 1e-11, the 128-bit product for k = 16 - X in
-    # [23, 27] (|v| below 1e-6), the two-product through k = 22, the exponent form below
-    # 1e-4, fixed notation through 1e17 and the fallback above; at each decade's ends, where
-    # log10 leaves X one low, and across it
+    # X from -13 to 18: the per-number path for k = 16 - X from 23 on (|v| below 1e-6), the
+    # two-product through k = 22, the exponent form below 1e-4, fixed notation through 1e17
+    # and the per-number path above; at each decade's ends, where log10 leaves X one low,
+    # and across it
     rng = np.random.default_rng(11)
     values = []
     for x in range(-13, 19):
@@ -200,7 +200,7 @@ def test_encoder_on_both_sides_of_every_decade_and_path_boundary():
 
 def test_encoder_rounds_exact_ties_half_to_even_on_both_products():
     # v = m / 2**(k + 1) with m odd has v * 10**k = m 5**k / 2 exactly, a tie between two
-    # 17-digit integers: k <= 22 takes the two-product, k >= 23 the 128-bit product
+    # 17-digit integers: k <= 22 takes the two-product, k >= 23 the per-number path
     values = []
     for k in range(1, 28):
         low = -(-2 * 10**16 // 5**k) | 1  # the first odd m with m 5**k / 2 >= 10**16

@@ -33,9 +33,10 @@ The others are printed by f-strings:
 The last two, printed by json.dumps, sit at the edges of the tiers:
 
 - crowded: a convex combination of 12 permutation matrices, n x n, whose blocks hold more
-  nonzero tokens than the sparse tier takes, far apart, read by the general kernel;
-- few-short: the rank-one grid with its first column set to 2.5, one token of at most 8
-  bytes a row, too few in a block for the short-token step.
+  nonzero tokens than the sparse tier takes, far apart, read by the general kernel: its
+  "0.0" tokens by the zero step, the others by the array steps after it;
+- few-short: the rank-one grid with its first column set to 2.5, one token of 3 bytes a
+  row among 17-digit ones, each read by the array steps.
 
 Each grid is decoded from its UTF-8 bytes, as the CLI reads a file; a tree whose
 gridtext.loads takes only a str is timed on the bytes decoded to a str, the decoding
