@@ -11,6 +11,7 @@ and matrixpower cost the support of their weights (_support): a pair whose
 two weights are 0 adds A(t^p; 0, 0) = 0, so only live pairs are evaluated.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .refine import (
     JensenInstance,
     RefinementChain,
     _assemble,
+    _row_blocks,
     check_finite,
     check_weight_pair,
     checked_chain,
@@ -82,9 +84,10 @@ class FunctionVector:
         object.__setattr__(self, "samples", s)
 
 
-def _t_quadrature(f, mu, s1, s2, sides, masses, rows=None):
+def _t_quadrature(f, mu, s1, s2, sides, masses, rows=None, scale=None):
     """The grid rows' t-quadrature check: the engine's, at 1e-12."""
-    return t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12, rows=rows)
+    return t_quadrature(f, mu, s1, s2, sides, masses, atol=1e-12, rtol=1e-12, rows=rows,
+                        scale=scale)
 
 
 def _exp_jensen_chain(name, sign, mean_bound, tol, x, lam, mu, w1, w2) -> RefinementChain:
@@ -117,13 +120,14 @@ def _grid_sums_and_sides(f, g, masses, lam, mu, w1, w2):
     return (s1, s2, left, right) if f.is_convex else (s1, s2, right, left)
 
 
-def _row_chain(f, mu, masses, s1, s2, lower, upper, tol, rows=None) -> RefinementChain:
+def _row_chain(f, mu, masses, s1, s2, lower, upper, tol, rows=None,
+               scale=None) -> RefinementChain:
     """A grid row's chain: the closed-form t-average of f over the row sums (or their live
-    entries, see refine.t_average) as the middle, checked against its t-quadrature once
-    both sides are finite."""
+    entries, or their columns times scale, see refine.t_average) as the middle, checked
+    against its t-quadrature once both sides are finite."""
     check_finite(("lower bound", lower), ("upper bound", upper))
-    middle = t_average(f, mu, s1, s2, masses, rows)
-    rhs = _t_quadrature(f, mu, s1, s2, (lower, upper), masses, rows)
+    middle = t_average(f, mu, s1, s2, masses, rows, scale)
+    rhs = _t_quadrature(f, mu, s1, s2, (lower, upper), masses, rows, scale)
     return checked_chain(lower, middle, upper, "t-quadrature", rhs, tol)
 
 
@@ -164,7 +168,8 @@ def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
                     w1: WeightFunction, w2: WeightFunction) -> RefinementChain:
     """sum lambda_j^p x_j^p <= double sum of L_p^p(w1*lambda*x, w2*lambda*x) <= sum lambda_j x_j^p:
     the lp row over the samples diag(x) with unit masses, over the live pairs (i, j), where
-    w1 or w2 and lambda_j x_j are nonzero, when they are at most half of the grid."""
+    w1 or w2 and lambda_j x_j are nonzero, when they are at most half of the grid; over
+    the whole grid, w_k * (lambda * x) is formed a block of rows at a time."""
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"power_sum_chain requires p >= 1, got {p}")
@@ -180,9 +185,12 @@ def power_sum_chain(x, p: float, lam: ProbabilityVector, mu: ProbabilityVector,
     upper = float(lam.weights @ x ** p)
     f = get_function("powp", {"p": p})
     s1, s2, rows, cols = _support(w1.values, w2.values, lx != 0.0)
-    masses = np.ones(x.size) if rows is None else None
-    return _row_chain(f, mu, masses, s1 * lx[cols], s2 * lx[cols], lower, upper,
-                      POWER_SUM_IDENTITY_TOL, rows)
+    if rows is None:
+        return _row_chain(f, mu, np.ones(x.size), s1, s2, lower, upper, POWER_SUM_IDENTITY_TOL,
+                          scale=lx)
+    s1 *= lx[cols]  # the live entries are gathered copies
+    s2 *= lx[cols]
+    return _row_chain(f, mu, None, s1, s2, lower, upper, POWER_SUM_IDENTITY_TOL, rows)
 
 
 def _support(g1, g2, cols=None):
@@ -204,8 +212,13 @@ def _matrix_power(b: DoublyStochasticMatrix, c: DoublyStochasticMatrix, p):
         raise ValidationError(f"matrix power bounds need p >= 1, got {p}")
     if b.n != c.n:
         raise ValidationError(f"matrix orders differ: {b.n} vs {c.n}")
-    s1, s2, _, _ = _support(b.values, c.values)
-    middle = float(integral_mean(get_function("powp", {"p": p}), s1, s2).sum())
+    s1, s2, rows, _ = _support(b.values, c.values)
+    f = get_function("powp", {"p": p})
+    if rows is not None:
+        middle = float(integral_mean(f, s1, s2).sum())
+    else:  # a block of rows at a time, so no n x n array of means is held
+        middle = math.fsum(float(integral_mean(f, lo, hi).sum())
+                           for _, lo, hi in _row_blocks(s1, s2))
     return float(b.n) ** (2 - p), middle, float(b.n), p, s1, s2
 
 

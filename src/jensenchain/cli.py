@@ -68,16 +68,20 @@ _NDIM = {
 # instance-file parsing
 
 
+class _Decoded(dict):
+    """A document that a subcommand decoded from its file (_load_document): nothing outside
+    the parse holds its arrays, so the B/C weights are embedded in the matrices' own
+    buffers."""
+
+
 def _load_document(path: str) -> dict:
-    """The JSON object in the file at path, read as bytes: gridtext.loads reads its long
-    grids from them, so the file's text is never held as a whole str beside them."""
+    """The JSON object in the file at path, read by gridtext.load a block at a time: its long
+    grids are decoded from the file's bytes, which are never held whole."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            doc = gridtext.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = gridtext.loads(data)
     except UnicodeDecodeError as exc:  # a ValueError too, so first
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
@@ -210,7 +214,8 @@ def _parse_weights(doc, n_points):
     if isinstance(weights, dict) and ("B" in weights or "C" in weights):
         b, c = _parse_matrices(doc, n_points)
         uni = ProbabilityVector.uniform(b.n)
-        return uni, uni, embed_doubly_stochastic(b), embed_doubly_stochastic(c)
+        owned = type(doc) is _Decoded  # so b and c are spent here: n*B is held, not B beside it
+        return uni, uni, embed_doubly_stochastic(b, owned), embed_doubly_stochastic(c, owned)
     _object(weights, "weights", ("omega1", "omega2"))
     lam = _prob(doc, "lambda")
     mu = _prob(doc, "mu")
@@ -387,7 +392,7 @@ def run_verify(doc: dict, scale=refine.TOL_FLOOR, grid_flag=None):
 
 
 def cmd_verify(path: str, tol=refine.TOL_FLOOR, grid=None) -> int:
-    doc = _load_document(path)
+    doc = _Decoded(_load_document(path))
     report, ok = run_verify(doc, scale=tol, grid_flag=grid)
     sys.stdout.write(render_json(report) + "\n")
     return 0 if ok else 1
@@ -415,7 +420,7 @@ def cmd_generate(kind: str, n: int, m=None, seed: int = 0, out=None) -> int:
 
 
 def cmd_tighten(path: str, tol_t: float = 1e-8) -> int:
-    doc = _load_document(path)
+    doc = _Decoded(_load_document(path))
     application = doc.get("application", "jensen")
     if not (isinstance(application, str) and application == "jensen"):
         raise ValidationError("tighten needs a jensen-style instance (function + points)")

@@ -6,18 +6,26 @@ refused (ValidationError) and that every array of equal-length, non-empty
 rows of numbers not nested in another array becomes one read-only 2-D
 float64 array, bit for bit np.array(json.loads(text), dtype=float).  data
 is a str, or the bytes of a file, read as a file opened in text mode reads
-them: UTF-8, with "\r\n" and "\r" read as "\n".
+them: UTF-8, with "\r\n" and "\r" read as "\n".  load(fh) is loads on the
+bytes of the binary file fh, which it reads a block at a time.
 
-From bytes, each grid of more than QUAD_BATCH_VALUES bytes that opens the
-document or follows a ":" (where json's array hook meets an array, when the
-":" ends a key) is read from the bytes by the grid reader below, and only
-the text between those grids becomes a str, with a stand-in "[]" at each
-grid's place: the scanner takes the grid where it meets its stand-in as an
-array value.  A stand-in it does not meet so (one in a string, or in an
-array that the C scanner reads), and any error, sends the whole document to
-the text path, decoded from UTF-8 as above, so every value and every
-message is json's.  So the text of a document is never held whole as a str
-beside its bytes.
+Bytes, in memory or in a file, go through one reader, a window on the file
+that reads on as far as it is asked to (and _READ_SIZE bytes further, or a
+quarter of what it holds if that is more, so that a long text is read in
+linear time) and forgets what it is told to; bytes in memory are their own
+window, which forgets nothing.  Each grid of more than QUAD_BATCH_VALUES
+bytes that opens the document or follows a ":" (where json's array hook
+meets an array, when the ":" ends a key) is read by the grid reader below,
+which forgets the bytes before each block of rows, so the window holds
+about a block of the grid's bytes (a row, where a row is wider).  Only the
+text between those grids is kept, and becomes a str, with a stand-in "[]"
+at each grid's place: the scanner takes the grid where it meets its
+stand-in as an array value.  A stand-in it does not meet so (one in a
+string, or in an array that the C scanner reads), such a long array that
+is not a grid (its bytes are gone), and any error send the whole document
+to the text path: the file read again from its start, whole, decoded from
+UTF-8 as above, so every value and every message is json's.  So a
+document's bytes are never held whole, unless it holds no long grid.
 
 On text, objects and strings go through json's Python scanner, so that
 every array reaches the grid reader (a document nested too deeply for it is
@@ -814,7 +822,7 @@ def _refuse_constant(name):
 class _GridDecoder(json.JSONDecoder):
     """json.JSONDecoder whose arrays go through _parse_array (see the module doc); with
     stand_ins, {position in the text: grid}, it reads the text between the grids that
-    _decode_bytes read, and takes each grid at its stand-in."""
+    _decode_window read, and takes each grid at its stand-in."""
 
     def __init__(self, stand_ins=None):
         super().__init__(parse_constant=_refuse_constant)
@@ -869,17 +877,36 @@ class _GridDecoder(json.JSONDecoder):
         return value, stop
 
 
-def _decode_bytes(data):
-    """The document in data, its long grids read from the bytes (see the module doc)."""
-    parts, stand_ins, at, size = [], {}, 0, 0
-    for start, stop, grid in _long_grids(data):
-        parts.append(data[at:start].decode("utf-8"))
-        size += len(parts[-1])
-        stand_ins[size] = grid
-        parts.append(_STAND_IN)
-        size += len(_STAND_IN)
-        at = stop
-    parts.append(data[at:].decode("utf-8"))
+def _decode_window(win):
+    """The document in the window's file, its long grids read from its bytes a block at a
+    time (see the module doc)."""
+    parts, stand_ins, chars = [], {}, 0
+    at = pos = 0  # at: where the text since the last grid starts
+    while True:
+        # a long grid that json's array hook may see: at the start or after a ":"
+        start = win.space(pos)
+        if win.data.startswith(b"[", start) and win.data.startswith(b"[", win.space(start + 1)):
+            win.fill(start + QUAD_BATCH_VALUES)
+            # a grid ends at its first "]" "]", so one that ends within a block's bytes is
+            # left to the scanner, which reads it whole, as is any array with a "]" "]" there
+            if not _GRID_END.search(win.data, pos, start + QUAD_BATCH_VALUES):
+                text = win.data[at:start].decode("utf-8")
+                found = _read_grid(win, win.drop(start) + 1)
+                if found is None:  # its bytes are gone: read the text
+                    raise _Reread
+                grid, at = found
+                parts += (text, _STAND_IN)
+                chars += len(text)
+                stand_ins[chars] = grid
+                chars += len(_STAND_IN)
+                pos = at
+        pos = win.find(b":", pos) + 1
+        if not pos:
+            break
+    parts.append(win.data[at:].decode("utf-8"))
+    win.drop(len(win.data))  # the text is in parts now
+    if not stand_ins:
+        return _DECODER.decode("".join(parts))
     value = _GridDecoder(stand_ins).decode("".join(parts))
     if stand_ins:  # one lay in a string or in an array, where json reads no grid
         raise _Reread
@@ -887,37 +914,71 @@ def _decode_bytes(data):
 
 
 class _Reread(Exception):
-    """A stand-in of _decode_bytes was not taken where its grid stood: read the text."""
+    """A grid read from the bytes was not taken where it stood, or a long array there was
+    not a grid: read the text."""
+
+
+class _Window:
+    """A binary file read forward: data holds its bytes from offset base on.  fill reads on,
+    a block or more at a time, and drop forgets the bytes a reader is done with, so the
+    file is never held whole unless a reader keeps it all.  Without a file, data is the
+    whole text, which drop keeps."""
+
+    def __init__(self, fh, size, data=b""):
+        self.fh, self.size, self.data, self.base = fh, size, data, 0
+
+    def fill(self, stop):
+        """True if data reaches position stop, once the file is read on as far; False if the
+        file ends first."""
+        while len(self.data) < stop and self.fh is not None:
+            # _READ_SIZE past stop, so that the bytes just past a block come with it, and at
+            # least a quarter of what data holds, so that a long text is read in linear time
+            chunk = self.fh.read(max(stop - len(self.data), len(self.data) // 4) + _READ_SIZE)
+            if not chunk:
+                break
+            self.data += chunk
+        return len(self.data) >= stop
+
+    def find(self, byte, pos):
+        """The position of the first byte at or after pos, the file read on as far; -1 if
+        there is none."""
+        while True:
+            at = self.data.find(byte, pos)
+            pos = max(pos, len(self.data))
+            if at >= 0 or not self.fill(pos + 1):
+                return at
+
+    def space(self, pos):
+        """The position of the first byte at or after pos that is not JSON whitespace, the
+        file read on as far (at least len(data) at the end of the file)."""
+        while self.fill(pos + 1):
+            pos = _SPACE(self.data, pos).end()
+            if pos < len(self.data):
+                break
+        return pos
+
+    def drop(self, pos):
+        """Forget the bytes before position pos; returns its new position (0, or pos itself
+        where data is the whole text)."""
+        if self.fh is None:
+            return pos
+        self.data = self.data[pos:]
+        self.base += pos
+        return 0
+
+    def left(self, pos):
+        """The bytes of the file from position pos on."""
+        return self.size - self.base - pos
 
 
 # what a grid read from the bytes stands in for in the text: an array, with no quote,
 # backslash or control character, as the grid's own text has none
 _STAND_IN = "[]"
-# a long grid that json's array hook may see: at the start of a document or after a ":"
-_VALUE_GRID = re.compile(rb"[ \t\n\r]*(\[)[ \t\n\r]*\[")
 # the end of a grid: its last row's "]", whitespace, and the grid's own "]"
 _GRID_END = re.compile(rb"\][ \t\n\r]*\]")
 _TEXT_GRID_END = re.compile(r"\][ \t\n\r]*\]")
 _SPACE = re.compile(rb"[ \t\n\r]*").match
-
-
-def _long_grids(data):
-    """(start, stop, grid) of each grid of more than QUAD_BATCH_VALUES bytes that opens the
-    document or follows a ":", in order."""
-    pos = 0
-    while True:
-        candidate = _VALUE_GRID.match(data, pos)
-        # a grid ends at its first "]" "]", so one that ends within a block's bytes is left to
-        # the scanner, which reads it whole, as is any array with a "]" "]" there
-        if candidate and not _GRID_END.search(data, pos, candidate.start(1) + QUAD_BATCH_VALUES):
-            start = candidate.start(1)
-            found = _read_grid(data, start + 1)
-            if found is not None:
-                pos = found[1]
-                yield start, pos, found[0]
-        pos = data.find(b":", pos) + 1
-        if not pos:
-            return
+_READ_SIZE = 1 << 14  # how far past what it is asked for a window reads
 
 
 def _read_text_grid(s, end):
@@ -932,18 +993,21 @@ def _read_text_grid(s, end):
         raw = s[end - 1 : grid_end.end()].encode("ascii")
     except UnicodeEncodeError:
         return None
-    found = _read_grid(raw, 1)
-    return None if found is None or found[1] != len(raw) else (found[0], grid_end.end())
-
-
-def _read_grid(s, end):
-    """(2-D float64 array, end) of the array whose body starts at s[end], s bytes, read a
-    block at a time into one array grown in place; None if it is not a grid of numbers."""
-    pos = _SPACE(s, end).end()
-    first_close = s.find(b"]", pos)
-    if not s.startswith(b"[", pos) or first_close < 0:
+    found = _read_grid(_Window(None, len(raw), raw), 1)
+    if found is None or found[1] != len(raw):
         return None
-    width = s.count(b",", pos, first_close) + 1
+    return found[0], grid_end.end()
+
+
+def _read_grid(win, end):
+    """(2-D float64 array, end) of the array whose body starts at win.data[end], read a block
+    at a time into one array grown in place, the window's bytes dropped up to each block;
+    None if it is not a grid of numbers."""
+    pos = win.space(end)
+    first_close = win.find(b"]", pos)
+    if not win.data.startswith(b"[", pos) or first_close < 0:
+        return None
+    width = win.data.count(b",", pos, first_close) + 1
     if width > QUAD_BATCH_VALUES:
         # decoded in pieces of about a block of characters
         piece, chars = (first_close - pos) * QUAD_BATCH_VALUES // width, 1
@@ -951,11 +1015,13 @@ def _read_grid(s, end):
     else:
         piece, chars = 0, (first_close + 1 - pos) * -(-QUAD_BATCH_VALUES // width)
         decode = decode_rows
-    top = pos
+    top = win.base + pos
     # as many rows as a square grid has, or as the bytes left hold at the first row's length
-    grid, rows = np.empty((min(width, (len(s) - pos) // (first_close + 1 - pos)), width)), 0
+    grid, rows = np.empty((min(width, win.left(pos) // (first_close + 1 - pos)), width)), 0
     while True:
-        stop = s.find(b"]", pos + chars - 1) + 1
+        pos = win.drop(pos)
+        stop = win.find(b"]", pos + chars - 1) + 1
+        s = win.data
         block = decode(s, pos, stop) if stop else None
         if block is None:
             grid_end = _GRID_END.search(s, pos, stop or len(s))
@@ -965,12 +1031,13 @@ def _read_grid(s, end):
             block = decode(s, pos, stop)
             if block is None:
                 return None
+        del s
         if block.shape[1] != width:
             return None
         if rows + block.shape[0] > grid.shape[0]:
             # as many rows as the bytes left hold at the rows' length so far, at most twice
             # as many as before
-            more = (len(s) - stop) * (rows + block.shape[0]) // (stop - top)
+            more = win.left(stop) * (rows + block.shape[0]) // (win.base + stop - top)
             grid.resize((rows + block.shape[0] + min(more, grid.shape[0]), width),
                         refcheck=False)
         grid[rows : rows + block.shape[0]] = block
@@ -978,14 +1045,14 @@ def _read_grid(s, end):
         if not piece:
             chars = (stop - pos) * QUAD_BATCH_VALUES // block.size + 1
         del block  # freed before the next block is decoded
-        after = _SPACE(s, stop).end()
-        if s.startswith(b"]", after):
+        after = win.space(stop)
+        if win.data.startswith(b"]", after):
             if rows < grid.shape[0]:
                 grid.resize((rows, width), refcheck=False)
             return grid, after + 1
-        if not s.startswith(b",", after):
+        if not win.data.startswith(b",", after):
             return None
-        pos = _SPACE(s, after + 1).end()
+        pos = win.space(after + 1)
 
 
 def _wide_row(s, start, stop, chars, width):
@@ -1026,20 +1093,41 @@ def _number_block(value, text):
 _DECODER = _GridDecoder()
 
 
+def load(fh):
+    """The document in fh, a binary file read from its start, as loads reads its bytes (see
+    the module doc), a block at a time: the file's bytes are never held whole."""
+    if not fh.seekable():
+        return loads(fh.read())
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    return _read_document(_Window(fh, size), fh)
+
+
 def loads(data):
     """The document in data, JSON text as bytes (UTF-8, as a file holds it) or as a str, with
     its grids as read-only float64 arrays (see the module doc)."""
     if isinstance(data, str):
         return _DECODER.decode(data)
-    if len(data) > QUAD_BATCH_VALUES:  # else it holds no grid longer than a block
-        try:
-            return _decode_bytes(data)
-        except (ValueError, RecursionError, _Reread):
-            pass
+    return _read_document(_Window(None, len(data), data), io.BytesIO(data))
+
+
+def _read_document(win, fh):
+    """The document in the window, or, where that fails, in the text of fh, which holds the
+    same bytes."""
+    try:
+        return _decode_window(win)
+    except (ValueError, RecursionError, _Reread):
+        pass
+    del win
     # as the text a file opened in text mode gives, so that every value and every error is
     # json's: a UnicodeDecodeError at the file's byte, a line and column after "\r\n" and
     # "\r" are read as "\n"
-    return _DECODER.decode(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    try:
+        return _DECODER.decode(text.read())
+    finally:
+        text.detach()  # fh stays open: its owner closes it
 
 
 # ---------------------------------------------------------------------------

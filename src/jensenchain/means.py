@@ -40,6 +40,9 @@ def _blockwise(kernel, a, b, *args):
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     out = np.empty(a.shape)
+    if a.ndim == 1 and a.size <= QUAD_BATCH_VALUES:  # one block, as it is
+        kernel(a, b, out, *args)
+        return out
     flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
     for k in range(0, flat_out.size, QUAD_BATCH_VALUES):
         block = slice(k, k + QUAD_BATCH_VALUES)
@@ -207,8 +210,9 @@ def p_logarithmic(a: float, b: float, p: float) -> float:
 
 def _integral_mean_block(a, b, out, f):
     # each segment's slack is at least 1e-12, so the domain holds them all if it holds the
-    # block's extremes at that slack
-    if not f.domain.contains_segment(min(a.min(), b.min()), max(a.max(), b.max()), 1e-12):
+    # block's extremes at that slack (a NaN end makes both extremes NaN, which no domain holds)
+    ends = np.concatenate((a, b))
+    if not f.domain.contains_segment(ends.min(), ends.max(), 1e-12):
         lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
         size = np.maximum(np.abs(a), np.abs(b))
         inside = f.domain.contains_segment(lo, hi, 1e-12 * np.maximum(1.0, size))

@@ -201,17 +201,29 @@ def rank_one_weight(u, v, mu: ProbabilityVector, lam: ProbabilityVector) -> Weig
     nv = float(np.linalg.norm(v))
     if nv > 1.0:
         v /= nv
-    values = 1.0 + np.outer(u, v)
+    values = np.outer(u, v)
+    values += 1.0  # in place: one n x n array, not the product beside its sum
     # rounding can leave entries at -1ulp when both norms are exactly 1
     np.clip(values, 0.0, None, out=values)
     return WeightFunction(freeze(values), mu, lam)
 
 
-def embed_doubly_stochastic(a: DoublyStochasticMatrix) -> WeightFunction:
-    """View an n x n doubly stochastic matrix as the weight n*a over uniform measures."""
+def embed_doubly_stochastic(a: DoublyStochasticMatrix, in_place: bool = False) -> WeightFunction:
+    """View an n x n doubly stochastic matrix as the weight n*a over uniform measures.
+
+    a is left as it is, unless in_place: then n*a is written over a's own
+    values, which the weight takes over, so a must be a matrix whose values
+    nothing else holds, and is spent.  The products are the same either way.
+    """
     n = a.n
     uni = ProbabilityVector.uniform(n)
-    return WeightFunction(freeze(n * a.values), uni, uni)
+    values = a.values
+    if in_place:
+        values.flags.writeable = True  # it owns its data: frozen_float64 kept or copied it so
+        values *= n
+    else:
+        values = n * values
+    return WeightFunction(freeze(values), uni, uni)
 
 
 def interpolate_weight(w1: WeightFunction, w2: WeightFunction, t: float) -> WeightFunction:

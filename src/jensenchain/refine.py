@@ -187,44 +187,69 @@ def live_pairs(a: np.ndarray, b: np.ndarray, cols=None):
     return np.flatnonzero(live) if 0 < np.count_nonzero(live) <= half else None
 
 
-def _check_rows(f: ConvexFunctionSpec, s1: np.ndarray, s2: np.ndarray):
-    """DomainError unless every row sum lies in the domain of f, which then holds every
-    combination (1-t) s1 + t s2; an interval holds them all when it holds the extremes."""
-    lo, hi = min(s1.min(), s2.min()), max(s1.max(), s2.max())
+def _row_blocks(s1, s2, scale=None):
+    """(rows, a, b) of the row sums s1 and s2 a block of whole rows at a time: at most
+    QUAD_BATCH_VALUES values (one row where a row is wider), rows the slice they take.
+    With scale, each block's columns are multiplied by it, so s1 * scale and s2 * scale
+    are never held whole; the scaled blocks are written into the same two buffers, so a
+    caller is done with a block before it takes the next.  Every caller cuts the same
+    rows, as vals @ masses sums a row in an order that depends on the rows beside it."""
+    m = s1.shape[0]
+    step = max(1, QUAD_BATCH_VALUES // (s1.size // m))
+    if scale is not None:
+        buffers = np.empty((2, min(step, m)) + s1.shape[1:])
+    for i in range(0, m, step):
+        rows = slice(i, i + step)
+        a, b = s1[rows], s2[rows]
+        if scale is not None:
+            a = np.multiply(a, scale, out=buffers[0, : a.shape[0]])
+            b = np.multiply(b, scale, out=buffers[1, : b.shape[0]])
+        yield rows, a, b
+
+
+def _check_rows(f: ConvexFunctionSpec, s1: np.ndarray, s2: np.ndarray, scale=None):
+    """DomainError unless every row sum (times scale, see _row_blocks) lies in the domain of
+    f, which then holds every combination (1-t) s1 + t s2; an interval holds them all when
+    it holds the extremes."""
+    if scale is None:
+        lo, hi = min(s1.min(), s2.min()), max(s1.max(), s2.max())
+    else:
+        ends = np.array([(a.min(), b.min(), a.max(), b.max())
+                         for _, a, b in _row_blocks(s1, s2, scale)])
+        lo, hi = min(*ends[:, :2].min(axis=0)), max(*ends[:, 2:].max(axis=0))
     slack = 1e-12 * max(1.0, -lo, hi)
     if not f.domain.contains_segment(lo, hi, slack):
+        if scale is not None:
+            s1, s2 = s1 * scale, s2 * scale
         inside = f.domain.contains_array(s1, slack) & f.domain.contains_array(s2, slack)
         k = np.unravel_index(int(np.argmin(inside)), inside.shape)
         raise DomainError(f"row sums for row i={k[0]} are {s1[k]} and {s2[k]}, outside the "
                           f"domain of {f.name} ({f.domain})")
 
 
-def _phi_rows(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses=None) -> np.ndarray:
+def _phi_rows(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses=None,
+              scale=None) -> np.ndarray:
     """f at (1-t) s1 + t s2, one row of m values per t (each summed against the masses).
 
     The values are computed at most QUAD_BATCH_VALUES at a time: a block of
-    whole rows of s1 (one row where a row is wider), at as many t as fit.
-    The blocks of rows are cut at the same rows whatever the t, as the
-    matrix-vector product vals @ masses sums a row in an order that depends
-    on the rows beside it: so phi at a t has one value, whatever batch of t
-    holds it.
+    rows (_row_blocks, with its scale), at as many t as fit.  The blocks are
+    cut at the same rows whatever the t, so phi at a t has one value,
+    whatever batch of t holds it.
     """
-    m = s1.shape[0]
-    out = np.empty((ts.size, m))
-    step = max(1, QUAD_BATCH_VALUES // (s1.size // m))
-    for i in range(0, m, step):
-        a, b = s1[i : i + step], s2[i : i + step]
+    out = np.empty((ts.size, s1.shape[0]))
+    for rows, a, b in _row_blocks(s1, s2, scale):
         per_t = max(1, QUAD_BATCH_VALUES // a.size)
         for k in range(0, ts.size, per_t):
-            out[k : k + per_t, i : i + step] = _phi_block(f, a, b, ts[k : k + per_t], masses)
+            out[k : k + per_t, rows] = _phi_block(f, a, b, ts[k : k + per_t], masses)
     return out
 
 
 def _phi_block(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses) -> np.ndarray:
     """_phi_rows on one block of rows and of t."""
     t = ts.reshape((-1,) + (1,) * s1.ndim)
-    # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2
-    inner = (1.0 - t) * s1 + t * s2
+    # (1-t)*s1 + t*s2 keeps the endpoints exactly on s1 and s2; summed in place
+    inner = (1.0 - t) * s1
+    inner += t * s2
     vals = f.evaluate_many(inner)
     rows = vals if masses is None else vals @ masses
     if np.isfinite(rows).all():
@@ -238,31 +263,36 @@ def _phi_block(f: ConvexFunctionSpec, s1, s2, ts: np.ndarray, masses) -> np.ndar
 
 
 def _phi_batch(f: ConvexFunctionSpec, weights: np.ndarray, s1, s2, ts: np.ndarray,
-               masses=None) -> np.ndarray:
+               masses=None, scale=None) -> np.ndarray:
     """phi at each t of ts, each row of values dotted with the weights (mu, or the row mass
     of each live entry) on its own: phi at a t has one value, whatever batch of t holds it."""
-    return np.matmul(_phi_rows(f, s1, s2, ts, masses)[:, None, :], weights)[:, 0]
+    return np.matmul(_phi_rows(f, s1, s2, ts, masses, scale)[:, None, :], weights)[:, 0]
 
 
 def t_average(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, masses=None,
-              rows=None) -> float:
+              rows=None, scale=None) -> float:
     """t-average of phi in closed form: the mu-mean of the integral means A(f; s1, s2).
 
     With rows, s1 and s2 hold the live entries of an (m, |X|) grid with
     unit masses, entry k in row rows[k]; every other entry is 0
-    at both ends, where f(0) = 0 makes its integral mean 0.
+    at both ends, where f(0) = 0 makes its integral mean 0.  An (m, |X|)
+    grid's means are summed against the masses a block of rows at a time
+    (_row_blocks, with its scale), so no m x |X| array of means is held.
     """
-    means = integral_mean(f, s1, s2)
     if rows is not None:
-        means = np.bincount(rows, weights=means, minlength=mu.weights.size)
-    elif masses is not None:
-        means = means @ masses
+        means = np.bincount(rows, weights=integral_mean(f, s1, s2), minlength=mu.weights.size)
+    elif masses is None:
+        means = integral_mean(f, s1, s2)
+    else:
+        means = np.empty(s1.shape[0])
+        for block, a, b in _row_blocks(s1, s2, scale):
+            means[block] = integral_mean(f, a, b) @ masses
     # left to right from 0.0 on every Python version (sum of floats compensates from 3.12)
     return functools.reduce(operator.add, (mu.weights * means).tolist(), 0.0)
 
 
 def t_quadrature(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, sides, masses=None,
-                 atol=1e-10, rtol=1e-10, rows=None) -> float:
+                 atol=1e-10, rtol=1e-10, rows=None, scale=None) -> float:
     """t-average of phi by adaptive quadrature on [0, 1], each depth's nodes together.
 
     Each node is reduced by _phi_batch, as phi is, so the result is the
@@ -270,18 +300,20 @@ def t_quadrature(f: ConvexFunctionSpec, mu: ProbabilityVector, s1, s2, sides, ma
     s of the two sides (which bound phi) exceeds _QUAD_SAFE: there a panel's
     sum could overflow, so phi / s is integrated and the result scaled by s.
     With rows, s1 and s2 are live entries as in t_average, and phi sums
-    each against its row's mu, so a node costs one value per live entry.
+    each against its row's mu, so a node costs one value per live entry;
+    with scale, the row sums are scaled as in t_average.
     """
-    _check_rows(f, s1, s2)
-    scale = max(abs(side) for side in sides)
-    if not _QUAD_SAFE < scale < math.inf:
-        scale = 1.0
+    _check_rows(f, s1, s2, scale)
+    bound = max(abs(side) for side in sides)
+    if not _QUAD_SAFE < bound < math.inf:
+        bound = 1.0
     weights = mu.weights if rows is None else mu.weights[rows]
 
     def fv(ts):
-        return _phi_batch(f, weights, s1, s2, ts, masses) / scale
+        return _phi_batch(f, weights, s1, s2, ts, masses, scale) / bound
 
-    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=s1.size) * scale
+    # a node materialises one row of m values (_phi_rows holds a block of rows at a time)
+    return adaptive_simpson(fv, 0.0, 1.0, atol=atol, rtol=rtol, width=s1.shape[0]) * bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +348,7 @@ class JensenInstance:
     """An immutable problem instance over n scalar points, each in the domain of f.
 
     The inner row sums s1 and s2 are cached at construction, the Jensen
-    sides at their first use.
+    sides and their domain check at their first use.
     """
 
     f: ConvexFunctionSpec
@@ -354,6 +386,14 @@ class JensenInstance:
         """(f(lambda-mean of points), lambda-mean of f(points))."""
         return self._sides
 
+    def check_rows(self):
+        """DomainError unless every row sum lies in the domain of f (_check_rows), checked at
+        the first call only, as s1 and s2 are fixed (again if f is swapped under the
+        instance)."""
+        if self.__dict__.get("_rows_checked_for") is not self.f:
+            _check_rows(self.f, self.s1, self.s2)
+            self.__dict__["_rows_checked_for"] = self.f
+
     def oriented_bounds(self):
         """(lower, upper) in chain order: Jensen sides swap when f is concave."""
         left, right = self.jensen_sides()
@@ -370,7 +410,7 @@ def phi_values(inst: JensenInstance, ts) -> np.ndarray:
     """Vectorized phi over a grid of t values."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_t(ts)
-    _check_rows(inst.f, inst.s1, inst.s2)
+    inst.check_rows()
     return _phi_batch(inst.f, inst.mu.weights, inst.s1, inst.s2, ts)
 
 

@@ -3,13 +3,19 @@
 import json
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from jensenchain import ProbabilityVector, validate_weight
-from jensenchain import cli, numerics
+from jensenchain import (
+    ProbabilityVector,
+    random_doubly_stochastic,
+    rank_one_weight,
+    validate_weight,
+)
+from jensenchain import cli, gridtext, numerics
 from jensenchain.cli import main, render_json
 
 UNI2 = ProbabilityVector.uniform(2)
@@ -1037,3 +1043,98 @@ def test_an_unexpected_exception_exits_2_as_an_internal_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_run_verify_leaves_the_arrays_of_a_callers_document_unchanged():
+    # a read-only float64 array that owns its data is kept, not copied, by the matrix it
+    # builds: embedding it must still write n*B elsewhere
+    b, c = (random_doubly_stochastic(5, seed).values for seed in (1, 2))
+    before = b.tobytes(), c.tobytes()
+    doc = {"application": "jensen", "function": {"name": "square"},
+           "points": [0.0, 1.0, 2.0, 3.0, 4.0], "weights": {"B": b, "C": c}}
+    for verify in (cli.run_verify, lambda d: cli._verify_jensen(d, None)):
+        verify(doc)
+        assert (b.tobytes(), c.tobytes()) == before
+        assert doc["weights"]["B"] is b and not b.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# memory: a verify holds its weight arrays and a few blocks
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def dense_weight(rng, n):
+    """An n x n weight 1 + u v^T over uniform measures: 17-digit decimals in its text."""
+    uni = ProbabilityVector.uniform(n)
+    return rank_one_weight(rng.standard_normal(n), rng.standard_normal(n), uni, uni).values
+
+
+def dense_block_peak(n):
+    """The peak of decoding one block of an n-wide dense grid, as
+    tests/test_decoder.py::test_a_dense_document_peaks_at_its_bytes_and_its_grid_plus_a_block
+    measures the work of a block."""
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    grid = 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+    block = json.dumps({"values": grid[: numerics.QUAD_BATCH_VALUES // n].tolist()}).encode()
+    return traced_peak(lambda: gridtext.loads(block))[0]
+
+
+def omega_doc(application, n, rng, **fields):
+    """A dense omega-form document: omega1 a dense matrix, omega2 rank one from u and v."""
+    uni = [1.0 / n] * n
+    return {"application": application, "lambda": uni, "mu": uni, **fields,
+            "weights": {"omega1": {"kind": "matrix", "values": dense_weight(rng, n).tolist()},
+                        "omega2": {"kind": "rank_one", "u": rng.standard_normal(n).tolist(),
+                                   "v": rng.standard_normal(n).tolist()}}}
+
+
+def permutations_doc(application, n, rng, **fields):
+    """A B/C document whose B and C are permutation matrices."""
+    b, c = (np.eye(n)[rng.permutation(n)].tolist() for _ in range(2))
+    return {"application": application, **fields, "weights": {"B": b, "C": c}}
+
+
+MEMORY_DOCS = {
+    # name -> (document builder, n, bytes of the weight arrays the verify holds)
+    "jensen-omega": (lambda n, rng: omega_doc("jensen", n, rng, function={"name": "square"},
+                                              points=list(range(n))), 700, lambda n: 16 * n * n),
+    "jensen-bc": (lambda n, rng: permutations_doc("jensen", n, rng, function={"name": "exp"},
+                                                  points=rng.uniform(-1, 1, n).tolist()),
+                  700, lambda n: 16 * n * n),
+    "lp-bc": (lambda n, rng: permutations_doc("lp", n, rng, p=2.5,
+                                              points=rng.uniform(-1, 1, (n, 3)).tolist()),
+              700, lambda n: 16 * n * n + 24 * n),
+    "powersum-omega": (lambda n, rng: omega_doc("powersum", n, rng, p=2.5,
+                                                points=rng.uniform(0, 5, n).tolist()),
+                       658, lambda n: 16 * n * n),
+    "matrixpower-dense": (lambda n, rng: {
+        "application": "matrixpower", "p": 3,
+        "weights": {"B": random_doubly_stochastic(n, 1).values.tolist(),
+                    "C": random_doubly_stochastic(n, 2).values.tolist()}}, 500,
+        lambda n: 16 * n * n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_DOCS))
+def test_a_large_verify_peaks_at_its_weight_arrays_plus_two_blocks(tmp_path, capsys, name):
+    """The file is read a block at a time, B and C are embedded in their own buffers, and the
+    row chains are summed by blocks: the verify holds its n x n weight arrays (and a sample
+    grid), and at most two blocks' work of decoding beyond them, not the file's bytes, a
+    copy of B and C, or an n x n array of means."""
+    build, n, weight_bytes = MEMORY_DOCS[name]
+    path = write(tmp_path, f"{name}.json", build(n, np.random.default_rng(3)))
+    assert main(["verify", path]) == 0  # anything built once per process is built
+    capsys.readouterr()
+    peak, code = traced_peak(lambda: main(["verify", path]))
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    block = dense_block_peak(n)
+    assert peak < weight_bytes(n) + 2 * block, (peak, weight_bytes(n), block)

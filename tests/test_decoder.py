@@ -1,7 +1,10 @@
 """The instance-file decoder: json.loads, except that grids arrive as float64 arrays."""
 
+import io
 import json
+import os
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -339,6 +342,185 @@ def test_a_grid_read_from_the_bytes_owns_its_data_and_is_read_only():
     doc = gridtext.loads(('{"B": ' + LONG_GRID + "}").encode())
     assert doc["B"].flags.owndata and not doc["B"].flags.writeable
     assert doc["B"].tobytes() == np.array(json.loads(LONG_GRID)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# documents read from a file a block at a time
+
+
+@st.composite
+def grid_texts(draw):
+    """The JSON text of a grid: dense floats, a uniform layout of "0.0" and "1.0" (a
+    permutation's rows), sparse (zeros and a few floats) or with rows wider than the
+    block of 4 values, laid out as json.dumps (default or compact) or generate prints it."""
+    kind = draw(st.sampled_from(["dense", "uniform", "sparse", "wide"]))
+    rows = draw(st.integers(1, 6))
+    width = draw(st.integers(5, 12) if kind == "wide" else st.integers(1, 6))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "uniform":
+        grid = np.eye(max(rows, width))[draw(st.permutations(range(max(rows, width))))]
+        grid = grid[:rows, :width].tolist()
+    else:
+        grid = [[draw(floats) if kind != "sparse" or draw(st.integers(0, 5)) == 0 else 0.0
+                 for _ in range(width)] for _ in range(rows)]
+    layout = draw(st.sampled_from(["json", "compact", "generate"]))
+    if layout == "generate":
+        return "[\n  [\n    " + "\n  ],\n  [\n    ".join(
+            ",\n    ".join(f"{v:.17g}" for v in row) for row in grid) + "\n  ]\n]"
+    return json.dumps(grid, separators=(",", ":") if layout == "compact" else None)
+
+
+# keys and strings with characters of two, three and four UTF-8 bytes
+UTF8_TEXT = st.text(alphabet=st.sampled_from("ae\u00fc\u00e9\u2603\u20ac\U0001f600"), max_size=5)
+
+
+@st.composite
+def file_documents(draw):
+    """An object of grids, grids inside strings, UTF-8 strings and numbers under UTF-8 keys,
+    one nested a level down, or a grid alone."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(grid_texts())
+    values = st.one_of(grid_texts(), grid_texts().map(json.dumps),
+                       UTF8_TEXT.map(lambda t: json.dumps(t, ensure_ascii=False)), NUMBER_TOKENS,
+                       grid_texts().map(lambda g: '{"a": ' + g + "}"))
+    pairs = draw(st.lists(st.tuples(UTF8_TEXT, values), min_size=1, max_size=5))
+    gap = draw(SPACE)
+    return "{" + gap + ("," + gap).join(
+        f"{json.dumps(key, ensure_ascii=False)}:{gap}{value}" for key, value in pairs) + gap + "}"
+
+
+def read_from_file(data, read_size):
+    """(outcome, whether the text was read again) of gridtext.load on a file of data, read
+    read_size bytes at least at a time, at the module's block size and at blocks of 4
+    values (which read every grid longer than 4 bytes at an object's value a block of rows
+    at a time)."""
+    results = []
+    window = gridtext._decode_window
+    for block_values, array_min in ((gridtext.QUAD_BATCH_VALUES, gridtext._ARRAY_MIN), (4, 0)):
+        failed = []
+
+        def recording(win):
+            try:
+                return window(win)
+            except Exception:
+                failed.append(True)
+                raise
+
+        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values), \
+                mock.patch.object(gridtext, "_ARRAY_MIN", array_min), \
+                mock.patch.object(gridtext, "_READ_SIZE", read_size), \
+                mock.patch.object(gridtext, "_decode_window", recording):
+            results.append((outcome(gridtext.load, io.BytesIO(data)), bool(failed)))
+    return results
+
+
+@DIFFERENTIAL
+@given(text=file_documents(), read_size=st.integers(1, 40), newline=st.sampled_from(["\n", "\r\n"]))
+def test_documents_read_a_block_at_a_time_decode_like_json(text, read_size, newline):
+    # reads this small cut grids, tokens and UTF-8 sequences at the read boundaries
+    data = text.replace("\n", newline).encode("utf-8")
+    plain = outcome(text_mode, data)
+    for decoded, read_again in read_from_file(data, read_size):
+        assert plain[0] == decoded[0], (plain, decoded)
+        if plain[0] == "raised":
+            assert plain == decoded
+        else:
+            assert_same(plain[1], decoded[1])
+            # every grid here stands at an object's value or alone, so each one is read from
+            # the file's bytes, and the whole text is never read
+            assert not read_again
+
+
+def load_message(path, data):
+    """The message cli._load_document gives for the file of data at path, taken from json.loads
+    on the file's text as a file opened in text mode reads it."""
+    try:
+        text_mode(data)
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+    except json.JSONDecodeError as exc:
+        return f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    except RecursionError:
+        return f"{path}: JSON nested too deeply"
+    raise AssertionError("the file holds a JSON document")
+
+
+LONG_DOC = '{\r\n"\u00e9\u2603": ' + LONG_GRID.replace("], ", "],\r\n") + ', "s": "\u20ac"}'
+MALFORMED_FILES = {
+    "truncated in a number": LONG_DOC.encode()[:5000],
+    "truncated after the grid": LONG_DOC.encode()[:-8],
+    "truncated in a key's UTF-8": LONG_DOC.encode()[:6],
+    "truncated in a string's UTF-8": LONG_DOC.encode()[:-3],
+    "not UTF-8 before the grid": LONG_DOC.encode().replace(b"\xc3\xa9", b"\xff", 1),
+    "not UTF-8 in the grid": LONG_DOC.encode().replace(b", ", b", \xfe", 1),
+    "not UTF-8 after the grid": LONG_DOC.encode().replace(b"\xe2\x82\xac", b"\xe2\x82"),
+    "byte order mark": b"\xef\xbb\xbf" + LONG_DOC.encode(),
+    "nested too deeply after the grid": ('{"B": ' + LONG_GRID + ', "x": ' + "[" * 100_000
+                                         + "]" * 100_000 + "}").encode(),
+}
+
+
+@pytest.mark.parametrize("read_size", [1, 7, 1 << 16])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_a_malformed_file_read_a_block_at_a_time_keeps_its_exit_2_message(
+    tmp_path, capsys, monkeypatch, name, read_size
+):
+    data = MALFORMED_FILES[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(gridtext, "_READ_SIZE", read_size)
+    for block_values in (gridtext.QUAD_BATCH_VALUES, 4):
+        monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", block_values)
+        assert cli.main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {load_message(path, data)}\n"
+
+
+def test_a_file_that_cannot_seek_is_read_whole_as_its_bytes():
+    # a pipe, as /dev/stdin can be: the text path may have to read it again from its start
+    text = '{"B": ' + LONG_GRID + ', "x": tru}'
+    for data in (('{"B": ' + LONG_GRID + "}").encode(), text.encode()):
+        read_end, write_end = os.pipe()
+
+        def write(data=data, fd=write_end):
+            with open(fd, "wb") as out:
+                out.write(data)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        with open(read_end, "rb") as fh:
+            decoded = outcome(gridtext.load, fh)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        plain = outcome(text_mode, data)
+        assert plain[0] == decoded[0]
+        if plain[0] == "raised":
+            assert plain == decoded
+        else:
+            assert_same(plain[1], decoded[1])
+
+
+def test_a_file_is_read_a_block_at_a_time(tmp_path, monkeypatch):
+    """A document of two long grids: no read takes more than about a block of its grids'
+    text, and no read reaches past the file."""
+    text = '{"B": ' + LONG_GRID + ', "C": ' + LONG_GRID + "}"
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", 64)  # about 1.3 KB of LONG_GRID
+    monkeypatch.setattr(gridtext, "_READ_SIZE", 256)
+    reads = []
+
+    class Recording(io.FileIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    with Recording(path, "rb") as fh:
+        doc = gridtext.load(fh)
+    assert_same(json.loads(text), doc)
+    assert reads and max(reads) < 4 * 1024 and -1 not in reads, reads
+    assert sum(reads) < 2 * len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,22 @@ def test_embed_antidiagonal():
     assert np.array_equal(w.values, 3.0 * np.fliplr(np.eye(3)))
 
 
+def test_embedding_leaves_its_argument_unchanged_unless_it_is_spent_in_place():
+    values = random_doubly_stochastic(6, seed=3).values  # read-only and owning: kept as is
+    before = values.copy()
+    a = DoublyStochasticMatrix(values)
+    w = embed_doubly_stochastic(a)
+    assert a.values is values and not values.flags.writeable
+    assert values.tobytes() == before.tobytes()
+    assert w.values.tobytes() == (6 * before).tobytes()
+    # in place: the same products, written over the matrix's own values, read-only again
+    spent = DoublyStochasticMatrix(before.copy())
+    own = spent.values
+    w_in_place = embed_doubly_stochastic(spent, in_place=True)
+    assert w_in_place.values is own and not own.flags.writeable
+    assert own.tobytes() == w.values.tobytes()
+
+
 def test_interpolate_endpoints_and_hand_average():
     w1 = WeightFunction.ones(UNI2, UNI2)
     w2 = validate_weight([[1.5, 0.5], [0.5, 1.5]], UNI2, UNI2)

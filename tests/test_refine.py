@@ -127,6 +127,16 @@ def test_evaluation_domain_error_names_row():
         phi(inst, 1.0)  # the w2 row sums reproduce the raw points, 0.1 < 0.35
 
 
+def test_scaled_row_sums_are_checked_and_named_as_their_products():
+    # powersum's dense grid hands in w and lambda * x as the column scale
+    f = get_function("powp", {"p": 2})
+    s1 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    scale = np.array([1.0, 2.0])
+    refine._check_rows(f, s1, s1, scale)
+    with pytest.raises(DomainError, match=r"row i=1 are 8.0 and -8.0,"):
+        refine._check_rows(f, s1, s1 * [[1.0, 1.0], [1.0, -1.0]], scale)
+
+
 def test_row_sums_get_a_slack_relative_to_their_largest_magnitude():
     # powp's domain is [0, inf): the slack is 1e-12 * max(1, -lo, hi) = 1e-9 here
     f = get_function("powp", {"p": 2})
@@ -276,9 +286,9 @@ def test_quadrature_calls_stay_under_the_value_cap(monkeypatch):
     sizes = []
     rows = refine._phi_rows
 
-    def recording(f, s1, s2, ts, masses=None):
+    def recording(f, s1, s2, ts, *rest):
         sizes.append(ts.size)
-        return rows(f, s1, s2, ts, masses)
+        return rows(f, s1, s2, ts, *rest)
 
     monkeypatch.setattr(refine, "_phi_rows", recording)
     assert phi_integral_quad(inst) == ref
