@@ -3,40 +3,45 @@ would, and reports out, each number at 17 significant digits as %.17g prints it.
 
 loads(data) is json.loads, except that NaN, Infinity and -Infinity are
 refused (ValidationError) and that every array of equal-length, non-empty
-rows of numbers not nested in another array becomes one read-only 2-D
+rows of ints and floats that is the document or an object's value, at any
+depth json reads but not inside another array, becomes one read-only 2-D
 float64 array, bit for bit np.array(json.loads(text), dtype=float).  data
 is a str, or the bytes of a file, read as a file opened in text mode reads
 them: UTF-8, with "\r\n" and "\r" read as "\n".  load(fh) is loads on the
 bytes of the binary file fh, which it reads a block at a time.
 
-Bytes, in memory or in a file, go through one reader, a window on the file
-that reads on as far as it is asked to (and _READ_SIZE bytes further, or a
-quarter of what it holds if that is more, so that a long text is read in
-linear time) and forgets what it is told to; bytes in memory are their own
-window, which forgets nothing.  Each grid of more than QUAD_BATCH_VALUES
-bytes that opens the document or follows a ":" (where json's array hook
-meets an array, when the ":" ends a key) is read by the grid reader below,
-which forgets the bytes before each block of rows, so the window holds
-about a block of the grid's bytes (a row, where a row is wider).  Only the
-text between those grids is kept, and becomes a str, with a stand-in "[]"
-at each grid's place: the scanner takes the grid where it meets its
-stand-in as an array value.  A stand-in it does not meet so (one in a
-string, or in an array that the C scanner reads), such a long array that
-is not a grid (its bytes are gone), and any error send the whole document
-to the text path: the file read again from its start, whole, decoded from
-UTF-8 as above, so every value and every message is json's.  So a
-document's bytes are never held whole, unless it holds no long grid.
+Every document goes through one reader, a window on its UTF-8 bytes (a
+str's encoded with "surrogatepass") that reads on as far as it is asked to
+(and _READ_SIZE bytes further, or a quarter of what it holds if that is
+more, so that a long text is read in linear time) and forgets what it is
+told to; bytes in memory are their own window, which forgets nothing.  Each
+grid of more than QUAD_BATCH_VALUES bytes that opens the document or
+follows a ":" is read by the grid reader below, which forgets the bytes
+before each block of rows, so the window holds about a block of the grid's
+bytes (a row, where a row is wider).  Only the text between those grids is
+kept, and becomes a str, with a stand-in at each grid's place: the JSON
+string of U+FDD0 (a noncharacter) and the grid's index.  One
+json.JSONDecoder, json's C scanner, reads that text, and one walk over the
+objects it gives, with a stack of its own (json reads objects nested almost
+as deep as Python's recursion limit), makes each short grid at an object's
+value or alone an array and puts each grid read from the bytes in place of
+its stand-in there.  The text path reads the whole document instead, where:
 
-On text, objects and strings go through json's Python scanner, so that
-every array reaches the grid reader (a document nested too deeply for it is
-read again, whole, by the C scanner):
+- the text between the grids holds U+FDD0, raw or escaped (in either case
+  of its hex digits), so that a stand-in could not be told from it;
+- a ":" before a grid was in a string, where the stand-in's quote ends the
+  string early and the text is malformed;
+- a stand-in is left that the walk does not meet, one in an array (not one
+  that a later duplicate key replaced, which a search of the value tells);
+- a long array after a ":" is not a grid (its bytes are gone);
+- any other error.
 
-- an array whose text is shorter than QUAD_BATCH_VALUES characters holds
-  less than one block of values, so the C scanner reads it whole and a
-  grid is converted at once;
-- a longer grid is read from the bytes of its text through the first "]"
-  "]" (the end of a grid's last row and of the grid), a block of rows at a
-  time.
+The text path scans a str itself, and a file read again from its start,
+whole, decoded from UTF-8 as above, with the same decoder and the same walk,
+so every value and every message is json's: lone surrogates and line and
+column numbers too.  So a document's bytes are never held whole, unless it
+holds no long grid; on the text path each long array is held as Python
+floats, about 32 bytes a value, until the walk converts it.
 
 The grid reader cuts a grid into blocks of rows by characters, so no row is
 visited from Python, and decode_rows turns the bytes of each block into
@@ -51,9 +56,8 @@ about a block's characters cut at commas.  Each block is written into one
 float64 array that owns its data, sized first for a square grid (or the
 rows the bytes left hold at the first row's length) and grown or shrunk in
 place, so that a grid is never held beside its blocks.  Any other long
-array, and any block decode_rows declines, is read again by the C scanner
-from the array's opening bracket: that gives the same list, or raises the
-same error, as json.loads.
+array, and any block decode_rows declines, sends the document to the text
+path, which gives the same list, or raises the same error, as json.loads.
 
 decode_rows(s, start, stop) takes the bytes of a text = s[start:stop] such as
 b'[1.5, 0], [-2e-3, 7]': one or more rows of JSON numbers, each in
@@ -189,6 +193,7 @@ OOPSLA 2019:
 
 import functools
 import io
+import itertools
 import json
 import re
 from json.encoder import encode_basestring_ascii
@@ -819,103 +824,103 @@ def _refuse_constant(name):
     raise ValidationError(f"non-finite number {name} (values must be finite)")
 
 
-class _GridDecoder(json.JSONDecoder):
-    """json.JSONDecoder whose arrays go through _parse_array (see the module doc); with
-    stand_ins, {position in the text: grid}, it reads the text between the grids that
-    _decode_window read, and takes each grid at its stand-in."""
-
-    def __init__(self, stand_ins=None):
-        super().__init__(parse_constant=_refuse_constant)
-        self._stand_ins = stand_ins
-        self._c_scan = json.scanner.c_make_scanner(self)
-        self.parse_array = self._parse_array
-        self.scan_once = json.scanner.py_make_scanner(self)
-
-    def decode(self, s):
-        if s.startswith("\ufeff"):  # as json.loads, which JSONDecoder.decode leaves to it
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
-        return super().decode(s)
-
-    def raw_decode(self, s, idx=0):
-        try:
-            return super().raw_decode(s, idx)
-        except RecursionError:
-            if self._stand_ins is not None:
-                raise  # the C scanner would read each stand-in as an empty list
-            # the Python scanner spends more stack per nested object than the C scanner
-            try:
-                return self._c_scan(s, idx)
-            except StopIteration as err:
-                raise json.JSONDecodeError("Expecting value", s, err.value) from None
-
-    def _parse_array(self, s_and_end, scan_once):
-        s, end = s_and_end
-        start = end - 1  # the opening bracket
-        if self._stand_ins is not None:
-            found = self._stand_ins.pop(start, None)
-            if found is not None:
-                return freeze(found), start + len(_STAND_IN)
-        head = s[start : start + QUAD_BATCH_VALUES]
-        found = None
-        # a grid ends in "]" "]": where a full head holds no such end, no grid closes inside it
-        # and the head is not scanned (any other array is the full scan's below, which gives
-        # what the head's scan gives, as _number_block leaves it as it is)
-        if len(head) < QUAD_BATCH_VALUES or _TEXT_GRID_END.search(head):
-            try:
-                value, stop = self._c_scan(head, 0)
-            except (json.JSONDecodeError, StopIteration):  # longer than the head, or malformed
-                pass
-            else:
-                found = _number_block(value, head[:stop]), start + stop
-        if found is None:
-            found = _read_text_grid(s, end)
-            if found is None:
-                return self._c_scan(s, start)
-        value, stop = found
-        if type(value) is np.ndarray:
-            freeze(value)  # the one place a decoded grid is made read-only
-        return value, stop
+_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+# a grid read from the bytes stands in the text as the JSON string of _MARK and its index
+_MARK = "\ufdd0"
+_MARKED = re.compile(r"\ufdd0|\\u[Ff][Dd][Dd]0").search  # the mark, raw or as an escape
+_NUMBERS = {int, float}
 
 
 def _decode_window(win):
     """The document in the window's file, its long grids read from its bytes a block at a
     time (see the module doc)."""
-    parts, stand_ins, chars = [], {}, 0
+    parts, grids = [], []  # the text between the grids, and a stand-in for each grid
     at = pos = 0  # at: where the text since the last grid starts
     while True:
-        # a long grid that json's array hook may see: at the start or after a ":"
+        # a long grid at an object's value or alone: at the start or after a ":"
         start = win.space(pos)
         if win.data.startswith(b"[", start) and win.data.startswith(b"[", win.space(start + 1)):
             win.fill(start + QUAD_BATCH_VALUES)
             # a grid ends at its first "]" "]", so one that ends within a block's bytes is
             # left to the scanner, which reads it whole, as is any array with a "]" "]" there
             if not _GRID_END.search(win.data, pos, start + QUAD_BATCH_VALUES):
-                text = win.data[at:start].decode("utf-8")
+                parts.append(win.data[at:start].decode("utf-8"))
                 found = _read_grid(win, win.drop(start) + 1)
                 if found is None:  # its bytes are gone: read the text
                     raise _Reread
                 grid, at = found
-                parts += (text, _STAND_IN)
-                chars += len(text)
-                stand_ins[chars] = grid
-                chars += len(_STAND_IN)
+                parts.append(f'"{_MARK}{len(grids)}"')
+                grids.append(grid)
                 pos = at
         pos = win.find(b":", pos) + 1
         if not pos:
             break
     parts.append(win.data[at:].decode("utf-8"))
     win.drop(len(win.data))  # the text is in parts now
-    if not stand_ins:
-        return _DECODER.decode("".join(parts))
-    value = _GridDecoder(stand_ins).decode("".join(parts))
-    if stand_ins:  # one lay in a string or in an array, where json reads no grid
+    if grids and any(map(_MARKED, parts[::2])):  # a stand-in would not be told from the text
         raise _Reread
-    return value
+    return _scan("".join(parts), grids)
+
+
+def _scan(text, grids=()):
+    """json.loads on text, with each grid at an object's value or alone, and the grid read
+    from the bytes for each stand-in there, as a read-only float64 array (see the module
+    doc)."""
+    if text.startswith("\ufeff"):  # as json.loads, which JSONDecoder.decode leaves to it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    root = {"": _JSON.decode(text)}
+    # a stack of its own: json reads objects nested about as deep as Python recursion goes
+    objects, swapped = [root], 0
+    while objects:
+        obj = objects.pop()
+        for key, value in obj.items():
+            kind = type(value)
+            if kind is dict:
+                objects.append(value)
+            elif kind is list:
+                grid = _grid(value)
+                if grid is not None:
+                    obj[key] = freeze(grid)
+            elif kind is str and grids and value.startswith(_MARK):
+                obj[key] = freeze(grids[int(value[1:])])
+                swapped += 1
+    # a stand-in the walk did not meet lies in an array, unless a later duplicate key took
+    # its place
+    if swapped < len(grids) and _holds_mark(root):
+        raise _Reread
+    return root[""]
+
+
+def _grid(rows):
+    """rows as a 2-D float64 array if they are non-empty, equal-length rows of ints and floats
+    that fit a double; None otherwise."""
+    if not (rows and type(rows[0]) is list and rows[0] and set(map(type, rows)) == {list}
+            and _NUMBERS.issuperset(map(type, itertools.chain.from_iterable(rows)))):
+        return None
+    try:
+        return np.array(rows, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond the largest double
+        return None
+
+
+def _holds_mark(value):
+    """True if a string in value, at any depth, starts with _MARK."""
+    values = [value]
+    while values:
+        value = values.pop()
+        kind = type(value)
+        if kind is dict:
+            values.extend(value.values())
+        elif kind is list:
+            values.extend(value)
+        elif kind is str and value.startswith(_MARK):
+            return True
+    return False
 
 
 class _Reread(Exception):
-    """A grid read from the bytes was not taken where it stood, or a long array there was
-    not a grid: read the text."""
+    """A stand-in for a grid read from the bytes could not be told from the text or was not
+    taken where it stood, or a long array there was not a grid: read the text."""
 
 
 class _Window:
@@ -971,32 +976,10 @@ class _Window:
         return self.size - self.base - pos
 
 
-# what a grid read from the bytes stands in for in the text: an array, with no quote,
-# backslash or control character, as the grid's own text has none
-_STAND_IN = "[]"
 # the end of a grid: its last row's "]", whitespace, and the grid's own "]"
 _GRID_END = re.compile(rb"\][ \t\n\r]*\]")
-_TEXT_GRID_END = re.compile(r"\][ \t\n\r]*\]")
 _SPACE = re.compile(rb"[ \t\n\r]*").match
 _READ_SIZE = 1 << 14  # how far past what it is asked for a window reads
-
-
-def _read_text_grid(s, end):
-    """_read_grid on the array whose body starts at s[end], a str: on the bytes of its text
-    through the first "]" whitespace "]", where a grid ends."""
-    if not s.startswith("[", json.decoder.WHITESPACE.match(s, end).end()):
-        return None
-    grid_end = _TEXT_GRID_END.search(s, end)
-    if grid_end is None:
-        return None
-    try:
-        raw = s[end - 1 : grid_end.end()].encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    found = _read_grid(_Window(None, len(raw), raw), 1)
-    if found is None or found[1] != len(raw):
-        return None
-    return found[0], grid_end.end()
 
 
 def _read_grid(win, end):
@@ -1076,23 +1059,6 @@ def _wide_row(s, start, stop, chars, width):
         first = _SPACE(s, cut + 1).end()
 
 
-def _number_block(value, text):
-    """value, read from text, as a 2-D float64 array if it is non-empty rows of numbers, else
-    value itself.  np.array would also take true, false, null and numeric strings, so text is
-    searched for their letters: no JSON number holds a quote, t, f or n."""
-    if (not (value and type(value[0]) is list and value[0])
-            or '"' in text or "t" in text or "f" in text or "n" in text):
-        return value
-    try:
-        block = np.array(value, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # ragged, a nested object, or beyond a double
-        return value
-    return block if block.ndim == 2 else value  # rows of equal-length rows are 3-D
-
-
-_DECODER = _GridDecoder()
-
-
 def load(fh):
     """The document in fh, a binary file read from its start, as loads reads its bytes (see
     the module doc), a block at a time: the file's bytes are never held whole."""
@@ -1107,27 +1073,30 @@ def loads(data):
     """The document in data, JSON text as bytes (UTF-8, as a file holds it) or as a str, with
     its grids as read-only float64 arrays (see the module doc)."""
     if isinstance(data, str):
-        return _DECODER.decode(data)
+        raw = data.encode("utf-8", "surrogatepass")  # a lone surrogate fails on the bytes
+        return _read_document(_Window(None, len(raw), raw), data)
     return _read_document(_Window(None, len(data), data), io.BytesIO(data))
 
 
-def _read_document(win, fh):
-    """The document in the window, or, where that fails, in the text of fh, which holds the
-    same bytes."""
+def _read_document(win, source):
+    """The document in the window, or, where that fails, scanned whole from source: a str, or
+    a binary file of the window's bytes."""
     try:
         return _decode_window(win)
     except (ValueError, RecursionError, _Reread):
         pass
     del win
+    if isinstance(source, str):
+        return _scan(source)
     # as the text a file opened in text mode gives, so that every value and every error is
     # json's: a UnicodeDecodeError at the file's byte, a line and column after "\r\n" and
     # "\r" are read as "\n"
-    fh.seek(0)
-    text = io.TextIOWrapper(fh, encoding="utf-8")
+    source.seek(0)
+    text = io.TextIOWrapper(source, encoding="utf-8")
     try:
-        return _DECODER.decode(text.read())
+        return _scan(text.read())
     finally:
-        text.detach()  # fh stays open: its owner closes it
+        text.detach()  # source stays open: its owner closes it
 
 
 # ---------------------------------------------------------------------------

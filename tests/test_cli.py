@@ -156,6 +156,20 @@ def test_exp_near_overflow_with_a_swap_verifies(tmp_path, capsys):
     assert main(["verify", write(tmp_path, "exp.json", doc)]) == 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: on this exp row the t-quadrature spends "
+                   "its whole evaluation budget before it converges")
+def test_exp_near_overflow_with_a_swap_verifies_within_the_quadrature_budget(tmp_path, capsys):
+    """exp on [689.969..., -750.0] with B = I and C the swap is valid, with finite Jensen
+    sides, but exits 2 with 'adaptive quadrature exceeded its budget of 100000 integrand
+    evaluations on [0.0, 1.0] (at depth 34)': the budget runs out, where the swap above fails
+    to converge at depth 40.  It is a second fixed witness of what
+    test_cli_verifies_catalog_functions_near_overflow can draw at random."""
+    doc = {"function": {"name": "exp"}, "points": [689.9695085952419, -750.0],
+           "weights": AGM_ANCHOR["weights"]}
+    assert main(["verify", write(tmp_path, "exp.json", doc)]) == 0
+
+
 def test_verify_jensen_closed_form_holds_at_small_points(tmp_path, capsys):
     """neglog on [1e-10, 2e-10]: each row's segment is 1e-10 long but spans a ratio of 2, so
     the closed-form t-average must match its quadrature (it was 0.08% off, and exited 1)."""

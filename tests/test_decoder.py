@@ -245,14 +245,16 @@ def test_the_cli_loads_documents_through_the_gridtext_decoder(tmp_path, monkeypa
     assert not doc["points"].flags.writeable
 
 
-def test_objects_nested_past_the_python_scanner_fall_back_to_the_c_scanner():
-    # the Python scanner takes about twice the stack per object level of the C scanner,
-    # so a document it cannot nest that deep is read again, whole, by the C scanner
+def test_objects_nested_as_deep_as_json_reads_them_hold_grids():
+    # one decoder reads every document, so a grid at an object's value is an array at every
+    # depth json reads, and a document nested past that fails as json.loads fails
     depth = 700
-    decoded = gridtext.loads('{"a": ' * depth + "[[1, 2]]" + "}" * depth)
+    text = '{"a": ' * depth + "[[1, 2]]" + "}" * depth
+    decoded = gridtext.loads(text)
+    assert_same(PLAIN.decode(text), decoded)
     for _ in range(depth):
         decoded = decoded["a"]
-    assert decoded == [[1, 2]] and type(decoded) is list
+    assert decoded.tolist() == [[1.0, 2.0]] and not decoded.flags.writeable
     too_deep = "[" * 100_000 + "]" * 100_000
     assert outcome(gridtext.loads, too_deep) == outcome(PLAIN.decode, too_deep)
 
@@ -307,7 +309,15 @@ LONG_GRID = json.dumps((np.random.default_rng(11).random((40, 30)) * 7 - 3).toli
     '{"B": ' + LONG_GRID.replace("]]", ", NaN]]") + "}",
     '{"B": ' + LONG_GRID.replace("]]", ', "1"]]') + "}",
     '{"B": ' + LONG_GRID.replace("]]", ", 1]]") + "}",
-], ids=range(24))
+    # U+FDD0, the mark of a stand-in, raw or escaped, in a string or a key beside a long grid
+    '{"s": "\ufdd00", "B": ' + LONG_GRID + "}",
+    '{"B": ' + LONG_GRID + ', "s": "\ufdd00"}',
+    '{"s": "\\ufdd00", "B": ' + LONG_GRID + "}",
+    '{"s": "\\uFDD01", "B": ' + LONG_GRID + "}",
+    '{"s": "\\uFdD00", "B": ' + LONG_GRID + "}",
+    '{"\ufdd00": 1, "B": ' + LONG_GRID + "}",
+    '{"\\uFDD00": 1, "B": ' + LONG_GRID + "}",
+], ids=range(31))
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_documents_read_from_their_bytes_decode_like_json(text, newline):
     # the grids laid out one number a line, as generate prints them, with the file's newlines
@@ -315,10 +325,15 @@ def test_documents_read_from_their_bytes_decode_like_json(text, newline):
     assert_same_outcome(text.encode("utf-8"), text_mode)
 
 
-def test_objects_nested_past_the_python_scanner_after_a_long_grid_are_read_as_json_reads_them():
-    # read again, whole, by the C scanner, which leaves every array a list
-    text = '{"B": ' + LONG_GRID + ', "a": ' + '{"a": ' * 700 + "1" + "}" * 700 + "}"
-    assert gridtext.loads(text.encode()) == json.loads(text)
+def test_objects_nested_deep_after_a_long_grid_are_read_as_json_reads_them():
+    # a long grid at an object's value is read from the bytes at any depth json reads
+    text = ('{"B": ' + LONG_GRID + ', "a": ' + '{"a": ' * 700 + '{"C": ' + LONG_GRID + "}"
+            + "}" * 700 + "}")
+    decoded = gridtext.loads(text.encode())
+    assert_same(json.loads(text), decoded)
+    for _ in range(701):
+        decoded = decoded["a"]
+    assert isinstance(decoded["C"], np.ndarray)
 
 
 def test_an_error_after_a_long_grid_is_placed_in_the_file_text():
@@ -342,6 +357,65 @@ def test_a_grid_read_from_the_bytes_owns_its_data_and_is_read_only():
     doc = gridtext.loads(('{"B": ' + LONG_GRID + "}").encode())
     assert doc["B"].flags.owndata and not doc["B"].flags.writeable
     assert doc["B"].tobytes() == np.array(json.loads(LONG_GRID)).tobytes()
+
+
+def test_a_long_grid_in_an_object_inside_an_array_stays_a_list():
+    # json reads no grid inside an array, so the walk does not descend into arrays, and the
+    # grid read from the bytes is dropped for the list json gives
+    rows = json.loads(LONG_GRID)
+    for text in ('[{"a": ' + LONG_GRID + "}]", '{"a": [{"b": ' + LONG_GRID + '}], "c": 1}'):
+        for data in (text, text.encode()):
+            decoded = gridtext.loads(data)
+            inner = decoded[0]["a"] if text.startswith("[") else decoded["a"][0]["b"]
+            assert type(inner) is list and inner == rows
+
+
+@pytest.mark.parametrize("text", [
+    '{"B": ' + LONG_GRID + ', "B": ""}',
+    '{"B": ' + LONG_GRID + ', "B": ' + LONG_GRID + "}",
+    '{"B": ' + LONG_GRID + ', "C": {"B": ' + LONG_GRID + ', "B": 5}}',
+], ids=range(3))
+def test_a_duplicate_key_over_a_long_grid_is_read_once(text):
+    # the grid's stand-in is gone from the value, so the text is not read again
+    data = text.encode()
+    plain = outcome(text_mode, data)
+    for decoded, read_again in read_from_file(data, 1 << 14):
+        assert_same(plain[1], decoded[1])
+        assert not read_again
+
+
+@pytest.mark.parametrize("text", [
+    '{"s": "\ud800", "B": ' + LONG_GRID + "}",
+    '{"B": ' + LONG_GRID + ', "s": ["\udfff", 1]}',
+    '{"s": "\udfff", "B": [[1, 2]]}',
+    '{"s": "\ud800",\r\n "B": ' + LONG_GRID + ',\r\n "x": tru}',
+    '\ufeff{"B": ' + LONG_GRID + "}",
+    '\ufeff{"B": [[1, 2]]}',
+], ids=range(6))
+def test_a_str_with_a_lone_surrogate_or_a_byte_order_mark_decodes_like_json(text):
+    # a lone surrogate fails on the str's UTF-8 bytes: the str itself is read, as json reads it
+    assert_same_outcome(text, lambda t: json.loads(t, parse_constant=gridtext._refuse_constant))
+
+
+def test_a_grid_in_990_nested_objects_decodes_like_json():
+    # json's C scanner reads objects nested about as deep as Python's recursion limit, and
+    # from Python 3.12 on past it, so the walk over them keeps a stack of its own.  On older
+    # versions json reads this document only near the top of the stack, and fails here.
+    depth = 990
+    for grid in ("[[1, 2]]", LONG_GRID):
+        text = '{"a": ' * depth + grid + "}" * depth
+        for data, reference in ((text, PLAIN.decode), (text.encode(), text_mode)):
+            plain, decoded = outcome(reference, data), outcome(gridtext.loads, data)
+            assert plain[0] == decoded[0], (plain[0], decoded[0])
+            if plain[0] == "raised":
+                assert plain == decoded
+                continue
+            plain, decoded = plain[1], decoded[1]
+            for _ in range(depth):
+                assert list(decoded) == ["a"]
+                plain, decoded = plain["a"], decoded["a"]
+            assert decoded.tobytes() == np.array(plain, dtype=float).tobytes()
+            assert not decoded.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +658,31 @@ def test_a_dense_document_peaks_at_its_bytes_and_its_grid_plus_a_block(tmp_path)
     # no grid beside its blocks
     size = path.stat().st_size
     assert doc_peak < size + grid.nbytes + 1.5 * block_peak, (doc_peak, size, block_peak)
+
+
+def test_a_dense_str_document_peaks_at_its_text_and_its_grid_plus_a_block():
+    # a str is read through its UTF-8 bytes, as a file is: one copy of its text, not one for
+    # each long grid in it
+    n = 700
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    grid = 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+    text = json.dumps({"application": "jensen", "points": list(range(n)),
+                       "weights": {"omega1": {"kind": "matrix", "values": grid.tolist()}}})
+    block = json.dumps({"values": grid[: gridtext.QUAD_BATCH_VALUES // n].tolist()}).encode()
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            result = load()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    block_peak, _ = peak(lambda: gridtext.loads(block))
+    doc_peak, doc = peak(lambda: gridtext.loads(text))
+    assert doc["weights"]["omega1"]["values"].tobytes() == grid.tobytes()
+    assert doc_peak < len(text) + grid.nbytes + 1.5 * block_peak, (doc_peak, len(text), block_peak)
 
 
 # ---------------------------------------------------------------------------

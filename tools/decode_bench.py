@@ -38,13 +38,11 @@ The last two, printed by json.dumps, sit at the edges of the tiers:
 - few-short: the rank-one grid with its first column set to 2.5, one token of 3 bytes a
   row among 17-digit ones, each read by the array steps.
 
-Each grid is decoded from its UTF-8 bytes, as the CLI reads a file; a tree whose
-gridtext.loads takes only a str is timed on the bytes decoded to a str, the decoding
-included, as its CLI read a file as text.  Every decode is checked bit for
-bit against np.array(json.loads(text)); a mismatch exits 1.  A repetition times one
-decode of each family, with the time of this process (time.process_time_ns), and the
-trees in alternating order.  The table gives, per family, the median and quartiles of
-ns a value over the repetitions.
+Each grid is decoded from its UTF-8 bytes, as the CLI reads a file.  Every decode is
+checked bit for bit against np.array(json.loads(text)); a mismatch exits 1.  A
+repetition times one decode of each family, with the time of this process
+(time.process_time_ns), and the trees in alternating order.  The table gives, per family,
+the median and quartiles of ns a value over the repetitions.
 
 --against TREE also imports TREE's jensenchain (TREE is a source tree's root or its
 src directory) under another package name, times it interleaved with this tree's,
@@ -140,16 +138,6 @@ def families(seed, n, tall):
     return texts
 
 
-def reader(gridtext):
-    """The decode of a file's bytes by gridtext: loads itself, or loads of their text where
-    loads takes only a str."""
-    try:
-        gridtext.loads(b"[[0]]")
-    except TypeError:
-        return lambda data: gridtext.loads(data.decode("utf-8"))
-    return gridtext.loads
-
-
 TIERS = ("_uniform", "_sparse")  # then the general kernel
 
 
@@ -204,7 +192,7 @@ def main(argv=None):
     modules = [load_gridtext(source_dir(HERE.parent), "jensenchain")]
     if args.against:
         modules.append(load_gridtext(source_dir(args.against), "jensenchain_against"))
-    trees = [(module.__name__.split(".")[0], reader(module)) for module in modules]
+    trees = [(module.__name__.split(".")[0], module.loads) for module in modules]
     texts = families(args.seed, *SIZES["smoke" if args.smoke else "full"])
     expected = {name: np.array(json.loads(text), dtype=float) for name, text in texts.items()}
     texts = {name: text.encode("utf-8") for name, text in texts.items()}
