@@ -105,16 +105,27 @@ digit.
 
 The general path is array-at-a-time over the bytes of the text:
 
-- bytes: one deletion of every byte a grid may hold must leave nothing;
-  four byte searches say whether the text holds a sign or an exponent
-  mark at all;
-- tokens: the token bounds are the edges of the maximal runs of number
-  characters, and the brackets must pair up around rows of equal width w.
-  Every gap between two tokens must hold exactly one comma.  Where each
-  in-row token is followed at once by "," and each row's "]" too, as
-  json.dumps and generate print a grid, every gap holds a comma there, so
-  the commas are counted, not located; in any other layout they are
-  located, with "]" "," "[" at each row break;
+- bytes: four byte searches say whether the text holds a sign or an
+  exponent mark at all.  A text with neither, whose first row is laid out
+  as json.dumps prints a grid (", " after its first token and "], [" after
+  the row, with no space before either) and which holds no "/", goes to
+  the comma locator below.  Every other text, and one the locator
+  declines, must leave nothing when every byte a grid may hold is deleted;
+- tokens in json.dumps's layout (the comma locator): one location of the
+  commas gives each token's end and the next token's start, the first
+  row's commas give the width w, and one gather each checks the " " after
+  every comma and the "]" before and "[" after every w-th one, a row
+  break.  The commas and their spaces must then be all the bytes below
+  ".", and the brackets of the rows all those above "9", so every other
+  byte is a digit or "." (the text holds no "/");
+- tokens in any other layout: the token bounds are the edges of the
+  maximal runs of number characters, and the brackets must pair up around
+  rows of equal width w.  Every gap between two tokens must hold exactly
+  one comma.  Where each in-row token is followed at once by "," and each
+  row's "]" too, as generate prints a grid (and json.dumps one with signs
+  or exponents), every gap holds a comma there, so the commas are counted,
+  not located; in any other layout they are located, with "]" "," "[" at
+  each row break;
 - zeros: a token of exactly the three bytes "0.0" (the zero of a grid the
   sparse tier declines) is +0.0, and its dot leaves the dot mask; a text
   of nothing else is returned then.  Only the other tokens go on,
@@ -211,7 +222,7 @@ _WINDOW = 2 * len(_PAD) + 1  # a byte and the 24 on each side of it
 
 # the bytes of a grid's text: deleting them leaves nothing of a text that holds no other
 _GRID_BYTES = b" \t\n\r0123456789,.[]eE+-"
-_MINUS, _PLUS, _OPEN, _CLOSE, _ZERO, _COMMA, _DOT = b"-+[]0,."
+_MINUS, _PLUS, _OPEN, _CLOSE, _ZERO, _NINE, _COMMA, _DOT, _BLANK = b"-+[]09,. "
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
 _POW10_F = np.array([10.0**k for k in range(23)])  # exact doubles
 _LONGEST = 19  # significant digits that always fit a uint64
@@ -426,6 +437,53 @@ def _tokens(buf, plus):
     if not ((closes[:-1] < gap).all() and (gap < opens[1:]).all()):
         return None
     return starts, ends, rows, width, num
+
+
+def _dumps_head(raw):
+    """The offset of raw's first "]" if its first row is laid out as json.dumps prints a grid
+    (", " after the first token, "], [" after the row, no space before either) and raw holds
+    no "/", the one byte from "." to "9" that no number holds; else -1."""
+    close = raw.find(b"]")
+    comma = raw.find(b",", 0, close)
+    if comma >= 0 and not (raw[comma - 1] != _BLANK and raw[comma + 1] == _BLANK):
+        return -1
+    if close + 1 < len(raw) and not (raw[close - 1] != _BLANK
+                                     and raw.startswith(b", [", close + 1)):
+        return -1
+    return -1 if b"/" in raw else close
+
+
+def _located(buf, close):
+    """(starts, ends, rows, width, None) of the number tokens of buf, whose first row ends at
+    close, if buf is rows laid out as json.dumps prints a grid of unsigned numbers: ", "
+    between two tokens of a row, "], [" between two rows, and every other byte one of "." to
+    "9" (the caller has found no "/"); None otherwise.  The commas are located, and the
+    separator bytes beside them are checked by one gather each; then counts of the bytes
+    below "." and above "9" say that no other byte is a separator."""
+    commas = np.flatnonzero(buf == _COMMA)
+    width = int(np.searchsorted(commas, close)) + 1
+    # where the tokens are not rows of width, there are as many row breaks as rows, so more
+    # brackets than the count below allows
+    rows = (commas.size + 1) // width
+    breaks = commas[width - 1 :: width]  # "], [" around each
+    # buf ends in "]", so a space after each comma puts each "[" read below inside buf
+    if not ((buf[commas + 1] == _BLANK).all() and (buf[breaks - 1] == _CLOSE).all()
+            and (buf[breaks + 2] == _OPEN).all()):
+        return None
+    # the commas and the spaces after them are all the bytes below ".", the brackets of the
+    # rows all those above "9"
+    if not (np.count_nonzero(buf < _DOT) == 2 * commas.size
+            and np.count_nonzero(buf > _NINE) == 2 * rows):
+        return None
+    starts = np.empty(commas.size + 1, dtype=np.intp)
+    starts[0] = 1
+    np.add(commas, 2, out=starts[1:])
+    starts[width::width] += 1
+    ends = np.empty_like(starts)
+    ends[:-1] = commas
+    ends[width - 1 :: width] -= 1
+    ends[-1] = buf.size - 1
+    return starts, ends, rows, width, None
 
 
 def _positions(at, starts, ends):
@@ -769,14 +827,16 @@ def decode_rows(s, start, stop):
         decoded = tier(raw)
         if decoded is not None:
             return decoded
-    if raw.translate(None, _GRID_BYTES):  # a byte that no grid holds
-        return None
     plus = b"+" in raw
     marked = plus or b"-" in raw or b"e" in raw or b"E" in raw
+    close = -1 if marked else _dumps_head(raw)  # json.dumps's layout: the comma locator
     padded = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
-    del raw
     buf = padded[len(_PAD) : -len(_PAD)]
-    found = _tokens(buf, plus)
+    found = _located(buf, close) if close >= 0 else None
+    if found is None and raw.translate(None, _GRID_BYTES):  # a byte that no grid holds
+        return None
+    del raw
+    found = found or _tokens(buf, plus)
     if found is None:
         return None
     starts, ends, rows, width, num = found

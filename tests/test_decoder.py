@@ -45,7 +45,7 @@ def assert_same(plain, decoded, path="$", in_list=False):
     array that is not a grid, nested arrays included.
     """
     if isinstance(decoded, np.ndarray):
-        assert is_grid(plain), path
+        assert is_grid(plain) and not in_list, path
         expected = np.asarray(plain, dtype=float)
         assert decoded.dtype == np.float64 and decoded.shape == expected.shape, path
         assert decoded.tobytes() == expected.tobytes(), path  # bit for bit, signed zeros too
@@ -1129,7 +1129,8 @@ def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
 # ---------------------------------------------------------------------------
 # layouts read without locating the commas or the dots: each in-row token followed at once by
 # ",", each row's "]" by ","; each token's dot second after its sign.  Every other layout
-# takes the located scans, block by block.
+# takes the located scans, block by block, but json.dumps's layout of unsigned numbers, which
+# takes the comma locator (below).
 
 HUGGING_TOKENS = st.one_of(
     st.floats(0.1, 9.9).map(repr),  # one integer digit, its dot looked up
@@ -1186,6 +1187,10 @@ def long_tokens(text):
     "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7, 12.5]",
     # -0 and -0.0 among signed tokens: json gives -0 as the int 0, -0.0 as a float
     "[-0, -0.0, -1.5, 0.5], [-0.000, -0e0, -0.0e5, -7]",
+    # json.dumps's first row, then a space after an integer, or before a comma and none
+    # after it: the comma locator declines the block
+    "[1.5, 2.5], [35 , 4.5]",
+    "[1.5, 2.5], [3.5 ,45]",
 ])
 def test_layouts_beside_the_hugging_ones_decode_like_json(text):
     for t in (text, long_tokens(text)):
@@ -1204,6 +1209,12 @@ def test_layouts_beside_the_hugging_ones_decode_like_json(text):
     # as many dots as tokens, two in one token, and a lone "-" last in the block
     "[1..5, -]",
     "[1.., -]",
+    # json.dumps's first row, then a letter in place of a row's "]" or "[", the brackets as
+    # many as the rows need
+    "[1.5, 2.5], [3.5, 4.5x, [5.5, 6.5]",
+    "[1.5, 2.5], [3.5, 4.5], x5.5, 6.5]",
+    # and a "/" in a token, read as a digit past the locator's byte counts
+    "[1.5, 2.5], [3.5, 4/5]",
 ])
 def test_a_stray_or_missing_comma_is_refused_as_json_refuses_it(text):
     assert kernel(text) is None
@@ -1395,3 +1406,100 @@ def test_the_sparse_tier_takes_at_most_array_min_nonzero_tokens():
         text = json.dumps(grid.tolist())[1:-1]
         assert (gridtext._sparse(text.encode()) is None) == (count > gridtext._ARRAY_MIN)
         kernel(text)
+
+
+# ---------------------------------------------------------------------------
+# the comma locator: blocks laid out as json.dumps prints a grid of unsigned numbers
+
+LOCATED_TOKENS = st.one_of(
+    st.floats(0.0, 1e6).map(repr).filter(lambda token: "e" not in token),
+    st.integers(0, 10**20).map(str),
+    st.sampled_from(["0", "0.0", "0.5", "1.0123456789012345", "12345678901234567890123"]),
+)
+# one gap in a row, or one row break, as another layout writes it
+GAP_EDITS = [",", ",  ", " ,", " , ", ",\n"]
+BREAK_EDITS = ["],[", "] , ["]
+
+
+@st.composite
+def located_grids(draw):
+    """The rows of a grid of unsigned numbers as json.dumps prints them, with at most one
+    change: a gap or a row break in another layout, an empty token, a "/" or a letter inside
+    a token, or one row a token short."""
+    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = [[draw(LOCATED_TOKENS) for _ in range(width)] for _ in range(rows)]
+    edit = draw(st.sampled_from(["none", "none", *GAP_EDITS, *BREAK_EDITS,
+                                 "empty", "/", "a", "E", "short"]))
+    row, col = draw(st.integers(0, rows - 1)), draw(st.integers(0, width - 1))
+    if edit == "empty":
+        cells[row][col] = ""
+    elif edit in ("/", "a", "E"):
+        token = cells[row][col]
+        at = draw(st.integers(0, len(token)))
+        cells[row][col] = token[:at] + edit + token[at:]
+    elif edit == "short":
+        del cells[row][col]
+    text = "], [".join(", ".join(r) for r in cells)
+    pattern = r"(?<!\]), " if edit in GAP_EDITS else r"\], \[" if edit in BREAK_EDITS else None
+    gaps = [m.span() for m in re.finditer(pattern, text)] if pattern else []
+    if gaps:
+        a, b = draw(st.sampled_from(gaps))
+        text = text[:a] + edit + text[b:]
+    return "[" + text + "]"
+
+
+@DIFFERENTIAL
+@given(located_grids())
+def test_json_dumps_grids_of_unsigned_numbers_decode_like_json_across_blocks(text):
+    kernel(text)
+    assert_decodes_like_json("[" + text + "]")
+
+
+def rank_one(n, seed):
+    """1 + u v^T, n x n, entries in (0.1, 1.9): dense 17-digit decimals."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    return 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+
+
+def test_every_block_of_a_json_dumps_grid_takes_the_locator_and_no_other_layout_calls_it(
+        monkeypatch):
+    grid = rank_one(300, seed=3)
+    rows = grid.tolist()
+    layouts = {
+        "json.dumps": json.dumps(rows),
+        "pretty": "[\n  [\n    " + "\n  ],\n  [\n    ".join(
+            ",\n    ".join(f"{v:.17g}" for v in row) for row in rows) + "\n  ]\n]",
+        "spaced": "[" + ", ".join("[" + " , ".join(map(repr, row)) + " ]" for row in rows) + "]",
+        "compact": json.dumps(rows, separators=(",", ":")),
+        # json.dumps's gaps in a row, with another row break
+        "padded rows": "[" + ", ".join("[" + ", ".join(map(repr, row)) + " ]"
+                                       for row in rows) + "]",
+        "hugged rows": json.dumps(rows).replace("], [", "],["),
+        # json.dumps's row breaks, with another gap in a row
+        "hugged gaps": json.dumps(rows).replace(", ", ",").replace("],[", "], ["),
+        "spaced gaps": json.dumps(rows).replace(", ", " , ").replace("] , [", "], ["),
+    }
+    located, decoded = [], []
+    locate, decode_rows = gridtext._located, gridtext.decode_rows
+
+    def spy_locate(*args):
+        found = locate(*args)
+        located.append(found is not None)
+        return found
+
+    def spy_decode(*args):
+        block = decode_rows(*args)
+        decoded.append(block is not None)
+        return block
+
+    monkeypatch.setattr(gridtext, "_located", spy_locate)
+    monkeypatch.setattr(gridtext, "decode_rows", spy_decode)
+    for name, text in layouts.items():
+        located.clear()
+        decoded.clear()
+        assert gridtext.loads(text).tobytes() == grid.tobytes(), name
+        if name == "json.dumps":
+            assert located.count(True) == decoded.count(True) > 1, located
+        else:
+            assert located == [] and decoded.count(True) > 1, name

@@ -8,7 +8,8 @@ json.dumps, as perfbench/corpus.py writes the documents of the benchmark:
 - permutation: a permutation matrix, n x n, read through the uniform-layout path;
 - mixture: a convex combination of 3 permutation matrices, n x n, nearly all "0.0",
   read through the sparse tier;
-- rank-one: 1 + u v^T, n x n, dense 17-digit decimals;
+- rank-one: 1 + u v^T, n x n, dense 17-digit decimals, whose tokens the general kernel
+  finds from their commas (the comma locator);
 - tall: a 40000 x 1 column of uniform draws in [0, 1).
 
 Two more are sparse grids in other layouts:
@@ -28,7 +29,10 @@ The others are printed by f-strings:
   `jensenchain generate weight` writes its grids, so every row break is "]" "," after a
   line of indentation;
 - spaced: the rank-one grid as json.dumps prints it, with a space before every "," and
-  "]", a layout whose commas the decoder must locate.
+  "]".
+
+pretty and spaced are the layouts that the comma locator's first-row check sends to the
+edge scan, so they time what that check costs a layout it declines.
 
 The last two, printed by json.dumps, sit at the edges of the tiers:
 
@@ -36,7 +40,7 @@ The last two, printed by json.dumps, sit at the edges of the tiers:
   nonzero tokens than the sparse tier takes, far apart, read by the general kernel: its
   "0.0" tokens by the zero step, the others by the array steps after it;
 - few-short: the rank-one grid with its first column set to 2.5, one token of 3 bytes a
-  row among 17-digit ones, each read by the array steps.
+  row among 17-digit ones, each read by the array steps after the comma locator.
 
 Each grid is decoded from its UTF-8 bytes, as the CLI reads a file.  Every decode is
 checked bit for bit against np.array(json.loads(text)); a mismatch exits 1.  A
@@ -54,8 +58,10 @@ bit-for-bit check alone, no timing.
 
 Before any timing, one decode of each family per tree counts the blocks that each tier of
 gridtext.decode_rows decoded (uniform, sparse, general: the blocks neither of the first two
-took), by wrapping the tier functions of the loaded module; a tree without a tier prints
-"-" for it.
+took), and the general blocks whose tokens the comma locator found, by wrapping the tier
+functions of the loaded module; a tree without a tier prints "-" for it.  The run exits 1
+where a general block of a json.dumps dense family (LOCATED: rank-one, few-short) does not
+take this tree's comma locator, --smoke runs included.
 """
 
 import argparse
@@ -139,12 +145,14 @@ def families(seed, n, tall):
 
 
 TIERS = ("_uniform", "_sparse")  # then the general kernel
+LOCATED = ("rank-one", "few-short")  # each general block takes the comma locator
 
 
 def tier_counts(gridtext, read, data):
-    """[uniform, sparse, general] blocks that gridtext's decode_rows decoded in one read of
-    data, None for a tier gridtext does not have."""
-    counts = dict.fromkeys(("decode_rows",) + TIERS, 0)
+    """[uniform, sparse, general, located] blocks that gridtext's decode_rows decoded in one
+    read of data, located those of the general blocks whose tokens the comma locator found;
+    None for a tier gridtext does not have."""
+    counts = dict.fromkeys(("decode_rows", "_located") + TIERS, 0)
     saved = {name: getattr(gridtext, name) for name in counts if hasattr(gridtext, name)}
 
     def counting(name, tier):
@@ -162,7 +170,8 @@ def tier_counts(gridtext, read, data):
         for name, tier in saved.items():
             setattr(gridtext, name, tier)
     found = [counts[name] if name in saved else None for name in TIERS]
-    return found + [counts["decode_rows"] - sum(c or 0 for c in found)]
+    located = counts["_located"] if "_located" in saved else None
+    return found + [counts["decode_rows"] - sum(c or 0 for c in found), located]
 
 
 def decode(tree, data, expected):
@@ -197,12 +206,19 @@ def main(argv=None):
     expected = {name: np.array(json.loads(text), dtype=float) for name, text in texts.items()}
     texts = {name: text.encode("utf-8") for name, text in texts.items()}
 
-    print("blocks decoded by each tier: uniform / sparse / general")
+    print("blocks decoded by each tier: uniform / sparse / general / located (of general)")
     print(f"{'family':<12}" + "".join(f"  {name:>22}" for name, _ in trees))
+    unlocated = []
     for name, data in texts.items():
-        cells = (" / ".join("-" if c is None else str(c) for c in tier_counts(module, read, data))
-                 for module, (_, read) in zip(modules, trees))
+        counts = [tier_counts(module, read, data) for module, (_, read) in zip(modules, trees)]
+        cells = (" / ".join("-" if c is None else str(c) for c in row) for row in counts)
         print(f"{name:<12}" + "".join(f"  {cell:>22}" for cell in cells))
+        general, located = counts[0][2:]
+        if name in LOCATED and located != general:
+            unlocated.append(name)
+    if unlocated:
+        sys.exit(f"decode_bench: general blocks of {', '.join(unlocated)} not read through the "
+                 "comma locator")
     if args.smoke:
         for name, data in texts.items():
             for tree in trees:
