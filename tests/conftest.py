@@ -24,12 +24,13 @@ from jensenchain import (
 from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
-# a larger example budget, for CI runs of the decoder's, the encoder's and the quadrature's
-# differential tests, of the grid validation messages, of the application rows, of the special
-# means, of the catalog closed forms and of phi's one value at each t
-# (--hypothesis-profile=ci); tests/test_decoder.py, tests/test_render.py, tests/test_numerics.py,
-# tests/test_measures.py, tests/test_apps.py, tests/test_means.py, tests/test_functions.py and
-# tests/test_refine.py read it
+# a larger example budget, for CI runs of the decoder's grammar-driven differential and its
+# Eisel-Lemire test, the encoder's and the quadrature's differential tests, the grid validation
+# messages, the application rows, the special means, the catalog closed forms, phi's one value
+# at each t and the near-overflow CLI properties (--hypothesis-profile=ci);
+# tests/test_decoder.py, tests/test_render.py, tests/test_numerics.py, tests/test_measures.py,
+# tests/test_apps.py, tests/test_means.py, tests/test_functions.py, tests/test_refine.py and
+# tests/test_cli_contract.py read it
 settings.register_profile("ci", max_examples=4000)
 
 # sampling ranges keeping every point strictly inside each catalog domain

@@ -7,6 +7,7 @@ import re
 import threading
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -91,6 +92,15 @@ def assert_decodes_like_json(text):
     assert_same_outcome(text.encode("utf-8"), text_mode)
 
 
+def assert_agree(plain, decoded, *context):
+    """Two outcomes are one: the same error, or values alike but for grids (assert_same)."""
+    assert plain[0] == decoded[0], (*context, plain, decoded)
+    if plain[0] == "raised":
+        assert plain == decoded, context
+    else:
+        assert_same(plain[1], decoded[1])
+
+
 def assert_same_outcome(data, reference):
     """gridtext.loads(data) gives reference(data), its value or its error's type and message,
     at the module's block size and at blocks of 4 values."""
@@ -98,12 +108,22 @@ def assert_same_outcome(data, reference):
     for block_values, array_min in ((gridtext.QUAD_BATCH_VALUES, gridtext._ARRAY_MIN), (4, 0)):
         with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values), \
                 mock.patch.object(gridtext, "_ARRAY_MIN", array_min):
-            decoded = outcome(gridtext.loads, data)
-        assert plain[0] == decoded[0], (block_values, plain, decoded)
-        if plain[0] == "raised":
-            assert plain == decoded, block_values
-        else:
-            assert_same(plain[1], decoded[1])
+            assert_agree(plain, outcome(gridtext.loads, data), block_values)
+
+
+def traced_peak(load):
+    """(the peak of memory traced while load() runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = load()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+def rank_one(n, seed):
+    """1 + u v^T, n x n, entries in (0.1, 1.9): dense 17-digit decimals."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    return 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +183,6 @@ DOCUMENTS = st.recursive(
 )
 
 
-@st.composite
-def mutated(draw):
-    """A document, then a few byte edits: replace, insert or delete one character."""
-    text = draw(DOCUMENTS)
-    for _ in range(draw(st.integers(0, 3))):
-        k = draw(st.integers(0, len(text)))
-        char = draw(st.sampled_from(list('[]{},:" -0123456789.eEtfnNI')))
-        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
-        if edit == "insert":
-            text = text[:k] + char + text[k:]
-        elif edit == "replace":
-            text = text[:k] + char + text[k + 1 :]
-        else:
-            text = text[:k] + text[k + 1 :]
-    return text
-
-
 # 400 examples, or the budget of the loaded profile if it is larger (see tests/conftest.py)
 DIFFERENTIAL = settings(
     max_examples=max(400, settings.default.max_examples),
@@ -188,16 +191,308 @@ DIFFERENTIAL = settings(
 )
 
 
-@DIFFERENTIAL
-@given(DOCUMENTS)
-def test_documents_decode_like_json(text):
-    assert_decodes_like_json(text)
+# ---------------------------------------------------------------------------
+# the grammar: a document around a grid of one token family in one layout, with at most one
+# mutation, read through loads (str and bytes), load and decode_rows
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# the kinds of token a dense grid mixes, a few of them a grid
+TOKEN_KINDS = {
+    "zero": st.sampled_from(["0", "0.0", "-0", "-0.0", "0e5", "-0e0", "0.000"]),
+    "short": st.sampled_from(["1", "0.5", "-7", "12345678", "-1234.56", "0.000001", "9.0",
+                              "0.9", "-0.00000", "0.123456"]),
+    "repr": FLOATS.map(repr),  # 17 digits, exponents, signs
+    "%.17g": FLOATS.map("{:.17g}".format),
+    "integer": st.integers(-(10**20), 10**20).map(str),
+    "below ten": st.floats(-9.9, 9.9).map(repr),  # one integer digit: the dots looked up
+    "exponent": st.sampled_from(["2.5e-3", "1E+300", "1e22", "1e23", "-2.5e-7", "1E-400",
+                                 "2.5e+3", "1e308", "123456789e-330", "0.1e1"]),
+    "subnormal": st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr),
+    "past DBL_MAX": st.sampled_from(["1e400", "-1e999", "1.7976931348623159e308", "2e308",
+                                     "1.8e308", "1" + "0" * 309]),
+    "past the digit limit": st.just("9" * 4301),
+}
+# unsigned decimals and integers with no exponent, as the comma locator reads them
+LOCATED_TOKENS = st.one_of(
+    st.floats(1e-4, 1e6).map(repr),
+    st.integers(0, 10**20).map(str),
+    st.sampled_from(["0", "0.0", "0.5", "1.0123456789012345", "12345678901234567890123"]),
+)
+# JSON numbers of at most 24 bytes, each with a nonzero digit, among a sparse grid's zeros
+SPARSE_VALUES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e308).map(repr),
+    st.floats(min_value=-1e308, max_value=-5e-324).map(repr),
+    st.integers(1, 10**20).map(str),
+    st.sampled_from(["1", "-7", "0.5", "1E+2", "2.5e-3", "1e400", "-0.00000000000000000001"]),
+)
+# not taken by the sparse tier: near misses of the grammar, zeros other than the zero token,
+# tokens longer than 24 bytes, an integer beyond a double and one past the int digit limit
+SPARSE_OTHERS = st.sampled_from(
+    ["+1", "01", "1.", ".5", "1e", "-0", "-0.0", "0.00", "00", "1..5", "0.1" + "3" * 30,
+     "1" + "0" * 309, "9" * 4301]
+)
+
+# (separator in a row, space after a row's "[", before its "]", gap between rows, space after
+# the grid's "[", before its "]"): every row alike
+LAYOUTS = {
+    "json": (", ", "", "", ", ", "", ""),
+    "compact": (",", "", "", ",", "", ""),
+    "indent": (",\n    ", "\n    ", "\n  ", ",\n  ", "\n  ", "\n"),  # as generate prints it
+    "indent deep": (",\n      ", "\n      ", "\n    ", ",\n    ", "\n    ", "\n  "),
+    "spaced": (" , ", "", " ", ", ", "", ""),
+    "hugged rows": (", ", "", "", ",", "", ""),
+    "padded": (", ", "      ", " ", ",\n", "", ""),
+}
+SPARSE_LAYOUTS = {"json", "compact", "indent", "indent deep", "padded"}
+SEPARATORS = st.sampled_from([", ", ",", ",\n      ", ",\t", ",\r\n  "])
+PADDING = st.sampled_from(["", "", " ", "\n    ", "\n  "])  # inside a row's brackets
+WHITESPACE = st.text(alphabet=" \t\n\r", max_size=3)
+# the text in place of a comma and the whitespace around it
+GAPS = ["", ",", ", ", ",  ", " ,", " , ", ",\n", ",,", " ", ",]", "],["]
 
 
-@DIFFERENTIAL
-@given(mutated())
-def test_mutated_documents_decode_or_fail_like_json(text):
-    assert_decodes_like_json(text)
+def digit_string(draw, count, lead):
+    """count random digits, the first of them nonzero when lead is set."""
+    digits = draw(st.lists(st.integers(0, 9), min_size=count, max_size=count))
+    if lead:
+        digits[0] = draw(st.integers(1, 9))
+    return "".join(map(str, digits))
+
+
+def uniform_tokens(draw):
+    """(a function drawing tokens of one layout, whether that layout is exact in a double)."""
+    kind = draw(st.sampled_from(["ints01", "floats01", "fixed6", "digits15", "digits16"]))
+    if kind == "ints01":  # as %.17g prints an identity or a permutation matrix
+        return (lambda d: f"{d(st.sampled_from([0.0, 1.0])):.17g}"), True
+    if kind == "floats01":  # as repr and json.dumps print them
+        return (lambda d: repr(d(st.sampled_from([0.0, 1.0])))), True
+    count = 7 if kind == "fixed6" else int(kind[-2:])
+    point = 1 if kind == "fixed6" else draw(st.integers(0, count - 1))  # 0: an integer
+    head = point or count
+
+    def token(d):
+        text = digit_string(d, count, head > 1)
+        return text if not point else text[:point] + "." + text[point:]
+
+    return token, count <= gridtext._EXACT_DIGITS
+
+
+def sparse_cells(draw, rows, width):
+    """(cells, clean): rows of one zero token with a few nonzero tokens placed first, last, as
+    a whole row or anywhere; clean when every other token is one of SPARSE_VALUES and the
+    first is the zero token."""
+    zero = draw(st.sampled_from(["0", "0.0"]))
+    cells = [[zero] * width for _ in range(rows)]
+    place = draw(st.sampled_from(["first", "last", "row", "anywhere", "anywhere"]))
+    if place == "first":
+        spots = [(0, 0)]
+    elif place == "last":
+        spots = [(rows - 1, width - 1)]
+    elif place == "row":
+        spots = [(draw(st.integers(0, rows - 1)), j) for j in range(width)]
+    else:
+        spots = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, width - 1)),
+                              max_size=4))
+    clean = True
+    for i, j in spots:
+        other = draw(st.integers(0, 5)) == 0
+        cells[i][j] = draw(SPARSE_OTHERS if other else SPARSE_VALUES)
+        clean &= not other
+    return cells, clean and cells[0][0] == zero
+
+
+class Grid(NamedTuple):
+    text: str  # the grid, its brackets and all
+    body: str  # its rows: what decode_rows reads
+    family: str
+    layout: str
+    edit: str  # the mutation inside the grid, or ""
+    exact: bool  # uniform: exact in a double; sparse: as sparse_cells's clean
+    off: bool  # an OFF_LAYOUT edit in a grid of at least two rows and columns
+
+
+# mutations inside a grid; the first five take the grid off a uniform layout
+OFF_LAYOUT = ["width", "sign", "leading zeros", "exponent", "row layout"]
+GRID_EDITS = OFF_LAYOUT + ["short", "empty", "stray", "gap"]
+
+
+@st.composite
+def grids_of_a_family(draw, edits=True):
+    """A grid: rows of uniform, sparse, located or dense mixed tokens in one layout, with at
+    most one of GRID_EDITS when edits is set."""
+    family = draw(st.sampled_from(["uniform", "sparse", "located", "dense", "dense"]))
+    rows, width = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    exact = True
+    if family == "uniform":
+        token, exact = uniform_tokens(draw)
+        cells = [[token(draw) for _ in range(width)] for _ in range(rows)]
+    elif family == "sparse":
+        cells, exact = sparse_cells(draw, rows, width)
+    elif family == "located":
+        cells = [[draw(LOCATED_TOKENS) for _ in range(width)] for _ in range(rows)]
+    else:
+        kinds = draw(st.lists(st.sampled_from(sorted(TOKEN_KINDS)), min_size=1, max_size=3,
+                              unique=True))
+        cells = [[draw(TOKEN_KINDS[draw(st.sampled_from(kinds))]) for _ in range(width)]
+                 for _ in range(rows)]
+    layout = draw(st.sampled_from([*LAYOUTS, "free", "any"]))
+    if layout == "free":
+        sep, lead, trail, gap = draw(SEPARATORS), draw(PADDING), draw(PADDING), draw(SEPARATORS)
+        outer = ("", "")
+    elif layout != "any":
+        sep, lead, trail, gap, *outer = LAYOUTS[layout]
+    else:
+        sep, lead, trail, gap, outer = ",", "", "", ",", (draw(WHITESPACE), draw(WHITESPACE))
+    row_layouts = [(sep, lead, trail)] * rows
+    edit = draw(st.sampled_from(["", "", "", *GRID_EDITS])) if edits else ""
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, width - 1))
+    if edit in ("width", "sign"):
+        cells[i][j] = ("1" if edit == "width" else "-") + cells[i][j]
+    elif edit == "leading zeros":  # on every token, so the layout stays uniform
+        cells = [["0" + token for token in row] for row in cells]
+    elif edit == "exponent":
+        cells[i][j] += draw(st.sampled_from(["e0", "E+1", "e-2"]))
+    elif edit == "row layout":
+        k = draw(st.integers(0, 2))
+        row = list(row_layouts[i])
+        row[k] = draw((SEPARATORS if k == 0 else PADDING).filter(lambda other: other != row[k]))
+        row_layouts[i] = tuple(row)
+    elif edit == "short":
+        del cells[i][j]
+    elif edit == "empty":
+        cells[i][j] = ""
+    elif edit == "stray":  # a byte inside a token
+        at = draw(st.integers(0, len(cells[i][j])))
+        cells[i][j] = cells[i][j][:at] + draw(st.sampled_from("/aExe.-+")) + cells[i][j][at:]
+    if layout == "any":  # any JSON whitespace around every token and bracket
+        body = "".join(
+            (draw(WHITESPACE) + "," + draw(WHITESPACE) if k else "")
+            + "[" + ",".join(draw(WHITESPACE) + t + draw(WHITESPACE) for t in row) + "]"
+            for k, row in enumerate(cells))
+    else:
+        body = gap.join(f"[{lead}{sep.join(row)}{trail}]"
+                        for row, (sep, lead, trail) in zip(cells, row_layouts))
+    commas = [m.start() for m in re.finditer(",", body)]
+    if edit == "gap" and commas:
+        at = draw(st.sampled_from(commas))
+        a, b = at, at + 1
+        while a and body[a - 1] in " \t\n\r":
+            a -= 1
+        while b < len(body) and body[b] in " \t\n\r":
+            b += 1
+        body = body[:a] + draw(st.sampled_from(GAPS).filter(lambda g: g != body[a:b])) + body[b:]
+    off = edit in OFF_LAYOUT and min(rows, width) >= 2
+    return Grid("[" + outer[0] + body + outer[1] + "]", body, family, layout, edit, exact, off)
+
+
+# keys and strings with characters of two, three and four UTF-8 bytes
+UTF8_TEXT = st.text(alphabet=st.sampled_from("aeüé☃€\U0001f600"), max_size=5)
+UTF8_STRINGS = UTF8_TEXT.map(lambda t: json.dumps(t, ensure_ascii=False))
+MARKS = ["\ufdd0", "\\ufdd0", "\\uFDD0", "\\uFdD0"]  # the mark of a stand-in, raw or escaped
+
+
+def json_grid(text):
+    """Whether json reads text as a grid."""
+    try:
+        return is_grid(PLAIN.decode(text))
+    except ValueError:  # a refused constant, or past the int digit limit
+        return False
+
+
+class Drawn(NamedTuple):
+    text: str  # the document
+    grid: Grid
+    whole: bool  # every grid in it is read from the bytes of a file, and its text is not
+
+
+@st.composite
+def documents(draw):
+    """A grid alone, at an object's value (among UTF-8 keys, strings, numbers, grids and
+    grids inside strings, or nested objects), beside or inside one of DOCUMENTS, then at
+    most one mutation: one in the grid, a few byte edits, a stand-in's mark, or the end cut
+    off."""
+    mutation = draw(st.sampled_from(["", "", "grid", "grid", "bytes", "mark", "truncated"]))
+    grid = draw(grids_of_a_family(edits=mutation == "grid"))
+    whole = json_grid(grid.text)
+    context = draw(st.sampled_from(["alone", "value", "value", "nested", "document"]))
+    gap = draw(SPACE)
+    if context == "alone":
+        text = grid.text
+    elif context == "nested":
+        depth = draw(st.integers(1, 3))
+        text = '{"a": ' * depth + grid.text + "}" * depth
+    elif context == "value":
+        pairs = [(draw(UTF8_STRINGS), grid.text)]
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["string", "number", "grid", "grid in a string"]))
+            if kind in ("grid", "grid in a string"):
+                other = draw(grids_of_a_family(edits=False)).text
+                whole &= kind != "grid" or json_grid(other)
+                value = other if kind == "grid" else json.dumps(other)
+            else:
+                value = draw(UTF8_STRINGS if kind == "string" else NUMBER_TOKENS)
+            pairs.insert(draw(st.integers(0, len(pairs))), (draw(UTF8_STRINGS), value))
+        text = "{" + gap + ("," + gap).join(f"{k}:{gap}{v}" for k, v in pairs) + gap + "}"
+    else:  # the grid beside a document of any JSON, or inside an array, where it stays a list
+        other, whole = draw(DOCUMENTS), False
+        text = draw(st.sampled_from([
+            '{"B": ' + grid.text + "," + gap + '"d": ' + other + "}",
+            '{"d": ' + other + "," + gap + '"B": ' + grid.text + "}",
+            "[" + other + "," + gap + grid.text + "]",
+        ]))
+    if mutation == "bytes":
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(0, len(text)))
+            char = draw(st.sampled_from(list('[]{},:" -0123456789.eEtfnNI')))
+            edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+            text = text[:k] + (char if edit != "delete" else "") + text[k + (edit != "insert"):]
+    elif mutation == "mark":
+        mark = draw(st.sampled_from(MARKS))
+        pair = draw(st.sampled_from([f'"s": "{mark}0"', f'"{mark}0": 1']))
+        text = draw(st.sampled_from(["{" + pair + ', "B": ' + text + "}",
+                                     '{"B": ' + text + ", " + pair + "}"]))
+    elif mutation == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return Drawn(text, grid, whole and mutation in ("", "grid"))
+
+
+def assert_tiers_give_json_grids(body):
+    """The uniform and the sparse tier each give a grid only where json gives that grid."""
+    expected = reference(body)
+    for tier in (gridtext._uniform, gridtext._sparse):
+        decoded = tier(body.encode())
+        if decoded is not None:
+            assert expected is not None and decoded.shape == expected.shape, (tier, body)
+            assert decoded.tobytes() == expected.tobytes(), (tier, body)
+
+
+@settings(DIFFERENTIAL, max_examples=max(600, settings.default.max_examples))
+@given(documents(), st.integers(1, 40), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_drawn_documents_decode_like_json(drawn, read_size, newline):
+    # loads on the str, then on its bytes with the drawn newline, as a file opened in text
+    # mode reads them, at the module's block size and at blocks of 4 values
+    text, grid, whole = drawn
+    assert_same_outcome(text, PLAIN.decode)
+    data = text.replace("\n", newline).encode("utf-8")
+    assert_same_outcome(data, text_mode)
+    # load, reading the file read_size bytes at a time, which cuts grids, tokens and UTF-8
+    # sequences at the read boundaries; where every grid stands at an object's value or
+    # alone and is one, each is read from the file's bytes, and the whole text is never read
+    plain = outcome(text_mode, data)
+    for decoded, read_again in read_from_file(data, read_size):
+        assert_agree(plain, decoded)
+        assert not (whole and read_again and plain[0] == "value")
+    # decode_rows on the grid's rows, and the tiers that take them
+    kernel(grid.body)
+    assert_tiers_give_json_grids(grid.body)
+    body = grid.body.encode()
+    if grid.family == "uniform" and grid.layout not in ("any", "spaced"):  # "," after a token
+        taken = gridtext._uniform(body) is not None
+        assert taken == grid.exact if not grid.edit else not (taken and grid.off), grid
+    if grid.family == "sparse" and not grid.edit and grid.layout in SPARSE_LAYOUTS:
+        head = body[: gridtext._SPARSE_HEAD]
+        sparse_head = 8 * sum(byte in b"123456789" for byte in head) <= len(head)
+        assert gridtext._sparse(body) is not None or not (grid.exact and sparse_head), grid
 
 
 @pytest.mark.parametrize("block_values", [gridtext.QUAD_BATCH_VALUES, 4])
@@ -309,6 +604,8 @@ LONG_GRID = json.dumps((np.random.default_rng(11).random((40, 30)) * 7 - 3).toli
     '{"B": ' + LONG_GRID.replace("]]", ", NaN]]") + "}",
     '{"B": ' + LONG_GRID.replace("]]", ', "1"]]') + "}",
     '{"B": ' + LONG_GRID.replace("]]", ", 1]]") + "}",
+    # a letter in place of a row's "[", in a grid read a row at a time at blocks of 4 values
+    '{"B": ' + LONG_GRID.replace("], [", "], x", 1) + "}",
     # U+FDD0, the mark of a stand-in, raw or escaped, in a string or a key beside a long grid
     '{"s": "\ufdd00", "B": ' + LONG_GRID + "}",
     '{"B": ' + LONG_GRID + ', "s": "\ufdd00"}',
@@ -317,7 +614,7 @@ LONG_GRID = json.dumps((np.random.default_rng(11).random((40, 30)) * 7 - 3).toli
     '{"s": "\\uFdD00", "B": ' + LONG_GRID + "}",
     '{"\ufdd00": 1, "B": ' + LONG_GRID + "}",
     '{"\\uFDD00": 1, "B": ' + LONG_GRID + "}",
-], ids=range(31))
+], ids=range(32))
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_documents_read_from_their_bytes_decode_like_json(text, newline):
     # the grids laid out one number a line, as generate prints them, with the file's newlines
@@ -422,47 +719,6 @@ def test_a_grid_in_990_nested_objects_decodes_like_json():
 # documents read from a file a block at a time
 
 
-@st.composite
-def grid_texts(draw):
-    """The JSON text of a grid: dense floats, a uniform layout of "0.0" and "1.0" (a
-    permutation's rows), sparse (zeros and a few floats) or with rows wider than the
-    block of 4 values, laid out as json.dumps (default or compact) or generate prints it."""
-    kind = draw(st.sampled_from(["dense", "uniform", "sparse", "wide"]))
-    rows = draw(st.integers(1, 6))
-    width = draw(st.integers(5, 12) if kind == "wide" else st.integers(1, 6))
-    floats = st.floats(allow_nan=False, allow_infinity=False)
-    if kind == "uniform":
-        grid = np.eye(max(rows, width))[draw(st.permutations(range(max(rows, width))))]
-        grid = grid[:rows, :width].tolist()
-    else:
-        grid = [[draw(floats) if kind != "sparse" or draw(st.integers(0, 5)) == 0 else 0.0
-                 for _ in range(width)] for _ in range(rows)]
-    layout = draw(st.sampled_from(["json", "compact", "generate"]))
-    if layout == "generate":
-        return "[\n  [\n    " + "\n  ],\n  [\n    ".join(
-            ",\n    ".join(f"{v:.17g}" for v in row) for row in grid) + "\n  ]\n]"
-    return json.dumps(grid, separators=(",", ":") if layout == "compact" else None)
-
-
-# keys and strings with characters of two, three and four UTF-8 bytes
-UTF8_TEXT = st.text(alphabet=st.sampled_from("ae\u00fc\u00e9\u2603\u20ac\U0001f600"), max_size=5)
-
-
-@st.composite
-def file_documents(draw):
-    """An object of grids, grids inside strings, UTF-8 strings and numbers under UTF-8 keys,
-    one nested a level down, or a grid alone."""
-    if draw(st.integers(0, 7)) == 0:
-        return draw(grid_texts())
-    values = st.one_of(grid_texts(), grid_texts().map(json.dumps),
-                       UTF8_TEXT.map(lambda t: json.dumps(t, ensure_ascii=False)), NUMBER_TOKENS,
-                       grid_texts().map(lambda g: '{"a": ' + g + "}"))
-    pairs = draw(st.lists(st.tuples(UTF8_TEXT, values), min_size=1, max_size=5))
-    gap = draw(SPACE)
-    return "{" + gap + ("," + gap).join(
-        f"{json.dumps(key, ensure_ascii=False)}:{gap}{value}" for key, value in pairs) + gap + "}"
-
-
 def read_from_file(data, read_size):
     """(outcome, whether the text was read again) of gridtext.load on a file of data, read
     read_size bytes at least at a time, at the module's block size and at blocks of 4
@@ -486,24 +742,6 @@ def read_from_file(data, read_size):
                 mock.patch.object(gridtext, "_decode_window", recording):
             results.append((outcome(gridtext.load, io.BytesIO(data)), bool(failed)))
     return results
-
-
-@DIFFERENTIAL
-@given(text=file_documents(), read_size=st.integers(1, 40), newline=st.sampled_from(["\n", "\r\n"]))
-def test_documents_read_a_block_at_a_time_decode_like_json(text, read_size, newline):
-    # reads this small cut grids, tokens and UTF-8 sequences at the read boundaries
-    data = text.replace("\n", newline).encode("utf-8")
-    plain = outcome(text_mode, data)
-    for decoded, read_again in read_from_file(data, read_size):
-        assert plain[0] == decoded[0], (plain, decoded)
-        if plain[0] == "raised":
-            assert plain == decoded
-        else:
-            assert_same(plain[1], decoded[1])
-            # every grid here stands at an object's value or alone, so each one is read from
-            # the file's bytes, and the whole text is never read
-            assert not read_again
-
 
 def load_message(path, data):
     """The message cli._load_document gives for the file of data at path, taken from json.loads
@@ -567,12 +805,7 @@ def test_a_file_that_cannot_seek_is_read_whole_as_its_bytes():
             decoded = outcome(gridtext.load, fh)
         writer.join(timeout=10)
         assert not writer.is_alive()
-        plain = outcome(text_mode, data)
-        assert plain[0] == decoded[0]
-        if plain[0] == "raised":
-            assert plain == decoded
-        else:
-            assert_same(plain[1], decoded[1])
+        assert_agree(outcome(text_mode, data), decoded)
 
 
 def test_a_file_is_read_a_block_at_a_time(tmp_path, monkeypatch):
@@ -606,14 +839,6 @@ def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
     rng = np.random.default_rng(5)
     points = rng.random((n, 3)).tolist()
 
-    def peak(load):
-        tracemalloc.start()
-        try:
-            result = load()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
     # B = I, then B = a second permutation: the blocks of B and C take the uniform-layout path
     for b_is_identity in (True, False):
         b = np.eye(n) if b_is_identity else np.eye(n)[rng.permutation(n)]
@@ -625,8 +850,8 @@ def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
         }
         path = tmp_path / "hard.json"
         path.write_text(json.dumps(doc))
-        plain_peak, plain = peak(lambda: PLAIN.decode(path.read_text(encoding="utf-8")))
-        grid_peak, decoded = peak(lambda: cli._load_document(str(path)))
+        plain_peak, plain = traced_peak(lambda: PLAIN.decode(path.read_text(encoding="utf-8")))
+        grid_peak, decoded = traced_peak(lambda: cli._load_document(str(path)))
         assert grid_peak < plain_peak / 2, (grid_peak, plain_peak)
         assert_same(plain, decoded)
 
@@ -634,25 +859,15 @@ def test_a_large_grid_document_peaks_below_half_of_plain_json(tmp_path):
 def test_a_dense_document_peaks_at_its_bytes_and_its_grid_plus_a_block(tmp_path):
     # n = 700, 1 + u v^T: 17-digit decimals, about 13 bytes of text a value
     n = 700
-    rng = np.random.default_rng(6)
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    grid = 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+    grid = rank_one(n, seed=6)
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"application": "jensen", "function": {"name": "square"},
                                 "points": list(range(n)),
                                 "weights": {"omega1": {"kind": "matrix", "values": grid.tolist()}}}))
     block = json.dumps({"values": grid[: gridtext.QUAD_BATCH_VALUES // n].tolist()}).encode()
 
-    def peak(load):
-        tracemalloc.start()
-        try:
-            result = load()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
-    block_peak, _ = peak(lambda: gridtext.loads(block))  # the work of one block, and its grid
-    doc_peak, doc = peak(lambda: cli._load_document(str(path)))
+    block_peak, _ = traced_peak(lambda: gridtext.loads(block))  # one block's work, its grid
+    doc_peak, doc = traced_peak(lambda: cli._load_document(str(path)))
     assert doc["weights"]["omega1"]["values"].tobytes() == grid.tobytes()
     # the file's bytes, the grid, and the work of a block: no copy of the text as a str, and
     # no grid beside its blocks
@@ -664,23 +879,13 @@ def test_a_dense_str_document_peaks_at_its_text_and_its_grid_plus_a_block():
     # a str is read through its UTF-8 bytes, as a file is: one copy of its text, not one for
     # each long grid in it
     n = 700
-    rng = np.random.default_rng(6)
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    grid = 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+    grid = rank_one(n, seed=6)
     text = json.dumps({"application": "jensen", "points": list(range(n)),
                        "weights": {"omega1": {"kind": "matrix", "values": grid.tolist()}}})
     block = json.dumps({"values": grid[: gridtext.QUAD_BATCH_VALUES // n].tolist()}).encode()
 
-    def peak(load):
-        tracemalloc.start()
-        try:
-            result = load()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
-    block_peak, _ = peak(lambda: gridtext.loads(block))
-    doc_peak, doc = peak(lambda: gridtext.loads(text))
+    block_peak, _ = traced_peak(lambda: gridtext.loads(block))
+    doc_peak, doc = traced_peak(lambda: gridtext.loads(text))
     assert doc["weights"]["omega1"]["values"].tobytes() == grid.tobytes()
     assert doc_peak < len(text) + grid.nbytes + 1.5 * block_peak, (doc_peak, len(text), block_peak)
 
@@ -715,44 +920,23 @@ def kernel(text):
     return decoded
 
 
-def one(token):
-    return kernel(f"[{token}]")[0, 0]
+# ---------------------------------------------------------------------------
+# fixed rows of numbers, each read by decode_rows and the tiers, and inside brackets by loads
 
 
-def test_signed_zeros_follow_json_ints_and_floats():
-    # json reads "-0" as the int 0, so it is +0.0; "-0.0" and "-0e0" are floats
-    for token in ["0", "-0", "0e5", "0.000", "0.0000000000000000000000000"]:
-        assert one(token) == 0.0 and not np.signbit(one(token)), token
-    for token in ["-0.0", "-0e0", "-0.0e-400", "-0.00000000000000000000000000"]:
-        assert one(token) == 0.0 and np.signbit(one(token)), token
+def long_tokens(text):
+    """text with zeros after the last digit of each decimal, so that it is a long token."""
+    return re.sub(r"-?[0-9][.0-9]*(?![.0-9eE])",
+                  lambda m: m[0] + "0" * 9 if "." in m[0] else m[0], text)
 
 
-@pytest.mark.parametrize("token, value", [
-    ("9007199254740993", 9007199254740992.0),  # 2**53 + 1 ties to even
-    ("9007199254740995", 9007199254740996.0),
-    ("1e22", 1e22),
-    ("1e23", 1e23),
-    ("0.511821625", 0.511821625),  # a 9-decimal token
-    ("123456789.0", 123456789.0),
-    ("9007199254740991", 9007199254740991.0),  # 2**53 - 1
-    ("2.2250738585072011e-308", 2.2250738585072011e-308),  # the largest subnormal, almost
-    ("2.2250738585072014e-308", 2.2250738585072014e-308),  # the smallest normal
-    ("4.9e-324", 5e-324),
-    ("2.4703282292062328e-324", 5e-324),  # just above half the smallest subnormal
-    ("2.4703282292062327e-324", 0.0),
-    ("1.7976931348623157e308", 1.7976931348623157e308),
-    ("1.7976931348623158e308", 1.7976931348623157e308),
-    ("1e400", np.inf),
-    ("1e-400", 0.0),
-    ("0.1", 0.1),
-    ("123456789012345678901234567890", 1.2345678901234568e29),
-])
-def test_hard_tokens_round_like_float(token, value):
-    assert one(token) == value
-    assert one("-" + token) == -value
+def rows_of(tokens, width):
+    return ", ".join("[" + ", ".join(tokens[k : k + width]) + "]"
+                     for k in range(0, len(tokens) - width + 1, width))
 
 
-def test_mantissas_of_15_to_20_digits_at_the_exact_path_limits():
+def mantissas_at_the_exact_path_limits():
+    """Mantissas of 15 to 20 digits at q = -23, -22, 22 and 23, as integers and decimals."""
     rng = np.random.default_rng(11)
     tokens = []
     for digits in range(15, 21):
@@ -762,30 +946,122 @@ def test_mantissas_of_15_to_20_digits_at_the_exact_path_limits():
                 tokens.append(f"{mantissa}e{q}")
                 point = int(rng.integers(1, digits))
                 tokens.append(f"{mantissa[:point]}.{mantissa[point:]}e{q + digits - point}")
-    width = 4
-    rows = [tokens[k : k + width] for k in range(0, len(tokens) - width + 1, width)]
-    kernel(", ".join("[" + ", ".join(row) + "]" for row in rows))
+    return rows_of(tokens, 4)
 
 
-def test_values_beyond_a_double_or_the_digit_limit_are_declined():
-    assert np.isinf(kernel("[1, 1e400], [-1e999, 2]")).tolist() == [[False, True], [True, False]]
-    assert kernel("[1, 1" + "0" * 309 + "]") is None  # an int beyond a double stays a list
-    assert kernel("[1, 1" + "0" * 300 + "]")[0, 1] == 1e300
-    past = "[[1, 1" + "0" * 4300 + "]]"
-    with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", 4):
-        kind, (exc_type, message) = outcome(gridtext.loads, past)
-    assert kind == "raised" and exc_type is ValueError and "4300" in message
-    assert outcome(PLAIN.decode, past) == (kind, (exc_type, message))
+def subnormal_and_overflowing_tokens():
+    """Random subnormals of every size, the smallest normal and the values just below it, and
+    past the largest double, with q at most 308: more than _ARRAY_MIN tokens, read by the
+    arrays up to their rounding."""
+    rng = np.random.default_rng(11)
+    subnormal = (rng.integers(1, 1 << 52, 200) >> rng.integers(0, 52, 200)).view(float)
+    tokens = [repr(v) for v in subnormal.tolist()]
+    tokens += ["5e-324", "4.9406564584124654e-324", "2.4703282292062328e-324", "1e-320",
+               "2.2250738585072009e-308", "2.2250738585072011e-308", "2.2250738585072014e-308",
+               "-2.2250738585072012e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+               "1.7976931348623159e308", "-1.7976931348623157e308", "1e309", "-1e309",
+               "2e308", "1.8e308", "-5e308", "1e-400", "123456789e-330", "1e-340"]
+    tokens += [repr(v) for v in rng.random(64 - len(tokens) % 8).tolist()]
+    assert len(tokens) >= gridtext._ARRAY_MIN and len(tokens) % 8 == 0
+    return rows_of(tokens, 8)
 
 
-@pytest.mark.parametrize("text", [
+HARD_TOKENS = [
+    "9007199254740993", "9007199254740995",  # 2**53 + 1 ties to even, and 2**53 + 3
+    "1e22", "1e23", "0.511821625", "123456789.0",
+    "9007199254740991",  # 2**53 - 1
+    "2.2250738585072011e-308",  # the largest subnormal, almost
+    "2.2250738585072014e-308",  # the smallest normal
+    "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",  # about half of 5e-324
+    "1.7976931348623157e308", "1.7976931348623158e308", "1e400", "1e-400", "0.1",
+    "123456789012345678901234567890",
+    # below a power of two that each rounds up to as a double: 2**54 - 1, 2**60 - 1, 2**63 - 1
+    "18014398509481983", "1152921504606846975", "9223372036854775807",
+]
+# near misses of the short grammar, among them zeros the zero step does not take
+NEAR_MISSES = ["01", "-01", "00.5", "1.", ".5", "-", "-.5", "1e5", "+1", "0.0.", "1-2", "0x1",
+               "1E5", "-0e0", "1.5e", "0.00", "00.0", "-0.0", "0.0e0", "0e0", "0.0-", "9.0",
+               "0.9"]
+EIGHT_BYTES = ["12345678", "-1234567", "0.123456", "-0.12345", "-1234.56", "1.000000", "-0.00000"]
+NINE_BYTES = ["123456789", "-12345678", "0.1234567", "-0.123456", "-12345.67", "1.0000000"]
+BESIDE_HUGGING = [
+    # hugs its separators but for one gap, in a row and at a row break
+    "[1.5, 2.25, 3.125 , 4.5], [5.5, 6.5, 7.5, 8.5]",
+    "[1.5, 2.25, 3.125, 4.5] , [5.5, 6.5, 7.5, 8.5]",
+    "[1.5, 2.25, 3.125, 4.5],\n[5.5, 6.5, 7.5, 8.5]",
+    "[1.5,2.25,3.125,4.5],[5.5,6.5,7.5,8.5]",
+    # the only multi-digit integer part is the last token's
+    "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7.5, 12.5]",
+    # a token without a dot, so the dots are located
+    "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7, 12.5]",
+    # -0 and -0.0 among signed tokens: json gives -0 as the int 0, -0.0 as a float
+    "[-0, -0.0, -1.5, 0.5], [-0.000, -0e0, -0.0e5, -7]",
+    # json.dumps's first row, then a space after an integer, or before a comma and none
+    # after it: the comma locator declines the block
+    "[1.5, 2.5], [35 , 4.5]",
+    "[1.5, 2.5], [3.5 ,45]",
+]
+GRID_CASES = [
+    # signed zeros: json reads "-0" as the int 0, so it is +0.0; "-0.0" and "-0e0" are floats
+    *(f"[{token}]" for token in ["0", "-0", "0e5", "0.000", "0.0000000000000000000000000",
+                                 "-0.0", "-0e0", "-0.0e-400", "-0.00000000000000000000000000"]),
+    *(f"[{token}], [-{token}]" for token in HARD_TOKENS),
+    mantissas_at_the_exact_path_limits(),
+    # beyond a double (an int stays a list), just inside it, and past the int digit limit
+    "[1, 1e400], [-1e999, 2]", "[1, 1" + "0" * 309 + "]", "[1, 1" + "0" * 300 + "]",
+    "[1, 1" + "0" * 4300 + "]",
+    subnormal_and_overflowing_tokens(),
+    # anything but rows of JSON numbers
     "[1, 2], [3]", "[1, 2] [3, 4]", "[1, 2],, [3, 4]", "[1 2]", "[1, 2], [3, 4],",
     "[[1]]", "[1], 2", "[01]", "[1.]", "[.5]", "[-]", "[+1]", "[1e]", "[1e+]", "[1.5.5]",
     "[1e5e5]", "[1e5.5]", "[1-2]", "[--1]", "[1x]", '["1"]', "[true]", "[NaN]", "[]",
     "[1, \u00e9]", "[1]\x0b", "[1\x00]",
-])
-def test_anything_but_rows_of_json_numbers_is_declined(text):
-    assert kernel(text) is None
+    # short tokens at eight bytes and long ones at nine
+    "[" + ", ".join(EIGHT_BYTES) + "], [" + ", ".join(NINE_BYTES + ["0"]) + "]",
+    # near misses of the short grammar alone, among short tokens, and among a majority of the
+    # zero step's "0.0", in a layout that the sparse tier declines: no token read as a zero
+    # may hide a refusal
+    *(text.format(token) for token in NEAR_MISSES for text in (
+        "[{}]", "[0.0, 0.0, {}], [0.5, -7, 0]", "[0.0, {}, 0.0, 1], [-0.0, 12, -0, 0.25]",
+        "[0.0,0.0, 0.0], [0.0, {},  0.0], [0.0, 0.0, 0.0]")),
+    # beside the layouts that hug their separators, with short tokens and long ones
+    *(t for text in BESIDE_HUGGING for t in (text, long_tokens(text))),
+    # a stray or missing comma, refused as json refuses it
+    "[1.5000000001, 2.5000000001,], [3.5000000001, 4.5000000001]",
+    "[1.5000000001, 2.5000000001] [3.5000000001, 4.5000000001]",
+    "[1.5000000001, 2.5000000001], [3.5000000001, 4.5000000001],",
+    "[1.5000000001,, 2.5000000001], [3.5000000001, 4.5000000001]",
+    # as many commas as gaps, one of them in the wrong gap
+    "[1.5000000001,, 2.5000000001] [3.5000000001, 4.5000000001]",
+    "[1.5000000001, 2.5000000001,] [3.5000000001, 4.5000000001]",
+    # as many dots as tokens, two in one token, and a lone "-" last in the block
+    "[1..5, -]",
+    "[1.., -]",
+    # json.dumps's first row, then a letter in place of a row's "]" or "[", the brackets as
+    # many as the rows need
+    "[1.5, 2.5], [3.5, 4.5x, [5.5, 6.5]",
+    "[1.5, 2.5], [3.5, 4.5], x5.5, 6.5]",
+    # and a "/" in a token, read as a digit past the locator's byte counts
+    "[1.5, 2.5], [3.5, 4/5]",
+    # signed zeros in signed blocks of long tokens
+    "[-0, -0.0, -1.2345678901, 0.5], [-0.000000000000, -0e0, -0.0e5, 1],"
+    " [0, 0.0, 1.2345678901, -2.5]",
+    # a token outside the rows' brackets, and commas as many as the gaps but not in them
+    "[1, 2], 3, [4]", "[1 ,, 2 3]",
+    # sparse blocks: a nonzero token after the zero head, long integers, a leading zero
+    "[0.0, 0.0], [1e-05, 0.0]", "[0,3],[0,12345678901234567890]", "[0.0, 0.0], [0.0, 01]",
+]
+# cases a tier must take
+TAKEN_BY = {"[0.0, 0.0], [1e-05, 0.0]": "_sparse"}
+
+
+@pytest.mark.parametrize("text", GRID_CASES, ids=range(len(GRID_CASES)))
+def test_fixed_grids_decode_like_json(text):
+    kernel(text)
+    assert_tiers_give_json_grids(text)
+    if text in TAKEN_BY:
+        assert getattr(gridtext, TAKEN_BY[text])(text.encode()) is not None
+    assert_decodes_like_json("[" + text + "]")
 
 
 def test_every_eisel_lemire_table_entry_is_the_leading_64_bits_of_its_power_of_five():
@@ -830,27 +1106,16 @@ for _w, _q in [(w, q) for w in (2**53 - 1, 2**53, 2**53 + 1) for q in (0, -22, 2
     test_eisel_lemire_rounds_like_float = example(_w, _q)(test_eisel_lemire_rounds_like_float)
 
 
-WHITESPACE = st.text(alphabet=" \t\n\r", max_size=3)
-
-
-@st.composite
-def spaced_grids(draw):
-    """Equal-length rows of numbers, with any JSON whitespace around every token and bracket."""
-    width = draw(st.integers(1, 9))
-    rows = []
-    for _ in range(draw(st.integers(1, 7))):
-        tokens = [draw(WHITESPACE) + draw(NUMBER_TOKENS) + draw(WHITESPACE) for _ in range(width)]
-        rows.append(draw(WHITESPACE) + "[" + ",".join(tokens) + "]" + draw(WHITESPACE))
-    return "[" + ",".join(rows) + "]"
-
-
-@DIFFERENTIAL
-@given(spaced_grids())
-def test_grids_with_any_whitespace_decode_like_json_across_blocks(text):
-    # with blocks of 4 values, a grid of more than one row crosses block boundaries,
-    # and a row of more than 4 values is decoded in pieces
-    assert_decodes_like_json(text)
-    kernel(text[1:-1].strip(" \t\n\r"))
+def test_eisel_lemire_leaves_few_shortest_decimals_to_float():
+    # the shortest decimals of 1 + u v^T, as json.dumps prints them: a few in a thousand
+    # need the next 64 bits of 5**q (2 of these 1600)
+    tokens = json.dumps(rank_one(40, seed=3).ravel().tolist())[1:-1].split(", ")
+    w = np.array([int(t.replace(".", "")) for t in tokens], dtype=np.uint64)
+    q = np.array([t.index(".") + 1 - len(t) for t in tokens])
+    bits, undecided = gridtext._eisel_lemire(w, q)
+    assert np.count_nonzero(undecided) < len(tokens) // 20
+    expected = np.array([float(t) for t in tokens]).view(np.uint64)
+    assert (bits[~undecided] == expected[~undecided]).all()
 
 
 @pytest.mark.parametrize("indent", [None, 2])
@@ -878,17 +1143,10 @@ def test_a_row_wider_than_a_block_peaks_like_a_block(monkeypatch):
     wide = rng.random((2, 40 * 1024))
     text = json.dumps({"values": wide.tolist()})
 
-    def peak(load):
-        tracemalloc.start()
-        try:
-            result = load()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
     monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", 1024)
-    block_peak, _ = peak(lambda: gridtext.loads(json.dumps({"values": wide[:, :1024].tolist()})))
-    grid_peak, decoded = peak(lambda: gridtext.loads(text))
+    block = json.dumps({"values": wide[:, :1024].tolist()})
+    block_peak, _ = traced_peak(lambda: gridtext.loads(block))
+    grid_peak, decoded = traced_peak(lambda: gridtext.loads(text))
     assert decoded["values"].tobytes() == wide.tobytes()
     # the text, the blocks and the grid, plus the work of one block: not of one whole row
     assert grid_peak < len(text) + 3 * wide.nbytes + 2 * block_peak, (grid_peak, block_peak)
@@ -896,97 +1154,6 @@ def test_a_row_wider_than_a_block_peaks_like_a_block(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # uniform layout: every token and gap laid out as in the first row
-
-
-def digit_string(draw, count, lead):
-    """count random digits, the first of them nonzero when lead is set."""
-    digits = draw(st.lists(st.integers(0, 9), min_size=count, max_size=count))
-    if lead:
-        digits[0] = draw(st.integers(1, 9))
-    return "".join(map(str, digits))
-
-
-@st.composite
-def uniform_tokens(draw):
-    """(a function drawing tokens of one layout, whether that layout is exact in a double)."""
-    kind = draw(st.sampled_from(["ints01", "floats01", "fixed6", "digits15", "digits16"]))
-    if kind == "ints01":  # as %.17g prints an identity or a permutation matrix
-        return (lambda d: f"{d(st.sampled_from([0.0, 1.0])):.17g}"), True
-    if kind == "floats01":  # as repr and json.dumps print them
-        return (lambda d: repr(d(st.sampled_from([0.0, 1.0])))), True
-    count = 7 if kind == "fixed6" else int(kind[-2:])
-    point = 1 if kind == "fixed6" else draw(st.integers(0, count - 1))  # 0: an integer
-    head = point or count
-
-    def token(d):
-        text = digit_string(d, count, head > 1)
-        return text if not point else text[:point] + "." + text[point:]
-
-    return token, count <= gridtext._EXACT_DIGITS
-
-
-SEPARATORS = st.sampled_from([", ", ",", ",\n      ", ",\t", ",\r\n  "])
-PADDING = st.sampled_from(["", "", " ", "\n    ", "\n  "])  # inside a row's brackets
-
-
-@st.composite
-def uniform_grids(draw, min_side=1):
-    """(rows of tokens, then per row: separator, space after "[", space before "]"; the row
-    gap; whether the layout is exact in a double)."""
-    token, exact = draw(uniform_tokens())
-    width, rows = draw(st.integers(min_side, 6)), draw(st.integers(min_side, 6))
-    tokens = [[token(draw) for _ in range(width)] for _ in range(rows)]
-    layout = [draw(st.tuples(SEPARATORS, PADDING, PADDING))] * rows
-    return tokens, layout, draw(SEPARATORS), exact
-
-
-def grid_text(tokens, layout, gap):
-    return gap.join(f"[{lead}{sep.join(row)}{trail}]"
-                    for row, (sep, lead, trail) in zip(tokens, layout))
-
-
-@DIFFERENTIAL
-@given(uniform_grids())
-def test_uniform_layout_grids_decode_like_json(grid):
-    tokens, layout, gap, exact = grid
-    text = grid_text(tokens, layout, gap)
-    assert (gridtext._uniform(text.encode("ascii")) is not None) == exact, text
-    kernel(text)
-    assert_decodes_like_json("[" + text + "]")
-
-
-@st.composite
-def near_uniform_grids(draw):
-    """A uniform-layout grid of at least two rows and columns with one thing out of place, or
-    with a leading zero on every token."""
-    tokens, layout, gap, _ = draw(uniform_grids(min_side=2))
-    i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens[0]) - 1))
-    edit = draw(st.sampled_from(["width", "sign", "leading zeros", "exponent", "separator",
-                                 "whitespace", "short last row"]))
-    if edit == "width":
-        tokens[i][j] = "1" + tokens[i][j]
-    elif edit == "sign":
-        tokens[i][j] = "-" + tokens[i][j]
-    elif edit == "leading zeros":  # on every token, so the layout stays uniform
-        tokens = [["0" + token for token in row] for row in tokens]
-    elif edit == "exponent":
-        tokens[i][j] += draw(st.sampled_from(["e0", "E+1", "e-2"]))
-    elif edit in ("separator", "whitespace"):
-        k = 0 if edit == "separator" else draw(st.integers(1, 2))
-        row = list(layout[i])
-        row[k] = draw((SEPARATORS if k == 0 else PADDING).filter(lambda other: other != row[k]))
-        layout = layout[:i] + [tuple(row)] + layout[i + 1 :]
-    else:
-        tokens[-1].pop()
-    return grid_text(tokens, layout, gap)
-
-
-@DIFFERENTIAL
-@given(near_uniform_grids())
-def test_grids_just_off_a_uniform_layout_decode_like_json(text):
-    assert gridtext._uniform(text.encode("ascii")) is None, text
-    kernel(text)
-    assert_decodes_like_json("[" + text + "]")
 
 
 @pytest.mark.parametrize("print_grid", [
@@ -1020,57 +1187,6 @@ def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
 # ---------------------------------------------------------------------------
 # short tokens beside long ones, the zero step's "0.0" among them
 
-SHORT_TOKENS = st.sampled_from(
-    ["0", "0.0", "-0", "-0.0", "1", "0.5", "-7", "12345678", "-1234.56", "0.000001"]
-)
-LONG_TOKENS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # 17 digits, exponents, signs
-    st.integers(-(10**20), 10**20).map(str),
-    st.sampled_from(["0.34172894219364851", "-2.5e-7", "1E+300", "123456789", "-0.0000001"]),
-)
-
-
-@st.composite
-def sparse_grids(draw):
-    """Rows of short tokens with long ones at random positions, any JSON whitespace around
-    every token and bracket."""
-    width = draw(st.integers(1, 12))
-    rows = []
-    for _ in range(draw(st.integers(1, 8))):
-        long = draw(st.lists(st.booleans(), min_size=width, max_size=width))
-        tokens = [draw(LONG_TOKENS if is_long else SHORT_TOKENS) for is_long in long]
-        tokens = [draw(WHITESPACE) + token + draw(WHITESPACE) for token in tokens]
-        rows.append(draw(WHITESPACE) + "[" + ",".join(tokens) + "]" + draw(WHITESPACE))
-    return "[" + ",".join(rows) + "]"
-
-
-@DIFFERENTIAL
-@given(sparse_grids())
-def test_sparse_grids_of_short_tokens_decode_like_json(text):
-    assert_decodes_like_json(text)
-    kernel(text[1:-1].strip(" \t\n\r"))
-
-
-def test_short_tokens_at_eight_bytes_and_long_ones_at_nine():
-    eight = ["12345678", "-1234567", "0.123456", "-0.12345", "-1234.56", "1.000000", "-0.00000"]
-    nine = ["123456789", "-12345678", "0.1234567", "-0.123456", "-12345.67", "1.0000000"]
-    assert {len(t) for t in eight} == {8} and {len(t) for t in nine} == {9}
-    kernel("[" + ", ".join(eight) + "], [" + ", ".join(nine + ["0"]) + "]")
-    assert one("-0.00000") == 0.0 and np.signbit(one("-0.00000"))
-    assert one("12345678") == 12345678.0 and one("-0.12345") == -0.12345
-
-
-@pytest.mark.parametrize("token", ["01", "-01", "00.5", "1.", ".5", "-", "-.5", "1e5", "+1",
-                                   "0.0.", "1-2", "0x1", "1E5", "-0e0", "1.5e", "0.00", "00.0",
-                                   "-0.0", "0.0e0", "0e0", "0.0-", "9.0", "0.9"])
-def test_near_misses_of_the_short_grammar_decode_or_are_declined_as_json(token):
-    # alone, among short tokens, and among a majority of the zero step's "0.0", in a layout
-    # that the sparse tier declines: no token read as a zero may hide a refusal
-    kernel(f"[{token}]")
-    kernel(f"[0.0, 0.0, {token}], [0.5, -7, 0]")
-    kernel(f"[0.0, {token}, 0.0, 1], [-0.0, 12, -0, 0.25]")
-    kernel(f"[0.0,0.0, 0.0], [0.0, {token},  0.0], [0.0, 0.0, 0.0]")
-
 
 def test_a_block_of_zero_tokens_is_returned_whole_by_the_zero_step(monkeypatch):
     def general(*args):
@@ -1083,24 +1199,6 @@ def test_a_block_of_zero_tokens_is_returned_whole_by_the_zero_step(monkeypatch):
     decoded = kernel(text)
     assert decoded.tobytes() == np.zeros((2, 3)).tobytes()
     assert not np.signbit(decoded).any()
-
-
-def test_subnormal_and_overflowing_tokens_in_an_array_block_decode_like_json():
-    rng = np.random.default_rng(11)
-    # random subnormals of every size, the smallest normal and the values just below it, and
-    # past the largest double: with q at most 308, so read by the arrays up to their rounding
-    subnormal = (rng.integers(1, 1 << 52, 200) >> rng.integers(0, 52, 200)).view(float)
-    tokens = [repr(v) for v in subnormal.tolist()]
-    tokens += ["5e-324", "4.9406564584124654e-324", "2.4703282292062328e-324", "1e-320",
-               "2.2250738585072009e-308", "2.2250738585072011e-308", "2.2250738585072014e-308",
-               "-2.2250738585072012e-308", "1.7976931348623157e308", "1.7976931348623158e308",
-               "1.7976931348623159e308", "-1.7976931348623157e308", "1e309", "-1e309",
-               "2e308", "1.8e308", "-5e308", "1e-400", "123456789e-330", "1e-340"]
-    tokens += [repr(v) for v in rng.random(64 - len(tokens) % 8).tolist()]
-    assert len(tokens) >= gridtext._ARRAY_MIN and len(tokens) % 8 == 0  # read by the arrays
-    rows = [tokens[i : i + 8] for i in range(0, len(tokens), 8)]
-    decoded = kernel(", ".join("[" + ", ".join(row) + "]" for row in rows))
-    assert np.isinf(decoded).sum() == 6 and (decoded[np.isfinite(decoded)] != 0).sum() > 200
 
 
 def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
@@ -1127,108 +1225,7 @@ def test_a_permutation_mixture_hands_values_only_its_long_tokens(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# layouts read without locating the commas or the dots: each in-row token followed at once by
-# ",", each row's "]" by ","; each token's dot second after its sign.  Every other layout
-# takes the located scans, block by block, but json.dumps's layout of unsigned numbers, which
-# takes the comma locator (below).
-
-HUGGING_TOKENS = st.one_of(
-    st.floats(0.1, 9.9).map(repr),  # one integer digit, its dot looked up
-    st.floats(-9.9, -0.1).map(repr),
-    st.floats(10.0, 1e6).map(repr),  # a multi-digit integer part: the dots are located
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-(10**12), 10**12).map(str),
-    st.sampled_from(["-0", "-0.0", "-0.000000000000", "-0e0", "1.5e-7", "0.12345678901234567"]),
-)
-# the separator inside a row, and the one between rows
-HUGGING_LAYOUTS = st.sampled_from([(", ", "], ["), (",", "],["),
-                                   (",\n      ", "\n    ],\n    [\n      ")])
-
-
-@st.composite
-def hugging_grids(draw):
-    """Rows of numbers laid out as json.dumps or generate prints them, with at most one gap
-    or row break out of that layout."""
-    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    sep, brk = draw(HUGGING_LAYOUTS)
-    cells = [[draw(HUGGING_TOKENS) for _ in range(width)] for _ in range(rows)]
-    text = brk.join(sep.join(row) for row in cells)
-    cuts = [m.start() for m in re.finditer(",", text)]
-    edit = draw(st.sampled_from(["none", "none", "space", "double", "drop", "trail"]))
-    if cuts and edit != "none":
-        at = draw(st.sampled_from(cuts))
-        text = text[:at] + {"space": " ,", "double": ",,", "drop": " ", "trail": ",]"}[edit] \
-            + text[at + 1 :]
-    return "[" + text + "]"
-
-
-@DIFFERENTIAL
-@given(hugging_grids())
-def test_grids_hugging_their_separators_decode_like_json_across_blocks(text):
-    kernel(text)
-    assert_decodes_like_json("[" + text + "]")
-
-
-def long_tokens(text):
-    """text with zeros after the last digit of each decimal, so that it is a long token."""
-    return re.sub(r"-?[0-9][.0-9]*(?![.0-9eE])",
-                  lambda m: m[0] + "0" * 9 if "." in m[0] else m[0], text)
-
-
-@pytest.mark.parametrize("text", [
-    # hugs its separators but for one gap, in a row and at a row break
-    "[1.5, 2.25, 3.125 , 4.5], [5.5, 6.5, 7.5, 8.5]",
-    "[1.5, 2.25, 3.125, 4.5] , [5.5, 6.5, 7.5, 8.5]",
-    "[1.5, 2.25, 3.125, 4.5],\n[5.5, 6.5, 7.5, 8.5]",
-    "[1.5,2.25,3.125,4.5],[5.5,6.5,7.5,8.5]",
-    # the only multi-digit integer part is the last token's
-    "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7.5, 12.5]",
-    # a token without a dot, so the dots are located
-    "[1.5, 2.25, 3.125, 4.5], [5.5, 6.5, 7, 12.5]",
-    # -0 and -0.0 among signed tokens: json gives -0 as the int 0, -0.0 as a float
-    "[-0, -0.0, -1.5, 0.5], [-0.000, -0e0, -0.0e5, -7]",
-    # json.dumps's first row, then a space after an integer, or before a comma and none
-    # after it: the comma locator declines the block
-    "[1.5, 2.5], [35 , 4.5]",
-    "[1.5, 2.5], [3.5 ,45]",
-])
-def test_layouts_beside_the_hugging_ones_decode_like_json(text):
-    for t in (text, long_tokens(text)):
-        kernel(t)
-        assert_decodes_like_json("[" + t + "]")
-
-
-@pytest.mark.parametrize("text", [
-    "[1.5000000001, 2.5000000001,], [3.5000000001, 4.5000000001]",
-    "[1.5000000001, 2.5000000001] [3.5000000001, 4.5000000001]",
-    "[1.5000000001, 2.5000000001], [3.5000000001, 4.5000000001],",
-    "[1.5000000001,, 2.5000000001], [3.5000000001, 4.5000000001]",
-    # as many commas as gaps, one of them in the wrong gap
-    "[1.5000000001,, 2.5000000001] [3.5000000001, 4.5000000001]",
-    "[1.5000000001, 2.5000000001,] [3.5000000001, 4.5000000001]",
-    # as many dots as tokens, two in one token, and a lone "-" last in the block
-    "[1..5, -]",
-    "[1.., -]",
-    # json.dumps's first row, then a letter in place of a row's "]" or "[", the brackets as
-    # many as the rows need
-    "[1.5, 2.5], [3.5, 4.5x, [5.5, 6.5]",
-    "[1.5, 2.5], [3.5, 4.5], x5.5, 6.5]",
-    # and a "/" in a token, read as a digit past the locator's byte counts
-    "[1.5, 2.5], [3.5, 4/5]",
-])
-def test_a_stray_or_missing_comma_is_refused_as_json_refuses_it(text):
-    assert kernel(text) is None
-    assert_decodes_like_json("[" + text + "]")
-    with pytest.raises(json.JSONDecodeError):
-        gridtext.loads("[" + text + "]")
-
-
-def test_signed_zeros_in_signed_blocks_of_long_tokens():
-    text = ("[-0, -0.0, -1.2345678901, 0.5], [-0.000000000000, -0e0, -0.0e5, 1],"
-            " [0, 0.0, 1.2345678901, -2.5]")
-    decoded = kernel(text)
-    assert np.signbit(decoded).tolist() == [[False, True, True, False], [True, True, True, False],
-                                             [False, False, False, True]]
+# a grid of unsigned rows and signed ones
 
 
 @pytest.mark.parametrize("block_values", [4, 8])
@@ -1245,85 +1242,6 @@ def test_a_block_without_signs_beside_a_signed_one(block_values):
 
 # ---------------------------------------------------------------------------
 # the sparse tier: one zero token, "0" or "0.0", but a few tokens with a nonzero digit
-
-# the separator inside a row, the space after "[" and before "]", and the gap between rows:
-# json.dumps, compact, one number a line, and padded rows, whose first token lies past the
-# first cell
-SPARSE_LAYOUTS = st.sampled_from([(", ", "", "", ", "), (",", "", "", ","),
-                                  (",\n      ", "\n      ", "\n    ", ",\n    "),
-                                  (", ", "      ", " ", ",\n")])
-# JSON numbers of at most 24 bytes, each with a nonzero digit
-SPARSE_VALUES = st.one_of(
-    st.floats(min_value=5e-324, max_value=1e308).map(repr),
-    st.floats(min_value=-1e308, max_value=-5e-324).map(repr),
-    st.integers(1, 10**20).map(str),
-    st.sampled_from(["1", "-7", "0.5", "1E+2", "2.5e-3", "1e400", "-0.00000000000000000001"]),
-)
-# not taken by the tier: near misses of the grammar, zeros other than the zero token, tokens
-# longer than 24 bytes, an integer beyond a double and one past the int digit limit
-SPARSE_OTHERS = st.sampled_from(
-    ["+1", "01", "1.", ".5", "1e", "-0", "-0.0", "0.00", "00", "1..5", "0.1" + "3" * 30,
-     "1" + "0" * 309, "9" * 4301]
-)
-
-
-@st.composite
-def sparse_blocks(draw):
-    """(text, clean): rows of one zero token with a few nonzero tokens placed first, last, as
-    a whole row or anywhere, in one of SPARSE_LAYOUTS; clean when every other token is one
-    of SPARSE_VALUES and the first is the zero token."""
-    zero = draw(st.sampled_from(["0", "0.0"]))
-    sep, lead, trail, gap = draw(SPARSE_LAYOUTS)
-    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    cells = [[zero] * width for _ in range(rows)]
-    place = draw(st.sampled_from(["first", "last", "row", "anywhere", "anywhere"]))
-    if place == "first":
-        spots = [(0, 0)]
-    elif place == "last":
-        spots = [(rows - 1, width - 1)]
-    elif place == "row":
-        i = draw(st.integers(0, rows - 1))
-        spots = [(i, j) for j in range(width)]
-    else:
-        spots = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, width - 1)),
-                              max_size=4))
-    clean = True
-    for i, j in spots:
-        other = draw(st.integers(0, 5)) == 0
-        cells[i][j] = draw(SPARSE_OTHERS if other else SPARSE_VALUES)
-        clean &= not other
-    clean &= cells[0][0] == zero
-    return gap.join(f"[{lead}{sep.join(row)}{trail}]" for row in cells), clean
-
-
-@DIFFERENTIAL
-@given(sparse_blocks())
-@example(("[0.0, 0.0], [1e-05, 0.0]", True))
-@example(("[0,3],[0,12345678901234567890]", True))
-@example(("[0.0, 0.0], [0.0, 01]", False))
-def test_sparse_blocks_decode_like_json(block):
-    text, clean = block
-    kernel(text)
-    data = text.encode()
-    expected = reference(text)
-    tier = gridtext._sparse(data)
-    if tier is not None:  # the tier gives a grid only where json gives that grid
-        assert expected is not None and tier.tobytes() == expected.tobytes(), text
-        assert tier.shape == expected.shape, text
-    head = data[: gridtext._SPARSE_HEAD]
-    sparse_head = 8 * sum(byte in b"123456789" for byte in head) <= len(head)
-    assert tier is not None or not (clean and sparse_head), text
-    # through the document decoder, as a grid of blocks of 4 values and one block, each
-    # refusal json's
-    for block_values in (4, gridtext.QUAD_BATCH_VALUES):
-        with mock.patch.object(gridtext, "QUAD_BATCH_VALUES", block_values):
-            for doc, read in (("[" + text + "]", PLAIN.decode), (b"[" + data + b"]", text_mode)):
-                plain, decoded = outcome(read, doc), outcome(gridtext.loads, doc)
-                assert plain[0] == decoded[0], (block_values, text)
-                if plain[0] == "raised":
-                    assert plain == decoded, (block_values, text)
-                else:
-                    assert_same(plain[1], decoded[1])
 
 
 def mixture_block(n=512, rows=32, k=3, seed=5):
@@ -1411,55 +1329,12 @@ def test_the_sparse_tier_takes_at_most_array_min_nonzero_tokens():
 # ---------------------------------------------------------------------------
 # the comma locator: blocks laid out as json.dumps prints a grid of unsigned numbers
 
-LOCATED_TOKENS = st.one_of(
-    st.floats(0.0, 1e6).map(repr).filter(lambda token: "e" not in token),
-    st.integers(0, 10**20).map(str),
-    st.sampled_from(["0", "0.0", "0.5", "1.0123456789012345", "12345678901234567890123"]),
-)
-# one gap in a row, or one row break, as another layout writes it
-GAP_EDITS = [",", ",  ", " ,", " , ", ",\n"]
-BREAK_EDITS = ["],[", "] , ["]
 
-
-@st.composite
-def located_grids(draw):
-    """The rows of a grid of unsigned numbers as json.dumps prints them, with at most one
-    change: a gap or a row break in another layout, an empty token, a "/" or a letter inside
-    a token, or one row a token short."""
-    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    cells = [[draw(LOCATED_TOKENS) for _ in range(width)] for _ in range(rows)]
-    edit = draw(st.sampled_from(["none", "none", *GAP_EDITS, *BREAK_EDITS,
-                                 "empty", "/", "a", "E", "short"]))
-    row, col = draw(st.integers(0, rows - 1)), draw(st.integers(0, width - 1))
-    if edit == "empty":
-        cells[row][col] = ""
-    elif edit in ("/", "a", "E"):
-        token = cells[row][col]
-        at = draw(st.integers(0, len(token)))
-        cells[row][col] = token[:at] + edit + token[at:]
-    elif edit == "short":
-        del cells[row][col]
-    text = "], [".join(", ".join(r) for r in cells)
-    pattern = r"(?<!\]), " if edit in GAP_EDITS else r"\], \[" if edit in BREAK_EDITS else None
-    gaps = [m.span() for m in re.finditer(pattern, text)] if pattern else []
-    if gaps:
-        a, b = draw(st.sampled_from(gaps))
-        text = text[:a] + edit + text[b:]
-    return "[" + text + "]"
-
-
-@DIFFERENTIAL
-@given(located_grids())
-def test_json_dumps_grids_of_unsigned_numbers_decode_like_json_across_blocks(text):
-    kernel(text)
-    assert_decodes_like_json("[" + text + "]")
-
-
-def rank_one(n, seed):
-    """1 + u v^T, n x n, entries in (0.1, 1.9): dense 17-digit decimals."""
-    rng = np.random.default_rng(seed)
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    return 1.0 + np.outer(u * (0.9 / (np.abs(u).max() * np.abs(v).max())), v)
+def test_a_json_dumps_first_row_is_found_alone_or_before_a_row_break():
+    # the offset of its "]", where a grid of one row ends
+    assert gridtext._dumps_head(b"[0.5, 1.5]") == 9
+    assert gridtext._dumps_head(b"[0.5, 1.5], [2.5, 3.5]") == 9
+    assert gridtext._dumps_head(b"[0.5, 1.5],[2.5, 3.5]") == -1
 
 
 def test_every_block_of_a_json_dumps_grid_takes_the_locator_and_no_other_layout_calls_it(

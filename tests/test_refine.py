@@ -490,6 +490,10 @@ def test_convexity_check_constant_family(square_instance):
         f=square_instance.f, points=[0.0, 1.0], lam=UNI2, mu=UNI2, w1=w, w2=w
     )
     assert phi_convexity_check(inst, trials=50, seed=0).ok
+    # one trial is the fewest the check runs
+    assert phi_convexity_check(inst, trials=1, seed=0).ok
+    with pytest.raises(ValidationError, match="trials must be >= 1"):
+        phi_convexity_check(inst, trials=0)
 
 
 def test_convexity_check_passes_for_corpus(rng):
@@ -507,6 +511,10 @@ def test_convexity_check_reports_witnesses_for_mislabel():
     assert not res.ok
     assert len(res.witnesses) > 0
     assert {"t1", "t2", "alpha", "combined", "bound"} <= set(res.witnesses[0])
+    # the bound is the chord of phi between t1 and t2 at alpha
+    w = res.witnesses[0]
+    v1, v2 = phi_values(inst, np.array([w["t1"], w["t2"]]))
+    assert w["bound"] == pytest.approx(w["alpha"] * v1 + (1.0 - w["alpha"]) * v2, rel=1e-12)
 
 
 def test_tighten_increasing_quadratic(square_instance):
