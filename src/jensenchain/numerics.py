@@ -3,13 +3,14 @@
 Both are deliberately plain: the integrands in this package are smooth
 convex/concave functions on bounded intervals, and the objective of the
 1-D search is convex (possibly flat).  The quadrature applies QUADPACK's
-7/15-point Gauss-Kronrod pair to each panel (R. Piessens et al.,
-QUADPACK, Springer 1983) and hands each depth's nodes to a vectorized
-integrand at once (W. Gander and W. Gautschi, "Adaptive quadrature -
-revisited", BIT 40, 2000).  adaptive_simpson is the one quadrature
-routine: it takes vectorized integrands only, and keeps the name of the
-adaptive Simpson rule it replaced, under which the package and the
-benchmark's tracer bind it.
+7/15-point Gauss-Kronrod pair to each panel and, as QUADPACK's QAG does,
+holds the panels to one error budget for the whole interval, summed
+exactly with math.fsum (R. Piessens et al., QUADPACK, Springer 1983); it
+hands each depth's nodes to a vectorized integrand at once (W. Gander and
+W. Gautschi, "Adaptive quadrature - revisited", BIT 40, 2000).
+adaptive_simpson is the one quadrature routine: it takes vectorized
+integrands only, and keeps the name of the adaptive Simpson rule it
+replaced, under which the package and the benchmark's tracer bind it.
 """
 
 import math
@@ -59,13 +60,6 @@ _ROUNDING = 4.0 * math.ulp(1.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _interleave(x, y):
-    out = np.empty(2 * x.size)
-    out[0::2] = x
-    out[1::2] = y
-    return out
-
-
 def _evaluate(fv, ts, chunk):
     parts = []
     for start in range(0, ts.size, chunk):
@@ -107,30 +101,29 @@ def adaptive_simpson(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL, width=1):
     of float64 values fv materialises per node.  No node is an end of a
     panel.
 
-    A panel's estimate is the Kronrod sum K = hl * sum_k w_k f_k.  It is
-    accepted when |K - G|, G the 7-point Gauss sum over the same values,
-    is within its tolerance or within a few ulps of |K|; the tolerance
-    starts as the larger of atol and rtol times the whole-interval K and
-    halves with each depth.  Accepted panels are summed bottom-up in tree
-    order (parent = left + right), so the result is the one a depth-first
-    recursion gives, bit for bit.  Raises NumericError when a panel at
-    depth QUAD_MAX_DEPTH is still not accepted, or when the integral would
-    need more than QUAD_MAX_EVALS nodes (15 per panel), or at the first
-    NaN or infinite integrand value.
+    A panel's estimate is the Kronrod sum K = hl * sum_k w_k f_k, and its
+    residual |K - G|, G the 7-point Gauss sum over the same values, or 0
+    where that is within a few ulps of |K|.  The tolerance is the larger
+    of atol and rtol times the whole-interval K, one budget for the whole
+    interval: the integral is the math.fsum of every panel's K once the
+    math.fsum of their residuals is within it (QUADPACK's global test).
+    Until then a panel is split in two while its residual exceeds its
+    length's share of the tolerance.  Raises NumericError when a panel at
+    depth QUAD_MAX_DEPTH is still over its share (the leftmost is named),
+    when the integral would need more than QUAD_MAX_EVALS nodes (15 per
+    panel), when a sum passes the largest float, or at the first NaN or
+    infinite integrand value.
     """
     a = float(a)
     b = float(b)
     if a == b:
         return 0.0
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
+    sign = math.copysign(1.0, b - a)
+    a, b = min(a, b), max(a, b)
     chunk = max(1, QUAD_BATCH_VALUES // width)
     lo, hi = np.array([a]), np.array([b])
-    tol = None
+    kept, kept_err = [], []  # estimates and residuals of the panels split no further
     evals = 0
-    levels = []  # per depth: (panel estimates, indices of panels split further)
     depth = 0
     while True:
         if evals + _NODES.size * lo.size > QUAD_MAX_EVALS:
@@ -144,28 +137,29 @@ def adaptive_simpson(fv, a, b, atol=QUAD_ATOL, rtol=QUAD_RTOL, width=1):
         values = _evaluate(fv, ts, chunk)
         evals += ts.size
         kronrod, gauss = _panel_sums(values.reshape(lo.size, _NODES.size)) * half
-        if tol is None:
+        if depth == 0:
             tol = max(atol, rtol * abs(float(kronrod[0])))
         err = np.abs(kronrod - gauss)
-        split = np.flatnonzero(~(err <= np.maximum(tol, _ROUNDING * np.abs(kronrod))))
-        levels.append((kronrod, split))
-        if split.size == 0:
-            break
+        err[err <= _ROUNDING * np.abs(kronrod)] = 0.0
+        over = ~(err <= math.ldexp(tol, -depth))
+        try:
+            # with no panel over its share the sum is within tol, unless shares round up as subnormals
+            if not over.any() or math.fsum(kept_err + err.tolist()) <= tol:
+                return sign * math.fsum(kept + kronrod.tolist())
+        except OverflowError as exc:
+            raise NumericError(f"adaptive quadrature: a sum over the panels of [{a}, {b}] "
+                               f"passes the largest float (at depth {depth})") from exc
         if depth >= QUAD_MAX_DEPTH:
-            k = split[0]
+            k = int(np.argmax(over))
             raise NumericError(
                 f"adaptive quadrature did not converge on [{float(lo[k])}, {float(hi[k])}] "
                 f"(residual {float(err[k]):.3e} at depth {depth})"
             )
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
-        tol = 0.5 * tol
+        kept += kronrod[~over].tolist()
+        kept_err += err[~over].tolist()
+        lo, mid, hi = lo[over], mid[over], hi[over]
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
         depth += 1
-    total = levels[-1][0]
-    for values, split in reversed(levels[:-1]):
-        values[split] = total[0::2] + total[1::2]
-        total = values
-    return sign * float(total[0])
 
 
 def golden_section_minimize(f, a, b, tol, max_iter=1000):

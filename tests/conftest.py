@@ -121,8 +121,9 @@ def _pairwise_sum(terms):
     return terms[0]
 
 
-def _gk_panel(f, a, b):
-    """(Kronrod, Gauss) estimates on [a, b], one scalar f call per node."""
+def gk_panel(f, a, b):
+    """(Kronrod estimate, residual) on [a, b], one scalar f call per node; the residual |K - G|
+    is 0 within rounding of |K|."""
     c = 0.5 * (a + b)
     hl = 0.5 * (b - a)
     values = []
@@ -134,24 +135,8 @@ def _gk_panel(f, a, b):
         values.append(v)
     kronrod = hl * _pairwise_sum(w * v for w, v in zip(GK_KRONROD_W, values))
     gauss = hl * _pairwise_sum(w * v for w, v in zip(GK_GAUSS_W, values))
-    return kronrod, abs(kronrod - gauss)
-
-
-def _gk_refine(f, a, b, kronrod, err, tol, depth, max_depth):
-    if err <= max(tol, 4.0 * 2.0 ** -52 * abs(kronrod)):
-        return kronrod
-    if depth >= max_depth:
-        raise NumericError(
-            f"adaptive quadrature did not converge on [{a}, {b}] "
-            f"(residual {err:.3e} at depth {depth})"
-        )
-    m = 0.5 * (a + b)
-    left = _gk_panel(f, a, m)
-    right = _gk_panel(f, m, b)
-    half = 0.5 * tol
-    return _gk_refine(f, a, m, *left, half, depth + 1, max_depth) + _gk_refine(
-        f, m, b, *right, half, depth + 1, max_depth
-    )
+    err = abs(kronrod - gauss)
+    return kronrod, 0.0 if err <= 4.0 * 2.0 ** -52 * abs(kronrod) else err
 
 
 def scalar(f):
@@ -159,12 +144,15 @@ def scalar(f):
     return lambda ts: [f(t) for t in ts.tolist()]
 
 
-def recursive_gauss_kronrod(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
-    """Depth-first adaptive G7/K15 quadrature: one scalar f call per node, panels split in two.
+def gauss_kronrod_oracle(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
+    """Adaptive G7/K15 quadrature as a plain level loop: one scalar f call per node, left to right.
 
-    Same acceptance rule, tolerance halving, depth cap and messages as the
-    library's level-batched engine, written as the plain recursion it must
-    reproduce.
+    The tolerance is max(atol, rtol * |K|) of the whole interval.  The loop
+    returns the fsum of every panel's estimate once the fsum of their
+    residuals is within it; until then each panel at depth d whose residual
+    exceeds 2**-d times the tolerance is split in two.  Same rule, depth cap
+    and messages as the library's level-batched engine, without its batches
+    and node budget.
     """
     if a == b:
         return 0.0
@@ -172,9 +160,28 @@ def recursive_gauss_kronrod(f, a, b, atol=1e-10, rtol=1e-10, max_depth=40):
     if a > b:
         a, b = b, a
         sign = -1.0
-    kronrod, err = _gk_panel(f, a, b)
-    tol = max(atol, rtol * abs(kronrod))
-    return sign * _gk_refine(f, a, b, kronrod, err, tol, 0, max_depth)
+    done = []  # (estimate, residual) of each panel split no further
+    level = [(a, b, *gk_panel(f, a, b))]
+    tol = max(atol, rtol * abs(level[0][2]))
+    depth = 0
+    while True:
+        share = tol * 0.5 ** depth
+        over = [panel for panel in level if not panel[3] <= share]
+        panels = done + [panel[2:] for panel in level]
+        if not over or math.fsum(err for _, err in panels) <= tol:
+            return sign * math.fsum(kronrod for kronrod, _ in panels)
+        if depth >= max_depth:
+            lo, hi, _, err = over[0]
+            raise NumericError(
+                f"adaptive quadrature did not converge on [{lo}, {hi}] "
+                f"(residual {err:.3e} at depth {depth})"
+            )
+        done += [panel[2:] for panel in level if panel[3] <= share]
+        level = []
+        for lo, hi, _, _ in over:
+            m = 0.5 * (lo + hi)
+            level += [(lo, m, *gk_panel(f, lo, m)), (m, hi, *gk_panel(f, m, hi))]
+        depth += 1
 
 
 def _render_item(obj, out, indent):

@@ -23,7 +23,7 @@ from jensenchain.measures import sinkhorn_normalize
 from jensenchain.numerics import QUAD_MAX_EVALS, adaptive_simpson, golden_section_minimize
 from jensenchain.refine import phi_integral_quad, t_quadrature
 
-from conftest import FUN_RANGES, GK_NODES, rand_prob, recursive_gauss_kronrod, scalar
+from conftest import FUN_RANGES, GK_NODES, gauss_kronrod_oracle, gk_panel, rand_prob, scalar
 
 
 def test_simpson_known_integrals():
@@ -52,6 +52,59 @@ def test_simpson_raises_on_depth_cap(monkeypatch):
     monkeypatch.setattr(numerics, "QUAD_MAX_DEPTH", 6)
     with pytest.raises(NumericError, match="did not converge"):
         adaptive_simpson(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, atol=1e-14, rtol=1e-14)
+
+
+def test_evaluation_budget_admits_an_integral_that_needs_all_of_it(monkeypatch):
+    f = Counted(lambda t: t ** 0.3, vectorized=True)
+    whole = adaptive_simpson(f, 0.0, 2.0, atol=1e-9, rtol=1e-9)
+    monkeypatch.setattr(numerics, "QUAD_MAX_EVALS", f.nodes)
+    assert adaptive_simpson(lambda t: t ** 0.3, 0.0, 2.0, atol=1e-9, rtol=1e-9) == whole
+    monkeypatch.setattr(numerics, "QUAD_MAX_EVALS", f.nodes - 1)
+    with pytest.raises(NumericError, match=f"budget of {f.nodes - 1} integrand evaluations"):
+        adaptive_simpson(lambda t: t ** 0.3, 0.0, 2.0, atol=1e-9, rtol=1e-9)
+
+
+def test_residuals_that_sum_to_exactly_the_tolerance_stop_the_split():
+    f = lambda t: t ** 0.3
+    (left, left_err), (right, right_err) = gk_panel(f, 0.0, 0.5), gk_panel(f, 0.5, 1.0)
+    tol = math.fsum([left_err, right_err])
+    # [0, 1] is split, and its left half is still over its share of the tolerance
+    assert gk_panel(f, 0.0, 1.0)[1] > tol and left_err > 0.5 * tol
+    counted = Counted(f)
+    assert adaptive_simpson(scalar(counted), 0.0, 1.0, atol=tol, rtol=0.0) == left + right
+    assert counted.nodes == 45
+
+
+# one panel's node values on [0, 2] (hl = 1) whose Kronrod sum is 1 and Gauss sum 1 + 2**-50:
+# |K - G| is exactly _ROUNDING * |K|, as on every half of it
+ROUNDING_FLOOR = np.array([0.4999999999999851] + [0.5] * 6 + [0.500000000000002] + [0.5] * 7)
+
+
+def test_a_residual_of_exactly_the_rounding_floor_is_accepted():
+    f = Counted(lambda t: np.resize(ROUNDING_FLOOR, t.size), vectorized=True)
+    assert adaptive_simpson(f, 0.0, 2.0, atol=0.0, rtol=0.0) == 1.0
+    assert f.nodes == 15
+
+
+# multiples of the least subnormal at one panel's nodes on [0, 2]: K = 62 and G = 58 of it, and
+# on each half K = 31 and G = 29
+SUBNORMAL_PANEL = np.array([55, 24, 60, 45, 36, 14, 47, 9, 3, 47, 15, 42, 35, 27, 29]) * 5e-324
+
+
+def test_panels_within_shares_rounded_as_subnormals_stop_the_split():
+    # at a tolerance of 3 least subnormals each half's share rounds up to 2, so the halves'
+    # residuals of 2 each fit their shares but sum to 4
+    f = Counted(lambda t: np.resize(SUBNORMAL_PANEL, t.size), vectorized=True)
+    assert adaptive_simpson(f, 0.0, 2.0, atol=3 * 5e-324, rtol=0.0) == 62 * 5e-324
+    assert f.nodes == 45
+
+
+def test_a_sum_of_panels_past_the_largest_float_is_a_numeric_error():
+    # 0 at the first panel's Gauss nodes, so it is split; each half then integrates to 1.7e308
+    gauss_nodes = 2.0 + 2.0 * np.array(GK_NODES[1::2])
+    f = lambda t: np.where(np.isin(t, gauss_nodes), 0.0, 8.5e307)
+    with pytest.raises(NumericError, match=r"panels of \[0.0, 4.0\] passes the largest float"):
+        adaptive_simpson(f, 0.0, 4.0)
 
 
 def test_golden_section_quadratic():
@@ -88,7 +141,7 @@ def test_sinkhorn_iteration_cap_raises():
 
 
 # ---------------------------------------------------------------------------
-# the level-batched engine against the depth-first recursion
+# the level-batched engine against the plain-loop oracle
 
 
 class Counted:
@@ -127,10 +180,10 @@ SCALAR_CASES = [
 
 
 @pytest.mark.parametrize("case", range(len(SCALAR_CASES)))
-def test_engine_matches_recursion_bit_for_bit(case):
+def test_engine_matches_oracle_bit_for_bit(case):
     f, a, b, kw = SCALAR_CASES[case]
     ref_f, new_f = Counted(f), Counted(f)
-    ref = recursive_gauss_kronrod(ref_f, a, b, **kw)
+    ref = gauss_kronrod_oracle(ref_f, a, b, **kw)
     assert adaptive_simpson(scalar(new_f), a, b, **kw) == ref
     assert new_f.nodes == ref_f.nodes
 
@@ -150,9 +203,9 @@ ZERO_GRID = np.array([[0.0, 1.0, 0.25], [2.0, 0.0, 0.0]])
     ],
 )
 @pytest.mark.parametrize("width", [1, 2 ** 12, 2 ** 20])
-def test_vectorized_engine_matches_recursion_over_its_scalar_restriction(fv, a, b, tol, width):
+def test_vectorized_engine_matches_oracle_over_its_scalar_restriction(fv, a, b, tol, width):
     ref_f = Counted(lambda t: float(fv(np.array([t]))[0]))
-    ref = recursive_gauss_kronrod(ref_f, a, b, atol=tol, rtol=tol)
+    ref = gauss_kronrod_oracle(ref_f, a, b, atol=tol, rtol=tol)
     new_f = Counted(fv, vectorized=True)
     got = adaptive_simpson(new_f, a, b, atol=tol, rtol=tol, width=width)
     assert got == ref
@@ -165,15 +218,15 @@ def test_vectorized_engine_matches_recursion_over_its_scalar_restriction(fv, a, 
     [
         (lambda x: 1.0 / math.sqrt(x) if x > 0 else 1e8,
          {"atol": 1e-14, "rtol": 1e-14, "max_depth": 6}),
-        (lambda x: x ** 0.3, {}),  # fails on the leftmost panel at the default depth cap
+        (lambda x: 1.0 / math.sqrt(x), {}),  # fails on the leftmost panel at the default depth cap
         # panels fail only right of 0.5, so the reported panel is not the leftmost one
         (lambda x: math.sin(1e3 * x) if x > 0.5 else 0.0,
          {"atol": 1e-15, "rtol": 1e-15, "max_depth": 8}),
     ],
 )
-def test_depth_cap_message_matches_recursion(monkeypatch, f, kw):
+def test_depth_cap_message_matches_oracle(monkeypatch, f, kw):
     with pytest.raises(NumericError) as ref:
-        recursive_gauss_kronrod(f, 0.0, 1.0, **kw)
+        gauss_kronrod_oracle(f, 0.0, 1.0, **kw)
     kw = dict(kw)
     monkeypatch.setattr(numerics, "QUAD_MAX_DEPTH", kw.pop("max_depth", numerics.QUAD_MAX_DEPTH))
     with pytest.raises(NumericError) as got:
@@ -187,13 +240,13 @@ FIRST_PAST = 0.5 + 0.5 * GK_NODES[12]
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_integrand_value_stops_the_integral_at_once(bad):
-    # such a node fails every panel that holds it: the recursion split down to the
-    # depth cap, and splitting level by level would run into the evaluation budget
+    # such a node fails every panel that holds it: splitting around it would run into the
+    # depth cap or the evaluation budget
     message = re.escape(f"integrand is {bad} at t={FIRST_PAST}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=message):
-            recursive_gauss_kronrod(lambda t: bad if t > 0.9 else t, 0.0, 1.0)
+            gauss_kronrod_oracle(lambda t: bad if t > 0.9 else t, 0.0, 1.0)
         f = Counted(lambda t: bad if t > 0.9 else t)
         with pytest.raises(NumericError, match=message):
             adaptive_simpson(scalar(f), 0.0, 1.0)
@@ -237,14 +290,14 @@ def drawn_integrals(draw):
 
 @settings(deadline=None)
 @given(drawn_integrals())
-def test_vectorized_engine_matches_recursion_on_drawn_intervals(case):
+def test_vectorized_engine_matches_oracle_on_drawn_intervals(case):
     """The same value bit for bit and the same nodes, or the same error, whatever the batch."""
     fv, a, b, tol, width = case
     ref_f = Counted(lambda t: float(fv(np.array([t]))[0]))
     new_f = Counted(fv, vectorized=True)
     try:
-        ref = recursive_gauss_kronrod(ref_f, a, b, atol=tol, rtol=tol)
-    except NumericError as exc:  # t**0.3 at tight tolerances reaches the depth cap
+        ref = gauss_kronrod_oracle(ref_f, a, b, atol=tol, rtol=tol)
+    except NumericError as exc:
         with pytest.raises(NumericError) as got:
             adaptive_simpson(new_f, a, b, atol=tol, rtol=tol, width=width)
         assert str(got.value) == str(exc)
@@ -306,6 +359,34 @@ def test_phi_quadrature_meets_its_tolerance_against_mpmath(rng, name):
     exact = _mp_quad(lambda t: sum(mu * f((1 - t) * s1 + t * s2) for mu, s1, s2 in rows))
     for tol in (1e-10, 1e-12):
         assert _within(phi_integral_quad(inst, atol=tol, rtol=tol), exact, tol)
+
+
+def _neglog_row(t):
+    return -np.log((1.0 - t) * 1e-300 + t * 1e300)
+
+
+def _mp_neglog_row():
+    """The integral of _neglog_row over [0, 1], from the antiderivative u log u - u of log u."""
+    lo, hi = mpmath.mpf(1e-300), mpmath.mpf(1e300)
+    return -((hi * mpmath.log(hi) - hi) - (lo * mpmath.log(lo) - lo)) / (hi - lo)
+
+
+# end singularities that kept a panel over its share of the tolerance down to the depth cap
+# when each panel had to meet its own share: t**0.3 at 0, and the t-integrand of neglog on
+# [1e-300, 1e300] against the swap, a -log spike of about 1381 at each end of [0, 1]
+END_SPIKES = {
+    "t**0.3": (lambda t: t ** 0.3, 2.0, lambda: 2 ** mpmath.mpf(1.3) / mpmath.mpf(1.3)),
+    "neglog": (lambda t: 0.5 * _neglog_row(t) + 0.5 * _neglog_row(1.0 - t), 1.0, _mp_neglog_row),
+}
+
+
+@pytest.mark.parametrize("name, tol", [("t**0.3", 1e-9), ("t**0.3", 1e-12), ("neglog", 1e-10),
+                                       ("neglog", 1e-12)])
+def test_end_spikes_meet_their_tolerance_against_mpmath(name, tol):
+    fv, b, mp_exact = END_SPIKES[name]
+    with mpmath.workdps(50):
+        exact = float(mp_exact())
+    assert _within(adaptive_simpson(fv, 0.0, b, atol=tol, rtol=tol), exact, tol)
 
 
 @pytest.mark.parametrize("power", [1.5, 3.7, None])
