@@ -50,14 +50,15 @@ the first "]" past the characters of QUAD_BATCH_VALUES values, at the
 first row's (then the last block's) characters per value; inside the grid
 that "]" ends a row.  A block that runs past the grid holds what follows it
 in an object, a quote or a brace, which decode_rows refuses before any
-other work; it is cut again at the grid's end, as is a block with no "]"
-after it.  A row wider than a block is its own block, read in pieces of
-about a block's characters cut at commas.  Each block is written into one
-float64 array that owns its data, sized first for a square grid (or the
-rows the bytes left hold at the first row's length) and grown or shrunk in
-place, so that a grid is never held beside its blocks.  Any other long
-array, and any block decode_rows declines, sends the document to the text
-path, which gives the same list, or raises the same error, as json.loads.
+tier but the uniform one (whose template refuses it, most often by the
+block's length alone); it is cut again at the grid's end, as is a block
+with no "]" after it.  A row wider than a block is its own block, read in
+pieces of about a block's characters cut at commas.  Each block is written
+into one float64 array that owns its data, sized first for a square grid
+(or the rows the bytes left hold at the first row's length) and grown or
+shrunk in place, so that a grid is never held beside its blocks.  Any other
+long array, and any block decode_rows declines, sends the document to the
+text path, which gives the same list, or raises the same error, as json.loads.
 
 decode_rows(s, start, stop) takes the bytes of a text = s[start:stop] such as
 b'[1.5, 0], [-2e-3, 7]': one or more rows of JSON numbers, each in
@@ -94,14 +95,13 @@ token its row and column.  The tokens must match the JSON number grammar
 and are read by float() (an integer token of at most 24 digits reads as
 float(int()) does).  The tier declines, and the general path reads the
 text, where the first token is not a zero followed by its separator, where
-the text holds a quote or a brace (a block that runs past its grid) or
-more than one nonzero digit in eight of its first _SPARSE_HEAD bytes
-(these decide a dense text from its first bytes), where it holds more than
-_ARRAY_MIN nonzero tokens (decided before any work per token where its runs
-of nonzero digits more than 24 bytes apart, each in a token of its own,
-count that many), or where the template does not match, as it does not
-where a token runs past the 24 bytes on either side of its first nonzero
-digit.
+the text holds more than one nonzero digit in eight of its first
+_SPARSE_HEAD bytes (these decide a dense text from its first bytes), where
+it holds more than _ARRAY_MIN nonzero tokens (decided before any work per
+token where its runs of nonzero digits more than 24 bytes apart, each in a
+token of its own, count that many), or where the template does not match,
+as it does not where a token runs past the 24 bytes on either side of its
+first nonzero digit.
 
 The general path is array-at-a-time over the bytes of the text:
 
@@ -144,18 +144,19 @@ The general path is array-at-a-time over the bytes of the text:
   fetched in one gather (D. Lemire, "Number parsing at a gigabyte per
   second", Softw. Pract. Exp. 51(8), 2021); a one-digit integer part is
   read from its byte;
-- zero or Eisel-Lemire: each value w * 10**q (w below 10**19) is a zero
-  where w is 0, and otherwise the Eisel-Lemire algorithm on the 128-bit
-  product of w and the leading 64 bits of 5**q (Lemire, above; as
-  fast_float's compute_float, with the rare products whose rounding needs
-  the next 64 bits of 5**q left to float(), and so are subnormal results
-  and those past the largest double); the low word of the product is
-  formed only where the tie test reads it (-4 <= q <= 23);
-- float(): the few tokens left, such as those of more than 19
-  significant digits, go to float() (or float(int()) for an integer
+- zero or quotient: each value w / 10**f (w below 10**19) is a zero where w
+  is 0, and otherwise, for f in [0, 22] (10**f an exact double), the guess
+  float(w) / 10**f moved to the nearest double by its exact residual in
+  64-bit integers (Clinger's AlgorithmR, above).  Undecided are a residual
+  rounded across a half, a result below its guess's binade or at its bottom
+  with the value below it, and a value of 2**(53 - f) or more (16 or more
+  digits, at most 4 after the point), whose residual has no 64-bit form;
+- float(): the few tokens left, those of more than 19 significant digits,
+  with f outside [0, 22] (a large exponent, or more than 22 fraction
+  digits) or undecided, go to float() (or float(int()) for an integer
   token, as json gives an int), which rounds correctly; so do all of them
-  where fewer than _ARRAY_MIN are left, too few to pay for the array
-  calls of the steps above.
+  where fewer than _ARRAY_MIN are left, too few to pay for the array calls
+  of the steps above.
 
 A value that json gives as the int 0 is +0.0, also when written "-0";
 "-0.0" and "-0e0" are floats and stay -0.0.
@@ -225,6 +226,8 @@ _GRID_BYTES = b" \t\n\r0123456789,.[]eE+-"
 _MINUS, _PLUS, _OPEN, _CLOSE, _ZERO, _NINE, _COMMA, _DOT, _BLANK = b"-+[]09,. "
 _POW10 = np.array([10**k for k in range(20)], dtype=_U64)
 _POW10_F = np.array([10.0**k for k in range(23)])  # exact doubles
+_POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
+_MANTISSA = 1 << 52  # a normal double's significand, 53 bits, is at least this
 _LONGEST = 19  # significant digits that always fit a uint64
 # _values costs some 150-180 us whatever the count (about 240 array calls on a block of
 # 17-digit tokens) on a 2-core x86-64 machine, and float() reads a token, with its slice, in
@@ -245,22 +248,6 @@ _SPARSE_HEAD = 1024  # bytes whose nonzero digits say whether a block may be spa
 _JSON_NUMBERS = re.compile(rb"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)? )*")
 # the largest byte ^ template under each template byte: 9 under a "0" (a digit), 0 elsewhere
 _DIGIT_LIMIT = bytes(9 if c == _ZERO else 0 for c in range(256))
-_Q_MIN, _Q_MAX = -342, 308  # beyond these, w * 10**q rounds to 0 or to inf
-
-
-@functools.cache
-def _pow5_high():
-    """The leading 64 bits of 5**q, truncated, for q in [_Q_MIN, _Q_MAX] (about 1 ms)."""
-    high = []
-    for q in range(_Q_MIN, 0):
-        p5 = 5**-q
-        high.append((1 << (p5.bit_length() + 63)) // p5)
-    p5 = 1
-    for _ in range(_Q_MAX + 1):
-        bits = p5.bit_length()
-        high.append(p5 << (64 - bits) if bits <= 64 else p5 >> (bits - 64))
-        p5 *= 5
-    return np.array(high, dtype=_U64)
 
 
 # the digit values, the low nibbles, of the last c bytes of a word, for c in 0..8
@@ -324,74 +311,42 @@ def _digits(padded, ends, count):
     return value, top
 
 
-def _mul128(a, b, low):
-    """(high, low) 64-bit halves of the products a * b of uint64 arrays, low None unless
-    asked for; b is overwritten."""
-    mask = _U64(0xFFFFFFFF)
-    a0, a1, b0 = a & mask, a >> _U64(32), b & mask
-    b >>= _U64(32)
-    lo = a0 * b0  # the four partial products, then the middle column
-    a0 *= b
-    b0 *= a1
-    a1 *= b
-    high = a1
-    mid = lo >> _U64(32)
-    high += a0 >> _U64(32)
-    high += b0 >> _U64(32)
-    a0 &= mask
-    b0 &= mask
-    mid += a0
-    mid += b0
-    high += mid >> _U64(32)
-    if not low:
-        return high, None
-    lo &= mask
-    mid <<= _U64(32)
-    lo |= mid
-    return high, lo
+def _quotient(w, f):
+    """(float64 bit patterns of w / 10**f, mask of those left undecided), for 0 < w < 2**64
+    and 0 <= f <= 22, where 10**f and 5**f are exact doubles: a guess corrected by its exact
+    residual, as Clinger's AlgorithmR (above).
 
-
-@functools.cache
-def _power2_base():
-    """floor(q * log2(10)) + 63 + 1023 for q in [_Q_MIN, _Q_MAX], as (217706 * q) >> 16 gives
-    it over this range: the biased binary exponent of w * 10**q, less the normalizing shift
-    of w, where the product's top bit is bit 126."""
-    q = np.arange(_Q_MIN, _Q_MAX + 1, dtype=np.int64)
-    return ((217706 * q) >> 16) + (63 + 1023)
-
-
-def _eisel_lemire(w, q):
-    """(float64 bit patterns of w * 10**q, mask of those left undecided: the products whose
-    rounding the next 64 bits of 5**q could change, subnormal results and those past the
-    largest double), for 0 < w < 2**64 and q in [_Q_MIN, _Q_MAX]."""
-    # the bit length, from the exponent of w as a double, or one more after its rounding
-    bits = w.astype(float).view(_U64) >> _U64(52)
-    bits -= _U64(1022)
-    bits -= (w >> (bits - _U64(1))) == 0
-    lz = np.subtract(_U64(64), bits, out=bits)
-    w = w << lz
-    at = q - _Q_MIN
-    near = _where((q >= -4) & (q <= 23))  # 5**q fits 64 bits: w * 10**q may be a tie
-    high, low = _mul128(w, _pow5_high()[at], low=near is not None)
-    undecided = (high & _U64(0x1FF)) == _U64(0x1FF)  # the next 64 bits of 5**q could carry in
-    upper = high >> _U64(63)
-    shift = upper + _U64(9)
-    mant = high >> shift
-    power2 = np.subtract(upper, lz, out=lz).view(np.int64)  # the biased binary exponent
-    power2 += _power2_base()[at]
-    if near is not None:
-        m, h = mant[near], high[near]
-        halfway = (low[near] <= 1) & ((m & _U64(3)) == 1) & ((m << shift[near]) == h)
-        mant[near] -= halfway  # exactly between two doubles: round to even
-    mant += mant & _U64(1)
-    mant >>= _U64(1)
-    # mant is in [2**52, 2**53]: added to the exponent field less one, its top bit steps the
-    # exponent, so a carry to 2**53 moves to the next binade
-    power2 -= 1
-    undecided |= power2.view(_U64) > _U64(0x7FD)  # a field outside [1, 0x7FE]: to float()
-    power2 <<= 52
-    mant += power2.view(_U64)
-    return mant, undecided
+    - The guess y = float(w) / 10**f, two roundings, lies within two ulps of w / 10**f.
+    - With y = m * 2**e, m of 53 bits, and s = -e - f, w / 10**f - y is r / 5**f ulps of y,
+      r = w * 2**s - m * 5**f.  |r| < 3 * 5**f < 2**63, so uint64 arithmetic, which wraps,
+      gives r exactly: a shift past 63 bits gives 0, which is w * 2**s mod 2**64.
+    - y moves by k = rint(r / 5**f) ulps, and r by -k * 5**f.  Left undecided are a quotient
+      rounded across a half (|2 r| > 5**f, never equal: 5**f is odd) and an m + k below
+      2**52, or at 2**52 with the value below it, where the ulp halves.
+    - A negative shift, which w < 2**64 confines to f <= 4, is a shift past 63 bits as
+      uint64: r is then -m * 5**f, and m + k, about 0, is undecided.
+    - No move leaves y's binade upward: a value that rounds up to 2**j lies within a relative
+      2**-54 of it, so w lies as near 2**j * 10**f, a double, and float(w) is that double."""
+    y = w.astype(float)
+    y /= _POW10_F[f]
+    bits = y.view(_U64)
+    shift = np.subtract(1023 + 52, f)  # s = -e - f, e the biased exponent less 1023 + 52
+    shift -= (bits >> _U64(52)).view(np.int64)
+    m = bits & _U64(_MANTISSA - 1)
+    m |= _U64(_MANTISSA)
+    p5 = _POW5[f]
+    r = w << shift.view(_U64)
+    r -= m * p5.view(_U64)
+    r = r.view(np.int64)
+    k = np.rint(r / p5).astype(np.int64)
+    r -= k * p5
+    r += r  # 2 r
+    undecided = np.abs(r) > p5
+    m = m.view(np.int64)
+    m += k
+    undecided |= m < _MANTISSA + (r < 0)
+    bits += k.view(_U64)
+    return bits, undecided
 
 
 def _tokens(buf, plus):
@@ -608,25 +563,26 @@ def _values(padded, ends, int_end, int_len, mant_end, frac_len, exp_len, exp_neg
         fits |= short
     del int_val, frac_val, frac_top
     slow = ~fits
-    q = -frac_len
+    f = frac_len  # each value is w / 10**f
     if exp_len is not None:
         slow |= exp_len > 8
         exps = _where(exp_len != 0)
         if exps is not None:
             e_val = _eight(_windows(padded, 8)[ends[exps]].view("<u8"), exp_len[exps])
             e_val = e_val.view(np.int64)
-            q[exps] += np.where(exp_neg[exps], -e_val, e_val)
-            slow |= (q < _Q_MIN) | (q > _Q_MAX)  # without an exponent, q is at least -24
+            f = f.copy()
+            f[exps] += np.where(exp_neg[exps], e_val, -e_val)
+    slow |= (f < 0) | (f >= _POW10_F.size)  # where 10**f is an exact double
 
     nonzero = w != 0
     idx = _where(nonzero & ~slow)
     if isinstance(idx, slice):
-        bits, undecided = _eisel_lemire(w, q)
+        bits, undecided = _quotient(w, f)
         slow |= undecided
     else:
         bits = np.zeros(w.size, dtype=_U64)
         if idx is not None:
-            bits[idx], undecided = _eisel_lemire(w[idx], q[idx])
+            bits[idx], undecided = _quotient(w[idx], f[idx])
             slow[idx[undecided]] = True
     if neg is not None and neg.any():  # a zero is negative only as a float: json gives "-0" as 0
         np.bitwise_or(bits, _U64(1 << 63), out=bits, where=neg & (is_float | nonzero))
@@ -732,9 +688,9 @@ def _sparse(raw):
     (see the module doc), a token that breaks the grammar included: the general path then
     reads the text, and refuses it."""
     zero = _ZERO_FIRST.match(raw)
-    # a block that runs past its grid holds a quote or a brace; a dense one, most often a
-    # nonzero first token, or more than one nonzero digit in eight bytes of its head
-    if zero is None or b'"' in raw or b"}" in raw:
+    # a dense block has, most often, a nonzero first token, or more than one nonzero digit
+    # in eight bytes of its head
+    if zero is None:
         return None
     head = raw[:_SPARSE_HEAD]
     if 8 * (len(head) - len(head.translate(None, b"123456789"))) > len(head):
@@ -823,10 +779,16 @@ def decode_rows(s, start, stop):
     raw = s[start:stop]
     if len(raw) < 3 or raw[0] != _OPEN or raw[-1] != _CLOSE:
         return None
-    for tier in (_uniform, _sparse):
-        decoded = tier(raw)
-        if decoded is not None:
-            return decoded
+    decoded = _uniform(raw)
+    if decoded is not None:
+        return decoded
+    # a block that runs past its grid holds a quote or a brace, which the uniform tier's
+    # template refuses, most often by the block's length alone: no other tier sees it
+    if b'"' in raw or b"}" in raw:
+        return None
+    decoded = _sparse(raw)
+    if decoded is not None:
+        return decoded
     plus = b"+" in raw
     marked = plus or b"-" in raw or b"e" in raw or b"E" in raw
     close = -1 if marked else _dumps_head(raw)  # json.dumps's layout: the comma locator

@@ -25,7 +25,7 @@ from jensenchain.means import EPS_DEG
 from jensenchain.numerics import adaptive_simpson
 
 # a larger example budget, for CI runs of the decoder's grammar-driven differential and its
-# Eisel-Lemire test, the encoder's and the quadrature's differential tests, the grid validation
+# quotient test, the encoder's and the quadrature's differential tests, the grid validation
 # messages, the application rows, the special means, the catalog closed forms, phi's one value
 # at each t and the near-overflow CLI properties (--hypothesis-profile=ci);
 # tests/test_decoder.py, tests/test_render.py, tests/test_numerics.py, tests/test_measures.py,

@@ -6,7 +6,6 @@ import os
 import re
 import threading
 import tracemalloc
-from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
 
@@ -1007,6 +1006,8 @@ GRID_CASES = [
                                  "-0.0", "-0e0", "-0.0e-400", "-0.00000000000000000000000000"]),
     *(f"[{token}], [-{token}]" for token in HARD_TOKENS),
     mantissas_at_the_exact_path_limits(),
+    # exponents that start with "9", the digit next to the sign and exponent bytes
+    "[1e9, -2.5E9], [3e-9, 4.5e+9]",
     # beyond a double (an int stays a list), just inside it, and past the int digit limit
     "[1, 1e400], [-1e999, 2]", "[1, 1" + "0" * 309 + "]", "[1, 1" + "0" * 300 + "]",
     "[1, 1" + "0" * 4300 + "]",
@@ -1064,58 +1065,56 @@ def test_fixed_grids_decode_like_json(text):
     assert_decodes_like_json("[" + text + "]")
 
 
-def test_every_eisel_lemire_table_entry_is_the_leading_64_bits_of_its_power_of_five():
-    table = gridtext._pow5_high()
-    assert table.size == 308 + 342 + 1
-    for k, q in enumerate(range(-342, 309)):
-        x = Fraction(5) ** q
-        shift = 63 - (x.numerator.bit_length() - x.denominator.bit_length())
-        while x * Fraction(2) ** shift >= 2**64:
-            shift -= 1
-        while x * Fraction(2) ** shift < 2**63:
-            shift += 1
-        assert int(table[k]) == int(x * Fraction(2) ** shift), q  # int() truncates
-        # and the high word of the 128-bit entry of fast_float's table, built its way
-        if q < 0:
-            p5 = 5**-q
-            z = (p5 - 1).bit_length()
-            wide = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p5 + 1
-            wide >>= max(wide.bit_length() - 128, 0)
-        else:
-            wide = 5**q << max(128 - (5**q).bit_length(), 0)
-            wide >>= max(wide.bit_length() - 128, 0)
-        assert int(table[k]) == wide >> 64, q
+def float_bits(text):
+    return int(np.float64(float(text)).view(np.uint64))
 
 
 @DIFFERENTIAL
-@given(st.integers(1, 10**19 - 1), st.integers(-342, 308))
-@example(9007199254740993, 0)  # a tie, to even
-@example(1, -342)
-@example(17976931348623157, 292)
-@example(10**19 - 1, 308)  # infinity
-@example(22250738585072011, -324)  # subnormal
-def test_eisel_lemire_rounds_like_float(w, q):
-    bits, undecided = gridtext._eisel_lemire(np.array([w], dtype=np.uint64), np.array([q]))
+@given(st.integers(1, 10**19 - 1), st.integers(0, 22))
+@example(9007199254740993, 0)  # 2**53 + 1, halfway between two doubles
+@example(1, 22)  # a shift past 63 bits
+@example(10**19 - 1, 0)  # a negative shift
+@example(99999999999999994, 17)  # guessed 1.0, nearer 1 - 2**-53 below it
+@example(10000000000000002, 16)
+def test_quotient_rounds_like_float(w, f):
+    bits, undecided = gridtext._quotient(np.array([w], dtype=np.uint64), np.array([f]))
     if not undecided[0]:
-        assert int(bits[0]) == int(np.float64(float(f"{w}e{q}")).view(np.uint64)), (w, q)
+        assert int(bits[0]) == float_bits(f"{w}e-{f}"), (w, f)
 
 
-# w <= 2**53 and |q| <= 22, where w and 10**|q| are exact doubles, and just past those limits
-for _w, _q in [(w, q) for w in (2**53 - 1, 2**53, 2**53 + 1) for q in (0, -22, 22, -23, 23)] + [
-        (1, -22), (1, 22), (1, 23)]:
-    test_eisel_lemire_rounds_like_float = example(_w, _q)(test_eisel_lemire_rounds_like_float)
+# just below and above 2**53, where w stops being an exact double
+for _w, _f in [(w, f) for w in (2**53 - 1, 2**53 + 1) for f in (0, 22)]:
+    test_quotient_rounds_like_float = example(_w, _f)(test_quotient_rounds_like_float)
 
 
-def test_eisel_lemire_leaves_few_shortest_decimals_to_float():
-    # the shortest decimals of 1 + u v^T, as json.dumps prints them: a few in a thousand
-    # need the next 64 bits of 5**q (2 of these 1600)
-    tokens = json.dumps(rank_one(40, seed=3).ravel().tolist())[1:-1].split(", ")
+@pytest.mark.parametrize("w, f, decided", [
+    (9007199254740993, 0, False),  # halfway: float(w) is 2**53, a negative shift
+    (10**19 - 1, 0, False),  # a negative shift
+    (99999999999999994, 17, False),  # at 2**52 ulps of 1.0, the value below it
+    (1, 0, True),  # exactly a power of two
+    (1, 22, True),
+    (2**53 - 1, 0, True),
+    (2**53 - 1, 22, True),
+    (2**53 + 1, 22, True),
+    (10000000000000002, 16, True),
+    (38313834227937076, 17, True),  # its guess one ulp below
+])
+def test_quotient_leaves_halves_and_values_below_a_power_of_two_undecided(w, f, decided):
+    bits, undecided = gridtext._quotient(np.array([w], dtype=np.uint64), np.array([f]))
+    assert undecided.tolist() == [not decided]
+    if decided:
+        assert int(bits[0]) == float_bits(f"{w}e-{f}")
+
+
+@pytest.mark.parametrize("form", [repr, "{:.17g}".format], ids=["json.dumps", "%.17g"])
+def test_quotient_decides_every_decimal_of_a_rank_one_grid(form):
+    # 1 + u v^T as json.dumps prints it, shortest, and as generate prints it, 17 digits
+    tokens = [form(v) for v in rank_one(40, seed=3).ravel().tolist()]
     w = np.array([int(t.replace(".", "")) for t in tokens], dtype=np.uint64)
-    q = np.array([t.index(".") + 1 - len(t) for t in tokens])
-    bits, undecided = gridtext._eisel_lemire(w, q)
-    assert np.count_nonzero(undecided) < len(tokens) // 20
-    expected = np.array([float(t) for t in tokens]).view(np.uint64)
-    assert (bits[~undecided] == expected[~undecided]).all()
+    f = np.array([len(t) - 1 - t.index(".") for t in tokens])
+    bits, undecided = gridtext._quotient(w, f)
+    assert not undecided.any()
+    assert bits.tolist() == [float_bits(t) for t in tokens]
 
 
 @pytest.mark.parametrize("indent", [None, 2])
@@ -1280,11 +1279,14 @@ def test_dense_blocks_and_blocks_past_their_grid_are_declined_before_the_array_w
     zero_first = dense.copy()
     zero_first[0, 0] = 0.0
     blocks = [json.dumps(dense.tolist())[1:-1],
-              json.dumps(zero_first.tolist())[1:-1],  # a zero first, nonzero digits after it
-              sparse.decode()[:-1] + ']], "C": [[0.0, 0.5]',  # past the grid: a quote
-              sparse.decode()[:-1] + "]]}, [0.0, 0.5]"]  # and a brace
+              json.dumps(zero_first.tolist())[1:-1]]  # a zero first, nonzero digits after it
     for text in blocks:
         assert gridtext._sparse(text.encode()) is None, text[:40]
+        kernel(text)
+    # past the grid, a quote or a brace: decode_rows declines it before the sparse tier
+    for text in (sparse.decode()[:-1] + ']], "C": [[0.0, 0.5]',
+                 sparse.decode()[:-1] + "]]}, [0.0, 0.5]"):
+        assert gridtext.decode_rows(text.encode(), 0, len(text)) is None
         kernel(text)
 
 
@@ -1378,3 +1380,37 @@ def test_every_block_of_a_json_dumps_grid_takes_the_locator_and_no_other_layout_
             assert located.count(True) == decoded.count(True) > 1, located
         else:
             assert located == [] and decoded.count(True) > 1, name
+
+
+@pytest.mark.parametrize("family", ["permutation", "mixture", "rank-one", "signed"])
+def test_a_block_that_runs_past_its_grid_reaches_no_tier_but_the_uniform_one(
+        monkeypatch, family):
+    # the uniform tier, whose template refuses such a block, then the sparse tier, the comma
+    # locator and the edge scan, none of which it reaches
+    monkeypatch.setattr(gridtext, "QUAD_BATCH_VALUES", 1024)
+    n = 40
+    grid = {"permutation": np.eye(n)[np.random.default_rng(7).permutation(n)],
+            "mixture": mixture_block(n, rows=n, seed=7)[1],
+            "rank-one": rank_one(n, seed=7),
+            "signed": rank_one(n, seed=7) - 1.0}[family]
+    # a block of 26 rows, then one that runs on into the next key, a list longer than a block
+    text = json.dumps({"C": grid.tolist(), "w": [0.5] * 8000})
+    past, reached = [], []
+    decode_rows = gridtext.decode_rows
+
+    def spy_decode(s, start, stop):
+        past.append(b'"' in s[start:stop])
+        return decode_rows(s, start, stop)
+
+    def spy(tier):
+        def called(raw, *args):
+            reached.append(b'"' in bytes(raw))
+            return tier(raw, *args)
+        return called
+
+    monkeypatch.setattr(gridtext, "decode_rows", spy_decode)
+    for name in ("_sparse", "_located", "_tokens"):
+        monkeypatch.setattr(gridtext, name, spy(getattr(gridtext, name)))
+    assert_same(PLAIN.decode(text), gridtext.loads(text.encode()))
+    assert any(past) and not any(reached)
+    assert reached or family == "permutation"  # whose other blocks the uniform tier takes

@@ -58,10 +58,12 @@ bit-for-bit check alone, no timing.
 
 Before any timing, one decode of each family per tree counts the blocks that each tier of
 gridtext.decode_rows decoded (uniform, sparse, general: the blocks neither of the first two
-took), and the general blocks whose tokens the comma locator found, by wrapping the tier
-functions of the loaded module; a tree without a tier prints "-" for it.  The run exits 1
-where a general block of a json.dumps dense family (LOCATED: rank-one, few-short) does not
-take this tree's comma locator, --smoke runs included.
+took), the general blocks whose tokens the comma locator found, and the tokens that the
+general kernel's _values sent to float(), by wrapping the functions of the loaded module; a
+tree without one of them prints "-" for it.  The run exits 1 where a general block of a
+json.dumps dense family (LOCATED: rank-one, few-short) does not take this tree's comma
+locator, --smoke runs included, and --smoke exits 1 where this tree sends any token of
+those families to float().
 """
 
 import argparse
@@ -149,16 +151,18 @@ LOCATED = ("rank-one", "few-short")  # each general block takes the comma locato
 
 
 def tier_counts(gridtext, read, data):
-    """[uniform, sparse, general, located] blocks that gridtext's decode_rows decoded in one
-    read of data, located those of the general blocks whose tokens the comma locator found;
-    None for a tier gridtext does not have."""
-    counts = dict.fromkeys(("decode_rows", "_located") + TIERS, 0)
+    """[uniform, sparse, general, located, float()] in one read of data: the blocks that
+    gridtext's decode_rows decoded, located those of the general blocks whose tokens the
+    comma locator found, float() the tokens that _values left to float(); None for a
+    function gridtext does not have."""
+    counts = dict.fromkeys(("decode_rows", "_located", "_values") + TIERS, 0)
     saved = {name: getattr(gridtext, name) for name in counts if hasattr(gridtext, name)}
 
     def counting(name, tier):
         def wrapped(*args):
             block = tier(*args)
-            counts[name] += block is not None
+            # _values gives (bits, indices of the tokens left to float())
+            counts[name] += block[1].size if name == "_values" else block is not None
             return block
         return wrapped
 
@@ -170,8 +174,8 @@ def tier_counts(gridtext, read, data):
         for name, tier in saved.items():
             setattr(gridtext, name, tier)
     found = [counts[name] if name in saved else None for name in TIERS]
-    located = counts["_located"] if "_located" in saved else None
-    return found + [counts["decode_rows"] - sum(c or 0 for c in found), located]
+    located, floats = (counts[name] if name in saved else None for name in ("_located", "_values"))
+    return found + [counts["decode_rows"] - sum(c or 0 for c in found), located, floats]
 
 
 def decode(tree, data, expected):
@@ -206,19 +210,25 @@ def main(argv=None):
     expected = {name: np.array(json.loads(text), dtype=float) for name, text in texts.items()}
     texts = {name: text.encode("utf-8") for name, text in texts.items()}
 
-    print("blocks decoded by each tier: uniform / sparse / general / located (of general)")
-    print(f"{'family':<12}" + "".join(f"  {name:>22}" for name, _ in trees))
-    unlocated = []
+    print("blocks decoded by each tier: uniform / sparse / general / located (of general);"
+          " tokens sent to float()")
+    print(f"{'family':<12}" + "".join(f"  {name:>22} {'float()':>7}" for name, _ in trees))
+    unlocated, to_float = [], []
     for name, data in texts.items():
         counts = [tier_counts(module, read, data) for module, (_, read) in zip(modules, trees)]
-        cells = (" / ".join("-" if c is None else str(c) for c in row) for row in counts)
-        print(f"{name:<12}" + "".join(f"  {cell:>22}" for cell in cells))
-        general, located = counts[0][2:]
+        cells = ((" / ".join("-" if c is None else str(c) for c in row[:4]),
+                  "-" if row[4] is None else row[4]) for row in counts)
+        print(f"{name:<12}" + "".join(f"  {blocks:>22} {floats:>7}" for blocks, floats in cells))
+        general, located, floats = counts[0][2:]
         if name in LOCATED and located != general:
             unlocated.append(name)
+        if args.smoke and name in LOCATED and floats:
+            to_float.append(name)
     if unlocated:
         sys.exit(f"decode_bench: general blocks of {', '.join(unlocated)} not read through the "
                  "comma locator")
+    if to_float:
+        sys.exit(f"decode_bench: tokens of {', '.join(to_float)} sent to float()")
     if args.smoke:
         for name, data in texts.items():
             for tree in trees:
